@@ -12,18 +12,16 @@ from .correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
     PAIRS_WEAK,
-    CorrelationRecord,
-    CorrelationSet,
+    Correlations,
     analytic_correlation,
-    exact_correlation,
     exact_correlation_set,
-    sample_correlation,
     sampled_correlation_set,
 )
 from .experiments import BiasModel, ResultRow, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
 from .protocol import CouplingConfig, OutcomeTable, PointerSetting, pointer_setting
 from .reconstruct import (
+    DegenerateTraceError,
     ReconstructionResult,
     finalize,
     qst_linear_inversion,
@@ -45,9 +43,9 @@ from .states import (
 
 __all__ = [
     "BiasModel",
-    "CorrelationRecord",
-    "CorrelationSet",
+    "Correlations",
     "CouplingConfig",
+    "DegenerateTraceError",
     "DensityMatrix",
     "OutcomeTable",
     "PAIRS_EXACT_I",
@@ -62,7 +60,6 @@ __all__ = [
     "basis_state",
     "compare",
     "error_lower_bound",
-    "exact_correlation",
     "exact_correlation_set",
     "finalize",
     "maximally_mixed",
@@ -78,7 +75,6 @@ __all__ = [
     "reconstruct_exact_ii",
     "reconstruct_weak",
     "run_scenario",
-    "sample_correlation",
     "sampled_correlation_set",
 ]
 

@@ -22,13 +22,6 @@ import numpy as np
 from . import correlations, experiments, io, protocol, qmath, reconstruct, states
 from .protocol import CouplingConfig
 
-_RECONSTRUCTORS = {
-    "W": (reconstruct.reconstruct_weak, correlations.PAIRS_WEAK),
-    "I": (reconstruct.reconstruct_exact_i, correlations.PAIRS_EXACT_I),
-    "II": (reconstruct.reconstruct_exact_ii, correlations.PAIRS_EXACT_II),
-}
-
-
 def _cmd_run(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     try:
@@ -53,12 +46,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if args.method not in _RECONSTRUCTORS:
-        print(f"unknown method '{args.method}'", file=sys.stderr)
-        return 2
     rho = states.parse_state_spec(args.state, args.d)
     cfg = CouplingConfig(args.d, args.theta, args.theta)
-    rebuild, pairs = _RECONSTRUCTORS[args.method]
+    rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
     correls = correlations.exact_correlation_set(rho, cfg, pairs)
     result = rebuild(correls, cfg)
     print(f"method {result.method}, d={args.d}, theta={args.theta}")
@@ -100,10 +90,10 @@ def _cmd_validate(args) -> int:
         cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)), float(rng.uniform(0.05, math.pi / 2)))
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
-        for pair in correlations.SUPPORTED_PAIRS:
-            exact = correlations.exact_correlation(rho, j, k, pair[0], pair[1], cfg)
+        correls = correlations.exact_correlation_set(rho, cfg, correlations.SUPPORTED_PAIRS)
+        for pair, exact in zip(correls.pairs, correls.values[j - 1, k - 1]):
             closed = correlations.analytic_correlation(rho, j, k, pair[0], pair[1], cfg)
-            worst = max(worst, abs(exact.value - closed.value))
+            worst = max(worst, abs(exact - closed))
     check("trace correlations match closed forms", worst < 1e-10, f"max dev {worst:.2e}")
 
     # Exactness of both strong-coupling estimators.
@@ -134,7 +124,7 @@ def main(argv=None) -> int:
     p_exact = sub.add_parser("exact", help="exact-correlation reconstruction of one state")
     p_exact.add_argument("--state", required=True, help="state spec, e.g. pure:D or mixed")
     p_exact.add_argument("--theta", required=True, type=float)
-    p_exact.add_argument("--method", required=True, choices=("W", "I", "II"))
+    p_exact.add_argument("--method", required=True, choices=tuple(experiments._RECONSTRUCTORS))
     p_exact.add_argument("--d", type=int, default=2)
     p_exact.set_defaults(func=_cmd_exact)
 

@@ -8,8 +8,11 @@ Three evaluation paths are provided:
   analytic  closed-form expressions in the entries of rho
   sampled   finite-N multinomial draw from the joint outcome distribution
 
-The exact and analytic paths are independent implementations and must agree;
-their agreement cross-validates both the evolution code and the closed forms.
+The exact and sampled paths read one outcome table per (j, pair) setting and
+fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic path
+gives one value at a time. The exact and analytic paths are independent
+implementations and must agree; their agreement cross-validates both the
+evolution code and the closed forms.
 """
 
 from __future__ import annotations
@@ -45,99 +48,52 @@ def derive_seed(root: int, *parts) -> int:
 
 
 @dataclass(frozen=True)
-class CorrelationRecord:
-    """One correlation value with its provenance.
+class Correlations:
+    """Correlation values for every coupled index j, outcome k and observable pair.
 
-    `counts` is the 2 x 2 outcome-count table (pointer A outcome x pointer B
-    outcome) behind a sampled value; None for exact and analytic sources.
+    The protocol reads all final outcomes k of one (j, pair) setting at once,
+    so the data is a dense tensor: `values[j-1, k-1, p]` is <O_A O_B> for
+    `pairs[p]`. `std_error` has the same shape and is all zeros for exact
+    data; `n_events` is the event count per (j, pair) setting, 0 when exact.
     """
 
-    j: int
-    k: int
-    obs_a: str
-    obs_b: str
-    value: float
-    std_error: float = 0.0
+    pairs: tuple[ObsPair, ...]
+    values: np.ndarray
+    std_error: np.ndarray
     n_events: int = 0
-    source: str = "exact"
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.source not in ("exact", "analytic", "sampled"):
-            raise ValueError(f"unknown source '{self.source}'")
-        if (self.std_error > 0.0) and self.source != "sampled":
-            raise ValueError("only sampled records carry a standard error")
-        if self.std_error < 0.0:
-            raise ValueError("standard error must be nonnegative")
-
-
-class CorrelationSet:
-    """Correlation records keyed by (j, k, obs_a, obs_b)."""
-
-    def __init__(self, records: list[CorrelationRecord] | None = None):
-        self._records: dict[tuple[int, int, str, str], CorrelationRecord] = {}
-        for rec in records or []:
-            self.add(rec)
-
-    def add(self, rec: CorrelationRecord) -> None:
-        self._records[(rec.j, rec.k, rec.obs_a, rec.obs_b)] = rec
-
-    def get(self, j: int, k: int, obs_a: str, obs_b: str) -> CorrelationRecord:
-        key = (j, k, obs_a, obs_b)
-        if key not in self._records:
+        d = self.values.shape[0]
+        if self.values.shape != (d, d, len(self.pairs)) or self.std_error.shape != self.values.shape:
             raise ValueError(
-                f"missing correlation <{obs_a}_A {obs_b}_B> for (j={j}, k={k})"
+                f"values and std_error must be shaped (d, d, {len(self.pairs)}), "
+                f"got {self.values.shape} and {self.std_error.shape}"
             )
-        return self._records[key]
+        if np.any(self.std_error < 0.0):
+            raise ValueError("standard error must be nonnegative")
+        if self.n_events == 0 and np.any(self.std_error > 0.0):
+            raise ValueError("only sampled correlations carry a standard error")
 
-    def value(self, j: int, k: int, obs_a: str, obs_b: str) -> float:
-        return self.get(j, k, obs_a, obs_b).value
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0]
+
+    def column(self, pair: ObsPair) -> tuple[np.ndarray, np.ndarray]:
+        """(values, std_error) of one observable pair, each indexed [j-1, k-1]."""
+        if pair not in self.pairs:
+            raise ValueError(f"missing correlation <{pair[0]}_A {pair[1]}_B>")
+        p = self.pairs.index(pair)
+        return self.values[:, :, p], self.std_error[:, :, p]
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(self._records.values())
+        return self.values.size
 
 
-def correlation_table(
-    rho: states.DensityMatrix, j: int, obs_a: str, obs_b: str, cfg: CouplingConfig
-) -> OutcomeTable:
-    """Joint outcome table for the j-th coupling and one observable pair."""
-    sigma = protocol.evolve(rho, j, cfg)
-    settings = (protocol.pointer_setting(obs_a), protocol.pointer_setting(obs_b))
-    return protocol.outcome_probabilities(sigma, settings, j=j)
-
-
-def records_from_table(table: OutcomeTable) -> list[CorrelationRecord]:
-    """Exact correlation records for every k from one outcome table."""
+def records_from_table(table: OutcomeTable) -> np.ndarray:
+    """Exact correlations for every k, indexed [k-1], from one outcome table."""
     eig_a = table.setting_a.eigenvalues
     eig_b = table.setting_b.eigenvalues
-    values = np.einsum("x,y,xyk->k", eig_a, eig_b, table.probs)
-    return [
-        CorrelationRecord(
-            j=table.j,
-            k=k,
-            obs_a=table.setting_a.observable,
-            obs_b=table.setting_b.observable,
-            value=float(values[k - 1]),
-            source="exact",
-        )
-        for k in range(1, table.dim + 1)
-    ]
-
-
-def exact_correlation(
-    rho: states.DensityMatrix,
-    j: int,
-    k: int,
-    obs_a: str,
-    obs_b: str,
-    cfg: CouplingConfig,
-) -> CorrelationRecord:
-    """Correlation from the trace against the evolved tripartite state."""
-    table = correlation_table(rho, j, obs_a, obs_b, cfg)
-    return records_from_table(table)[k - 1]
+    return np.einsum("x,y,xyk->k", eig_a, eig_b, table.probs)
 
 
 def analytic_correlation(
@@ -147,7 +103,7 @@ def analytic_correlation(
     obs_a: str,
     obs_b: str,
     cfg: CouplingConfig,
-) -> CorrelationRecord:
+) -> float:
     """Correlation from the closed-form expression in the entries of rho.
 
     Supported observable pairs: XX, XY, YX, YY, Pi1-X, X-Pi1, Y-Pi1, Pi1-Pi1.
@@ -197,10 +153,7 @@ def analytic_correlation(
         value = s_b * sum_im / (2.0 * d * n)
     else:  # ("Pi1", "Pi1"), independent of k
         value = p_jj / (16.0 * n * n)
-
-    return CorrelationRecord(
-        j=j, k=k, obs_a=obs_a, obs_b=obs_b, value=value, source="analytic"
-    )
+    return value
 
 
 def sample_counts(table: OutcomeTable, n: int, seed: int) -> np.ndarray:
@@ -220,7 +173,7 @@ def sample_counts(table: OutcomeTable, n: int, seed: int) -> np.ndarray:
 
 def sampled_records_from_counts(
     table: OutcomeTable, counts: np.ndarray, n: int
-) -> list[CorrelationRecord]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-k correlation estimates and plug-in standard errors from counts."""
     eig_a = table.setting_a.eigenvalues
     eig_b = table.setting_b.eigenvalues
@@ -229,36 +182,7 @@ def sampled_records_from_counts(
     est = np.einsum("xy,xyk->k", w, freq)
     second = np.einsum("xy,xyk->k", w * w, freq)
     var = np.maximum(second - est * est, 0.0) / n
-    se = np.sqrt(var)
-    return [
-        CorrelationRecord(
-            j=table.j,
-            k=k,
-            obs_a=table.setting_a.observable,
-            obs_b=table.setting_b.observable,
-            value=float(est[k - 1]),
-            std_error=float(se[k - 1]),
-            n_events=n,
-            source="sampled",
-            counts=counts[:, :, k - 1].copy(),
-        )
-        for k in range(1, table.dim + 1)
-    ]
-
-
-def sample_correlation(
-    rho: states.DensityMatrix,
-    j: int,
-    obs_a: str,
-    obs_b: str,
-    cfg: CouplingConfig,
-    n: int,
-    rng_seed: int,
-) -> list[CorrelationRecord]:
-    """Sampled correlation records for all k from one n-event run of setting (j, pair)."""
-    table = correlation_table(rho, j, obs_a, obs_b, cfg)
-    counts = sample_counts(table, n, rng_seed)
-    return sampled_records_from_counts(table, counts, n)
+    return est, np.sqrt(var)
 
 
 def correlation_set_from_tables(
@@ -266,46 +190,58 @@ def correlation_set_from_tables(
     sampled: bool = False,
     n: int = 0,
     root_seed: int = 0,
-) -> CorrelationSet:
-    """Assemble a CorrelationSet from precomputed outcome tables.
+) -> Correlations:
+    """Correlations for every (j, k, pair) from the outcome tables of all (j, pair).
 
-    In sampled mode each (j, pair) table gets its own n-event draw, with a
-    seed derived from the root seed and the setting coordinates.
+    Each table fills one column [j-1, :, pair] at once. In sampled mode each
+    (j, pair) table gets its own n-event draw, with a seed derived from the
+    root seed and the setting coordinates.
     """
-    out = CorrelationSet()
+    pairs = tuple(dict.fromkeys(pair for _, pair in tables))
+    d = next(iter(tables.values())).dim if tables else 0
+    if len(tables) != d * len(pairs):
+        raise ValueError(f"need a table for every (j, pair): {d} x {len(pairs)}, got {len(tables)}")
+    values = np.zeros((d, d, len(pairs)))
+    std_error = np.zeros_like(values)
     for (j, pair), table in tables.items():
+        p = pairs.index(pair)
         if sampled:
             seed = derive_seed(root_seed, "corr", j, pair[0], pair[1])
             counts = sample_counts(table, n, seed)
-            recs = sampled_records_from_counts(table, counts, n)
+            values[j - 1, :, p], std_error[j - 1, :, p] = sampled_records_from_counts(
+                table, counts, n
+            )
         else:
-            recs = records_from_table(table)
-        for rec in recs:
-            out.add(rec)
-    return out
+            values[j - 1, :, p] = records_from_table(table)
+    return Correlations(pairs, values, std_error, n if sampled else 0)
 
 
 def build_tables(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
+    tilt: float = 0.0,
 ) -> dict[tuple[int, ObsPair], OutcomeTable]:
     """Outcome tables for every coupled index j and requested observable pair.
 
-    The evolved state is computed once per j and shared across pairs.
+    The evolved state is computed once per j and shared across pairs. A
+    nonzero `tilt` rotates every pointer projector (pointer-rotation bias).
     """
     out: dict[tuple[int, ObsPair], OutcomeTable] = {}
     for j in range(1, cfg.dim + 1):
         sigma = protocol.evolve(rho, j, cfg)
         for pair in pairs:
-            settings = (protocol.pointer_setting(pair[0]), protocol.pointer_setting(pair[1]))
+            settings = (
+                protocol.pointer_setting(pair[0], tilt),
+                protocol.pointer_setting(pair[1], tilt),
+            )
             out[(j, pair)] = protocol.outcome_probabilities(sigma, settings, j=j)
     return out
 
 
 def exact_correlation_set(
     rho: states.DensityMatrix, cfg: CouplingConfig, pairs: tuple[ObsPair, ...]
-) -> CorrelationSet:
+) -> Correlations:
     """All (j, k) exact correlations for the requested pairs."""
     return correlation_set_from_tables(build_tables(rho, cfg, pairs))
 
@@ -316,7 +252,7 @@ def sampled_correlation_set(
     pairs: tuple[ObsPair, ...],
     n: int,
     root_seed: int,
-) -> CorrelationSet:
+) -> Correlations:
     """All (j, k) sampled correlations, n events per (j, pair) setting."""
     return correlation_set_from_tables(
         build_tables(rho, cfg, pairs), sampled=True, n=n, root_seed=root_seed

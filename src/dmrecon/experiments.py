@@ -13,13 +13,13 @@ tomography estimate, mirroring a real experiment's protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import correlations, metrics, protocol, qmath, reconstruct, states
+from . import correlations, metrics, qmath, reconstruct, states
 from .correlations import derive_seed
-from .protocol import CouplingConfig, OutcomeTable, PointerSetting
+from .protocol import CouplingConfig, OutcomeTable
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -34,15 +34,11 @@ THETA_MIN_DEFAULT = 0.05
 
 EXPECTATION_SEED = -1  # marks rows computed from exact correlations
 
-_PAIRS_BY_METHOD = {
-    "W": correlations.PAIRS_WEAK,
-    "I": correlations.PAIRS_EXACT_I,
-    "II": correlations.PAIRS_EXACT_II,
-}
+# Direct methods: estimator and the observable pairs it reads.
 _RECONSTRUCTORS = {
-    "W": reconstruct.reconstruct_weak,
-    "I": reconstruct.reconstruct_exact_i,
-    "II": reconstruct.reconstruct_exact_ii,
+    "W": (reconstruct.reconstruct_weak, correlations.PAIRS_WEAK),
+    "I": (reconstruct.reconstruct_exact_i, correlations.PAIRS_EXACT_I),
+    "II": (reconstruct.reconstruct_exact_ii, correlations.PAIRS_EXACT_II),
 }
 
 
@@ -76,10 +72,6 @@ class BiasModel:
             raise ValueError("pointer rotation bias limited to |epsilon| <= 0.1 rad")
         if not 0.9 <= self.per_projector_efficiency <= 1.1:
             raise ValueError("projector efficiency limited to [0.9, 1.1]")
-
-    @property
-    def is_neutral(self) -> bool:
-        return self.pointer_rotation_epsilon == 0.0 and self.per_projector_efficiency == 1.0
 
 
 @dataclass(frozen=True)
@@ -157,23 +149,6 @@ class ResultRow:
     delta_rho_measured: float = float("nan")
 
 
-def apply_bias(
-    settings: tuple[PointerSetting, PointerSetting], bias: BiasModel
-) -> tuple[PointerSetting, PointerSetting]:
-    """Rotate every projector of both settings by the bias angle about Y."""
-    eps = bias.pointer_rotation_epsilon
-    if eps == 0.0:
-        return settings
-    r = protocol.pointer_rotation(eps)
-    out = []
-    for setting in settings:
-        rotated = tuple(
-            (eig, r @ p @ r.conj().T) for eig, p in setting.projectors
-        )
-        out.append(PointerSetting(observable=setting.observable, projectors=rotated))
-    return (out[0], out[1])
-
-
 def bias_outcome_table(table: OutcomeTable, bias: BiasModel) -> OutcomeTable:
     """Scale the designated projector's probability rows, then renormalize."""
     eff = bias.per_projector_efficiency
@@ -194,28 +169,15 @@ def build_tables(
     bias: BiasModel | None = None,
 ) -> dict[tuple[int, correlations.ObsPair], OutcomeTable]:
     """Outcome tables for all (j, pair) settings, with optional bias applied."""
-    if bias is None or bias.is_neutral:
+    if bias is None:
         return correlations.build_tables(rho, cfg, pairs)
-    out: dict[tuple[int, correlations.ObsPair], OutcomeTable] = {}
-    for j in range(1, cfg.dim + 1):
-        sigma = protocol.evolve(rho, j, cfg)
-        for pair in pairs:
-            settings = apply_bias(
-                (protocol.pointer_setting(pair[0]), protocol.pointer_setting(pair[1])),
-                bias,
-            )
-            table = protocol.outcome_probabilities(sigma, settings, j=j)
-            out[(j, pair)] = bias_outcome_table(table, bias)
-    return out
+    tables = correlations.build_tables(rho, cfg, pairs, bias.pointer_rotation_epsilon)
+    return {key: bias_outcome_table(table, bias) for key, table in tables.items()}
 
 
 def _pairs_for(methods: tuple[str, ...]) -> tuple[correlations.ObsPair, ...]:
-    seen: list[correlations.ObsPair] = []
-    for m in methods:
-        for pair in _PAIRS_BY_METHOD.get(m, ()):
-            if pair not in seen:
-                seen.append(pair)
-    return tuple(seen)
+    """Observable pairs read by the given direct methods, in first-seen order."""
+    return tuple(dict.fromkeys(pair for m in methods for pair in _RECONSTRUCTORS[m][1]))
 
 
 def _qst_reconstruction(
@@ -243,7 +205,7 @@ def run_point(
 ) -> list[ResultRow]:
     """All rows for one (state, theta) grid point of a scenario."""
     cfg = CouplingConfig(scn.d, theta, theta)
-    direct_methods = tuple(m for m in scn.methods if m in _PAIRS_BY_METHOD)
+    direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
     pairs = _pairs_for(direct_methods)
     tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else {}
 
@@ -252,8 +214,8 @@ def run_point(
     expected: dict[str, reconstruct.ReconstructionResult | None] = {}
     for m in direct_methods:
         try:
-            expected[m] = _RECONSTRUCTORS[m](exact_set, cfg)
-        except ValueError:
+            expected[m] = _RECONSTRUCTORS[m][0](exact_set, cfg)
+        except reconstruct.DegenerateTraceError:
             expected[m] = None  # degenerate point, e.g. weak estimator at p = 0
     if "QST" in scn.methods:
         expected["QST"] = _qst_reconstruction(rho, scn.d, scn.n_events, None)
@@ -261,7 +223,7 @@ def run_point(
     def sampled_qst(seed: int):
         try:
             return _qst_reconstruction(rho, scn.d, scn.n_events, seed)
-        except ValueError:
+        except reconstruct.DegenerateTraceError:
             return None
 
     bias_eps = scn.bias.pointer_rotation_epsilon if scn.bias else 0.0
@@ -273,11 +235,11 @@ def run_point(
         qseed = None if seed is None else derive_seed(root_seed, *point_key, seed, "qst-ref")
         try:
             return _qst_reconstruction(rho, scn.d, scn.n_events, qseed).finalized
-        except ValueError:
+        except reconstruct.DegenerateTraceError:
             return None
 
     def bound_for(method: str) -> float:
-        if method not in _PAIRS_BY_METHOD:
+        if method not in _RECONSTRUCTORS:
             return float("nan")
         try:
             return metrics.error_lower_bound(method, scn.d, theta, scn.n_events).bound
@@ -346,74 +308,34 @@ def run_point(
                     result = sampled_qst(derive_seed(sample_root, "qst-method"))
                 else:
                     try:
-                        result = _RECONSTRUCTORS[m](sampled_set, cfg)
-                    except ValueError:
+                        result = _RECONSTRUCTORS[m][0](sampled_set, cfg)
+                    except reconstruct.DegenerateTraceError:
                         result = None
                 rows.append(make_row(m, seed, result, ref))
     return rows
 
 
-def run_purity_sweep(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    """Reconstruction accuracy across a grid of input purities at fixed theta."""
-    if scn.kind != "purity_sweep":
-        raise ValueError(f"expected a purity_sweep scenario, got '{scn.kind}'")
-    theta = scn.theta_list[0]
-    if not scn.input_state.startswith("pure:"):
-        raise ValueError("purity sweeps need a pure input spec for the family state")
-    psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
-    rows: list[ResultRow] = []
-    for p in scn.purity_grid:
-        rho = states.purity_family(p, psi)
-        rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "p", p))
-    return sort_rows(rows)
-
-
-def run_strength_sweep(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    """Reconstruction accuracy across coupling strengths for one input state."""
-    if scn.kind != "strength_sweep":
-        raise ValueError(f"expected a strength_sweep scenario, got '{scn.kind}'")
-    rho = states.parse_state_spec(scn.input_state, scn.d)
-    p = states.purity(rho)
-    rows: list[ResultRow] = []
-    for theta in scn.theta_list:
-        rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta))
-    return sort_rows(rows)
-
-
-def run_error_sweep(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    """Statistical errors across coupling strengths, with the theoretical floor."""
-    if scn.kind != "error_sweep":
-        raise ValueError(f"expected an error_sweep scenario, got '{scn.kind}'")
-    rho = states.parse_state_spec(scn.input_state, scn.d)
-    p = states.purity(rho)
-    rows: list[ResultRow] = []
-    for theta in scn.theta_list:
-        rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta))
-    return sort_rows(rows)
-
-
-def run_single(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    """One state, the listed strengths, no sweep semantics."""
-    if scn.kind != "single":
-        raise ValueError(f"expected a single scenario, got '{scn.kind}'")
-    rho = states.parse_state_spec(scn.input_state, scn.d)
-    p = states.purity(rho)
-    rows: list[ResultRow] = []
-    for theta in scn.theta_list:
-        rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta))
-    return sort_rows(rows)
-
-
-_RUNNERS = {
-    "purity_sweep": run_purity_sweep,
-    "strength_sweep": run_strength_sweep,
-    "error_sweep": run_error_sweep,
-    "single": run_single,
-}
-
-
 def run_scenario(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    return _RUNNERS[scn.kind](scn, root_seed)
+    """All rows of a scenario, sorted.
+
+    A purity sweep runs the purity grid at its one coupling strength; every
+    other kind runs one input state across the listed strengths.
+    """
+    rows: list[ResultRow] = []
+    if scn.kind == "purity_sweep":
+        if not scn.input_state.startswith("pure:"):
+            raise ValueError("purity sweeps need a pure input spec for the family state")
+        psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
+        theta = scn.theta_list[0]
+        for p in scn.purity_grid:
+            rho = states.purity_family(p, psi)
+            rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "p", p))
+    else:
+        rho = states.parse_state_spec(scn.input_state, scn.d)
+        p = states.purity(rho)
+        for theta in scn.theta_list:
+            rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta))
+    return sort_rows(rows)
 
 
 def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
@@ -422,8 +344,3 @@ def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
         rows,
         key=lambda r: (r.scenario_id, r.kind, r.theta_a, r.purity_p, r.method, r.seed),
     )
-
-
-def with_bias(scn: Scenario, bias: BiasModel | None) -> Scenario:
-    """Copy of a scenario with a different bias model."""
-    return replace(scn, bias=bias)

@@ -70,7 +70,7 @@ _SCENARIO_KEYS = (
     "bias_efficiency",
     "purity_grid",
 )
-_GLOBAL_KEYS = ("root_seed", "output_dir", "atol")
+_GLOBAL_KEYS = ("root_seed", "output_dir")
 
 
 class ConfigError(ValueError):
@@ -86,7 +86,6 @@ class ConfigDocument:
     scenarios: tuple[Scenario, ...]
     root_seed: int = 0
     output_dir: str = "results"
-    atol: float = 1e-10
 
 
 def _split_sections(text: str):
@@ -196,7 +195,6 @@ def parse_config(text: str) -> ConfigDocument:
     sections, errors = _split_sections(text)
     root_seed = 0
     output_dir = "results"
-    atol = 1e-10
     scenarios: list[Scenario] = []
     seen_ids: dict[str, int] = {}
     for name, header_line, entries in sections:
@@ -210,8 +208,6 @@ def parse_config(text: str) -> ConfigDocument:
                         root_seed = int(value)
                     elif key == "output_dir":
                         output_dir = value
-                    elif key == "atol":
-                        atol = float(value)
                 except ValueError as exc:
                     errors.append(f"line {lineno}: {exc}")
             continue
@@ -236,9 +232,7 @@ def parse_config(text: str) -> ConfigDocument:
         errors.append("config defines no scenarios")
     if errors:
         raise ConfigError(errors)
-    return ConfigDocument(
-        scenarios=tuple(scenarios), root_seed=root_seed, output_dir=output_dir, atol=atol
-    )
+    return ConfigDocument(scenarios=tuple(scenarios), root_seed=root_seed, output_dir=output_dir)
 
 
 def write_config(doc: ConfigDocument) -> str:
@@ -247,7 +241,6 @@ def write_config(doc: ConfigDocument) -> str:
         "[global]",
         f"root_seed = {doc.root_seed}",
         f"output_dir = {doc.output_dir}",
-        f"atol = {doc.atol!r}",
         "",
     ]
     for scn in doc.scenarios:

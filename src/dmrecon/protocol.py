@@ -107,8 +107,12 @@ class PointerSetting:
         return np.stack([p for _, p in self.projectors])
 
 
-def pointer_setting(observable: str) -> PointerSetting:
-    """Standard decompositions of the supported pointer observables."""
+def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
+    """Standard decompositions of the supported pointer observables.
+
+    A nonzero `tilt` rotates every projector by that angle about the pointer
+    Y axis: a misaligned pointer measurement.
+    """
     if observable == "X":
         pairs = ((1.0, _proj(_KETP)), (-1.0, _proj(_KETM)))
     elif observable == "Y":
@@ -121,6 +125,9 @@ def pointer_setting(observable: str) -> PointerSetting:
         raise ValueError(
             f"unknown observable '{observable}', expected one of {OBSERVABLE_NAMES}"
         )
+    if tilt != 0.0:
+        r = pointer_rotation(tilt)
+        pairs = tuple((eig, r @ p @ r.conj().T) for eig, p in pairs)
     return PointerSetting(observable=observable, projectors=pairs)
 
 

@@ -14,14 +14,13 @@ flag unset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import qmath, states
-from .correlations import CorrelationSet
+from .correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, PAIRS_WEAK, Correlations
 from .protocol import CouplingConfig
 
 METHOD_WEAK = "W"
@@ -49,12 +48,16 @@ class ReconstructionResult:
     n_events: int = 0
 
 
+class DegenerateTraceError(ValueError):
+    """The Hermitian part of a raw matrix has near-zero trace: no state estimate exists."""
+
+
 def finalize(raw: np.ndarray) -> states.DensityMatrix:
     """Hermitian part, then trace normalization. Positivity is not enforced."""
     h = qmath.hermitian_part(raw)
     tr = float(np.trace(h).real)
     if abs(tr) <= FINALIZE_TRACE_ATOL:
-        raise ValueError(
+        raise DegenerateTraceError(
             f"cannot normalize: Hermitian part has near-zero trace {tr:.3e}"
         )
     return states.DensityMatrix(h / tr, positivity_checked=False)
@@ -76,133 +79,95 @@ def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
     return np.sqrt(herm_re**2 + herm_im**2)
 
 
-def _events(records) -> int:
-    return max((rec.n_events for rec in records), default=0)
+def _columns(correls: Correlations, cfg: CouplingConfig, pairs) -> list[np.ndarray]:
+    """Values then standard errors, as d x d matrices, of each requested pair."""
+    if correls.dim != cfg.dim:
+        raise ValueError(f"correlations are for d={correls.dim}, config has d={cfg.dim}")
+    cols = [correls.column(pair) for pair in pairs]
+    return [v for v, _ in cols] + [e for _, e in cols]
 
 
-def reconstruct_weak(correls: CorrelationSet, cfg: CouplingConfig) -> ReconstructionResult:
+def _result(method, raw, re_err, im_err, correls, cfg) -> ReconstructionResult:
+    return ReconstructionResult(
+        method=method,
+        raw=raw,
+        finalized=finalize(raw),
+        element_errors=_element_errors(re_err, im_err),
+        config=cfg,
+        n_events=correls.n_events,
+    )
+
+
+def _pauli_terms(correls: Correlations, cfg: CouplingConfig):
+    """The weak combination of the four Pauli pairs, with its error variances.
+
+    Returns the real and imaginary parts n_ab (<XX> - <YY>) and
+    n_ab (<XY> + <YX>), and the variance sums behind their errors (before
+    the factor n_ab).
+    """
+    xx, yy, yx, xy, e_xx, e_yy, e_yx, e_xy = _columns(correls, cfg, PAIRS_WEAK)
+    n = cfg.n_ab
+    return n * (xx - yy), n * (xy + yx), e_xx**2 + e_yy**2, e_yx**2 + e_xy**2
+
+
+def reconstruct_weak(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
     """Weak-approximation estimator from the four Pauli correlation pairs.
 
     Element (j, k) is n_ab * (<XX> - <YY>) + i n_ab * (<YX> + <XY>). The
     result approximates the state only for small coupling strength.
     """
-    d = cfg.dim
     n = cfg.n_ab
-    raw = np.zeros((d, d), dtype=complex)
-    re_err = np.zeros((d, d))
-    im_err = np.zeros((d, d))
-    used = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            xx = correls.get(j, k, "X", "X")
-            yy = correls.get(j, k, "Y", "Y")
-            yx = correls.get(j, k, "Y", "X")
-            xy = correls.get(j, k, "X", "Y")
-            used += [xx, yy, yx, xy]
-            raw[j - 1, k - 1] = n * (xx.value - yy.value) + 1j * n * (xy.value + yx.value)
-            re_err[j - 1, k - 1] = n * math.hypot(xx.std_error, yy.std_error)
-            im_err[j - 1, k - 1] = n * math.hypot(yx.std_error, xy.std_error)
-    return ReconstructionResult(
-        method=METHOD_WEAK,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=_element_errors(re_err, im_err),
-        config=cfg,
-        n_events=_events(used),
-    )
+    re, im, re_var, im_var = _pauli_terms(correls, cfg)
+    raw = re + 1j * im
+    return _result(METHOD_WEAK, raw, n * np.sqrt(re_var), n * np.sqrt(im_var), correls, cfg)
 
 
-def reconstruct_exact_i(correls: CorrelationSet, cfg: CouplingConfig) -> ReconstructionResult:
+def reconstruct_exact_i(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
     """Exact estimator: the weak combination plus tangent-weighted Pi1 terms.
 
     From exact correlations this reproduces the state at any coupling
     strength; the correction terms vanish as the strength goes to zero.
     """
-    d = cfg.dim
     n = cfg.n_ab
     t_a, t_b = cfg.t_a, cfg.t_b
-    raw = np.zeros((d, d), dtype=complex)
-    re_err = np.zeros((d, d))
-    im_err = np.zeros((d, d))
-    used = []
-    for j in range(1, d + 1):
-        for k in range(1, d + 1):
-            xx = correls.get(j, k, "X", "X")
-            yy = correls.get(j, k, "Y", "Y")
-            yx = correls.get(j, k, "Y", "X")
-            xy = correls.get(j, k, "X", "Y")
-            xp = correls.get(j, k, "X", "Pi1")
-            px = correls.get(j, k, "Pi1", "X")
-            yp = correls.get(j, k, "Y", "Pi1")
-            pp = correls.get(j, k, "Pi1", "Pi1")
-            used += [xx, yy, yx, xy, xp, px, yp, pp]
-            re = n * (xx.value - yy.value) + 2 * n * (
-                t_b * xp.value + t_a * px.value + 2 * t_a * t_b * pp.value
-            )
-            im = n * (xy.value + yx.value) + 2 * n * t_b * yp.value
-            raw[j - 1, k - 1] = re + 1j * im
-            re_err[j - 1, k - 1] = n * math.sqrt(
-                xx.std_error**2
-                + yy.std_error**2
-                + 4 * t_b**2 * xp.std_error**2
-                + 4 * t_a**2 * px.std_error**2
-                + 16 * t_a**2 * t_b**2 * pp.std_error**2
-            )
-            im_err[j - 1, k - 1] = n * math.sqrt(
-                yx.std_error**2 + xy.std_error**2 + 4 * t_b**2 * yp.std_error**2
-            )
-    return ReconstructionResult(
-        method=METHOD_EXACT_I,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=_element_errors(re_err, im_err),
-        config=cfg,
-        n_events=_events(used),
+    re, im, re_var, im_var = _pauli_terms(correls, cfg)
+    xp, px, yp, pp, e_xp, e_px, e_yp, e_pp = _columns(correls, cfg, PAIRS_EXACT_I[4:])
+    re = re + 2 * n * (t_b * xp + t_a * px + 2 * t_a * t_b * pp)
+    im = im + 2 * n * t_b * yp
+    re_var = (
+        re_var
+        + 4 * t_b**2 * e_xp**2
+        + 4 * t_a**2 * e_px**2
+        + 16 * t_a**2 * t_b**2 * e_pp**2
     )
+    im_var = im_var + 4 * t_b**2 * e_yp**2
+    raw = re + 1j * im
+    return _result(METHOD_EXACT_I, raw, n * np.sqrt(re_var), n * np.sqrt(im_var), correls, cfg)
 
 
-def reconstruct_exact_ii(correls: CorrelationSet, cfg: CouplingConfig) -> ReconstructionResult:
+def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
     """Exact estimator from only three observable pairs.
 
     Diagonal entries come from the double-flip probability <Pi1 Pi1>, which
-    is independent of the final system outcome k: exact records use k = j,
-    sampled records are averaged over k so every event contributes.
+    is independent of the final system outcome k: exact data uses k = j,
+    sampled data is averaged over k so every event contributes.
     """
     d = cfg.dim
     n = cfg.n_ab
-    raw = np.zeros((d, d), dtype=complex)
-    re_err = np.zeros((d, d))
-    im_err = np.zeros((d, d))
-    used = []
-    for j in range(1, d + 1):
-        recs = [correls.get(j, k, "Pi1", "Pi1") for k in range(1, d + 1)]
-        used += recs
-        if recs[0].source == "sampled":
-            est = float(np.mean([r.value for r in recs]))
-            n_ev = recs[0].n_events
-            se = math.sqrt(max(est / d - est * est, 0.0) / n_ev)
-        else:
-            est = recs[j - 1].value
-            se = 0.0
-        raw[j - 1, j - 1] = 16 * n * n * est
-        re_err[j - 1, j - 1] = 16 * n * n * se
-        for k in range(1, d + 1):
-            if k == j:
-                continue
-            yy = correls.get(j, k, "Y", "Y")
-            xy = correls.get(j, k, "X", "Y")
-            used += [yy, xy]
-            raw[j - 1, k - 1] = -2 * n * yy.value + 2j * n * xy.value
-            re_err[j - 1, k - 1] = 2 * n * yy.std_error
-            im_err[j - 1, k - 1] = 2 * n * xy.std_error
-    return ReconstructionResult(
-        method=METHOD_EXACT_II,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=_element_errors(re_err, im_err),
-        config=cfg,
-        n_events=_events(used),
-    )
+    pp, yy, xy, _, e_yy, e_xy = _columns(correls, cfg, PAIRS_EXACT_II)
+    if correls.n_events:
+        est = pp.mean(axis=1)
+        se = np.sqrt(np.maximum(est / d - est * est, 0.0) / correls.n_events)
+    else:
+        est = np.diag(pp)
+        se = np.zeros(d)
+    raw = -2 * n * yy + 2j * n * xy
+    re_err = 2 * n * e_yy
+    im_err = 2 * n * e_xy
+    np.fill_diagonal(raw, 16 * n * n * est)
+    np.fill_diagonal(re_err, 16 * n * n * se)
+    np.fill_diagonal(im_err, 0.0)
+    return _result(METHOD_EXACT_II, raw, re_err, im_err, correls, cfg)
 
 
 # -- Reference tomography -----------------------------------------------------

@@ -7,7 +7,7 @@ indices in the public API are 1-based to match that labelling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +50,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class BasisSpec:
-    """Ordered labels for the coupled basis {|a_j>}, j = 1..d."""
-
-    dim: int
-    labels: tuple[str, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        labels = self.labels or tuple(f"a{j}" for j in range(1, self.dim + 1))
-        if len(labels) != self.dim:
-            raise ValueError(f"need {self.dim} labels, got {len(labels)}")
-        object.__setattr__(self, "labels", labels)
 
 
 def basis_state(d: int, j: int) -> np.ndarray:

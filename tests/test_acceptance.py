@@ -9,6 +9,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from dmrecon.correlations import (
     PAIRS_EXACT_II,
     PAIRS_WEAK,
     analytic_correlation,
-    exact_correlation,
     exact_correlation_set,
     sampled_correlation_set,
 )
@@ -90,11 +90,9 @@ def test_criterion_2_oracle_equivalence():
         cfg = CouplingConfig(d, theta_a, theta_b)
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
-        for oa, ob in PAIRS_EXACT_I:
-            gap = abs(
-                exact_correlation(rho, j, k, oa, ob, cfg).value
-                - analytic_correlation(rho, j, k, oa, ob, cfg).value
-            )
+        cs = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        for (oa, ob), trace_val in zip(cs.pairs, cs.values[j - 1, k - 1]):
+            gap = abs(trace_val - analytic_correlation(rho, j, k, oa, ob, cfg))
             worst = max(worst, gap)
     elapsed = time.time() - t0
     report(
@@ -213,10 +211,8 @@ def test_criterion_6_strong_regime_advantage():
 def test_criterion_7_double_flip_k_independence():
     rho = states.random_density(4, 777)
     cfg = CouplingConfig(4, 0.8, 1.3)
-    worst = 0.0
-    for j in range(1, 5):
-        vals = [exact_correlation(rho, j, k, "Pi1", "Pi1", cfg).value for k in range(1, 5)]
-        worst = max(worst, max(vals) - min(vals))
+    pp = exact_correlation_set(rho, cfg, (("Pi1", "Pi1"),)).column(("Pi1", "Pi1"))[0]
+    worst = float(np.max(pp.max(axis=1) - pp.min(axis=1)))
     report(
         7,
         "double-flip correlation independent of the postselected outcome (1e-12)",
@@ -236,7 +232,7 @@ def test_criterion_8_bias_robustness():
         seeds=tuple(range(50)),
         methods=("I", "II"),
     )
-    biased = experiments.with_bias(base, BiasModel(pointer_rotation_epsilon=0.02))
+    biased = replace(base, bias=BiasModel(pointer_rotation_epsilon=0.02))
     rows_plain = run_scenario(base, root_seed=88)
     rows_biased = run_scenario(biased, root_seed=88)
 

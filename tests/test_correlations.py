@@ -6,46 +6,57 @@ import pytest
 from dmrecon import correlations, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
+    PAIRS_EXACT_II,
     SUPPORTED_PAIRS,
-    CorrelationRecord,
-    CorrelationSet,
+    Correlations,
     analytic_correlation,
     derive_seed,
-    exact_correlation,
-    sample_correlation,
+    sample_counts,
+    sampled_records_from_counts,
 )
 from dmrecon.protocol import CouplingConfig
+
+
+def exact_values(rho, pair, cfg):
+    """Exact <O_A O_B> of one pair as a d x d matrix indexed [j-1, k-1]."""
+    return correlations.exact_correlation_set(rho, cfg, (pair,)).column(pair)[0]
+
+
+def table_for(rho, j, pair, cfg):
+    return correlations.build_tables(rho, cfg, (pair,))[(j, pair)]
+
+
+def sample(table, n, seed):
+    """Counts, per-k estimates and per-k standard errors of one n-event draw."""
+    counts = sample_counts(table, n, seed)
+    return (counts, *sampled_records_from_counts(table, counts, n))
 
 
 class TestExactCorrelation:
     def test_real_state_has_zero_xy(self):
         rho = states.pure_state(states.basis_state(2, 1))
         cfg = CouplingConfig(2, 0.8, 0.8)
-        rec = exact_correlation(rho, 1, 2, "X", "Y", cfg)
-        assert rec.value == pytest.approx(0.0, abs=1e-12)
-        assert rec.source == "exact"
-        assert rec.std_error == 0.0
+        cs = correlations.exact_correlation_set(rho, cfg, (("X", "Y"),))
+        assert cs.values[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert cs.n_events == 0
+        assert np.all(cs.std_error == 0.0)
 
     def test_diagonal_state_yy_value(self):
         # <Y_A Y_B> = -Re rho_12 / (2 n_ab) off the diagonal
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        rec = exact_correlation(rho, 1, 2, "Y", "Y", cfg)
-        assert rec.value == pytest.approx(-0.5, abs=1e-12)
+        assert exact_values(rho, ("Y", "Y"), cfg)[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_double_flip_value_and_k_independence(self):
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        for k in (1, 2):
-            rec = exact_correlation(rho, 1, k, "Pi1", "Pi1", cfg)
-            assert rec.value == pytest.approx(0.125, abs=1e-12)
+        np.testing.assert_allclose(exact_values(rho, ("Pi1", "Pi1"), cfg)[0], 0.125, atol=1e-12)
 
     def test_double_flip_k_independent_random_state(self):
         rho = states.random_density(4, 77)
         cfg = CouplingConfig(4, 0.6, 1.1)
-        for j in range(1, 5):
-            vals = [exact_correlation(rho, j, k, "Pi1", "Pi1", cfg).value for k in range(1, 5)]
-            assert max(vals) - min(vals) < 1e-12
+        pp = exact_values(rho, ("Pi1", "Pi1"), cfg)
+        assert np.max(pp.max(axis=1) - pp.min(axis=1)) < 1e-12
 
 
 class TestAnalyticCorrelation:
@@ -63,9 +74,9 @@ class TestAnalyticCorrelation:
             )
             j = int(rng.integers(1, d + 1))
             k = int(rng.integers(1, d + 1))
-            for oa, ob in SUPPORTED_PAIRS:
-                trace_val = exact_correlation(rho, j, k, oa, ob, cfg).value
-                closed_val = analytic_correlation(rho, j, k, oa, ob, cfg).value
+            cs = correlations.exact_correlation_set(rho, cfg, SUPPORTED_PAIRS)
+            for (oa, ob), trace_val in zip(cs.pairs, cs.values[j - 1, k - 1]):
+                closed_val = analytic_correlation(rho, j, k, oa, ob, cfg)
                 worst = max(worst, abs(trace_val - closed_val))
         assert worst < 1e-10
 
@@ -75,7 +86,7 @@ class TestAnalyticCorrelation:
         cfg = CouplingConfig(2, 0.4, 0.9)
         for j in (1, 2):
             for k in (1, 2):
-                assert analytic_correlation(rho, j, k, "Y", "X", cfg).value == pytest.approx(
+                assert analytic_correlation(rho, j, k, "Y", "X", cfg) == pytest.approx(
                     0.0, abs=1e-14
                 )
 
@@ -89,7 +100,7 @@ class TestAnalyticCorrelation:
             * (rho.matrix[j - 1].real.sum() - rho.matrix[j - 1, j - 1].real)
             / (2 * 3 * cfg.n_ab)
         )
-        assert analytic_correlation(rho, j, 1, "X", "Pi1", cfg).value == pytest.approx(
+        assert analytic_correlation(rho, j, 1, "X", "Pi1", cfg) == pytest.approx(
             expected, abs=1e-14
         )
 
@@ -99,7 +110,7 @@ class TestAnalyticCorrelation:
             rho = states.random_density(3, int(rng.integers(0, 1000)))
             cfg = CouplingConfig(3, 0.9, 0.9)
             for oa, ob in SUPPORTED_PAIRS:
-                assert abs(analytic_correlation(rho, 1, 2, oa, ob, cfg).value) <= 1 + 1e-9
+                assert abs(analytic_correlation(rho, 1, 2, oa, ob, cfg)) <= 1 + 1e-9
 
     def test_rejects_unsupported_pair(self):
         rho = states.maximally_mixed(2)
@@ -112,29 +123,28 @@ class TestSampling:
     def test_same_seed_identical_counts(self):
         rho = states.random_density(2, 4)
         cfg = CouplingConfig(2, 1.0, 1.0)
-        recs_a = sample_correlation(rho, 1, "X", "Y", cfg, 5000, rng_seed=99)
-        recs_b = sample_correlation(rho, 1, "X", "Y", cfg, 5000, rng_seed=99)
-        for a, b in zip(recs_a, recs_b):
-            assert a.value == b.value
-            np.testing.assert_array_equal(a.counts, b.counts)
+        table = table_for(rho, 1, ("X", "Y"), cfg)
+        counts_a, est_a, _ = sample(table, 5000, 99)
+        counts_b, est_b, _ = sample(table, 5000, 99)
+        np.testing.assert_array_equal(counts_a, counts_b)
+        np.testing.assert_array_equal(est_a, est_b)
 
     def test_counts_total_and_record_shape(self):
         rho = states.random_density(3, 4)
         cfg = CouplingConfig(3, 0.9, 0.9)
-        recs = sample_correlation(rho, 2, "Y", "Y", cfg, 1234, rng_seed=5)
-        assert len(recs) == 3
-        assert sum(int(r.counts.sum()) for r in recs) == 1234
-        for r in recs:
-            assert r.source == "sampled"
-            assert r.n_events == 1234
+        counts, est, se = sample(table_for(rho, 2, ("Y", "Y"), cfg), 1234, 5)
+        assert counts.shape == (2, 2, 3)
+        assert int(counts.sum()) == 1234
+        assert est.shape == se.shape == (3,)
+        cs = correlations.sampled_correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
+        assert cs.n_events == 1234
 
     def test_double_flip_estimate_is_relative_frequency(self):
         rho = states.random_density(2, 6)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        recs = sample_correlation(rho, 1, "Pi1", "Pi1", cfg, 2000, rng_seed=3)
-        for rec in recs:
-            assert rec.value == pytest.approx(rec.counts[0, 0] / 2000)
-            assert 0.0 <= rec.value <= 1.0
+        counts, est, _ = sample(table_for(rho, 1, ("Pi1", "Pi1"), cfg), 2000, 3)
+        np.testing.assert_allclose(est, counts[0, 0] / 2000)
+        assert np.all((0.0 <= est) & (est <= 1.0))
 
     def test_large_n_consistency(self):
         # 20 random scenarios at n = 1e6: estimate within 5 standard errors
@@ -144,25 +154,25 @@ class TestSampling:
             rho = states.random_density(d, trial)
             cfg = CouplingConfig(d, float(rng.uniform(0.2, np.pi / 2)), float(rng.uniform(0.2, np.pi / 2)))
             j = int(rng.integers(1, d + 1))
-            oa, ob = SUPPORTED_PAIRS[int(rng.integers(0, len(SUPPORTED_PAIRS)))]
-            recs = sample_correlation(rho, j, oa, ob, cfg, 10**6, rng_seed=trial)
+            pair = SUPPORTED_PAIRS[int(rng.integers(0, len(SUPPORTED_PAIRS)))]
+            _, est, se = sample(table_for(rho, j, pair, cfg), 10**6, trial)
             k = int(rng.integers(1, d + 1))
-            exact = exact_correlation(rho, j, k, oa, ob, cfg).value
-            rec = recs[k - 1]
-            margin = 5 * max(rec.std_error, 1e-9)
-            assert abs(rec.value - exact) < margin
+            exact = exact_values(rho, pair, cfg)[j - 1, k - 1]
+            margin = 5 * max(se[k - 1], 1e-9)
+            assert abs(est[k - 1] - exact) < margin
 
     def test_estimates_unbiased(self):
         # mean over 200 independent draws deviates < 4 sigma/sqrt(200)
         rho = states.random_density(2, 31)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        exact = exact_correlation(rho, 1, 2, "X", "X", cfg).value
+        exact = exact_values(rho, ("X", "X"), cfg)[0, 1]
+        table = table_for(rho, 1, ("X", "X"), cfg)
         n = 10**4
         vals, errs = [], []
         for seed in range(200):
-            rec = sample_correlation(rho, 1, "X", "X", cfg, n, rng_seed=seed)[1]
-            vals.append(rec.value)
-            errs.append(rec.std_error)
+            _, est, se = sample(table, n, seed)
+            vals.append(est[1])
+            errs.append(se[1])
         mean = float(np.mean(vals))
         se_mean = float(np.mean(errs)) / np.sqrt(200)
         assert abs(mean - exact) < 4 * se_mean
@@ -170,11 +180,12 @@ class TestSampling:
     def test_std_error_tracks_spread(self):
         rho = states.random_density(2, 15)
         cfg = CouplingConfig(2, 1.2, 1.2)
+        table = table_for(rho, 1, ("Y", "Y"), cfg)
         vals, errs = [], []
         for seed in range(150):
-            rec = sample_correlation(rho, 1, "Y", "Y", cfg, 4000, rng_seed=1000 + seed)[0]
-            vals.append(rec.value)
-            errs.append(rec.std_error)
+            _, est, se = sample(table, 4000, 1000 + seed)
+            vals.append(est[0])
+            errs.append(se[0])
         spread = float(np.std(vals))
         claimed = float(np.mean(errs))
         assert claimed == pytest.approx(spread, rel=0.25)
@@ -182,14 +193,16 @@ class TestSampling:
 
 class TestCorrelationSet:
     def test_missing_entry_named(self):
-        cs = CorrelationSet()
-        with pytest.raises(ValueError, match=r"<X_A Y_B>.*j=1.*k=2"):
-            cs.get(1, 2, "X", "Y")
+        rho = states.maximally_mixed(2)
+        cs = correlations.exact_correlation_set(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
+        with pytest.raises(ValueError, match=r"missing correlation <X_A X_B>"):
+            cs.column(("X", "X"))
 
     def test_roundtrip(self):
-        rec = CorrelationRecord(j=1, k=1, obs_a="X", obs_b="X", value=0.25)
-        cs = CorrelationSet([rec])
-        assert cs.value(1, 1, "X", "X") == 0.25
+        cs = Correlations((("X", "X"),), np.full((1, 1, 1), 0.25), np.zeros((1, 1, 1)))
+        values, errors = cs.column(("X", "X"))
+        assert values[0, 0] == 0.25
+        assert errors[0, 0] == 0.0
         assert len(cs) == 1
 
     def test_exact_set_covers_all_indices(self):
@@ -197,12 +210,21 @@ class TestCorrelationSet:
         cfg = CouplingConfig(3, 0.5, 0.5)
         cs = correlations.exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
         assert len(cs) == 3 * 3 * len(PAIRS_EXACT_I)
+        assert cs.values.shape == (3, 3, len(PAIRS_EXACT_I))
+        assert cs.pairs == PAIRS_EXACT_I
 
     def test_record_validation(self):
         with pytest.raises(ValueError, match="standard error"):
-            CorrelationRecord(j=1, k=1, obs_a="X", obs_b="X", value=0.0, std_error=0.1)
-        with pytest.raises(ValueError, match="source"):
-            CorrelationRecord(j=1, k=1, obs_a="X", obs_b="X", value=0.0, source="guess")
+            Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
+        with pytest.raises(ValueError, match="shaped"):
+            Correlations((("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    def test_incomplete_tables_rejected(self):
+        rho = states.random_density(2, 20)
+        tables = correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
+        del tables[(2, ("Y", "Y"))]
+        with pytest.raises(ValueError, match="every"):
+            correlations.correlation_set_from_tables(tables)
 
 
 class TestSeedDerivation:
@@ -217,5 +239,5 @@ class TestSeedDerivation:
         cfg = CouplingConfig(2, 0.9, 0.9)
         cs1 = correlations.sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
         cs2 = correlations.sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
-        for rec in cs1:
-            assert rec.value == cs2.value(rec.j, rec.k, rec.obs_a, rec.obs_b)
+        np.testing.assert_array_equal(cs1.values, cs2.values)
+        np.testing.assert_array_equal(cs1.std_error, cs2.std_error)

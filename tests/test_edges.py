@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dmrecon import correlations, experiments, metrics, protocol, qmath, reconstruct, states
-from dmrecon.correlations import CorrelationRecord, sample_counts
+from dmrecon.correlations import PAIRS_WEAK, Correlations, sample_counts
 from dmrecon.protocol import CouplingConfig, PointerSetting
 
 
@@ -101,7 +101,7 @@ class TestProtocolRejections:
 class TestCorrelationRejections:
     def test_negative_std_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            CorrelationRecord(j=1, k=1, obs_a="X", obs_b="X", value=0.0, std_error=-0.1, source="sampled")
+            Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), -0.1), n_events=10)
 
     def test_analytic_index_range(self):
         rho = states.maximally_mixed(2)
@@ -112,7 +112,7 @@ class TestCorrelationRejections:
     def test_sample_counts_needs_events(self):
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        table = correlations.correlation_table(rho, 1, "X", "X", cfg)
+        table = correlations.build_tables(rho, cfg, (("X", "X"),))[(1, ("X", "X"))]
         with pytest.raises(ValueError, match="one event"):
             sample_counts(table, 0, 1)
 
@@ -155,10 +155,26 @@ class TestDegenerateRunnerPoints:
         assert math.isnan(rows[0].trace_distance)
         assert math.isinf(rows[0].delta_rho)
 
-    def test_kind_runner_mismatch(self):
-        scn = experiments.Scenario(scenario_id="m", kind="single", theta_list=(0.5,))
-        with pytest.raises(ValueError, match="purity_sweep"):
-            experiments.run_purity_sweep(scn)
+    @pytest.mark.parametrize("on_sampled", [False, True])
+    def test_estimator_value_error_propagates(self, monkeypatch, on_sampled):
+        # only a near-zero trace marks a row degenerate; any other ValueError
+        # from an estimator, on exact or on sampled data, is a fault and must surface
+        def broken(correls, cfg):
+            if bool(correls.n_events) == on_sampled:
+                raise ValueError("broken estimator")
+            return reconstruct.reconstruct_weak(correls, cfg)
+
+        monkeypatch.setitem(experiments._RECONSTRUCTORS, "W", (broken, PAIRS_WEAK))
+        scn = experiments.Scenario(
+            scenario_id="e", kind="single", theta_list=(0.5,), methods=("W",), seeds=(0,)
+        )
+        with pytest.raises(ValueError, match="broken estimator"):
+            experiments.run_scenario(scn)
+
+    def test_purity_sweep_needs_pure_state(self):
+        scn = experiments.Scenario(scenario_id="m", kind="purity_sweep", input_state="mixed")
+        with pytest.raises(ValueError, match="pure input"):
+            experiments.run_scenario(scn)
 
     def test_scenario_id_required(self):
         with pytest.raises(ValueError, match="id"):

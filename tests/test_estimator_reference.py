@@ -1,0 +1,147 @@
+"""The vectorised W/I/II estimators against per-element loop references.
+
+The references are the element-by-element formulas, read one (j, k) at a
+time from the dense correlation arrays. Raw matrices must agree exactly;
+element errors agree to rtol 1e-14, because the vectorised variance sums
+are rounded differently from `math.hypot`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dmrecon import states
+from dmrecon.correlations import PAIRS_EXACT_I, exact_correlation_set, sampled_correlation_set
+from dmrecon.protocol import CouplingConfig
+from dmrecon.reconstruct import (
+    DegenerateTraceError,
+    _element_errors,
+    finalize,
+    reconstruct_exact_i,
+    reconstruct_exact_ii,
+    reconstruct_weak,
+)
+
+
+def _reader(cs):
+    def get(j, k, pair):
+        p = cs.pairs.index(pair)
+        return float(cs.values[j - 1, k - 1, p]), float(cs.std_error[j - 1, k - 1, p])
+
+    return get
+
+
+def loop_weak(cs, cfg):
+    get = _reader(cs)
+    d, n = cfg.dim, cfg.n_ab
+    raw = np.zeros((d, d), dtype=complex)
+    re_err = np.zeros((d, d))
+    im_err = np.zeros((d, d))
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            xx, e_xx = get(j, k, ("X", "X"))
+            yy, e_yy = get(j, k, ("Y", "Y"))
+            yx, e_yx = get(j, k, ("Y", "X"))
+            xy, e_xy = get(j, k, ("X", "Y"))
+            raw[j - 1, k - 1] = n * (xx - yy) + 1j * n * (xy + yx)
+            re_err[j - 1, k - 1] = n * math.hypot(e_xx, e_yy)
+            im_err[j - 1, k - 1] = n * math.hypot(e_yx, e_xy)
+    return raw, re_err, im_err
+
+
+def loop_exact_i(cs, cfg):
+    get = _reader(cs)
+    d, n = cfg.dim, cfg.n_ab
+    t_a, t_b = cfg.t_a, cfg.t_b
+    raw = np.zeros((d, d), dtype=complex)
+    re_err = np.zeros((d, d))
+    im_err = np.zeros((d, d))
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            xx, e_xx = get(j, k, ("X", "X"))
+            yy, e_yy = get(j, k, ("Y", "Y"))
+            yx, e_yx = get(j, k, ("Y", "X"))
+            xy, e_xy = get(j, k, ("X", "Y"))
+            xp, e_xp = get(j, k, ("X", "Pi1"))
+            px, e_px = get(j, k, ("Pi1", "X"))
+            yp, e_yp = get(j, k, ("Y", "Pi1"))
+            pp, e_pp = get(j, k, ("Pi1", "Pi1"))
+            re = n * (xx - yy) + 2 * n * (t_b * xp + t_a * px + 2 * t_a * t_b * pp)
+            im = n * (xy + yx) + 2 * n * t_b * yp
+            raw[j - 1, k - 1] = re + 1j * im
+            re_err[j - 1, k - 1] = n * math.sqrt(
+                e_xx**2
+                + e_yy**2
+                + 4 * t_b**2 * e_xp**2
+                + 4 * t_a**2 * e_px**2
+                + 16 * t_a**2 * t_b**2 * e_pp**2
+            )
+            im_err[j - 1, k - 1] = n * math.sqrt(e_yx**2 + e_xy**2 + 4 * t_b**2 * e_yp**2)
+    return raw, re_err, im_err
+
+
+def loop_exact_ii(cs, cfg):
+    get = _reader(cs)
+    d, n = cfg.dim, cfg.n_ab
+    raw = np.zeros((d, d), dtype=complex)
+    re_err = np.zeros((d, d))
+    im_err = np.zeros((d, d))
+    for j in range(1, d + 1):
+        if cs.n_events:
+            est = float(np.mean([get(j, k, ("Pi1", "Pi1"))[0] for k in range(1, d + 1)]))
+            se = math.sqrt(max(est / d - est * est, 0.0) / cs.n_events)
+        else:
+            est = get(j, j, ("Pi1", "Pi1"))[0]
+            se = 0.0
+        raw[j - 1, j - 1] = 16 * n * n * est
+        re_err[j - 1, j - 1] = 16 * n * n * se
+        for k in range(1, d + 1):
+            if k == j:
+                continue
+            yy, e_yy = get(j, k, ("Y", "Y"))
+            xy, e_xy = get(j, k, ("X", "Y"))
+            raw[j - 1, k - 1] = -2 * n * yy + 2j * n * xy
+            re_err[j - 1, k - 1] = 2 * n * e_yy
+            im_err[j - 1, k - 1] = 2 * n * e_xy
+    return raw, re_err, im_err
+
+
+ESTIMATORS = (
+    (reconstruct_weak, loop_weak),
+    (reconstruct_exact_i, loop_exact_i),
+    (reconstruct_exact_ii, loop_exact_ii),
+)
+
+
+def _correlation_sets(d, seed):
+    rng = np.random.default_rng(seed)
+    rho = states.random_density(d, seed)
+    theta_a = float(rng.uniform(0.05, np.pi / 2))
+    theta_b = float(rng.uniform(0.05, np.pi / 2))
+    assert theta_a != theta_b
+    cfg = CouplingConfig(d, theta_a, theta_b)
+    return cfg, (
+        exact_correlation_set(rho, cfg, PAIRS_EXACT_I),
+        sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 50 * d, root_seed=seed),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vectorised_estimators_match_loops(d, seed):
+    cfg, sets = _correlation_sets(d, 1000 * d + seed)
+    for cs in sets:
+        for rebuild, loop in ESTIMATORS:
+            raw, re_err, im_err = loop(cs, cfg)
+            try:
+                result = rebuild(cs, cfg)
+            except DegenerateTraceError:
+                with pytest.raises(DegenerateTraceError):
+                    finalize(raw)
+                continue
+            np.testing.assert_array_equal(result.raw, raw)
+            np.testing.assert_allclose(
+                result.element_errors, _element_errors(re_err, im_err), rtol=1e-14, atol=0
+            )
+            assert result.n_events == cs.n_events

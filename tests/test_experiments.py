@@ -11,7 +11,6 @@ from dmrecon.experiments import (
     EXPECTATION_SEED,
     BiasModel,
     Scenario,
-    apply_bias,
     bias_outcome_table,
     build_tables,
     run_scenario,
@@ -30,29 +29,31 @@ def rows_by(rows, **conditions):
 
 class TestBiasModel:
     def test_neutral_bias_is_noop(self):
-        bias = BiasModel()
-        settings = (pointer_setting("X"), pointer_setting("Y"))
-        assert apply_bias(settings, bias) == settings
+        rho = states.random_density(2, 3)
+        cfg = CouplingConfig(2, 0.7, 0.7)
+        plain = correlations.build_tables(rho, cfg, PAIRS_EXACT_I)
+        neutral = build_tables(rho, cfg, PAIRS_EXACT_I, BiasModel())
+        assert neutral.keys() == plain.keys()
+        for key, table in plain.items():
+            np.testing.assert_array_equal(neutral[key].probs, table.probs)
 
     def test_rotation_overlap_geometry(self):
         # a projector tilted by epsilon overlaps its original by cos^2(epsilon)
-        bias = BiasModel(pointer_rotation_epsilon=0.02)
-        settings = apply_bias((pointer_setting("X"), pointer_setting("X")), bias)
-        for original, perturbed in zip(pointer_setting("X").projectors, settings[0].projectors):
+        tilted = pointer_setting("X", BiasModel(pointer_rotation_epsilon=0.02).pointer_rotation_epsilon)
+        for original, perturbed in zip(pointer_setting("X").projectors, tilted.projectors):
             overlap = float(np.trace(original[1] @ perturbed[1]).real)
             assert overlap == pytest.approx(np.cos(0.02) ** 2, abs=1e-12)
 
     def test_perturbed_settings_still_complete(self):
-        bias = BiasModel(pointer_rotation_epsilon=0.05)
         for name in ("X", "Y", "Z", "Pi1"):
-            (setting, _) = apply_bias((pointer_setting(name), pointer_setting(name)), bias)
+            setting = pointer_setting(name, 0.05)
             total = sum(p for _, p in setting.projectors)
             np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
     def test_efficiency_scaling_renormalizes(self):
         rho = states.random_density(2, 3)
         cfg = CouplingConfig(2, 0.7, 0.7)
-        table = correlations.correlation_table(rho, 1, "X", "X", cfg)
+        table = correlations.build_tables(rho, cfg, (("X", "X"),))[(1, ("X", "X"))]
         biased = bias_outcome_table(table, BiasModel(per_projector_efficiency=1.05))
         assert biased.probs.sum() == pytest.approx(1.0, abs=1e-12)
         ratio = biased.probs[0, 0, 0] / table.probs[0, 0, 0]

@@ -80,6 +80,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line \d+: unknown scenario key 'frobnicate'"):
             parse_config(bad)
 
+    def test_atol_is_an_unknown_global_key(self):
+        text = "[global]\natol = 1e-10\n" + MINIMAL
+        with pytest.raises(ConfigError, match=r"line 2: unknown global key 'atol'"):
+            parse_config(text)
+
     def test_duplicate_scenario_lists_both_lines(self):
         text = MINIMAL + "\n[scenario demo]\nkind = single\ntheta = 0.5\n"
         with pytest.raises(ConfigError, match=r"duplicate scenario id 'demo'.*line 2"):

@@ -8,12 +8,12 @@ from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
     PAIRS_WEAK,
-    CorrelationSet,
     exact_correlation_set,
     sampled_correlation_set,
 )
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import (
+    DegenerateTraceError,
     born_probabilities,
     finalize,
     qst_linear_inversion,
@@ -74,19 +74,16 @@ class TestWeakEstimator:
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         correls = exact_correlation_set(rho, cfg, PAIRS_WEAK)
-        for j in (1, 2):
-            for k in (1, 2):
-                combo = cfg.n_ab * (
-                    correls.value(j, k, "X", "X") - correls.value(j, k, "Y", "Y")
-                )
-                assert combo == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(ValueError, match="trace"):
+        combo = cfg.n_ab * (correls.column(("X", "X"))[0] - correls.column(("Y", "Y"))[0])
+        np.testing.assert_allclose(combo, 0.0, atol=1e-12)
+        with pytest.raises(DegenerateTraceError, match="trace"):
             reconstruct_weak(correls, cfg)
 
     def test_missing_correlation_named(self):
+        rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        with pytest.raises(ValueError, match="missing correlation"):
-            reconstruct_weak(CorrelationSet(), cfg)
+        with pytest.raises(ValueError, match="missing correlation <X_A X_B>"):
+            reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
 
 
 class TestExactEstimators:
@@ -169,9 +166,15 @@ class TestExactEstimators:
         correls = sampled_correlation_set(rho, cfg, PAIRS_EXACT_II, 5000, root_seed=7)
         result = reconstruct_exact_ii(correls, cfg)
         n = cfg.n_ab
-        for j in (1, 2, 3):
-            pooled = np.mean([correls.value(j, k, "Pi1", "Pi1") for k in (1, 2, 3)])
-            assert result.raw[j - 1, j - 1].real == pytest.approx(16 * n * n * pooled)
+        pooled = correls.column(("Pi1", "Pi1"))[0].mean(axis=1)
+        np.testing.assert_allclose(np.diag(result.raw).real, 16 * n * n * pooled)
+
+    def test_dimension_mismatch_rejected(self):
+        rho = states.random_density(2, 5)
+        correls = exact_correlation_set(rho, CouplingConfig(2, 0.8, 0.8), PAIRS_EXACT_I)
+        for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
+            with pytest.raises(ValueError, match="d=2"):
+                rebuild(correls, CouplingConfig(3, 0.8, 0.8))
 
     def test_element_errors_zero_for_exact_sources(self):
         rho = states.random_density(2, 5)
@@ -218,7 +221,7 @@ class TestFinalize:
         assert qmath.trace_distance(result.finalized.matrix, rho.matrix) > 0.05
 
     def test_near_zero_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(DegenerateTraceError, match="trace"):
             finalize(np.array([[1e-12, 1.0], [0.0, -1e-12]], dtype=complex))
 
     def test_hermitian_part_of_sampled_raw(self):

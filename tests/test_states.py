@@ -126,17 +126,6 @@ class TestDensityMatrixValidation:
             rho.matrix[0, 0] = 9.0
 
 
-class TestBasisSpec:
-    def test_default_labels(self):
-        spec = states.BasisSpec(dim=3)
-        assert spec.labels == ("a1", "a2", "a3")
-
-    def test_custom_labels_checked(self):
-        assert states.BasisSpec(dim=2, labels=("H", "V")).labels == ("H", "V")
-        with pytest.raises(ValueError):
-            states.BasisSpec(dim=2, labels=("H",))
-
-
 class TestStateSpecGrammar:
     @pytest.mark.parametrize(
         "spec,expected",
