@@ -22,8 +22,18 @@ import numpy as np
 from . import correlations, experiments, io, protocol, qmath, reconstruct, states
 from .protocol import CouplingConfig
 
+
+def _input_error(command: str, message: str) -> int:
+    """Report bad outside input in one stderr line; exit status 2, as argparse uses."""
+    print(f"dmrecon {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return _input_error("run", f"cannot read config {args.config}: {exc}")
     try:
         doc = io.parse_config(text)
     except io.ConfigError as exc:
@@ -32,7 +42,10 @@ def _cmd_run(args) -> int:
         return 2
     env_seed = os.environ.get("DMRECON_SEED")
     if env_seed is not None:
-        doc = replace(doc, root_seed=int(env_seed))
+        try:
+            doc = replace(doc, root_seed=int(env_seed))
+        except ValueError:
+            return _input_error("run", f"DMRECON_SEED must be an integer, got {env_seed!r}")
     out_dir = Path(args.out) if args.out else Path(doc.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[experiments.ResultRow] = []
@@ -46,8 +59,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    rho = states.parse_state_spec(args.state, args.d)
-    cfg = CouplingConfig(args.d, args.theta, args.theta)
+    try:
+        cfg = CouplingConfig(args.d, args.theta, args.theta)
+        if not args.theta > 0.0:
+            raise ValueError(f"theta={args.theta} outside (0, pi/2]")
+        rho = states.parse_state_spec(args.state, args.d)
+    except ValueError as exc:
+        return _input_error("exact", str(exc))
     rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
     correls = correlations.exact_correlation_set(rho, cfg, pairs)
     result = rebuild(correls, cfg)
@@ -107,6 +125,23 @@ def _cmd_validate(args) -> int:
                 result = rebuild(correls, cfg)
                 worst = max(worst, qmath.trace_distance(result.finalized.matrix, rho.matrix))
     check("exact estimators reproduce the state", worst < 1e-9, f"max distance {worst:.2e}")
+
+    # Closed-form standard-family tomography vs least squares on the same vectors.
+    worst = 0.0
+    for d in range(1, 7):
+        labels, projs = zip(*reconstruct.standard_projector_family(d))
+        for _ in range(5):
+            rho = states.random_density(d, int(rng.integers(0, 2**31)))
+            probs = reconstruct.born_probabilities(rho, projs)
+            probs = np.clip(probs + rng.normal(scale=0.02, size=probs.size), 0.0, 1.0)
+            closed = reconstruct.qst_linear_inversion(dict(zip(labels, probs)), d)
+            oracle = reconstruct.qst_linear_inversion(list(zip(projs, probs)), d)
+            worst = max(worst, float(np.max(np.abs(closed.raw - oracle.raw))))
+    check(
+        "standard-family QST closed form matches least squares",
+        worst < 1e-12,
+        f"max dev {worst:.2e}",
+    )
 
     print("validation " + ("failed" if failures else "passed"))
     return 1 if failures else 0

@@ -180,19 +180,25 @@ def _pairs_for(methods: tuple[str, ...]) -> tuple[correlations.ObsPair, ...]:
     return tuple(dict.fromkeys(pair for m in methods for pair in _RECONSTRUCTORS[m][1]))
 
 
+def _standard_family_born(
+    rho: states.DensityMatrix, d: int
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and exact Born probabilities of the standard tomography family."""
+    labels, projectors = zip(*reconstruct.standard_projector_family(d))
+    return labels, reconstruct.born_probabilities(rho, projectors)
+
+
 def _qst_reconstruction(
-    rho: states.DensityMatrix, d: int, n: int, seed: int | None
+    born: tuple[tuple[str, ...], np.ndarray], d: int, n: int, seed: int | None
 ) -> reconstruct.ReconstructionResult:
     """Linear-inversion tomography; sampled Born probabilities when seeded."""
-    family = reconstruct.standard_projector_family(d)
-    projs = [p for _, p in family]
-    p_exact = reconstruct.born_probabilities(rho, projs)
+    labels, p_exact = born
     if seed is None:
         probs = p_exact
     else:
         rng = np.random.Generator(np.random.Philox(seed))
         probs = rng.binomial(n, np.clip(p_exact, 0.0, 1.0)) / n
-    return reconstruct.qst_linear_inversion(list(zip(projs, probs)), d)
+    return reconstruct.qst_linear_inversion(dict(zip(labels, probs)), d)
 
 
 def run_point(
@@ -217,12 +223,15 @@ def run_point(
             expected[m] = _RECONSTRUCTORS[m][0](exact_set, cfg)
         except reconstruct.DegenerateTraceError:
             expected[m] = None  # degenerate point, e.g. weak estimator at p = 0
+    # One exact Born vector serves every QST estimate at this point.
+    needs_qst = "QST" in scn.methods or scn.reference == "qst"
+    born = _standard_family_born(rho, scn.d) if needs_qst else None
     if "QST" in scn.methods:
-        expected["QST"] = _qst_reconstruction(rho, scn.d, scn.n_events, None)
+        expected["QST"] = _qst_reconstruction(born, scn.d, scn.n_events, None)
 
     def sampled_qst(seed: int):
         try:
-            return _qst_reconstruction(rho, scn.d, scn.n_events, seed)
+            return _qst_reconstruction(born, scn.d, scn.n_events, seed)
         except reconstruct.DegenerateTraceError:
             return None
 
@@ -234,7 +243,7 @@ def run_point(
             return rho
         qseed = None if seed is None else derive_seed(root_seed, *point_key, seed, "qst-ref")
         try:
-            return _qst_reconstruction(rho, scn.d, scn.n_events, qseed).finalized
+            return _qst_reconstruction(born, scn.d, scn.n_events, qseed).finalized
         except reconstruct.DegenerateTraceError:
             return None
 

@@ -3,8 +3,10 @@
 Three direct estimators are provided. The weak estimator combines four Pauli
 correlation pairs per element and is accurate only for small coupling. The
 two exact estimators add flipped-pointer (Pi1) terms, or use them outright,
-and reproduce the state at any coupling strength. A plain linear-inversion
-tomography routine serves as the reference method.
+and reproduce the state at any coupling strength. Linear-inversion
+tomography serves as the reference method: probabilities of the standard
+d^2-projector family are inverted in closed form, at any d, and any other
+informationally complete projector set by least squares.
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
@@ -14,6 +16,7 @@ flag unset.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import qmath, states
 from .correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, PAIRS_WEAK, Correlations
-from .protocol import CouplingConfig
+from .protocol import MAX_DIM, CouplingConfig
 
 METHOD_WEAK = "W"
 METHOD_EXACT_I = "I"
@@ -175,26 +178,29 @@ def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> Reconstr
 QST_QUBIT_LABELS = ("H", "V", "D", "R")
 
 
-def standard_projector_family(d: int) -> list[tuple[str, np.ndarray]]:
-    """The d^2 projectors onto |a_j>, (|a_j>+|a_k>)/sqrt2, (|a_j>+i|a_k>)/sqrt2."""
-    family: list[tuple[str, np.ndarray]] = []
+@functools.lru_cache(maxsize=MAX_DIM)
+def standard_projector_family(d: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """The d^2 projectors onto |a_j>, (|a_j>+|a_k>)/sqrt2, (|a_j>+i|a_k>)/sqrt2.
+
+    Labelled a<j>, +_<j><k> and i_<j><k> (j < k, row-major order). Built once
+    per d; the projectors are read-only because every caller shares them.
+    """
     eye = np.eye(d, dtype=complex)
-    for j in range(d):
-        family.append((f"a{j + 1}", np.outer(eye[j], eye[j].conj())))
-    for j in range(d):
-        for k in range(j + 1, d):
-            plus = (eye[j] + eye[k]) / np.sqrt(2)
-            family.append((f"+_{j + 1}{k + 1}", np.outer(plus, plus.conj())))
-    for j in range(d):
-        for k in range(j + 1, d):
-            imag = (eye[j] + 1j * eye[k]) / np.sqrt(2)
-            family.append((f"i_{j + 1}{k + 1}", np.outer(imag, imag.conj())))
-    return family
+    upper = list(zip(*np.triu_indices(d, 1)))
+    kets = [(f"a{j + 1}", eye[j]) for j in range(d)]
+    kets += [(f"+_{j + 1}{k + 1}", (eye[j] + eye[k]) / np.sqrt(2)) for j, k in upper]
+    kets += [(f"i_{j + 1}{k + 1}", (eye[j] + 1j * eye[k]) / np.sqrt(2)) for j, k in upper]
+    family = []
+    for label, ket in kets:
+        proj = np.outer(ket, ket.conj())
+        proj.flags.writeable = False
+        family.append((label, proj))
+    return tuple(family)
 
 
 def born_probabilities(rho: states.DensityMatrix, projectors: Sequence[np.ndarray]) -> np.ndarray:
     """Tr(P rho) for each projector."""
-    return np.array([float(np.trace(p @ rho.matrix).real) for p in projectors])
+    return np.einsum("pab,ba->p", np.asarray(projectors), rho.matrix).real
 
 
 def _qst_qubit(probabilities: Mapping[str, float]) -> np.ndarray:
@@ -209,17 +215,46 @@ def _qst_qubit(probabilities: Mapping[str, float]) -> np.ndarray:
     return np.array([[p_h, off], [off.conjugate(), p_v]], dtype=complex)
 
 
+def _qst_standard_family(probabilities: Mapping[str, float], d: int) -> np.ndarray:
+    """Closed-form inverse of the standard family's Born probabilities.
+
+    p_{+jk} = (rho_jj + rho_kk)/2 + Re rho_jk and
+    p_{i_jk} = (rho_jj + rho_kk)/2 - Im rho_jk, with rho_jj = p_{a_j}.
+    """
+    labels = [label for label, _ in standard_projector_family(d)]
+    missing = [label for label in labels if label not in probabilities]
+    if missing:
+        raise ValueError(f"standard-family tomography at d={d} needs probabilities for {missing}")
+    unknown = sorted(set(probabilities) - set(labels))
+    if unknown:
+        raise ValueError(f"labels {unknown} are not in the standard family for d={d}")
+    p = np.array([float(probabilities[label]) for label in labels])
+    n_off = d * (d - 1) // 2
+    diag, plus, imag = p[:d], p[d : d + n_off], p[d + n_off :]
+    j, k = np.triu_indices(d, 1)
+    mean = (diag[j] + diag[k]) / 2
+    raw = np.diag(diag).astype(complex)
+    raw[j, k] = (plus - mean) + 1j * (mean - imag)
+    raw[k, j] = raw[j, k].conj()
+    return raw
+
+
 def qst_linear_inversion(projector_expectations, d: int) -> ReconstructionResult:
     """Tomography by inverting Born probabilities of d^2 projectors.
 
-    For d = 2 pass a mapping with keys H, V, D, R; for general d pass an
+    Pass a mapping from the labels of `standard_projector_family(d)` to
+    probabilities for the closed-form inverse at any d; at d = 2 a mapping
+    with keys H, V, D, R also works. For any other projector set pass an
     iterable of (projector, probability) pairs whose vectorized projectors
-    are linearly independent.
+    are linearly independent: it is solved by least squares.
     """
     if isinstance(projector_expectations, Mapping):
-        if d != 2:
-            raise ValueError("labelled H/V/D/R probabilities only apply at d=2")
-        raw = _qst_qubit(projector_expectations)
+        if any(lbl in projector_expectations for lbl in QST_QUBIT_LABELS):
+            if d != 2:
+                raise ValueError("labelled H/V/D/R probabilities only apply at d=2")
+            raw = _qst_qubit(projector_expectations)
+        else:
+            raw = _qst_standard_family(projector_expectations, d)
     else:
         pairs = list(projector_expectations)
         if len(pairs) < d * d:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs."""
 
+import pytest
 
 from dmrecon import io
 from dmrecon.cli import main
@@ -82,4 +83,51 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 3
+    assert out.count("[ok]") == 4
+    assert "[ok] standard-family QST closed form matches least squares (max dev" in out
+
+
+def _one_line_error(capsys, rc):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_run_rejects_non_integer_env_seed(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CONFIG)
+    monkeypatch.setenv("DMRECON_SEED", "abc")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert "DMRECON_SEED" in _one_line_error(capsys, rc)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("make_config", ["missing", "directory", "binary"])
+def test_run_reports_unreadable_config(tmp_path, capsys, monkeypatch, make_config):
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    if make_config == "directory":
+        cfg.mkdir()
+    elif make_config == "binary":
+        cfg.write_bytes(b"\xff\xfe\x00")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert str(cfg) in _one_line_error(capsys, rc)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--state", "bogus", "--theta", "1"], "unrecognized state spec"),
+        (["--state", "mixed", "--theta", "3"], "outside [0, pi/2]"),
+        (["--state", "mixed", "--theta", "0"], "outside (0, pi/2]"),
+        (["--state", "mixed", "--theta", "1", "--d", "40"], "outside supported range"),
+        (["--state", "mixed", "--theta", "1", "--d", "0"], "outside supported range"),
+        (["--state", "pure:H", "--theta", "1", "--d", "3"], "requires d=2"),
+        (["--state", "pure:a5", "--theta", "1", "--d", "3"], "out of range 1..3"),
+    ],
+)
+def test_exact_reports_bad_input(capsys, argv, message):
+    rc = main(["exact", "--method", "I", *argv])
+    assert message in _one_line_error(capsys, rc)

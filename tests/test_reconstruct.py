@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrecon import qmath, states
 from dmrecon.correlations import (
@@ -294,3 +296,81 @@ class TestQstLinearInversion:
     def test_missing_qubit_label_rejected(self):
         with pytest.raises(ValueError, match="R"):
             qst_linear_inversion({"H": 1.0, "V": 0.0, "D": 0.5}, 2)
+
+
+def _labelled(d, probs):
+    return dict(zip((label for label, _ in standard_projector_family(d)), probs))
+
+
+def _paired(d, probs):
+    return [(p, prob) for (_, p), prob in zip(standard_projector_family(d), probs)]
+
+
+def _raw_or_none(projector_expectations, d):
+    try:
+        return qst_linear_inversion(projector_expectations, d).raw
+    except DegenerateTraceError:
+        return None
+
+
+class TestStandardFamilyClosedForm:
+    """The closed-form inverse against the least-squares path as oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
+    def test_matches_least_squares_on_born_vectors(self, d, seed):
+        rho = states.random_density(d, seed)
+        probs = born_probabilities(rho, [p for _, p in standard_projector_family(d)])
+        closed = qst_linear_inversion(_labelled(d, probs), d)
+        oracle = qst_linear_inversion(_paired(d, probs), d)
+        assert np.max(np.abs(closed.raw - oracle.raw)) <= 1e-12
+        assert distance_to(closed, rho) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 10_000),
+        spread=st.floats(0.0, 1.0),
+    )
+    def test_matches_least_squares_on_arbitrary_vectors(self, d, seed, n, spread):
+        # Sampled and perturbed vectors need not be Born vectors of any state;
+        # the inverse is still unique, so both paths must agree.
+        rng = np.random.Generator(np.random.Philox(seed))
+        exact = born_probabilities(
+            states.random_density(d, seed), [p for _, p in standard_projector_family(d)]
+        )
+        sampled = rng.binomial(n, np.clip(exact, 0.0, 1.0)) / n
+        perturbed = exact + rng.uniform(-spread, spread, size=exact.size)
+        for probs in (sampled, perturbed):
+            closed = _raw_or_none(_labelled(d, probs), d)
+            oracle = _raw_or_none(_paired(d, probs), d)
+            assert (closed is None) == (oracle is None)
+            if closed is not None:
+                assert np.max(np.abs(closed - oracle)) <= 1e-12
+
+    def test_born_probabilities_match_trace_loop(self):
+        rng = np.random.Generator(np.random.Philox(17))
+        for d in range(1, 9):
+            rho = states.random_density(d, 40 + d)
+            kets = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+            projs = [p for _, p in standard_projector_family(d)]
+            projs += [np.outer(v, v.conj()) for v in kets]
+            loop = np.array([float(np.trace(p @ rho.matrix).real) for p in projs])
+            np.testing.assert_allclose(born_probabilities(rho, projs), loop, rtol=0, atol=1e-15)
+
+    def test_missing_and_unknown_labels_named(self):
+        probs = _labelled(3, np.full(9, 1 / 3))
+        del probs["+_13"]
+        with pytest.raises(ValueError, match=r"\+_13"):
+            qst_linear_inversion(probs, 3)
+        with pytest.raises(ValueError, match="i_34"):
+            qst_linear_inversion({**_labelled(3, np.full(9, 1 / 3)), "i_34": 0.5}, 3)
+
+    def test_family_cached_and_read_only(self):
+        family = standard_projector_family(4)
+        assert standard_projector_family(4) is family
+        assert isinstance(family, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            family[0][1][0, 0] = 2.0
