@@ -13,13 +13,14 @@ from .correlations import (
     PAIRS_EXACT_II,
     PAIRS_WEAK,
     Correlations,
+    OutcomeTables,
     analytic_correlation,
     exact_correlation_set,
     sampled_correlation_set,
 )
 from .experiments import BiasModel, ResultRow, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
-from .protocol import CouplingConfig, OutcomeTable, PointerSetting, pointer_setting
+from .protocol import CouplingConfig, PointerSetting, pointer_setting
 from .reconstruct import (
     DegenerateTraceError,
     ReconstructionResult,
@@ -47,7 +48,7 @@ __all__ = [
     "CouplingConfig",
     "DegenerateTraceError",
     "DensityMatrix",
-    "OutcomeTable",
+    "OutcomeTables",
     "PAIRS_EXACT_I",
     "PAIRS_EXACT_II",
     "PAIRS_WEAK",

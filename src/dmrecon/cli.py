@@ -47,7 +47,10 @@ def _cmd_run(args) -> int:
         except ValueError:
             return _input_error("run", f"DMRECON_SEED must be an integer, got {env_seed!r}")
     out_dir = Path(args.out) if args.out else Path(doc.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _input_error("run", f"cannot create output directory {out_dir}: {exc}")
     rows: list[experiments.ResultRow] = []
     for scn in doc.scenarios:
         rows += experiments.run_scenario(scn, doc.root_seed)

@@ -8,9 +8,10 @@ Three evaluation paths are provided:
   analytic  closed-form expressions in the entries of rho
   sampled   finite-N multinomial draw from the joint outcome distribution
 
-The exact and sampled paths read one outcome table per (j, pair) setting and
-fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic path
-gives one value at a time. The exact and analytic paths are independent
+The exact and sampled paths read the joint outcome probabilities of one grid
+point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
+and fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic
+path gives one value at a time. The exact and analytic paths are independent
 implementations and must agree; their agreement cross-validates both the
 evolution code and the closed forms.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol, states
-from .protocol import CouplingConfig, OutcomeTable
+from .protocol import CouplingConfig
 
 ObsPair = tuple[str, str]
 
@@ -45,6 +46,22 @@ def derive_seed(root: int, *parts) -> int:
     """Stable 64-bit seed from a root seed and arbitrary coordinates."""
     payload = "::".join([str(root), *map(str, parts)]).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+
+
+@dataclass(frozen=True)
+class OutcomeTables:
+    """Joint outcome probabilities of every (j, pair) setting at one grid point.
+
+    `probs[j-1, p, alpha, beta, k-1]` is the probability that, with the j-th
+    coupling and `pairs[p]` measured, pointer A gives its alpha-th listed
+    outcome, pointer B its beta-th and the system lands on |a_k>; each
+    (j, pair) table sums to 1. `weights[p, alpha, beta]` is the product of
+    the two outcome eigenvalues, the value of O_A O_B on that outcome.
+    """
+
+    pairs: tuple[ObsPair, ...]
+    weights: np.ndarray
+    probs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,11 +106,9 @@ class Correlations:
         return self.values.size
 
 
-def records_from_table(table: OutcomeTable) -> np.ndarray:
-    """Exact correlations for every k, indexed [k-1], from one outcome table."""
-    eig_a = table.setting_a.eigenvalues
-    eig_b = table.setting_b.eigenvalues
-    return np.einsum("x,y,xyk->k", eig_a, eig_b, table.probs)
+def records_from_table(tables: OutcomeTables) -> np.ndarray:
+    """Exact correlations of every (j, k, pair), indexed [j-1, k-1, p]."""
+    return np.einsum("pxy,jpxyk->jkp", tables.weights, tables.probs)
 
 
 def analytic_correlation(
@@ -156,64 +171,53 @@ def analytic_correlation(
     return value
 
 
-def sample_counts(table: OutcomeTable, n: int, seed: int) -> np.ndarray:
-    """Draw n events from the joint table; returns integer counts shaped (2, 2, d).
+def sample_counts(tables: OutcomeTables, n: int, root_seed: int) -> np.ndarray:
+    """Draw n events from every (j, pair) table; integer counts shaped like `probs`.
 
-    One multinomial draw over the flattened table with a counter-based Philox
-    generator keyed per setting: reproducible across runs and workers, with
-    cost independent of n.
+    One multinomial draw over each flattened (j, pair) table, with a
+    counter-based Philox generator keyed by the root seed and the setting
+    coordinates: reproducible across runs and workers, with cost independent
+    of n.
     """
     if n < 1:
         raise ValueError("need at least one event")
-    flat = table.probs.reshape(-1)
-    rng = np.random.Generator(np.random.Philox(seed))
-    counts = rng.multinomial(n, flat / flat.sum())
-    return counts.reshape(table.probs.shape)
+    counts = np.empty(tables.probs.shape, dtype=np.int64)
+    for j, p in np.ndindex(counts.shape[:2]):
+        flat = tables.probs[j, p].reshape(-1)
+        seed = derive_seed(root_seed, "corr", j + 1, *tables.pairs[p])
+        rng = np.random.Generator(np.random.Philox(seed))
+        counts[j, p] = rng.multinomial(n, flat / flat.sum()).reshape(2, 2, -1)
+    return counts
 
 
 def sampled_records_from_counts(
-    table: OutcomeTable, counts: np.ndarray, n: int
+    tables: OutcomeTables, counts: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-k correlation estimates and plug-in standard errors from counts."""
-    eig_a = table.setting_a.eigenvalues
-    eig_b = table.setting_b.eigenvalues
-    w = np.multiply.outer(eig_a, eig_b)  # (2, 2) outcome weights
-    freq = counts / n
-    est = np.einsum("xy,xyk->k", w, freq)
-    second = np.einsum("xy,xyk->k", w * w, freq)
+    """Correlation estimates and plug-in standard errors, each indexed [j-1, k-1, p]."""
+    w, freq = tables.weights, counts / n
+    est = np.einsum("pxy,jpxyk->jkp", w, freq)
+    second = np.einsum("pxy,jpxyk->jkp", w * w, freq)
     var = np.maximum(second - est * est, 0.0) / n
     return est, np.sqrt(var)
 
 
 def correlation_set_from_tables(
-    tables: dict[tuple[int, ObsPair], OutcomeTable],
+    tables: OutcomeTables,
     sampled: bool = False,
     n: int = 0,
     root_seed: int = 0,
 ) -> Correlations:
-    """Correlations for every (j, k, pair) from the outcome tables of all (j, pair).
+    """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
-    Each table fills one column [j-1, :, pair] at once. In sampled mode each
-    (j, pair) table gets its own n-event draw, with a seed derived from the
-    root seed and the setting coordinates.
+    In sampled mode each (j, pair) table gets its own n-event draw, with a
+    seed derived from the root seed and the setting coordinates.
     """
-    pairs = tuple(dict.fromkeys(pair for _, pair in tables))
-    d = next(iter(tables.values())).dim if tables else 0
-    if len(tables) != d * len(pairs):
-        raise ValueError(f"need a table for every (j, pair): {d} x {len(pairs)}, got {len(tables)}")
-    values = np.zeros((d, d, len(pairs)))
-    std_error = np.zeros_like(values)
-    for (j, pair), table in tables.items():
-        p = pairs.index(pair)
-        if sampled:
-            seed = derive_seed(root_seed, "corr", j, pair[0], pair[1])
-            counts = sample_counts(table, n, seed)
-            values[j - 1, :, p], std_error[j - 1, :, p] = sampled_records_from_counts(
-                table, counts, n
-            )
-        else:
-            values[j - 1, :, p] = records_from_table(table)
-    return Correlations(pairs, values, std_error, n if sampled else 0)
+    if sampled:
+        counts = sample_counts(tables, n, root_seed)
+        values, std_error = sampled_records_from_counts(tables, counts, n)
+        return Correlations(tables.pairs, values, std_error, n)
+    values = records_from_table(tables)
+    return Correlations(tables.pairs, values, np.zeros_like(values))
 
 
 def build_tables(
@@ -221,22 +225,20 @@ def build_tables(
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
     tilt: float = 0.0,
-) -> dict[tuple[int, ObsPair], OutcomeTable]:
+) -> OutcomeTables:
     """Outcome tables for every coupled index j and requested observable pair.
 
-    The evolved state is computed once per j and shared across pairs. A
-    nonzero `tilt` rotates every pointer projector (pointer-rotation bias).
+    Each observable's pointer setting is built once and the evolved state
+    once per j. A nonzero `tilt` rotates every pointer projector
+    (pointer-rotation bias).
     """
-    out: dict[tuple[int, ObsPair], OutcomeTable] = {}
-    for j in range(1, cfg.dim + 1):
-        sigma = protocol.evolve(rho, j, cfg)
-        for pair in pairs:
-            settings = (
-                protocol.pointer_setting(pair[0], tilt),
-                protocol.pointer_setting(pair[1], tilt),
-            )
-            out[(j, pair)] = protocol.outcome_probabilities(sigma, settings, j=j)
-    return out
+    observables = dict.fromkeys(obs for pair in pairs for obs in pair)
+    settings = {obs: protocol.pointer_setting(obs, tilt) for obs in observables}
+    setting_pairs = tuple((settings[a], settings[b]) for a, b in pairs)
+    weights = np.stack([np.multiply.outer(a.eigenvalues, b.eigenvalues) for a, b in setting_pairs])
+    sigmas = (protocol.evolve(rho, j, cfg) for j in range(1, cfg.dim + 1))
+    probs = np.stack([protocol.outcome_probabilities(s, setting_pairs) for s in sigmas])
+    return OutcomeTables(pairs, weights, probs)
 
 
 def exact_correlation_set(

@@ -13,13 +13,13 @@ tomography estimate, mirroring a real experiment's protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import correlations, metrics, qmath, reconstruct, states
-from .correlations import derive_seed
-from .protocol import CouplingConfig, OutcomeTable
+from .correlations import OutcomeTables, derive_seed
+from .protocol import CouplingConfig
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -149,17 +149,15 @@ class ResultRow:
     delta_rho_measured: float = float("nan")
 
 
-def bias_outcome_table(table: OutcomeTable, bias: BiasModel) -> OutcomeTable:
-    """Scale the designated projector's probability rows, then renormalize."""
+def bias_outcome_table(tables: OutcomeTables, bias: BiasModel) -> OutcomeTables:
+    """Scale the designated projector's probability rows, then renormalize each table."""
     eff = bias.per_projector_efficiency
     if eff == 1.0:
-        return table
-    probs = table.probs.copy()
-    probs[0, :, :] *= eff
-    probs /= probs.sum()
-    return OutcomeTable(
-        j=table.j, setting_a=table.setting_a, setting_b=table.setting_b, probs=probs
-    )
+        return tables
+    probs = tables.probs.copy()
+    probs[:, :, 0] *= eff
+    probs /= probs.sum(axis=(2, 3, 4), keepdims=True)
+    return replace(tables, probs=probs)
 
 
 def build_tables(
@@ -167,12 +165,12 @@ def build_tables(
     cfg: CouplingConfig,
     pairs: tuple[correlations.ObsPair, ...],
     bias: BiasModel | None = None,
-) -> dict[tuple[int, correlations.ObsPair], OutcomeTable]:
+) -> OutcomeTables:
     """Outcome tables for all (j, pair) settings, with optional bias applied."""
     if bias is None:
         return correlations.build_tables(rho, cfg, pairs)
     tables = correlations.build_tables(rho, cfg, pairs, bias.pointer_rotation_epsilon)
-    return {key: bias_outcome_table(table, bias) for key, table in tables.items()}
+    return bias_outcome_table(tables, bias)
 
 
 def _pairs_for(methods: tuple[str, ...]) -> tuple[correlations.ObsPair, ...]:
@@ -213,7 +211,7 @@ def run_point(
     cfg = CouplingConfig(scn.d, theta, theta)
     direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
     pairs = _pairs_for(direct_methods)
-    tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else {}
+    tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else None
 
     # Expected-value reconstructions, from exact (possibly biased) correlations.
     exact_set = correlations.correlation_set_from_tables(tables) if pairs else None
@@ -235,25 +233,26 @@ def run_point(
         except reconstruct.DegenerateTraceError:
             return None
 
+    # The statistical-error floor of each direct method, nan where undefined.
+    bounds = {
+        m: metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
+        for m in direct_methods
+        if metrics.has_error_floor(m, scn.d)
+    }
+
     bias_eps = scn.bias.pointer_rotation_epsilon if scn.bias else 0.0
     bias_eff = scn.bias.per_projector_efficiency if scn.bias else 1.0
 
     def reference_state(seed: int | None) -> states.DensityMatrix | None:
         if scn.reference == "truth":
             return rho
+        if seed is None and "QST" in expected:
+            return expected["QST"].finalized
         qseed = None if seed is None else derive_seed(root_seed, *point_key, seed, "qst-ref")
         try:
             return _qst_reconstruction(born, scn.d, scn.n_events, qseed).finalized
         except reconstruct.DegenerateTraceError:
             return None
-
-    def bound_for(method: str) -> float:
-        if method not in _RECONSTRUCTORS:
-            return float("nan")
-        try:
-            return metrics.error_lower_bound(method, scn.d, theta, scn.n_events).bound
-        except ValueError:
-            return float("nan")
 
     def make_row(method: str, seed: int, result, reference) -> ResultRow:
         if result is None:
@@ -288,7 +287,7 @@ def run_point(
             seed=seed,
             trace_distance=t_dist,
             delta_rho=d_rho,
-            bound=bound_for(method),
+            bound=bounds.get(method, float("nan")),
             bias_epsilon=bias_eps,
             bias_efficiency=bias_eff,
             delta_rho_measured=measured,

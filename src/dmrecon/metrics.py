@@ -48,6 +48,11 @@ def mean_square_error(element_errors: np.ndarray) -> float:
     return float(np.sqrt(np.sum(e * e)))
 
 
+def has_error_floor(method: str, d: int) -> bool:
+    """Whether `error_lower_bound` defines a floor: method II has none below d = 5."""
+    return method in ("W", "I") or (method == "II" and d >= 5)
+
+
 def error_lower_bound(method: str, d: int, theta: float, n: int) -> ErrorBound:
     """The theoretical error floor for a full-matrix reconstruction.
 
@@ -59,7 +64,7 @@ def error_lower_bound(method: str, d: int, theta: float, n: int) -> ErrorBound:
     if method in ("W", "I"):
         alpha = (d - 1) * math.sqrt(d) / (2 * math.sqrt(2))
     elif method == "II":
-        if d < 5:
+        if not has_error_floor(method, d):
             raise ValueError(
                 f"no error floor for method II at d={d}: the radicand d-4 is negative"
             )

@@ -1,10 +1,13 @@
-"""Two-pointer coupling protocol: unitaries, evolution, outcome tables.
+"""Two-pointer coupling protocol: unitaries, evolution, outcome probabilities.
 
 The system (dimension d) is coupled in sequence to two qubit pointers A and B,
 both prepared in |0>. The first coupling rotates pointer A conditioned on the
 basis projector |a_j><a_j|, the second rotates pointer B conditioned on the
 projector onto the uniform superposition |b_0>. The order matters: the two
 couplings do not commute.
+
+`outcome_probabilities` reads the joint (pointer A, pointer B, system)
+outcome table of every requested pointer setting pair from one evolved state.
 
 Tensor-leg order is fixed as system (x) pointerA (x) pointerB everywhere; every
 embedding goes through `embedded_coupling` so the convention lives in one place.
@@ -131,29 +134,6 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
     return PointerSetting(observable=observable, projectors=pairs)
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
-    """Joint outcome probabilities for one coupled index j and one setting pair.
-
-    `probs[alpha, beta, k]` is the probability of pointer A giving its
-    alpha-th listed outcome, pointer B its beta-th, and the final system
-    projection landing on |a_{k+1}>. Summed over everything it is 1.
-    """
-
-    j: int
-    setting_a: PointerSetting
-    setting_b: PointerSetting
-    probs: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.probs.shape[2]
-
-    def prob(self, alpha: int, beta: int, k: int) -> float:
-        """Probability of outcome indices (alpha, beta) with system outcome k (1-based)."""
-        return float(self.probs[alpha, beta, k - 1])
-
-
 def pointer_rotation(theta: float) -> np.ndarray:
     """exp(-i theta Y) on one pointer: a real rotation by theta."""
     c, s = math.cos(theta), math.sin(theta)
@@ -213,27 +193,23 @@ def evolve(rho: states.DensityMatrix, j: int, cfg: CouplingConfig) -> np.ndarray
 
 def outcome_probabilities(
     sigma_out: np.ndarray,
-    settings: tuple[PointerSetting, PointerSetting],
-    j: int = 0,
-) -> OutcomeTable:
-    """Joint probabilities of (pointer A outcome, pointer B outcome, system outcome).
+    setting_pairs: tuple[tuple[PointerSetting, PointerSetting], ...],
+) -> np.ndarray:
+    """Joint outcome probabilities of every (pointer A, pointer B) setting pair.
 
-    probs[alpha, beta, k] = Tr[(|a_{k+1}><a_{k+1}| (x) P_alpha (x) P_beta) sigma_out].
+    probs[p, alpha, beta, k] = Tr[(|a_{k+1}><a_{k+1}| (x) P_alpha (x) Q_beta) sigma_out]
+    with P, Q the projectors of `setting_pairs[p]`; each pair's table sums to 1.
     """
     sigma = qmath.as_complex_matrix(sigma_out)
     n = sigma.shape[0]
     d, rem = divmod(n, 4)
     if rem != 0 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"tripartite operator must be 4d x 4d, got {sigma.shape}")
-    setting_a, setting_b = settings
+    proj_a = np.stack([a.projector_stack for a, _ in setting_pairs])
+    proj_b = np.stack([b.projector_stack for _, b in setting_pairs])
     t = sigma.reshape(d, 2, 2, d, 2, 2)
     # Tr[(Pi_k (x) P (x) Q) sigma] contracts only the k-th diagonal system block.
-    probs = np.einsum(
-        "xaA,ybB,kABkab->xyk",
-        setting_a.projector_stack,
-        setting_b.projector_stack,
-        t,
-    )
+    probs = np.einsum("pxaA,pybB,kABkab->pxyk", proj_a, proj_b, t)
     imag_max = float(np.max(np.abs(probs.imag)))
     if imag_max > PROB_CORRUPT:
         raise ValueError(f"outcome probabilities have imaginary part {imag_max:.3e}")
@@ -242,7 +218,8 @@ def outcome_probabilities(
     if lo < -PROB_CORRUPT:
         raise ValueError(f"outcome probability {lo:.3e} below -1e-9: numerical corruption")
     probs = np.where(probs < 0.0, 0.0, probs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"outcome probabilities sum to {total:.12g}, expected 1")
-    return OutcomeTable(j=j, setting_a=setting_a, setting_b=setting_b, probs=probs)
+    totals = probs.sum(axis=(1, 2, 3))
+    off = totals[np.abs(totals - 1.0) > 1e-10]
+    if off.size:
+        raise ValueError(f"outcome probabilities sum to {off[0]:.12g}, expected 1")
+    return probs

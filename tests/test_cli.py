@@ -116,6 +116,16 @@ def test_run_reports_unreadable_config(tmp_path, capsys, monkeypatch, make_confi
     assert str(cfg) in _one_line_error(capsys, rc)
 
 
+def test_run_reports_uncreatable_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["run", "--config", str(cfg), "--out", str(blocker / "o")])
+    assert "cannot create output directory" in _one_line_error(capsys, rc)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dmrecon import correlations, states
+from dmrecon import correlations, protocol, qmath, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
@@ -22,14 +24,62 @@ def exact_values(rho, pair, cfg):
     return correlations.exact_correlation_set(rho, cfg, (pair,)).column(pair)[0]
 
 
-def table_for(rho, j, pair, cfg):
-    return correlations.build_tables(rho, cfg, (pair,))[(j, pair)]
+def tables_for(rho, pair, cfg):
+    return correlations.build_tables(rho, cfg, (pair,))
 
 
-def sample(table, n, seed):
-    """Counts, per-k estimates and per-k standard errors of one n-event draw."""
-    counts = sample_counts(table, n, seed)
-    return (counts, *sampled_records_from_counts(table, counts, n))
+def sample(tables, j, n, root_seed):
+    """Counts, per-k estimates and per-k standard errors of setting (j, pairs[0])."""
+    counts = sample_counts(tables, n, root_seed)
+    est, se = sampled_records_from_counts(tables, counts, n)
+    return counts[j - 1, 0], est[j - 1, :, 0], se[j - 1, :, 0]
+
+
+class TestOutcomeTables:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+        theta_a=st.floats(0.05, np.pi / 2),
+        theta_b=st.floats(0.05, np.pi / 2),
+        tilt=st.floats(-0.1, 0.1),
+    )
+    def test_probs_match_elementwise_trace(self, d, seed, theta_a, theta_b, tilt):
+        # every probs[j, p, alpha, beta, k] against Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma_j]
+        assume(abs(theta_a - theta_b) > 1e-3 and abs(tilt) > 1e-4)
+        rho = states.random_density(d, seed)
+        cfg = CouplingConfig(d, theta_a, theta_b)
+        tables = correlations.build_tables(rho, cfg, SUPPORTED_PAIRS, tilt)
+        assert tables.probs.shape == (d, len(SUPPORTED_PAIRS), 2, 2, d)
+        kets = [states.basis_state(d, k) for k in range(1, d + 1)]
+        system = [np.outer(ket, ket.conj()) for ket in kets]
+        for j in range(1, d + 1):
+            sigma = protocol.evolve(rho, j, cfg)
+            for p, (obs_a, obs_b) in enumerate(SUPPORTED_PAIRS):
+                setting_a = protocol.pointer_setting(obs_a, tilt)
+                setting_b = protocol.pointer_setting(obs_b, tilt)
+                for alpha, (eig_a, proj_a) in enumerate(setting_a.projectors):
+                    for beta, (eig_b, proj_b) in enumerate(setting_b.projectors):
+                        assert tables.weights[p, alpha, beta] == eig_a * eig_b
+                        for k, proj_k in enumerate(system):
+                            op = qmath.tensor(proj_k, qmath.tensor(proj_a, proj_b))
+                            expected = float(np.trace(op @ sigma).real)
+                            assert abs(tables.probs[j - 1, p, alpha, beta, k] - expected) <= 1e-14
+
+    def test_counts_follow_per_setting_philox_stream(self):
+        # pins the sampling stream: one Philox generator per (j, pair), keyed
+        # by derive_seed(root, "corr", j, a, b), drawing over the flat table
+        rho = states.random_density(3, 41)
+        tables = correlations.build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02)
+        root, n = 12345, 777
+        counts = sample_counts(tables, n, root)
+        for j in range(1, 4):
+            for p, (obs_a, obs_b) in enumerate(PAIRS_EXACT_II):
+                flat = tables.probs[j - 1, p].reshape(-1)
+                seed = derive_seed(root, "corr", j, obs_a, obs_b)
+                rng = np.random.Generator(np.random.Philox(seed))
+                expected = rng.multinomial(n, flat / flat.sum()).reshape(2, 2, 3)
+                np.testing.assert_array_equal(counts[j - 1, p], expected)
 
 
 class TestExactCorrelation:
@@ -123,26 +173,28 @@ class TestSampling:
     def test_same_seed_identical_counts(self):
         rho = states.random_density(2, 4)
         cfg = CouplingConfig(2, 1.0, 1.0)
-        table = table_for(rho, 1, ("X", "Y"), cfg)
-        counts_a, est_a, _ = sample(table, 5000, 99)
-        counts_b, est_b, _ = sample(table, 5000, 99)
+        tables = tables_for(rho, ("X", "Y"), cfg)
+        counts_a, est_a, _ = sample(tables, 1, 5000, 99)
+        counts_b, est_b, _ = sample(tables, 1, 5000, 99)
         np.testing.assert_array_equal(counts_a, counts_b)
         np.testing.assert_array_equal(est_a, est_b)
 
     def test_counts_total_and_record_shape(self):
         rho = states.random_density(3, 4)
         cfg = CouplingConfig(3, 0.9, 0.9)
-        counts, est, se = sample(table_for(rho, 2, ("Y", "Y"), cfg), 1234, 5)
-        assert counts.shape == (2, 2, 3)
-        assert int(counts.sum()) == 1234
-        assert est.shape == se.shape == (3,)
+        tables = tables_for(rho, ("Y", "Y"), cfg)
+        counts = sample_counts(tables, 1234, 5)
+        assert counts.shape == tables.probs.shape == (3, 1, 2, 2, 3)
+        np.testing.assert_array_equal(counts.sum(axis=(2, 3, 4)), 1234)
+        est, se = sampled_records_from_counts(tables, counts, 1234)
+        assert est.shape == se.shape == (3, 3, 1)
         cs = correlations.sampled_correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
         assert cs.n_events == 1234
 
     def test_double_flip_estimate_is_relative_frequency(self):
         rho = states.random_density(2, 6)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        counts, est, _ = sample(table_for(rho, 1, ("Pi1", "Pi1"), cfg), 2000, 3)
+        counts, est, _ = sample(tables_for(rho, ("Pi1", "Pi1"), cfg), 1, 2000, 3)
         np.testing.assert_allclose(est, counts[0, 0] / 2000)
         assert np.all((0.0 <= est) & (est <= 1.0))
 
@@ -155,7 +207,7 @@ class TestSampling:
             cfg = CouplingConfig(d, float(rng.uniform(0.2, np.pi / 2)), float(rng.uniform(0.2, np.pi / 2)))
             j = int(rng.integers(1, d + 1))
             pair = SUPPORTED_PAIRS[int(rng.integers(0, len(SUPPORTED_PAIRS)))]
-            _, est, se = sample(table_for(rho, j, pair, cfg), 10**6, trial)
+            _, est, se = sample(tables_for(rho, pair, cfg), j, 10**6, trial)
             k = int(rng.integers(1, d + 1))
             exact = exact_values(rho, pair, cfg)[j - 1, k - 1]
             margin = 5 * max(se[k - 1], 1e-9)
@@ -166,11 +218,11 @@ class TestSampling:
         rho = states.random_density(2, 31)
         cfg = CouplingConfig(2, 0.8, 0.8)
         exact = exact_values(rho, ("X", "X"), cfg)[0, 1]
-        table = table_for(rho, 1, ("X", "X"), cfg)
+        tables = tables_for(rho, ("X", "X"), cfg)
         n = 10**4
         vals, errs = [], []
         for seed in range(200):
-            _, est, se = sample(table, n, seed)
+            _, est, se = sample(tables, 1, n, seed)
             vals.append(est[1])
             errs.append(se[1])
         mean = float(np.mean(vals))
@@ -180,10 +232,10 @@ class TestSampling:
     def test_std_error_tracks_spread(self):
         rho = states.random_density(2, 15)
         cfg = CouplingConfig(2, 1.2, 1.2)
-        table = table_for(rho, 1, ("Y", "Y"), cfg)
+        tables = tables_for(rho, ("Y", "Y"), cfg)
         vals, errs = [], []
         for seed in range(150):
-            _, est, se = sample(table, 4000, 1000 + seed)
+            _, est, se = sample(tables, 1, 4000, 1000 + seed)
             vals.append(est[0])
             errs.append(se[0])
         spread = float(np.std(vals))
@@ -218,13 +270,6 @@ class TestCorrelationSet:
             Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
         with pytest.raises(ValueError, match="shaped"):
             Correlations((("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
-
-    def test_incomplete_tables_rejected(self):
-        rho = states.random_density(2, 20)
-        tables = correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
-        del tables[(2, ("Y", "Y"))]
-        with pytest.raises(ValueError, match="every"):
-            correlations.correlation_set_from_tables(tables)
 
 
 class TestSeedDerivation:

@@ -1,6 +1,7 @@
 """Error contracts and degenerate inputs across the package."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,12 +82,13 @@ class TestProtocolRejections:
             protocol.embedded_coupling(np.diag([1.0, 0.0]).astype(complex), 0.5, "C", 2)
 
     def test_outcome_probabilities_shape_check(self):
-        settings = (protocol.pointer_setting("Z"), protocol.pointer_setting("Z"))
+        settings = ((protocol.pointer_setting("Z"), protocol.pointer_setting("Z")),)
         with pytest.raises(ValueError, match="4d x 4d"):
             protocol.outcome_probabilities(np.eye(6), settings)
 
     def test_outcome_probabilities_flags_corruption(self):
-        settings = (protocol.pointer_setting("Z"), protocol.pointer_setting("Z"))
+        z, x = protocol.pointer_setting("Z"), protocol.pointer_setting("X")
+        settings = ((z, z), (x, z))
         # a valid state scaled so probabilities no longer sum to one
         rho = states.maximally_mixed(2)
         sigma = protocol.evolve(rho, 1, CouplingConfig(2, 0.5, 0.5))
@@ -96,6 +98,8 @@ class TestProtocolRejections:
         bad[0, 0] -= 0.3  # strongly negative eigenvalue leaks into probabilities
         with pytest.raises(ValueError, match="below -1e-9|sum to"):
             protocol.outcome_probabilities(bad, settings)
+        with pytest.raises(ValueError, match="imaginary part"):
+            protocol.outcome_probabilities(sigma + 1e-3j * np.eye(8), settings)
 
 
 class TestCorrelationRejections:
@@ -112,9 +116,9 @@ class TestCorrelationRejections:
     def test_sample_counts_needs_events(self):
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        table = correlations.build_tables(rho, cfg, (("X", "X"),))[(1, ("X", "X"))]
+        tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         with pytest.raises(ValueError, match="one event"):
-            sample_counts(table, 0, 1)
+            sample_counts(tables, 0, 1)
 
 
 class TestMetricsRejections:
@@ -170,6 +174,21 @@ class TestDegenerateRunnerPoints:
         )
         with pytest.raises(ValueError, match="broken estimator"):
             experiments.run_scenario(scn)
+
+    def test_error_bound_value_error_propagates(self, monkeypatch):
+        # the bound is nan only where metrics.has_error_floor says no floor
+        # exists; any other ValueError from the floor is a fault
+        def broken(method, d, theta, n):
+            raise ValueError("broken bound")
+
+        monkeypatch.setattr(metrics, "error_lower_bound", broken)
+        scn = experiments.Scenario(
+            scenario_id="b", kind="single", input_state="mixed", d=4, theta_list=(0.5,),
+            methods=("II",), seeds=(0,),
+        )
+        assert math.isnan(experiments.run_scenario(scn)[0].bound)  # II has no floor at d=4
+        with pytest.raises(ValueError, match="broken bound"):
+            experiments.run_scenario(replace(scn, methods=("I",)))
 
     def test_purity_sweep_needs_pure_state(self):
         scn = experiments.Scenario(scenario_id="m", kind="purity_sweep", input_state="mixed")

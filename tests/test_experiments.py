@@ -33,9 +33,9 @@ class TestBiasModel:
         cfg = CouplingConfig(2, 0.7, 0.7)
         plain = correlations.build_tables(rho, cfg, PAIRS_EXACT_I)
         neutral = build_tables(rho, cfg, PAIRS_EXACT_I, BiasModel())
-        assert neutral.keys() == plain.keys()
-        for key, table in plain.items():
-            np.testing.assert_array_equal(neutral[key].probs, table.probs)
+        assert neutral.pairs == plain.pairs
+        np.testing.assert_array_equal(neutral.weights, plain.weights)
+        np.testing.assert_array_equal(neutral.probs, plain.probs)
 
     def test_rotation_overlap_geometry(self):
         # a projector tilted by epsilon overlaps its original by cos^2(epsilon)
@@ -53,12 +53,13 @@ class TestBiasModel:
     def test_efficiency_scaling_renormalizes(self):
         rho = states.random_density(2, 3)
         cfg = CouplingConfig(2, 0.7, 0.7)
-        table = correlations.build_tables(rho, cfg, (("X", "X"),))[(1, ("X", "X"))]
-        biased = bias_outcome_table(table, BiasModel(per_projector_efficiency=1.05))
-        assert biased.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        ratio = biased.probs[0, 0, 0] / table.probs[0, 0, 0]
-        assert ratio > 1.0  # designated row gained weight
-        assert biased.probs[1, 0, 0] < table.probs[1, 0, 0]
+        tables = correlations.build_tables(rho, cfg, (("X", "X"), ("Y", "Pi1")))
+        biased = bias_outcome_table(tables, BiasModel(per_projector_efficiency=1.05))
+        # every (j, pair) table renormalized on its own
+        np.testing.assert_allclose(biased.probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-12)
+        ratio = biased.probs[:, :, 0] / tables.probs[:, :, 0]
+        assert np.all(ratio > 1.0)  # designated row gained weight
+        assert np.all(biased.probs[:, :, 1] < tables.probs[:, :, 1])
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -46,9 +46,12 @@ class TestErrorLowerBound:
     def test_method_ii_d5(self):
         b = error_lower_bound("II", 5, 0.3, 100)
         assert b.alpha == pytest.approx(np.sqrt(20) / 2)
+        assert metrics.has_error_floor("II", 5)
 
     def test_method_ii_rejects_small_d(self):
         for d in (2, 3, 4):
+            assert not metrics.has_error_floor("II", d)
+            assert metrics.has_error_floor("W", d) and metrics.has_error_floor("I", d)
             with pytest.raises(ValueError, match="radicand"):
                 error_lower_bound("II", d, 0.3, 100)
 

@@ -1,4 +1,4 @@
-"""Coupling unitaries, evolution and outcome tables."""
+"""Coupling unitaries, evolution and outcome probabilities."""
 
 import numpy as np
 import pytest
@@ -144,9 +144,9 @@ class TestCoupledEvolution:
 
         def xy_12(u):
             sigma = u @ sigma_in @ u.conj().T
-            table = protocol.outcome_probabilities(sigma, settings, j=1)
+            probs = protocol.outcome_probabilities(sigma, (settings,))[0]
             eig = np.array([1.0, -1.0])
-            return float(np.einsum("x,y,xy->", eig, eig, table.probs[:, :, 1]))
+            return float(np.einsum("x,y,xy->", eig, eig, probs[:, :, 1]))
 
         assert abs(xy_12(u_b @ u_a) - xy_12(u_a @ u_b)) > 1e-3
 
@@ -189,10 +189,14 @@ class TestEvolve:
         for k in range(1, 4):
             pk = np.outer(states.basis_state(3, k), states.basis_state(3, k).conj())
             direct.append(float(np.trace(qmath.tensor(pk, np.eye(4)) @ sigma).real))
-        for pair in (("X", "X"), ("Y", "Pi1"), ("Z", "Z")):
-            settings = (protocol.pointer_setting(pair[0]), protocol.pointer_setting(pair[1]))
-            table = protocol.outcome_probabilities(sigma, settings, j=2)
-            np.testing.assert_allclose(table.probs.sum(axis=(0, 1)), direct, atol=1e-12)
+        setting_pairs = tuple(
+            (protocol.pointer_setting(a), protocol.pointer_setting(b))
+            for a, b in (("X", "X"), ("Y", "Pi1"), ("Z", "Z"))
+        )
+        probs = protocol.outcome_probabilities(sigma, setting_pairs)
+        assert probs.shape == (3, 2, 2, 3)
+        for table in probs:
+            np.testing.assert_allclose(table.sum(axis=(0, 1)), direct, atol=1e-12)
 
 
 class TestOutcomeProbabilities:
@@ -203,11 +207,13 @@ class TestOutcomeProbabilities:
             rho = states.random_density(d, 100 + seed)
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
             sigma = protocol.evolve(rho, 1, cfg)
-            for pair in (("X", "Y"), ("Pi1", "Z")):
-                settings = (protocol.pointer_setting(pair[0]), protocol.pointer_setting(pair[1]))
-                table = protocol.outcome_probabilities(sigma, settings, j=1)
-                assert table.probs.sum() == pytest.approx(1.0, abs=1e-10)
-                assert table.probs.min() >= 0.0
+            setting_pairs = tuple(
+                (protocol.pointer_setting(a), protocol.pointer_setting(b))
+                for a, b in (("X", "Y"), ("Pi1", "Z"))
+            )
+            probs = protocol.outcome_probabilities(sigma, setting_pairs)
+            np.testing.assert_allclose(probs.sum(axis=(1, 2, 3)), 1.0, atol=1e-10)
+            assert probs.min() >= 0.0
 
     def test_double_flip_probability_maximally_mixed(self):
         # full strength, d=2: prob of both pointers flipped is 1/8 for each k
@@ -215,14 +221,13 @@ class TestOutcomeProbabilities:
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         sigma = protocol.evolve(rho, 1, cfg)
         settings = (protocol.pointer_setting("Pi1"), protocol.pointer_setting("Pi1"))
-        table = protocol.outcome_probabilities(sigma, settings, j=1)
-        assert table.prob(0, 0, 1) == pytest.approx(0.125, abs=1e-12)
-        assert table.prob(0, 0, 2) == pytest.approx(0.125, abs=1e-12)
+        probs = protocol.outcome_probabilities(sigma, (settings,))[0]
+        np.testing.assert_allclose(probs[0, 0], 0.125, atol=1e-12)
 
     def test_pointers_stay_at_zero_strength(self):
         rho = states.random_density(2, 3)
         sigma = protocol.evolve(rho, 1, CouplingConfig(2, 0.0, 0.0))
         settings = (protocol.pointer_setting("Z"), protocol.pointer_setting("Z"))
-        table = protocol.outcome_probabilities(sigma, settings, j=1)
+        probs = protocol.outcome_probabilities(sigma, (settings,))[0]
         # all weight on the (+1, +1) Z outcomes
-        assert table.probs[0, 0, :].sum() == pytest.approx(1.0, abs=1e-12)
+        assert probs[0, 0, :].sum() == pytest.approx(1.0, abs=1e-12)
