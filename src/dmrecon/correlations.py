@@ -1,10 +1,10 @@
 """Pointer correlation values <O_A O_B>_{j,k}, three ways.
 
 Each correlation is the expectation of
-Pi_{a_k} (x) O_A (x) O_B on the state evolved with the j-th coupling.
+Pi_{a_k} (x) O_A (x) O_B on the state after the j-th pair of couplings.
 Three evaluation paths are provided:
 
-  exact     trace against the numerically evolved tripartite state
+  exact     numerical outcome probabilities from the couplings' Kraus operators
   analytic  closed-form expressions in the entries of rho
   sampled   finite-N multinomial draw from the joint outcome distribution
 
@@ -13,7 +13,7 @@ point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
 and fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic
 path gives one value at a time. The exact and analytic paths are independent
 implementations and must agree; their agreement cross-validates both the
-evolution code and the closed forms.
+Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
@@ -228,16 +228,15 @@ def build_tables(
 ) -> OutcomeTables:
     """Outcome tables for every coupled index j and requested observable pair.
 
-    Each observable's pointer setting is built once and the evolved state
-    once per j. A nonzero `tilt` rotates every pointer projector
-    (pointer-rotation bias).
+    Each observable's pointer setting is built once, and one
+    `outcome_probabilities` call covers every j. A nonzero `tilt` rotates
+    every pointer projector (pointer-rotation bias).
     """
     observables = dict.fromkeys(obs for pair in pairs for obs in pair)
     settings = {obs: protocol.pointer_setting(obs, tilt) for obs in observables}
     setting_pairs = tuple((settings[a], settings[b]) for a, b in pairs)
     weights = np.stack([np.multiply.outer(a.eigenvalues, b.eigenvalues) for a, b in setting_pairs])
-    sigmas = (protocol.evolve(rho, j, cfg) for j in range(1, cfg.dim + 1))
-    probs = np.stack([protocol.outcome_probabilities(s, setting_pairs) for s in sigmas])
+    probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
     return OutcomeTables(pairs, weights, probs)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlations, metrics, qmath, reconstruct, states
 from .correlations import OutcomeTables, derive_seed
-from .protocol import CouplingConfig
+from .protocol import MAX_DIM, CouplingConfig
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -105,8 +105,17 @@ class Scenario:
                 raise ValueError(f"theta={th} outside (0, pi/2]")
         if self.kind == "purity_sweep" and len(thetas) != 1:
             raise ValueError("purity sweeps use a single coupling strength")
+        if not 1 <= self.d <= MAX_DIM:
+            raise ValueError(f"dimension d={self.d} outside supported range 1..{MAX_DIM}")
+        if self.kind == "purity_sweep" and not self.input_state.startswith("pure:"):
+            raise ValueError("purity sweeps need a pure input spec for the family state")
+        states.parse_state_spec(self.input_state, self.d)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative ({EXPECTATION_SEED} marks expectation rows)")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {' '.join(map(str, self.seeds))}")
         if self.n_events < 1:
             raise ValueError("n_events must be >= 1")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -331,8 +340,6 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
     """
     rows: list[ResultRow] = []
     if scn.kind == "purity_sweep":
-        if not scn.input_state.startswith("pure:"):
-            raise ValueError("purity sweeps need a pure input spec for the family state")
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
         theta = scn.theta_list[0]
         for p in scn.purity_grid:

@@ -1,4 +1,4 @@
-"""Two-pointer coupling protocol: unitaries, evolution, outcome probabilities.
+"""Two-pointer coupling protocol: unitaries, Kraus operators, outcome probabilities.
 
 The system (dimension d) is coupled in sequence to two qubit pointers A and B,
 both prepared in |0>. The first coupling rotates pointer A conditioned on the
@@ -6,11 +6,14 @@ basis projector |a_j><a_j|, the second rotates pointer B conditioned on the
 projector onto the uniform superposition |b_0>. The order matters: the two
 couplings do not commute.
 
-`outcome_probabilities` reads the joint (pointer A, pointer B, system)
-outcome table of every requested pointer setting pair from one evolved state.
-
-Tensor-leg order is fixed as system (x) pointerA (x) pointerB everywhere; every
-embedding goes through `embedded_coupling` so the convention lives in one place.
+Because both pointers start in |0>, each coupling acts on the system through
+two d x d Kraus operators M_alpha = <alpha| U |0>, read from the |0> input
+column of the closed-form `coupling_unitary` (the one statement of the
+coupling convention, system (x) pointer). Pointer A acts first, so outcome
+(alpha, beta) of the j-th measurement applies K_{j alpha beta} =
+M^B_beta M^A_{j alpha}. `outcome_probabilities` contracts these with the
+state and the pointer setting projectors into the joint (pointer A,
+pointer B, system) outcome table of every j and setting pair at once.
 """
 
 from __future__ import annotations
@@ -157,59 +160,40 @@ def coupling_unitary(proj: np.ndarray, theta: float) -> np.ndarray:
     return qmath.tensor(np.eye(d) - p, np.eye(2)) + qmath.tensor(p, pointer_rotation(theta))
 
 
-def embedded_coupling(proj: np.ndarray, theta: float, pointer: str, d: int) -> np.ndarray:
-    """Coupling of a system projector to one pointer, embedded in system (x) A (x) B."""
-    p = qmath.as_complex_matrix(proj)
-    if pointer == "A":
-        return qmath.tensor(coupling_unitary(p, theta), np.eye(2))
-    if pointer == "B":
-        return qmath.tensor(np.eye(d) - p, np.eye(4)) + qmath.tensor(
-            p, qmath.tensor(np.eye(2), pointer_rotation(theta))
-        )
-    raise ValueError(f"pointer must be 'A' or 'B', got '{pointer}'")
-
-
-def build_coupled_evolution(j: int, cfg: CouplingConfig) -> np.ndarray:
-    """The full 4d x 4d unitary U_B U_{A,j} (A-coupling applied first)."""
-    d = cfg.dim
-    if not 1 <= j <= d:
-        raise ValueError(f"coupled index j={j} out of range 1..{d}")
-    proj_aj = _proj(states.basis_state(d, j))
-    proj_b0 = _proj(states.b0_state(d))
-    u_a = embedded_coupling(proj_aj, cfg.theta_a, "A", d)
-    u_b = embedded_coupling(proj_b0, cfg.theta_b, "B", d)
-    return u_b @ u_a
-
-
-def evolve(rho: states.DensityMatrix, j: int, cfg: CouplingConfig) -> np.ndarray:
-    """Evolve rho (x) |0><0| (x) |0><0| through the two couplings for index j."""
-    if rho.dim != cfg.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
-    p0 = _proj(_KET0)
-    sigma_in = qmath.tensor(rho.matrix, qmath.tensor(p0, p0))
-    u = build_coupled_evolution(j, cfg)
-    return u @ sigma_in @ u.conj().T
+def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
+    """Kraus operators of one pointer coupling: M[k, alpha, i] = <a_k alpha| U |a_i 0>."""
+    d = proj.shape[0]
+    return coupling_unitary(proj, theta).reshape(d, 2, d, 2)[:, :, :, 0]
 
 
 def outcome_probabilities(
-    sigma_out: np.ndarray,
+    rho: states.DensityMatrix,
+    cfg: CouplingConfig,
     setting_pairs: tuple[tuple[PointerSetting, PointerSetting], ...],
 ) -> np.ndarray:
-    """Joint outcome probabilities of every (pointer A, pointer B) setting pair.
+    """Joint outcome probabilities of every coupled index j and setting pair.
 
-    probs[p, alpha, beta, k] = Tr[(|a_{k+1}><a_{k+1}| (x) P_alpha (x) Q_beta) sigma_out]
-    with P, Q the projectors of `setting_pairs[p]`; each pair's table sums to 1.
+    probs[j-1, p, alpha, beta, k-1] = Tr[(|a_k><a_k| (x) P_alpha (x) Q_beta) sigma_j]
+    with P, Q the projectors of `setting_pairs[p]` and sigma_j the state after
+    both couplings; each (j, pair) table sums to 1.
     """
-    sigma = qmath.as_complex_matrix(sigma_out)
-    n = sigma.shape[0]
-    d, rem = divmod(n, 4)
-    if rem != 0 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"tripartite operator must be 4d x 4d, got {sigma.shape}")
+    if rho.dim != cfg.dim:
+        raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
+    d = cfg.dim
+    kraus_a = np.stack([_kraus(_proj(v), cfg.theta_a) for v in np.eye(d, dtype=complex)])
+    kraus_b = _kraus(_proj(states.b0_state(d)), cfg.theta_b)
+    # K[j, alpha, beta] = M^B_beta M^A_{j, alpha}: pointer A couples first.
+    kraus = np.einsum("kbm,jmai->jabki", kraus_b, kraus_a)
+    # (K_{j alpha beta} rho K_{j gamma delta}^dagger)_kk, the pointer blocks of sigma_j's
+    # k-th diagonal system entry, contracted with the setting projectors.
+    blocks = np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus.conj())
     proj_a = np.stack([a.projector_stack for a, _ in setting_pairs])
     proj_b = np.stack([b.projector_stack for _, b in setting_pairs])
-    t = sigma.reshape(d, 2, 2, d, 2, 2)
-    # Tr[(Pi_k (x) P (x) Q) sigma] contracts only the k-th diagonal system block.
-    probs = np.einsum("pxaA,pybB,kABkab->pxyk", proj_a, proj_b, t)
+    return _checked_probabilities(np.einsum("pxca,pydb,jabcdk->jpxyk", proj_a, proj_b, blocks))
+
+
+def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
+    """Real outcome tables [..., alpha, beta, k], each checked to be a distribution."""
     imag_max = float(np.max(np.abs(probs.imag)))
     if imag_max > PROB_CORRUPT:
         raise ValueError(f"outcome probabilities have imaginary part {imag_max:.3e}")
@@ -218,7 +202,7 @@ def outcome_probabilities(
     if lo < -PROB_CORRUPT:
         raise ValueError(f"outcome probability {lo:.3e} below -1e-9: numerical corruption")
     probs = np.where(probs < 0.0, 0.0, probs)
-    totals = probs.sum(axis=(1, 2, 3))
+    totals = probs.sum(axis=(-3, -2, -1))
     off = totals[np.abs(totals - 1.0) > 1e-10]
     if off.size:
         raise ValueError(f"outcome probabilities sum to {off[0]:.12g}, expected 1")

@@ -1,0 +1,60 @@
+"""Dense 4d x 4d reference for the protocol's outcome tables.
+
+Independent of `protocol.outcome_probabilities`: both couplings are built as
+matrix exponentials on system (x) pointer A (x) pointer B, the input
+rho (x) |00><00| is conjugated by the full unitary, and every probability is
+read as a trace against Pi_k (x) P_alpha (x) Q_beta.
+"""
+
+import numpy as np
+
+from dmrecon import qmath, states
+
+Y = np.array([[0, -1j], [1j, 0]])
+I2 = np.eye(2)
+
+
+def _proj(v):
+    return np.outer(v, v.conj())
+
+
+def couplings(j, cfg):
+    """(U_A, U_B): exp(-i theta_A P_j (x) Y (x) 1) and exp(-i theta_B P_b0 (x) 1 (x) Y)."""
+    d = cfg.dim
+    u_a = qmath.matrix_exponential(
+        qmath.tensor(_proj(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta_a
+    )
+    u_b = qmath.matrix_exponential(
+        qmath.tensor(_proj(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta_b
+    )
+    return u_a, u_b
+
+
+def evolved(rho, u):
+    """u (rho (x) |00><00|) u^dagger."""
+    sigma_in = qmath.tensor(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    return u @ sigma_in @ u.conj().T
+
+
+def trace_tables(sigma, setting_pairs):
+    """probs[p, alpha, beta, k-1] = Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma], one trace each."""
+    d = sigma.shape[0] // 4
+    probs = np.empty((len(setting_pairs), 2, 2, d))
+    for p, (setting_a, setting_b) in enumerate(setting_pairs):
+        for alpha, (_, proj_a) in enumerate(setting_a.projectors):
+            for beta, (_, proj_b) in enumerate(setting_b.projectors):
+                for k in range(d):
+                    proj_k = _proj(states.basis_state(d, k + 1))
+                    op = qmath.tensor(proj_k, qmath.tensor(proj_a, proj_b))
+                    probs[p, alpha, beta, k] = np.trace(op @ sigma).real
+    return probs
+
+
+def dense_tables(rho, cfg, setting_pairs, a_first=True):
+    """Outcome tables [j-1, p, alpha, beta, k-1] from U_B U_A, or from U_A U_B."""
+    tables = []
+    for j in range(1, cfg.dim + 1):
+        u_a, u_b = couplings(j, cfg)
+        u = u_b @ u_a if a_first else u_a @ u_b
+        tables.append(trace_tables(evolved(rho, u), setting_pairs))
+    return np.stack(tables)

@@ -141,3 +141,27 @@ def test_run_reports_uncreatable_out_dir(tmp_path, capsys, monkeypatch):
 def test_exact_reports_bad_input(capsys, argv, message):
     rc = main(["exact", "--method", "I", *argv])
     assert message in _one_line_error(capsys, rc)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["kind = single", "d = 40"], "outside supported range 1..16"),
+        (["kind = single", "state = pure:H", "d = 3"], "requires d=2"),
+        (["kind = purity_sweep", "state = mixed"], "pure input"),
+        (["kind = purity_sweep", "state = pure:a4", "d = 3"], "out of range 1..3"),
+        (["kind = single", "seeds = -1 0"], "seeds must be nonnegative"),
+        (["kind = single", "seeds = 0 1 0"], "seeds must not repeat"),
+    ],
+)
+def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):
+    # caught when the config is parsed: nothing runs and nothing is written
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("[scenario late]\n" + "\n".join(lines) + "\nn_events = 100\n")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "section [scenario late]" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "results.csv").exists()

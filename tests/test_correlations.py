@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_oracle import couplings, evolved
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +46,8 @@ class TestOutcomeTables:
         tilt=st.floats(-0.1, 0.1),
     )
     def test_probs_match_elementwise_trace(self, d, seed, theta_a, theta_b, tilt):
-        # every probs[j, p, alpha, beta, k] against Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma_j]
+        # every probs[j, p, alpha, beta, k] against Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma_j],
+        # with sigma_j = U_B U_A (rho (x) |00><00|) (U_B U_A)^dagger evolved densely
         assume(abs(theta_a - theta_b) > 1e-3 and abs(tilt) > 1e-4)
         rho = states.random_density(d, seed)
         cfg = CouplingConfig(d, theta_a, theta_b)
@@ -54,7 +56,8 @@ class TestOutcomeTables:
         kets = [states.basis_state(d, k) for k in range(1, d + 1)]
         system = [np.outer(ket, ket.conj()) for ket in kets]
         for j in range(1, d + 1):
-            sigma = protocol.evolve(rho, j, cfg)
+            u_a, u_b = couplings(j, cfg)
+            sigma = evolved(rho, u_b @ u_a)
             for p, (obs_a, obs_b) in enumerate(SUPPORTED_PAIRS):
                 setting_a = protocol.pointer_setting(obs_a, tilt)
                 setting_b = protocol.pointer_setting(obs_b, tilt)

@@ -77,29 +77,28 @@ class TestProtocolRejections:
         with pytest.raises(ValueError, match="Hermitian"):
             protocol.coupling_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
 
-    def test_embedding_names_pointers(self):
-        with pytest.raises(ValueError, match="pointer"):
-            protocol.embedded_coupling(np.diag([1.0, 0.0]).astype(complex), 0.5, "C", 2)
-
-    def test_outcome_probabilities_shape_check(self):
-        settings = ((protocol.pointer_setting("Z"), protocol.pointer_setting("Z")),)
-        with pytest.raises(ValueError, match="4d x 4d"):
-            protocol.outcome_probabilities(np.eye(6), settings)
-
     def test_outcome_probabilities_flags_corruption(self):
         z, x = protocol.pointer_setting("Z"), protocol.pointer_setting("X")
-        settings = ((z, z), (x, z))
-        # a valid state scaled so probabilities no longer sum to one
         rho = states.maximally_mixed(2)
-        sigma = protocol.evolve(rho, 1, CouplingConfig(2, 0.5, 0.5))
+        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), ((z, z), (x, z)))
+        probs = probs.astype(complex)
+        # tables scaled so they no longer sum to one
         with pytest.raises(ValueError, match="sum to"):
-            protocol.outcome_probabilities(2.0 * sigma, settings)
-        bad = sigma.copy()
-        bad[0, 0] -= 0.3  # strongly negative eigenvalue leaks into probabilities
-        with pytest.raises(ValueError, match="below -1e-9|sum to"):
-            protocol.outcome_probabilities(bad, settings)
+            protocol._checked_probabilities(2.0 * probs)
+        bad = probs.copy()
+        bad[1, 0, 0, 1, 0] = -0.3
+        with pytest.raises(ValueError, match="below -1e-9"):
+            protocol._checked_probabilities(bad)
         with pytest.raises(ValueError, match="imaginary part"):
-            protocol.outcome_probabilities(sigma + 1e-3j * np.eye(8), settings)
+            protocol._checked_probabilities(probs + 1e-3j)
+
+    def test_outcome_probabilities_flags_non_positive_state(self):
+        # a Hermitian unit-trace matrix with a negative eigenvalue is no state:
+        # its outcome tables have negative entries
+        rho = states.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        z = protocol.pointer_setting("Z")
+        with pytest.raises(ValueError, match="below -1e-9"):
+            protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), ((z, z),))
 
 
 class TestCorrelationRejections:
@@ -191,9 +190,8 @@ class TestDegenerateRunnerPoints:
             experiments.run_scenario(replace(scn, methods=("I",)))
 
     def test_purity_sweep_needs_pure_state(self):
-        scn = experiments.Scenario(scenario_id="m", kind="purity_sweep", input_state="mixed")
         with pytest.raises(ValueError, match="pure input"):
-            experiments.run_scenario(scn)
+            experiments.Scenario(scenario_id="m", kind="purity_sweep", input_state="mixed")
 
     def test_scenario_id_required(self):
         with pytest.raises(ValueError, match="id"):

@@ -1,7 +1,8 @@
-"""Coupling unitaries, evolution and outcome probabilities."""
+"""Coupling unitaries, Kraus operators and outcome probabilities."""
 
 import numpy as np
 import pytest
+from dense_oracle import couplings, dense_tables, evolved
 
 from dmrecon import protocol, qmath, states
 from dmrecon.protocol import CouplingConfig
@@ -102,100 +103,100 @@ class TestCouplingUnitary:
             protocol.coupling_unitary(np.diag([2.0, 0.0]).astype(complex), 0.5)
 
 
+def kraus_operators(j, cfg):
+    """K[alpha, beta] = M^B_beta M^A_{j, alpha}, from the couplings' Kraus operators."""
+    d = cfg.dim
+    proj_aj = np.outer(states.basis_state(d, j), states.basis_state(d, j).conj())
+    b0 = states.b0_state(d)
+    m_a = protocol._kraus(proj_aj, cfg.theta_a)
+    m_b = protocol._kraus(np.outer(b0, b0.conj()), cfg.theta_b)
+    return np.einsum("kbm,mai->abki", m_b, m_a)
+
+
+def setting_pairs_of(*pairs):
+    return tuple((protocol.pointer_setting(a), protocol.pointer_setting(b)) for a, b in pairs)
+
+
 class TestCoupledEvolution:
     def test_zero_strength_identity(self):
-        u = protocol.build_coupled_evolution(1, CouplingConfig(2, 0.0, 0.0))
-        np.testing.assert_allclose(u, np.eye(8), atol=1e-15)
+        kraus = kraus_operators(1, CouplingConfig(2, 0.0, 0.0))
+        np.testing.assert_allclose(kraus[0, 0], np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(kraus[1], 0.0, atol=1e-15)
+        np.testing.assert_allclose(kraus[:, 1], 0.0, atol=1e-15)
 
     def test_unitarity_random_strengths(self):
+        # U_B U_A restricted to the pointers' |00> input is an isometry:
+        # its Kraus operators are complete, sum_{alpha beta} K^dagger K = 1
         rng = np.random.default_rng(43)
         for _ in range(10):
-            d = int(rng.integers(2, 5))
+            d = int(rng.integers(1, 6))
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            j = int(rng.integers(1, d + 1))
-            u = protocol.build_coupled_evolution(j, cfg)
-            np.testing.assert_allclose(u.conj().T @ u, np.eye(4 * d), atol=1e-12)
-
-    def test_couplings_do_not_commute(self):
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        d = cfg.dim
-        proj_aj = np.outer(states.basis_state(d, 1), states.basis_state(d, 1).conj())
-        b0 = states.b0_state(d)
-        proj_b0 = np.outer(b0, b0.conj())
-        u_a = protocol.embedded_coupling(proj_aj, cfg.theta_a, "A", d)
-        u_b = protocol.embedded_coupling(proj_b0, cfg.theta_b, "B", d)
-        diff = np.linalg.norm(u_b @ u_a - u_a @ u_b, ord=2)
-        assert diff > 0.1
+            for j in range(1, d + 1):
+                kraus = kraus_operators(j, cfg)
+                total = np.einsum("abki,abkl->il", kraus.conj(), kraus)
+                np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
 
     def test_order_changes_correlations(self):
-        # witnessed on a generic state: swapping the couplings changes <X_A Y_B>
-        rng = np.random.default_rng(44)
+        # the tables follow U_B U_A (pointer A first) and, on a generic state,
+        # differ from those of the swapped order U_A U_B: the couplings do not commute
         rho = states.random_density(2, 2026)
         cfg = CouplingConfig(2, 0.7, 0.7)
-        d = cfg.dim
-        proj_aj = np.outer(states.basis_state(d, 1), states.basis_state(d, 1).conj())
-        b0 = states.b0_state(d)
-        proj_b0 = np.outer(b0, b0.conj())
-        u_a = protocol.embedded_coupling(proj_aj, cfg.theta_a, "A", d)
-        u_b = protocol.embedded_coupling(proj_b0, cfg.theta_b, "B", d)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        sigma_in = qmath.tensor(rho.matrix, qmath.tensor(p0, p0))
-        settings = (protocol.pointer_setting("X"), protocol.pointer_setting("Y"))
-
-        def xy_12(u):
-            sigma = u @ sigma_in @ u.conj().T
-            probs = protocol.outcome_probabilities(sigma, (settings,))[0]
-            eig = np.array([1.0, -1.0])
-            return float(np.einsum("x,y,xy->", eig, eig, probs[:, :, 1]))
-
-        assert abs(xy_12(u_b @ u_a) - xy_12(u_a @ u_b)) > 1e-3
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            protocol.build_coupled_evolution(3, CouplingConfig(2, 0.5, 0.5))
+        setting_pairs = setting_pairs_of(("X", "Y"), ("Y", "Y"), ("Pi1", "X"))
+        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
+        a_first = dense_tables(rho, cfg, setting_pairs)
+        b_first = dense_tables(rho, cfg, setting_pairs, a_first=False)
+        np.testing.assert_allclose(probs, a_first, rtol=0.0, atol=1e-14)
+        assert np.max(np.abs(probs - b_first)) > 1e-3
 
 
 class TestEvolve:
     def test_zero_strength_returns_input(self):
-        rho = states.random_density(2, 1)
-        cfg = CouplingConfig(2, 0.0, 0.0)
-        sigma = protocol.evolve(rho, 1, cfg)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(sigma, qmath.tensor(rho.matrix, qmath.tensor(p0, p0)), atol=1e-14)
+        # no coupling: the system keeps rho's populations and both pointers stay in |0>
+        rho = states.random_density(3, 1)
+        cfg = CouplingConfig(3, 0.0, 0.0)
+        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("Z", "Z")))
+        populations = np.diag(rho.matrix).real
+        for j in range(3):
+            np.testing.assert_allclose(probs[j, 0].sum(axis=(0, 1)), populations, atol=1e-15)
+            np.testing.assert_allclose(probs[j, 0, 0, 0], populations, atol=1e-15)
 
     def test_output_is_a_state(self):
+        # every (j, pair) table is a distribution whose system marginal does
+        # not depend on how the pointers are read
         rng = np.random.default_rng(45)
+        setting_pairs = setting_pairs_of(("X", "X"), ("Y", "Pi1"), ("Z", "Y"))
         for seed in range(5):
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, seed)
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            sigma = protocol.evolve(rho, 1, cfg)
-            assert np.trace(sigma).real == pytest.approx(1.0, abs=1e-12)
-            assert np.max(np.abs(sigma - sigma.conj().T)) < 1e-12
-            assert np.min(np.linalg.eigvalsh(sigma)) > -1e-10
+            probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
+            assert probs.shape == (d, 3, 2, 2, d)
+            assert probs.min() >= 0.0 and probs.max() <= 1.0
+            np.testing.assert_allclose(probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-12)
+            marginals = probs.sum(axis=(2, 3))
+            np.testing.assert_allclose(marginals, marginals[:, :1].repeat(3, axis=1), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            protocol.evolve(states.maximally_mixed(3), 1, CouplingConfig(2, 0.5, 0.5))
+            protocol.outcome_probabilities(
+                states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5), setting_pairs_of(("X", "X"))
+            )
 
     def test_system_marginals_consistent(self):
         # the k-marginal of every outcome table equals the direct trace of
-        # the evolved state against the system projector, whatever the
+        # the dense evolved state against the system projector, whatever the
         # pointer settings
         rho = states.random_density(3, 9)
         cfg = CouplingConfig(3, 0.8, 0.4)
-        sigma = protocol.evolve(rho, 2, cfg)
+        u_a, u_b = couplings(2, cfg)
+        sigma = evolved(rho, u_b @ u_a)
         direct = []
         for k in range(1, 4):
             pk = np.outer(states.basis_state(3, k), states.basis_state(3, k).conj())
             direct.append(float(np.trace(qmath.tensor(pk, np.eye(4)) @ sigma).real))
-        setting_pairs = tuple(
-            (protocol.pointer_setting(a), protocol.pointer_setting(b))
-            for a, b in (("X", "X"), ("Y", "Pi1"), ("Z", "Z"))
-        )
-        probs = protocol.outcome_probabilities(sigma, setting_pairs)
-        assert probs.shape == (3, 2, 2, 3)
-        for table in probs:
+        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("X", "X"), ("Y", "Pi1"), ("Z", "Z")))
+        assert probs.shape == (3, 3, 2, 2, 3)
+        for table in probs[1]:
             np.testing.assert_allclose(table.sum(axis=(0, 1)), direct, atol=1e-12)
 
 
@@ -206,28 +207,21 @@ class TestOutcomeProbabilities:
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, 100 + seed)
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            sigma = protocol.evolve(rho, 1, cfg)
-            setting_pairs = tuple(
-                (protocol.pointer_setting(a), protocol.pointer_setting(b))
-                for a, b in (("X", "Y"), ("Pi1", "Z"))
-            )
-            probs = protocol.outcome_probabilities(sigma, setting_pairs)
-            np.testing.assert_allclose(probs.sum(axis=(1, 2, 3)), 1.0, atol=1e-10)
+            probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("X", "Y"), ("Pi1", "Z")))
+            np.testing.assert_allclose(probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-10)
             assert probs.min() >= 0.0
 
     def test_double_flip_probability_maximally_mixed(self):
-        # full strength, d=2: prob of both pointers flipped is 1/8 for each k
+        # full strength, d=2: prob of both pointers flipped is 1/8 for each j and k
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        sigma = protocol.evolve(rho, 1, cfg)
-        settings = (protocol.pointer_setting("Pi1"), protocol.pointer_setting("Pi1"))
-        probs = protocol.outcome_probabilities(sigma, (settings,))[0]
-        np.testing.assert_allclose(probs[0, 0], 0.125, atol=1e-12)
+        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("Pi1", "Pi1")))
+        np.testing.assert_allclose(probs[:, 0, 0, 0], 0.125, atol=1e-12)
 
     def test_pointers_stay_at_zero_strength(self):
         rho = states.random_density(2, 3)
-        sigma = protocol.evolve(rho, 1, CouplingConfig(2, 0.0, 0.0))
-        settings = (protocol.pointer_setting("Z"), protocol.pointer_setting("Z"))
-        probs = protocol.outcome_probabilities(sigma, (settings,))[0]
-        # all weight on the (+1, +1) Z outcomes
-        assert probs[0, 0, :].sum() == pytest.approx(1.0, abs=1e-12)
+        probs = protocol.outcome_probabilities(
+            rho, CouplingConfig(2, 0.0, 0.0), setting_pairs_of(("Z", "Z"))
+        )
+        # all weight on the (+1, +1) Z outcomes, for every j
+        np.testing.assert_allclose(probs[:, 0, 0, 0, :].sum(axis=-1), 1.0, atol=1e-12)
