@@ -136,6 +136,19 @@ class TestCoupledEvolution:
                 total = np.einsum("abki,abkl->il", kraus.conj(), kraus)
                 np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
 
+    def test_couplings_do_not_commute(self):
+        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        u_a, u_b = couplings(1, cfg)
+        assert np.linalg.norm(u_b @ u_a - u_a @ u_b, ord=2) > 0.1
+        # the pointers' Kraus operators inherit it: M^B_beta M^A_alpha != M^A_alpha M^B_beta
+        d = cfg.dim
+        b0 = states.b0_state(d)
+        m_a = protocol._kraus(np.outer(states.basis_state(d, 1), states.basis_state(d, 1).conj()), cfg.theta_a)
+        m_b = protocol._kraus(np.outer(b0, b0.conj()), cfg.theta_b)
+        a_first = np.einsum("kbm,mai->abki", m_b, m_a)
+        b_first = np.einsum("kam,mbi->abki", m_a, m_b)
+        assert np.max(np.abs(a_first - b_first)) > 0.1
+
     def test_order_changes_correlations(self):
         # the tables follow U_B U_A (pointer A first) and, on a generic state,
         # differ from those of the swapped order U_A U_B: the couplings do not commute
