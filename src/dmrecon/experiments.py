@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlations, metrics, qmath, reconstruct, states
 from .correlations import OutcomeTables, derive_seed
-from .protocol import MAX_DIM, CouplingConfig
+from .protocol import CouplingConfig, check_dim
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -105,11 +105,10 @@ class Scenario:
                 raise ValueError(f"theta={th} outside (0, pi/2]")
         if self.kind == "purity_sweep" and len(thetas) != 1:
             raise ValueError("purity sweeps use a single coupling strength")
-        if not 1 <= self.d <= MAX_DIM:
-            raise ValueError(f"dimension d={self.d} outside supported range 1..{MAX_DIM}")
+        check_dim(self.d)
         if self.kind == "purity_sweep" and not self.input_state.startswith("pure:"):
             raise ValueError("purity sweeps need a pure input spec for the family state")
-        states.parse_state_spec(self.input_state, self.d)
+        states.check_state_spec(self.input_state, self.d)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:

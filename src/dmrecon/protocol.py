@@ -11,9 +11,11 @@ two d x d Kraus operators M_alpha = <alpha| U |0>, read from the |0> input
 column of the closed-form `coupling_unitary` (the one statement of the
 coupling convention, system (x) pointer). Pointer A acts first, so outcome
 (alpha, beta) of the j-th measurement applies K_{j alpha beta} =
-M^B_beta M^A_{j alpha}. `outcome_probabilities` contracts these with the
-state and the pointer setting projectors into the joint (pointer A,
-pointer B, system) outcome table of every j and setting pair at once.
+M^B_beta M^A_{j alpha} (`kraus_operators`). `evolve` applies them to the
+state, keeping the pointers' joint state at each diagonal system entry, and
+`outcome_probabilities` contracts that with the pointer setting projectors
+into the joint (pointer A, pointer B, system) outcome table of every j and
+setting pair at once. No 4d x 4d operator is built.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ def _proj(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def check_dim(d: int) -> None:
+    """Reject a system dimension outside the supported range 1..MAX_DIM."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValueError(f"dimension d={d} outside supported range 1..{MAX_DIM}")
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """Dimension and coupling strengths, with derived constants.
@@ -57,8 +65,7 @@ class CouplingConfig:
     theta_b: float
 
     def __post_init__(self):
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension d={self.dim} outside supported range 1..{MAX_DIM}")
+        check_dim(self.dim)
         for name, th in (("theta_a", self.theta_a), ("theta_b", self.theta_b)):
             if not 0.0 <= th <= math.pi / 2 + 1e-12:
                 raise ValueError(f"{name}={th} outside [0, pi/2]")
@@ -166,6 +173,32 @@ def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
     return coupling_unitary(proj, theta).reshape(d, 2, d, 2)[:, :, :, 0]
 
 
+def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
+    """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
+
+    For every j the four d x d operators are complete,
+    sum_{alpha beta} K^dagger K = 1.
+    """
+    d = cfg.dim
+    kraus_a = np.stack([_kraus(_proj(v), cfg.theta_a) for v in np.eye(d, dtype=complex)])
+    kraus_b = _kraus(_proj(states.b0_state(d)), cfg.theta_b)
+    return np.einsum("kbm,jmai->jabki", kraus_b, kraus_a)
+
+
+def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:
+    """The pointers' joint state after both couplings, at each system outcome.
+
+    blocks[j-1, alpha, beta, gamma, delta, k-1] =
+    <a_k| K_{j alpha beta} rho K_{j gamma delta}^dagger |a_k>, the pointer
+    block of sigma_j at the k-th diagonal system entry; the setting-independent
+    part of every outcome table.
+    """
+    if rho.dim != cfg.dim:
+        raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
+    kraus = kraus_operators(cfg)
+    return np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus.conj())
+
+
 def outcome_probabilities(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
@@ -177,16 +210,7 @@ def outcome_probabilities(
     with P, Q the projectors of `setting_pairs[p]` and sigma_j the state after
     both couplings; each (j, pair) table sums to 1.
     """
-    if rho.dim != cfg.dim:
-        raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
-    d = cfg.dim
-    kraus_a = np.stack([_kraus(_proj(v), cfg.theta_a) for v in np.eye(d, dtype=complex)])
-    kraus_b = _kraus(_proj(states.b0_state(d)), cfg.theta_b)
-    # K[j, alpha, beta] = M^B_beta M^A_{j, alpha}: pointer A couples first.
-    kraus = np.einsum("kbm,jmai->jabki", kraus_b, kraus_a)
-    # (K_{j alpha beta} rho K_{j gamma delta}^dagger)_kk, the pointer blocks of sigma_j's
-    # k-th diagonal system entry, contracted with the setting projectors.
-    blocks = np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus.conj())
+    blocks = evolve(rho, cfg)
     proj_a = np.stack([a.projector_stack for a, _ in setting_pairs])
     proj_b = np.stack([b.projector_stack for _, b in setting_pairs])
     return _checked_probabilities(np.einsum("pxca,pydb,jabcdk->jpxyk", proj_a, proj_b, blocks))

@@ -166,8 +166,28 @@ def parse_state_spec(spec: str, d: int) -> DensityMatrix:
             raise ValueError(f"family spec needs p=<float>,psi=<label>: '{spec}'")
         return purity_family(p, named_ket(label, d))
     if text.startswith("random:"):
-        key, _, val = text[len("random:"):].partition("=")
-        if key != "seed":
-            raise ValueError(f"random spec needs seed=<int>: '{spec}'")
-        return random_density(d, int(val))
+        return random_density(d, _random_seed(text))
     raise ValueError(f"unrecognized state spec '{spec}'")
+
+
+def check_state_spec(spec: str, d: int) -> None:
+    """Raise ValueError unless `parse_state_spec(spec, d)` builds a state.
+
+    A random spec is checked without drawing the state, which would import
+    numpy.random while a config is only being read.
+    """
+    text = spec.strip()
+    if text.startswith("random:"):
+        _random_seed(text)
+    else:
+        parse_state_spec(text, d)
+
+
+def _random_seed(text: str) -> int:
+    key, _, val = text[len("random:"):].partition("=")
+    if key != "seed":
+        raise ValueError(f"random spec needs seed=<int>: '{text}'")
+    seed = int(val)
+    if seed < 0:
+        raise ValueError(f"random spec needs a nonnegative seed: '{text}'")
+    return seed

@@ -150,6 +150,7 @@ def test_exact_reports_bad_input(capsys, argv, message):
         (["kind = single", "state = pure:H", "d = 3"], "requires d=2"),
         (["kind = purity_sweep", "state = mixed"], "pure input"),
         (["kind = purity_sweep", "state = pure:a4", "d = 3"], "out of range 1..3"),
+        (["kind = single", "state = random:seed=-3"], "nonnegative seed"),
         (["kind = single", "seeds = -1 0"], "seeds must be nonnegative"),
         (["kind = single", "seeds = 0 1 0"], "seeds must not repeat"),
     ],

@@ -103,26 +103,17 @@ class TestCouplingUnitary:
             protocol.coupling_unitary(np.diag([2.0, 0.0]).astype(complex), 0.5)
 
 
-def kraus_operators(j, cfg):
-    """K[alpha, beta] = M^B_beta M^A_{j, alpha}, from the couplings' Kraus operators."""
-    d = cfg.dim
-    proj_aj = np.outer(states.basis_state(d, j), states.basis_state(d, j).conj())
-    b0 = states.b0_state(d)
-    m_a = protocol._kraus(proj_aj, cfg.theta_a)
-    m_b = protocol._kraus(np.outer(b0, b0.conj()), cfg.theta_b)
-    return np.einsum("kbm,mai->abki", m_b, m_a)
-
-
 def setting_pairs_of(*pairs):
     return tuple((protocol.pointer_setting(a), protocol.pointer_setting(b)) for a, b in pairs)
 
 
 class TestCoupledEvolution:
     def test_zero_strength_identity(self):
-        kraus = kraus_operators(1, CouplingConfig(2, 0.0, 0.0))
-        np.testing.assert_allclose(kraus[0, 0], np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(kraus[1], 0.0, atol=1e-15)
+        kraus = protocol.kraus_operators(CouplingConfig(2, 0.0, 0.0))
+        assert kraus.shape == (2, 2, 2, 2, 2)
+        np.testing.assert_allclose(kraus[:, 0, 0], np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-15)
         np.testing.assert_allclose(kraus[:, 1], 0.0, atol=1e-15)
+        np.testing.assert_allclose(kraus[:, :, 1], 0.0, atol=1e-15)
 
     def test_unitarity_random_strengths(self):
         # U_B U_A restricted to the pointers' |00> input is an isometry:
@@ -131,23 +122,21 @@ class TestCoupledEvolution:
         for _ in range(10):
             d = int(rng.integers(1, 6))
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            for j in range(1, d + 1):
-                kraus = kraus_operators(j, cfg)
-                total = np.einsum("abki,abkl->il", kraus.conj(), kraus)
-                np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
+            kraus = protocol.kraus_operators(cfg)
+            total = np.einsum("jabki,jabkl->jil", kraus.conj(), kraus)
+            np.testing.assert_allclose(total, np.broadcast_to(np.eye(d), (d, d, d)), atol=1e-12)
 
     def test_couplings_do_not_commute(self):
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         u_a, u_b = couplings(1, cfg)
         assert np.linalg.norm(u_b @ u_a - u_a @ u_b, ord=2) > 0.1
-        # the pointers' Kraus operators inherit it: M^B_beta M^A_alpha != M^A_alpha M^B_beta
-        d = cfg.dim
-        b0 = states.b0_state(d)
-        m_a = protocol._kraus(np.outer(states.basis_state(d, 1), states.basis_state(d, 1).conj()), cfg.theta_a)
-        m_b = protocol._kraus(np.outer(b0, b0.conj()), cfg.theta_b)
-        a_first = np.einsum("kbm,mai->abki", m_b, m_a)
-        b_first = np.einsum("kam,mbi->abki", m_a, m_b)
-        assert np.max(np.abs(a_first - b_first)) > 0.1
+        # the protocol's Kraus operators are those of U_B U_A, not of U_A U_B:
+        # K_{alpha beta} = (1 (x) <alpha beta|) U (1 (x) |00>)
+        kraus = protocol.kraus_operators(cfg)[0]
+        a_first = (u_b @ u_a).reshape(2, 2, 2, 2, 2, 2)[:, :, :, :, 0, 0].transpose(1, 2, 0, 3)
+        b_first = (u_a @ u_b).reshape(2, 2, 2, 2, 2, 2)[:, :, :, :, 0, 0].transpose(1, 2, 0, 3)
+        np.testing.assert_allclose(kraus, a_first, atol=1e-14)
+        assert np.max(np.abs(kraus - b_first)) > 0.1
 
     def test_order_changes_correlations(self):
         # the tables follow U_B U_A (pointer A first) and, on a generic state,
@@ -163,6 +152,22 @@ class TestCoupledEvolution:
 
 
 class TestEvolve:
+    def test_blocks_match_dense_state(self):
+        # blocks[j-1, alpha, beta, gamma, delta, k-1] is the pointer block of the
+        # dense sigma_j = U_B U_A (rho (x) |00><00|) (U_B U_A)^dagger at system entry (k, k)
+        rng = np.random.default_rng(47)
+        for seed in range(4):
+            d = int(rng.integers(1, 5))
+            rho = states.random_density(d, 200 + seed)
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
+            blocks = protocol.evolve(rho, cfg)
+            assert blocks.shape == (d, 2, 2, 2, 2, d)
+            for j in range(1, d + 1):
+                u_a, u_b = couplings(j, cfg)
+                sigma = evolved(rho, u_b @ u_a).reshape(d, 2, 2, d, 2, 2)
+                dense = np.einsum("kabkcd->abcdk", sigma)
+                np.testing.assert_allclose(blocks[j - 1], dense, rtol=0.0, atol=1e-14)
+
     def test_zero_strength_returns_input(self):
         # no coupling: the system keeps rho's populations and both pointers stay in |0>
         rho = states.random_density(3, 1)
@@ -190,6 +195,8 @@ class TestEvolve:
             np.testing.assert_allclose(marginals, marginals[:, :1].repeat(3, axis=1), atol=1e-12)
 
     def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            protocol.evolve(states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5))
         with pytest.raises(ValueError, match="dimension"):
             protocol.outcome_probabilities(
                 states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5), setting_pairs_of(("X", "X"))

@@ -164,6 +164,30 @@ class TestStateSpecGrammar:
         with pytest.raises(ValueError):
             states.parse_state_spec("bogus", 2)
 
+    @pytest.mark.parametrize(
+        "spec, d",
+        [("pure:D", 2), ("pure:D", 3), ("pure:a5", 4), ("mixed", 3), ("family:p=0.3,psi=b0", 3),
+         ("family:p=1.5,psi=H", 2), ("random:seed=4", 3), ("random:seed=-1", 3),
+         ("random:seed=x", 3), ("random:sed=4", 3), ("bogus", 2)],
+    )
+    def test_check_agrees_with_parse(self, spec, d):
+        try:
+            states.parse_state_spec(spec, d)
+        except ValueError:
+            with pytest.raises(ValueError):
+                states.check_state_spec(spec, d)
+        else:
+            states.check_state_spec(spec, d)
+
+    def test_check_draws_no_random_state(self, monkeypatch):
+        def no_draw(d, seed):
+            raise AssertionError("random state drawn")
+
+        monkeypatch.setattr(states, "random_density", no_draw)
+        states.check_state_spec("random:seed=7", 16)
+        with pytest.raises(ValueError, match="nonnegative seed"):
+            states.check_state_spec("random:seed=-7", 16)
+
     def test_generated_states_valid(self):
         specs = ["pure:D", "mixed", "family:p=0.3,psi=R", "random:seed=2"]
         for spec in specs:
