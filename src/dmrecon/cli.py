@@ -88,6 +88,7 @@ def _cmd_validate(args) -> int:
         print(f"[{status}] {name}" + (f" ({detail})" if detail else ""))
 
     rng = np.random.Generator(np.random.Philox(20260808))
+    y = np.array([[0, -1j], [1j, 0]])
 
     # Closed-form coupling unitary vs eigendecomposition exponential.
     worst = 0.0
@@ -98,10 +99,25 @@ def _cmd_validate(args) -> int:
         proj = np.outer(v, v.conj())
         theta = float(rng.uniform(0.01, math.pi / 2))
         closed = protocol.coupling_unitary(proj, theta)
-        y = np.array([[0, -1j], [1j, 0]])
         oracle = qmath.matrix_exponential(qmath.tensor(proj, y), theta)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))
     check("coupling unitary matches matrix exponential", worst < 1e-12, f"max dev {worst:.2e}")
+
+    # Projector-form Kraus operators vs the |0> columns of both exponentials, U_B U_A.
+    def column0(vec: np.ndarray, theta: float) -> np.ndarray:
+        u = qmath.matrix_exponential(qmath.tensor(np.outer(vec, vec.conj()), y), theta)
+        return u.reshape(vec.size, 2, vec.size, 2)[:, :, :, 0]
+
+    worst = 0.0
+    for d in range(1, protocol.MAX_DIM + 1):
+        cfg = CouplingConfig(d, 0.4, 1.3)
+        kraus = protocol.kraus_operators(cfg)
+        m_b = column0(states.b0_state(d), cfg.theta_b)
+        for j in range(1, d + 1):
+            m_a = column0(states.basis_state(d, j), cfg.theta_a)
+            oracle = np.einsum("kbm,mai->abki", m_b, m_a)
+            worst = max(worst, float(np.max(np.abs(kraus[j - 1] - oracle))))
+    check("Kraus operators match matrix-exponential columns", worst < 1e-12, f"max dev {worst:.2e}")
 
     # Trace-based vs closed-form correlations, randomized over everything.
     worst = 0.0

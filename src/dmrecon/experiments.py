@@ -113,10 +113,8 @@ class Scenario:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative ({EXPECTATION_SEED} marks expectation rows)")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must not repeat, got {' '.join(map(str, self.seeds))}")
-        if self.n_events < 1:
-            raise ValueError("n_events must be >= 1")
+        if not 1 <= self.n_events <= np.iinfo(np.int64).max:
+            raise ValueError(f"n_events={self.n_events} outside 1..2**63-1 (the sampler's range)")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}")
@@ -126,18 +124,25 @@ class Scenario:
             raise ValueError(f"source must be one of {SOURCES}")
         if self.reference not in REFERENCES:
             raise ValueError(f"reference must be one of {REFERENCES}")
+        if not self.purity_grid:
+            raise ValueError("purity_grid needs at least one point")
         for p in self.purity_grid:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"purity point {p} outside [0, 1]")
+        # a repeated grid coordinate would only write duplicate rows
+        for key, values in (
+            ("seeds", self.seeds), ("theta", thetas), ("methods", self.methods),
+            ("purity_grid", self.purity_grid),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat, got {' '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
 class ResultRow:
     """One reconstruction outcome; maps 1:1 onto a CSV output row.
 
-    `delta_rho` is the propagated statistical error; `delta_rho_measured`
-    (not part of the CSV schema) is the realized deviation of this seed's
-    finalized matrix from the estimator's exact-correlation expectation.
+    `delta_rho` is the propagated statistical error.
     """
 
     scenario_id: str
@@ -154,7 +159,6 @@ class ResultRow:
     bound: float
     bias_epsilon: float
     bias_efficiency: float
-    delta_rho_measured: float = float("nan")
 
 
 def bias_outcome_table(tables: OutcomeTables, bias: BiasModel) -> OutcomeTables:
@@ -269,7 +273,6 @@ def run_point(
             # and the statistical error is unbounded.
             t_dist = float("nan")
             d_rho = float("inf")
-            measured = float("nan")
         else:
             t_dist = (
                 qmath.trace_distance(result.finalized.matrix, reference.matrix)
@@ -277,12 +280,6 @@ def run_point(
                 else float("nan")
             )
             d_rho = metrics.mean_square_error(result.element_errors)
-            exp = expected.get(method)
-            measured = (
-                float(np.linalg.norm(result.finalized.matrix - exp.finalized.matrix))
-                if exp is not None
-                else float("nan")
-            )
         return ResultRow(
             scenario_id=scn.scenario_id,
             kind=scn.kind,
@@ -298,7 +295,6 @@ def run_point(
             bound=bounds.get(method, float("nan")),
             bias_epsilon=bias_eps,
             bias_efficiency=bias_eff,
-            delta_rho_measured=measured,
         )
 
     rows: list[ResultRow] = []

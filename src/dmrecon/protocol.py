@@ -6,16 +6,16 @@ basis projector |a_j><a_j|, the second rotates pointer B conditioned on the
 projector onto the uniform superposition |b_0>. The order matters: the two
 couplings do not commute.
 
-Because both pointers start in |0>, each coupling acts on the system through
-two d x d Kraus operators M_alpha = <alpha| U |0>, read from the |0> input
-column of the closed-form `coupling_unitary` (the one statement of the
-coupling convention, system (x) pointer). Pointer A acts first, so outcome
-(alpha, beta) of the j-th measurement applies K_{j alpha beta} =
-M^B_beta M^A_{j alpha} (`kraus_operators`). `evolve` applies them to the
-state, keeping the pointers' joint state at each diagonal system entry, and
-`outcome_probabilities` contracts that with the pointer setting projectors
-into the joint (pointer A, pointer B, system) outcome table of every j and
-setting pair at once. No 4d x 4d operator is built.
+Each coupling is exp(-i theta P (x) Y) with P a projector, on system (x)
+pointer (`coupling_unitary`: the convention, and the oracle of the Kraus
+operators). Both pointers start in |0>, so each coupling acts on the system
+through M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector
+form. Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
+applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`). `evolve`
+applies them to the state, keeping the pointers' joint state at each diagonal
+system entry, and `outcome_probabilities` contracts that with the pointer
+setting projectors into the joint (pointer A, pointer B, system) outcome table
+of every j and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
 """
 
 from __future__ import annotations
@@ -168,21 +168,25 @@ def coupling_unitary(proj: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
-    """Kraus operators of one pointer coupling: M[k, alpha, i] = <a_k alpha| U |a_i 0>."""
-    d = proj.shape[0]
-    return coupling_unitary(proj, theta).reshape(d, 2, d, 2)[:, :, :, 0]
+    """M[..., alpha, :, :] = <alpha| exp(-i theta P (x) Y) |0> for a projector P, or a stack.
+
+    In projector form M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P: the |0>
+    column of `coupling_unitary`, which is their oracle, not a pipeline step.
+    """
+    m0 = np.eye(proj.shape[-1]) - (1.0 - math.cos(theta)) * proj
+    return np.stack([m0, math.sin(theta) * proj], axis=-3)
 
 
 def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
     """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
 
-    For every j the four d x d operators are complete,
-    sum_{alpha beta} K^dagger K = 1.
+    Real, from the projectors |a_j><a_j| (A) and |b_0><b_0| = J/d (B, J all ones); for
+    every j the four d x d operators are complete, sum_{alpha beta} K^dagger K = 1.
     """
     d = cfg.dim
-    kraus_a = np.stack([_kraus(_proj(v), cfg.theta_a) for v in np.eye(d, dtype=complex)])
-    kraus_b = _kraus(_proj(states.b0_state(d)), cfg.theta_b)
-    return np.einsum("kbm,jmai->jabki", kraus_b, kraus_a)
+    kraus_a = _kraus(np.eye(d)[:, :, None] * np.eye(d), cfg.theta_a)
+    kraus_b = _kraus(np.full((d, d), 1.0 / d), cfg.theta_b)
+    return np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
 
 
 def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:

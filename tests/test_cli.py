@@ -2,7 +2,7 @@
 
 import pytest
 
-from dmrecon import io
+from dmrecon import io, protocol
 from dmrecon.cli import main
 
 CONFIG = """
@@ -78,12 +78,27 @@ def test_run_reports_config_errors(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_run_never_builds_a_coupling_unitary(tmp_path, monkeypatch):
+    # the run reads its Kraus operators from the projector form;
+    # coupling_unitary is their oracle, not a pipeline step
+    def forbidden(*args):
+        raise AssertionError("coupling_unitary called while running a scenario")
+
+    monkeypatch.setattr(protocol, "coupling_unitary", forbidden)
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CONFIG)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "results.csv").exists()
+
+
 def test_validate_subcommand_passes(capsys):
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 4
+    assert out.count("[ok]") == 5
+    assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
 
 
@@ -153,6 +168,10 @@ def test_exact_reports_bad_input(capsys, argv, message):
         (["kind = single", "state = random:seed=-3"], "nonnegative seed"),
         (["kind = single", "seeds = -1 0"], "seeds must be nonnegative"),
         (["kind = single", "seeds = 0 1 0"], "seeds must not repeat"),
+        (["kind = single", "theta = 0.5 0.5"], "theta must not repeat"),
+        (["kind = single", "methods = W W"], "methods must not repeat"),
+        (["kind = purity_sweep", "purity_grid ="], "purity_grid needs at least one point"),
+        (["kind = purity_sweep", "purity_grid = 0 0.5 0"], "purity_grid must not repeat"),
     ],
 )
 def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):
@@ -165,4 +184,18 @@ def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lin
     assert rc == 2
     assert "section [scenario late]" in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_run_rejects_n_events_beyond_the_sampler(tmp_path, capsys, monkeypatch):
+    # the multinomial draw takes a C long: 2**63 would fail mid-run, so the
+    # config is rejected when parsed; 2**63 - 1 still parses
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    text = "[scenario big]\nkind = single\nn_seeds = 1\nn_events = {}\n"
+    io.parse_config(text.format(2**63 - 1))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text.format(2**63))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = _one_line_error(capsys, rc)
+    assert "section [scenario big]" in err and "n_events=9223372036854775808" in err
     assert not (tmp_path / "o" / "results.csv").exists()
