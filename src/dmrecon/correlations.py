@@ -6,7 +6,8 @@ Three evaluation paths are provided:
 
   exact     numerical outcome probabilities from the couplings' Kraus operators
   analytic  closed-form expressions in the entries of rho
-  sampled   finite-N multinomial draw from the joint outcome distribution
+  sampled   finite-N multinomial draw from the joint outcome distribution,
+            one generator per (grid point, seed) for all of its tables
 
 The exact and sampled paths read the joint outcome probabilities of one grid
 point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
@@ -174,20 +175,17 @@ def analytic_correlation(
 def sample_counts(tables: OutcomeTables, n: int, root_seed: int) -> np.ndarray:
     """Draw n events from every (j, pair) table; integer counts shaped like `probs`.
 
-    One multinomial draw over each flattened (j, pair) table, with a
-    counter-based Philox generator keyed by the root seed and the setting
-    coordinates: reproducible across runs and workers, with cost independent
-    of n.
+    One counter-based Philox generator keyed by the root seed makes one
+    multinomial draw over the stack of flattened (j, pair) tables:
+    reproducible across runs and workers, with cost independent of n. A
+    table's counts depend on the root seed and on every table drawn with it.
     """
     if n < 1:
         raise ValueError("need at least one event")
-    counts = np.empty(tables.probs.shape, dtype=np.int64)
-    for j, p in np.ndindex(counts.shape[:2]):
-        flat = tables.probs[j, p].reshape(-1)
-        seed = derive_seed(root_seed, "corr", j + 1, *tables.pairs[p])
-        rng = np.random.Generator(np.random.Philox(seed))
-        counts[j, p] = rng.multinomial(n, flat / flat.sum()).reshape(2, 2, -1)
-    return counts
+    probs = tables.probs
+    flat = probs.reshape(*probs.shape[:2], -1)
+    rng = np.random.Generator(np.random.Philox(root_seed))
+    return rng.multinomial(n, flat / flat.sum(axis=-1, keepdims=True)).reshape(probs.shape)
 
 
 def sampled_records_from_counts(
@@ -209,8 +207,8 @@ def correlation_set_from_tables(
 ) -> Correlations:
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
-    In sampled mode each (j, pair) table gets its own n-event draw, with a
-    seed derived from the root seed and the setting coordinates.
+    In sampled mode each (j, pair) table gets its own n-event draw, all of
+    them from one generator keyed by the root seed: one per (grid point, seed).
     """
     if sampled:
         counts = sample_counts(tables, n, root_seed)

@@ -82,7 +82,7 @@ class Scenario:
     kind: str
     input_state: str = "pure:D"
     d: int = 2
-    theta_list: tuple[float, ...] = ()
+    theta_list: tuple[float, ...] | None = None  # None: the kind's default grid
     n_events: int = DEFAULT_N_EVENTS
     seeds: tuple[int, ...] = tuple(range(DEFAULT_N_SEEDS))
     bias: BiasModel | None = None
@@ -97,9 +97,11 @@ class Scenario:
         if not self.scenario_id:
             raise ValueError("scenario id must be nonempty")
         thetas = self.theta_list
-        if not thetas:
+        if thetas is None:
             thetas = (math.pi / 2,) if self.kind == "purity_sweep" else default_theta_grid()
             object.__setattr__(self, "theta_list", thetas)
+        if not thetas:
+            raise ValueError("theta needs at least one value")
         for th in thetas:
             if not 0.0 < th <= math.pi / 2 + 1e-12:
                 raise ValueError(f"theta={th} outside (0, pi/2]")
@@ -142,7 +144,8 @@ class Scenario:
 class ResultRow:
     """One reconstruction outcome; maps 1:1 onto a CSV output row.
 
-    `delta_rho` is the propagated statistical error.
+    `delta_rho` is the propagated statistical error, nan for QST, which
+    propagates none.
     """
 
     scenario_id: str

@@ -39,16 +39,14 @@ class ReconstructionResult:
     """A raw reconstructed matrix plus its finalized form and element errors.
 
     `element_errors[j-1, k-1]` is the propagated statistical error |delta
-    rho_jk| of the finalized matrix (all zeros when built from exact
-    correlations). `n_events` is the event count per correlation setting.
+    rho_jk| of the finalized matrix: all zeros when built from exact
+    correlations, all nan for tomography, which propagates no error.
     """
 
     method: str
     raw: np.ndarray
     finalized: states.DensityMatrix
     element_errors: np.ndarray
-    config: CouplingConfig | None
-    n_events: int = 0
 
 
 class DegenerateTraceError(ValueError):
@@ -90,14 +88,12 @@ def _columns(correls: Correlations, cfg: CouplingConfig, pairs) -> list[np.ndarr
     return [v for v, _ in cols] + [e for _, e in cols]
 
 
-def _result(method, raw, re_err, im_err, correls, cfg) -> ReconstructionResult:
+def _result(method, raw, re_err, im_err) -> ReconstructionResult:
     return ReconstructionResult(
         method=method,
         raw=raw,
         finalized=finalize(raw),
         element_errors=_element_errors(re_err, im_err),
-        config=cfg,
-        n_events=correls.n_events,
     )
 
 
@@ -122,7 +118,7 @@ def reconstruct_weak(correls: Correlations, cfg: CouplingConfig) -> Reconstructi
     n = cfg.n_ab
     re, im, re_var, im_var = _pauli_terms(correls, cfg)
     raw = re + 1j * im
-    return _result(METHOD_WEAK, raw, n * np.sqrt(re_var), n * np.sqrt(im_var), correls, cfg)
+    return _result(METHOD_WEAK, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
 def reconstruct_exact_i(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
@@ -145,7 +141,7 @@ def reconstruct_exact_i(correls: Correlations, cfg: CouplingConfig) -> Reconstru
     )
     im_var = im_var + 4 * t_b**2 * e_yp**2
     raw = re + 1j * im
-    return _result(METHOD_EXACT_I, raw, n * np.sqrt(re_var), n * np.sqrt(im_var), correls, cfg)
+    return _result(METHOD_EXACT_I, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
 def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
@@ -170,7 +166,7 @@ def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> Reconstr
     np.fill_diagonal(raw, 16 * n * n * est)
     np.fill_diagonal(re_err, 16 * n * n * se)
     np.fill_diagonal(im_err, 0.0)
-    return _result(METHOD_EXACT_II, raw, re_err, im_err, correls, cfg)
+    return _result(METHOD_EXACT_II, raw, re_err, im_err)
 
 
 # -- Reference tomography -----------------------------------------------------
@@ -270,7 +266,5 @@ def qst_linear_inversion(projector_expectations, d: int) -> ReconstructionResult
         method=METHOD_QST,
         raw=raw,
         finalized=finalize(raw),
-        element_errors=np.zeros((d, d)),
-        config=None,
-        n_events=0,
+        element_errors=np.full((d, d), np.nan),
     )

@@ -172,6 +172,7 @@ def test_exact_reports_bad_input(capsys, argv, message):
         (["kind = single", "methods = W W"], "methods must not repeat"),
         (["kind = purity_sweep", "purity_grid ="], "purity_grid needs at least one point"),
         (["kind = purity_sweep", "purity_grid = 0 0.5 0"], "purity_grid must not repeat"),
+        (["kind = single", "theta ="], "theta needs at least one value"),
     ],
 )
 def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):

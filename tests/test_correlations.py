@@ -69,20 +69,19 @@ class TestOutcomeTables:
                             expected = float(np.trace(op @ sigma).real)
                             assert abs(tables.probs[j - 1, p, alpha, beta, k] - expected) <= 1e-14
 
-    def test_counts_follow_per_setting_philox_stream(self):
-        # pins the sampling stream: one Philox generator per (j, pair), keyed
-        # by derive_seed(root, "corr", j, a, b), drawing over the flat table
+    def test_counts_follow_one_philox_stream(self):
+        # pins the sampling stream: one Philox generator keyed by the root
+        # seed, one multinomial draw over the (d, P, 4d) stack of flat tables
         rho = states.random_density(3, 41)
         tables = correlations.build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02)
         root, n = 12345, 777
         counts = sample_counts(tables, n, root)
-        for j in range(1, 4):
-            for p, (obs_a, obs_b) in enumerate(PAIRS_EXACT_II):
-                flat = tables.probs[j - 1, p].reshape(-1)
-                seed = derive_seed(root, "corr", j, obs_a, obs_b)
-                rng = np.random.Generator(np.random.Philox(seed))
-                expected = rng.multinomial(n, flat / flat.sum()).reshape(2, 2, 3)
-                np.testing.assert_array_equal(counts[j - 1, p], expected)
+        flat = tables.probs.reshape(3, len(PAIRS_EXACT_II), 12)
+        rng = np.random.Generator(np.random.Philox(root))
+        expected = rng.multinomial(n, flat / flat.sum(axis=-1, keepdims=True))
+        assert counts.shape == tables.probs.shape
+        np.testing.assert_array_equal(counts, expected.reshape(tables.probs.shape))
+        assert np.all(counts.sum(axis=(2, 3, 4)) == n)
 
 
 class TestExactCorrelation:

@@ -144,4 +144,3 @@ def test_vectorised_estimators_match_loops(d, seed):
             np.testing.assert_allclose(
                 result.element_errors, _element_errors(re_err, im_err), rtol=1e-14, atol=0
             )
-            assert result.n_events == cs.n_events
