@@ -73,7 +73,7 @@ def _cmd_exact(args) -> int:
     correls = correlations.exact_correlation_set(rho, cfg, pairs)
     result = rebuild(correls, cfg)
     print(f"method {result.method}, d={args.d}, theta={args.theta}")
-    print(io.write_matrix(result.finalized.matrix, "text"))
+    print(io.write_matrix(result.finalized.matrix))
     return 0
 
 
@@ -148,13 +148,13 @@ def _cmd_validate(args) -> int:
     # Closed-form standard-family tomography vs least squares on the same vectors.
     worst = 0.0
     for d in range(1, 7):
-        labels, projs = zip(*reconstruct.standard_projector_family(d))
+        family = reconstruct.standard_projector_family(d)
         for _ in range(5):
             rho = states.random_density(d, int(rng.integers(0, 2**31)))
-            probs = reconstruct.born_probabilities(rho, projs)
+            probs = reconstruct.born_probabilities(rho, family)
             probs = np.clip(probs + rng.normal(scale=0.02, size=probs.size), 0.0, 1.0)
-            closed = reconstruct.qst_linear_inversion(dict(zip(labels, probs)), d)
-            oracle = reconstruct.qst_linear_inversion(list(zip(projs, probs)), d)
+            closed = reconstruct.qst_linear_inversion(probs, d)
+            oracle = reconstruct.qst_least_squares(family, probs)
             worst = max(worst, float(np.max(np.abs(closed.raw - oracle.raw))))
     check(
         "standard-family QST closed form matches least squares",

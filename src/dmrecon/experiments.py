@@ -68,7 +68,7 @@ class BiasModel:
     per_projector_efficiency: float = 1.0
 
     def __post_init__(self):
-        if abs(self.pointer_rotation_epsilon) > 0.1:
+        if not abs(self.pointer_rotation_epsilon) <= 0.1:  # also rejects nan
             raise ValueError("pointer rotation bias limited to |epsilon| <= 0.1 rad")
         if not 0.9 <= self.per_projector_efficiency <= 1.1:
             raise ValueError("projector efficiency limited to [0.9, 1.1]")
@@ -193,27 +193,6 @@ def _pairs_for(methods: tuple[str, ...]) -> tuple[correlations.ObsPair, ...]:
     return tuple(dict.fromkeys(pair for m in methods for pair in _RECONSTRUCTORS[m][1]))
 
 
-def _standard_family_born(
-    rho: states.DensityMatrix, d: int
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels and exact Born probabilities of the standard tomography family."""
-    labels, projectors = zip(*reconstruct.standard_projector_family(d))
-    return labels, reconstruct.born_probabilities(rho, projectors)
-
-
-def _qst_reconstruction(
-    born: tuple[tuple[str, ...], np.ndarray], d: int, n: int, seed: int | None
-) -> reconstruct.ReconstructionResult:
-    """Linear-inversion tomography; sampled Born probabilities when seeded."""
-    labels, p_exact = born
-    if seed is None:
-        probs = p_exact
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        probs = rng.binomial(n, np.clip(p_exact, 0.0, 1.0)) / n
-    return reconstruct.qst_linear_inversion(dict(zip(labels, probs)), d)
-
-
 def run_point(
     scn: Scenario,
     rho: states.DensityMatrix,
@@ -222,29 +201,41 @@ def run_point(
     root_seed: int,
     point_key: tuple,
 ) -> list[ResultRow]:
-    """All rows for one (state, theta) grid point of a scenario."""
+    """All rows for one (state, theta) grid point of a scenario.
+
+    Seed -1 (EXPECTATION_SEED) reads the exact correlations and the exact QST
+    Born vector; its rows are the exact source's data and the theoretical
+    curve. Each sampled seed draws its correlations and QST vectors from its
+    own derived seeds. With `reference = qst` a seed's rows are compared with
+    its QST reference estimate; at seed -1 that is the exact QST estimate.
+    """
     cfg = CouplingConfig(scn.d, theta, theta)
     direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
     pairs = _pairs_for(direct_methods)
     tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else None
+    qst_method = "QST" in scn.methods
+    qst_ref = scn.reference == "qst"
+    born = (
+        reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(scn.d))
+        if qst_method or qst_ref
+        else None
+    )
 
-    # Expected-value reconstructions, from exact (possibly biased) correlations.
-    exact_set = correlations.correlation_set_from_tables(tables) if pairs else None
-    expected: dict[str, reconstruct.ReconstructionResult | None] = {}
-    for m in direct_methods:
-        try:
-            expected[m] = _RECONSTRUCTORS[m][0](exact_set, cfg)
-        except reconstruct.DegenerateTraceError:
-            expected[m] = None  # degenerate point, e.g. weak estimator at p = 0
-    # One exact Born vector serves every QST estimate at this point.
-    needs_qst = "QST" in scn.methods or scn.reference == "qst"
-    born = _standard_family_born(rho, scn.d) if needs_qst else None
-    if "QST" in scn.methods:
-        expected["QST"] = _qst_reconstruction(born, scn.d, scn.n_events, None)
+    def sampled_born(*key) -> np.ndarray:
+        """Born frequencies of n_events per projector, drawn from the key's derived seed."""
+        rng = np.random.Generator(np.random.Philox(derive_seed(*key)))
+        return rng.binomial(scn.n_events, np.clip(born, 0.0, 1.0)) / scn.n_events
 
-    def sampled_qst(seed: int):
+    def estimate(method: str, correls, qst_probs) -> reconstruct.ReconstructionResult | None:
+        """One estimate, or None where its raw matrix cannot be normalized.
+
+        Zero signal (e.g. zero double-flip counts at small theta) leaves no
+        state estimate, and its statistical error is unbounded.
+        """
         try:
-            return _qst_reconstruction(born, scn.d, scn.n_events, seed)
+            if method == "QST":
+                return reconstruct.qst_linear_inversion(qst_probs, scn.d)
+            return _RECONSTRUCTORS[method][0](correls, cfg)
         except reconstruct.DegenerateTraceError:
             return None
 
@@ -258,22 +249,8 @@ def run_point(
     bias_eps = scn.bias.pointer_rotation_epsilon if scn.bias else 0.0
     bias_eff = scn.bias.per_projector_efficiency if scn.bias else 1.0
 
-    def reference_state(seed: int | None) -> states.DensityMatrix | None:
-        if scn.reference == "truth":
-            return rho
-        if seed is None and "QST" in expected:
-            return expected["QST"].finalized
-        qseed = None if seed is None else derive_seed(root_seed, *point_key, seed, "qst-ref")
-        try:
-            return _qst_reconstruction(born, scn.d, scn.n_events, qseed).finalized
-        except reconstruct.DegenerateTraceError:
-            return None
-
     def make_row(method: str, seed: int, result, reference) -> ResultRow:
         if result is None:
-            # The raw matrix could not be normalized (zero signal, e.g. the
-            # double-flip counts at small theta): no state estimate exists
-            # and the statistical error is unbounded.
             t_dist = float("nan")
             d_rho = float("inf")
         else:
@@ -301,32 +278,30 @@ def run_point(
         )
 
     rows: list[ResultRow] = []
-
-    # Expectation rows double as the exact-mode data and the theoretical curve.
-    ref_exact = reference_state(None)
-    for m in scn.methods:
-        rows.append(make_row(m, EXPECTATION_SEED, expected.get(m), ref_exact))
-
-    if scn.source == "sampled":
-        for seed in scn.seeds:
+    sampled_seeds = scn.seeds if scn.source == "sampled" else ()
+    for seed in (EXPECTATION_SEED, *sampled_seeds):
+        if seed == EXPECTATION_SEED:
+            correls = correlations.correlation_set_from_tables(tables) if pairs else None
+            method_probs = ref_probs = born
+        else:
             sample_root = derive_seed(root_seed, *point_key, seed)
-            sampled_set = (
+            correls = (
                 correlations.correlation_set_from_tables(
                     tables, sampled=True, n=scn.n_events, root_seed=sample_root
                 )
                 if pairs
                 else None
             )
-            ref = reference_state(seed)
-            for m in scn.methods:
-                if m == "QST":
-                    result = sampled_qst(derive_seed(sample_root, "qst-method"))
-                else:
-                    try:
-                        result = _RECONSTRUCTORS[m][0](sampled_set, cfg)
-                    except reconstruct.DegenerateTraceError:
-                        result = None
-                rows.append(make_row(m, seed, result, ref))
+            method_probs = sampled_born(sample_root, "qst-method") if qst_method else None
+            ref_probs = sampled_born(root_seed, *point_key, seed, "qst-ref") if qst_ref else None
+        results = {m: estimate(m, correls, method_probs) for m in scn.methods}
+        if qst_ref:
+            shared = seed == EXPECTATION_SEED and qst_method
+            ref = results["QST"] if shared else estimate("QST", None, ref_probs)
+            reference = ref.finalized if ref is not None else None
+        else:
+            reference = rho
+        rows += [make_row(m, seed, results[m], reference) for m in scn.methods]
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Config parsing, matrix serialization and CSV emission.
+"""Config parsing, matrix text and CSV emission.
 
 The config format is flat key-value text with one section per scenario:
 
@@ -17,7 +17,8 @@ The config format is flat key-value text with one section per scenario:
     source = sampled
 
 Whole files validate before anything runs; every problem is reported with
-its line number, not just the first one.
+its line number, not just the first one. A key may be set once per
+scenario, and once across all [global] sections.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ import io as _stdio
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import qmath
-from .experiments import (
-    DEFAULT_N_EVENTS,
-    DEFAULT_N_SEEDS,
-    BiasModel,
-    ResultRow,
-    Scenario,
-)
+from .experiments import BiasModel, ResultRow, Scenario
 
 CSV_COLUMNS = (
     "scenario_id",
@@ -197,12 +190,19 @@ def parse_config(text: str) -> ConfigDocument:
     output_dir = "results"
     scenarios: list[Scenario] = []
     seen_ids: dict[str, int] = {}
+    seen_global: dict[str, int] = {}  # across every [global] section
     for name, header_line, entries in sections:
         if name == "global":
             for lineno, key, value in entries:
                 if key not in _GLOBAL_KEYS:
                     errors.append(f"line {lineno}: unknown global key '{key}'")
                     continue
+                if key in seen_global:
+                    errors.append(
+                        f"line {lineno}: key '{key}' already set on line {seen_global[key]}"
+                    )
+                    continue
+                seen_global[key] = lineno
                 try:
                     if key == "root_seed":
                         root_seed = int(value)
@@ -235,73 +235,17 @@ def parse_config(text: str) -> ConfigDocument:
     return ConfigDocument(scenarios=tuple(scenarios), root_seed=root_seed, output_dir=output_dir)
 
 
-def write_config(doc: ConfigDocument) -> str:
-    """Serialize a document so that parse_config(write_config(doc)) round-trips."""
-    lines = [
-        "[global]",
-        f"root_seed = {doc.root_seed}",
-        f"output_dir = {doc.output_dir}",
-        "",
-    ]
-    for scn in doc.scenarios:
-        lines.append(f"[scenario {scn.scenario_id}]")
-        lines.append(f"kind = {scn.kind}")
-        lines.append(f"state = {scn.input_state}")
-        lines.append(f"d = {scn.d}")
-        lines.append("theta = " + " ".join(repr(t) for t in scn.theta_list))
-        lines.append(f"n_events = {scn.n_events}")
-        lines.append("seeds = " + " ".join(str(s) for s in scn.seeds))
-        lines.append("methods = " + " ".join(scn.methods))
-        lines.append(f"source = {scn.source}")
-        lines.append(f"reference = {scn.reference}")
-        if scn.bias is not None:
-            lines.append(f"bias_epsilon = {scn.bias.pointer_rotation_epsilon!r}")
-            lines.append(f"bias_efficiency = {scn.bias.per_projector_efficiency!r}")
-        if scn.kind == "purity_sweep":
-            lines.append("purity_grid = " + " ".join(repr(p) for p in scn.purity_grid))
-        lines.append("")
-    return "\n".join(lines)
+# -- Matrix text ---------------------------------------------------------------
 
 
-# -- Matrix serialization ------------------------------------------------------
-
-
-def write_matrix(m, fmt: str = "text") -> str:
-    """Serialize a matrix; 'text' is aligned for reading, 'machine' round-trips."""
+def write_matrix(m) -> str:
+    """Render a matrix as aligned text, one row per line."""
     a = qmath.as_complex_matrix(m)
-    if fmt == "text":
-        cells = [
-            [f"{a[r, c].real:+.6f}{a[r, c].imag:+.6f}i" for c in range(a.shape[1])]
-            for r in range(a.shape[0])
-        ]
-        return "\n".join("  ".join(row) for row in cells)
-    if fmt == "machine":
-        lines = []
-        for r in range(a.shape[0]):
-            for c in range(a.shape[1]):
-                lines.append(
-                    f"{r + 1},{c + 1},{a[r, c].real:.17g},{a[r, c].imag:.17g}"
-                )
-        return "\n".join(lines)
-    raise ValueError(f"unknown matrix format '{fmt}'")
-
-
-def read_matrix(text: str) -> np.ndarray:
-    """Parse the machine matrix format (1-indexed 'row,col,re,im' lines)."""
-    entries = []
-    rows = cols = 0
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
-        parts = line.strip().split(",")
-        if len(parts) != 4:
-            raise ValueError(f"matrix line {lineno}: expected 'row,col,re,im'")
-        r, c = int(parts[0]), int(parts[1])
-        entries.append((r, c, float(parts[2]), float(parts[3])))
-        rows = max(rows, r)
-        cols = max(cols, c)
-    m = np.zeros((rows, cols), dtype=complex)
-    for r, c, re, im in entries:
-        m[r - 1, c - 1] = re + 1j * im
-    return m
+    cells = [
+        [f"{a[r, c].real:+.6f}{a[r, c].imag:+.6f}i" for c in range(a.shape[1])]
+        for r in range(a.shape[0])
+    ]
+    return "\n".join("  ".join(row) for row in cells)
 
 
 # -- Results CSV ---------------------------------------------------------------

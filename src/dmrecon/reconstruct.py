@@ -4,9 +4,10 @@ Three direct estimators are provided. The weak estimator combines four Pauli
 correlation pairs per element and is accurate only for small coupling. The
 two exact estimators add flipped-pointer (Pi1) terms, or use them outright,
 and reproduce the state at any coupling strength. Linear-inversion
-tomography serves as the reference method: probabilities of the standard
-d^2-projector family are inverted in closed form, at any d, and any other
-informationally complete projector set by least squares.
+tomography serves as the reference method: `qst_linear_inversion` inverts
+the Born vector of the standard d^2-projector family (one (d^2, d, d) stack,
+`standard_projector_family`) in closed form at any d, and
+`qst_least_squares` solves any other informationally complete projector set.
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -171,60 +171,52 @@ def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> Reconstr
 
 # -- Reference tomography -----------------------------------------------------
 
-QST_QUBIT_LABELS = ("H", "V", "D", "R")
-
 
 @functools.lru_cache(maxsize=MAX_DIM)
-def standard_projector_family(d: int) -> tuple[tuple[str, np.ndarray], ...]:
-    """The d^2 projectors onto |a_j>, (|a_j>+|a_k>)/sqrt2, (|a_j>+i|a_k>)/sqrt2.
+def standard_projector_family(d: int) -> np.ndarray:
+    """The d^2 projectors of the standard tomography family, as a (d^2, d, d) stack.
 
-    Labelled a<j>, +_<j><k> and i_<j><k> (j < k, row-major order). Built once
-    per d; the projectors are read-only because every caller shares them.
+    In order: |a_j>, then (|a_j>+|a_k>)/sqrt2, then (|a_j>+i|a_k>)/sqrt2, each
+    with j < k in row-major order. Built once per d; the stack is read-only
+    because every caller shares it.
     """
     eye = np.eye(d, dtype=complex)
-    upper = list(zip(*np.triu_indices(d, 1)))
-    kets = [(f"a{j + 1}", eye[j]) for j in range(d)]
-    kets += [(f"+_{j + 1}{k + 1}", (eye[j] + eye[k]) / np.sqrt(2)) for j, k in upper]
-    kets += [(f"i_{j + 1}{k + 1}", (eye[j] + 1j * eye[k]) / np.sqrt(2)) for j, k in upper]
-    family = []
-    for label, ket in kets:
-        proj = np.outer(ket, ket.conj())
-        proj.flags.writeable = False
-        family.append((label, proj))
-    return tuple(family)
+    j, k = np.triu_indices(d, 1)
+    kets = np.concatenate(
+        [eye, (eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
+    )
+    family = np.einsum("pa,pb->pab", kets, kets.conj())
+    family.flags.writeable = False
+    return family
 
 
-def born_probabilities(rho: states.DensityMatrix, projectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Tr(P rho) for each projector."""
+def born_probabilities(rho: states.DensityMatrix, projectors) -> np.ndarray:
+    """Tr(P rho) for each projector of a (n, d, d) stack."""
     return np.einsum("pab,ba->p", np.asarray(projectors), rho.matrix).real
 
 
-def _qst_qubit(probabilities: Mapping[str, float]) -> np.ndarray:
-    missing = [lbl for lbl in QST_QUBIT_LABELS if lbl not in probabilities]
-    if missing:
-        raise ValueError(f"qubit tomography needs probabilities for {missing}")
-    p_h = probabilities["H"]
-    p_v = probabilities["V"]
-    # |D> = (|H>+|V>)/sqrt2 gives p_D = 1/2 + Re rho_12;
-    # |R> = (|H>-i|V>)/sqrt2 gives p_R = 1/2 + Im rho_12.
-    off = (probabilities["D"] - 0.5) + 1j * (probabilities["R"] - 0.5)
-    return np.array([[p_h, off], [off.conjugate(), p_v]], dtype=complex)
+def _qst_result(raw: np.ndarray) -> ReconstructionResult:
+    return ReconstructionResult(
+        method=METHOD_QST,
+        raw=raw,
+        finalized=finalize(raw),
+        element_errors=np.full(raw.shape, np.nan),
+    )
 
 
-def _qst_standard_family(probabilities: Mapping[str, float], d: int) -> np.ndarray:
-    """Closed-form inverse of the standard family's Born probabilities.
+def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
+    """Tomography by inverting the standard family's Born probabilities in closed form.
 
+    `probs` holds the d^2 Born probabilities of `standard_projector_family(d)`,
+    in its order. With rho_jj = p_{a_j}, the others read
     p_{+jk} = (rho_jj + rho_kk)/2 + Re rho_jk and
-    p_{i_jk} = (rho_jj + rho_kk)/2 - Im rho_jk, with rho_jj = p_{a_j}.
+    p_{i_jk} = (rho_jj + rho_kk)/2 - Im rho_jk.
     """
-    labels = [label for label, _ in standard_projector_family(d)]
-    missing = [label for label in labels if label not in probabilities]
-    if missing:
-        raise ValueError(f"standard-family tomography at d={d} needs probabilities for {missing}")
-    unknown = sorted(set(probabilities) - set(labels))
-    if unknown:
-        raise ValueError(f"labels {unknown} are not in the standard family for d={d}")
-    p = np.array([float(probabilities[label]) for label in labels])
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (d * d,):
+        raise ValueError(
+            f"standard-family tomography at d={d} needs {d * d} probabilities, got shape {p.shape}"
+        )
     n_off = d * (d - 1) // 2
     diag, plus, imag = p[:d], p[d : d + n_off], p[d + n_off :]
     j, k = np.triu_indices(d, 1)
@@ -232,39 +224,24 @@ def _qst_standard_family(probabilities: Mapping[str, float], d: int) -> np.ndarr
     raw = np.diag(diag).astype(complex)
     raw[j, k] = (plus - mean) + 1j * (mean - imag)
     raw[k, j] = raw[j, k].conj()
-    return raw
+    return _qst_result(raw)
 
 
-def qst_linear_inversion(projector_expectations, d: int) -> ReconstructionResult:
-    """Tomography by inverting Born probabilities of d^2 projectors.
+def qst_least_squares(projectors, probs) -> ReconstructionResult:
+    """Tomography of any informationally complete projector set by least squares.
 
-    Pass a mapping from the labels of `standard_projector_family(d)` to
-    probabilities for the closed-form inverse at any d; at d = 2 a mapping
-    with keys H, V, D, R also works. For any other projector set pass an
-    iterable of (projector, probability) pairs whose vectorized projectors
-    are linearly independent: it is solved by least squares.
+    `projectors` is a (n, d, d) stack with n >= d^2 whose vectorized
+    projectors are linearly independent; `probs` holds their n Born
+    probabilities. The closed form `qst_linear_inversion` is checked
+    against this.
     """
-    if isinstance(projector_expectations, Mapping):
-        if any(lbl in projector_expectations for lbl in QST_QUBIT_LABELS):
-            if d != 2:
-                raise ValueError("labelled H/V/D/R probabilities only apply at d=2")
-            raw = _qst_qubit(projector_expectations)
-        else:
-            raw = _qst_standard_family(projector_expectations, d)
-    else:
-        pairs = list(projector_expectations)
-        if len(pairs) < d * d:
-            raise ValueError(f"need at least {d * d} projectors for d={d}, got {len(pairs)}")
-        a = np.stack([np.asarray(p, dtype=complex).T.reshape(-1) for p, _ in pairs])
-        p_vec = np.array([float(prob) for _, prob in pairs])
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] < 1e-10 * sv[0] or len(sv) < d * d:
-            raise ValueError("projector set is rank-deficient: not informationally complete")
-        x, *_ = np.linalg.lstsq(a, p_vec, rcond=None)
-        raw = x.reshape(d, d)
-    return ReconstructionResult(
-        method=METHOD_QST,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=np.full((d, d), np.nan),
-    )
+    projs = np.asarray(projectors, dtype=complex)
+    n, d, _ = projs.shape
+    if n < d * d:
+        raise ValueError(f"need at least {d * d} projectors for d={d}, got {n}")
+    a = projs.transpose(0, 2, 1).reshape(n, d * d)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] < 1e-10 * sv[0]:
+        raise ValueError("projector set is rank-deficient: not informationally complete")
+    x, *_ = np.linalg.lstsq(a, np.asarray(probs, dtype=float), rcond=None)
+    return _qst_result(x.reshape(d, d))

@@ -27,6 +27,7 @@ from dmrecon.experiments import BiasModel, Scenario, run_scenario
 from dmrecon.protocol import CouplingConfig, coupling_unitary
 from dmrecon.reconstruct import (
     born_probabilities,
+    qst_least_squares,
     qst_linear_inversion,
     reconstruct_exact_i,
     reconstruct_exact_ii,
@@ -321,26 +322,27 @@ reference = qst
 
 
 def test_criterion_10_qst_reference():
+    # d = 2: the family vector [H, V, D, L] read off the matrix by hand
     worst_d2 = 0.0
     for seed in range(20):
         rho = states.random_density(2, seed)
         m = rho.matrix
-        probs = {
-            "H": float(m[0, 0].real),
-            "V": float(m[1, 1].real),
-            "D": 0.5 + float(m[0, 1].real),
-            "R": 0.5 + float(m[0, 1].imag),
-        }
+        probs = [
+            float(m[0, 0].real),
+            float(m[1, 1].real),
+            0.5 + float(m[0, 1].real),
+            0.5 - float(m[0, 1].imag),
+        ]
         result = qst_linear_inversion(probs, 2)
         worst_d2 = max(worst_d2, qmath.trace_distance(result.finalized.matrix, rho.matrix))
 
     worst_d4 = 0.0
     family = standard_projector_family(4)
-    projs = [p for _, p in family]
     for seed in range(10):
         rho = states.random_density(4, 100 + seed)
-        result = qst_linear_inversion(list(zip(projs, born_probabilities(rho, projs))), 4)
-        worst_d4 = max(worst_d4, qmath.trace_distance(result.finalized.matrix, rho.matrix))
+        probs = born_probabilities(rho, family)
+        for result in (qst_linear_inversion(probs, 4), qst_least_squares(family, probs)):
+            worst_d4 = max(worst_d4, qmath.trace_distance(result.finalized.matrix, rho.matrix))
 
     report(
         10,

@@ -173,6 +173,7 @@ def test_exact_reports_bad_input(capsys, argv, message):
         (["kind = purity_sweep", "purity_grid ="], "purity_grid needs at least one point"),
         (["kind = purity_sweep", "purity_grid = 0 0.5 0"], "purity_grid must not repeat"),
         (["kind = single", "theta ="], "theta needs at least one value"),
+        (["kind = single", "bias_epsilon = nan"], "|epsilon| <= 0.1"),
     ],
 )
 def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):

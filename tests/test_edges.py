@@ -129,15 +129,16 @@ class TestMetricsRejections:
 
 
 class TestReconstructRejections:
-    def test_qubit_labels_require_d2(self):
-        with pytest.raises(ValueError, match="d=2"):
-            reconstruct.qst_linear_inversion({"H": 1, "V": 0, "D": 0.5, "R": 0.5}, 3)
+    def test_wrong_length_vector_rejected(self):
+        # the closed form reads exactly the d^2 family probabilities, in order
+        for probs in (np.full(4, 0.25), np.full(10, 0.1), np.full((3, 3), 1 / 3)):
+            with pytest.raises(ValueError, match="d=3 needs 9 probabilities"):
+                reconstruct.qst_linear_inversion(probs, 3)
 
     def test_too_few_projectors(self):
         family = reconstruct.standard_projector_family(3)[:5]
-        pairs = [(p, 0.1) for _, p in family]
         with pytest.raises(ValueError, match="at least 9"):
-            reconstruct.qst_linear_inversion(pairs, 3)
+            reconstruct.qst_least_squares(family, np.full(5, 0.1))
 
 
 class TestDegenerateRunnerPoints:

@@ -1,7 +1,9 @@
 """Pinned end-to-end output: `dmrecon run` on tests/data/golden.cfg.
 
 The scenarios cover all four methods, sampled and exact sources, both
-reference modes, bias, a purity sweep, and degenerate II rows. Every column
+reference modes (a QST reference with and without QST among the methods),
+bias, purity sweeps, degenerate II rows, and degenerate QST method and
+reference estimates. Every column
 must match the pinned CSV byte for byte, except `delta_rho`: that one is a
 sum of squared propagated errors, whose last bits depend on the order of
 summation, so it is compared at a relative tolerance of 1e-14 (about 45

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dmrecon import io, states
+from dmrecon import io
 from dmrecon.experiments import BiasModel, Scenario, run_scenario
 from dmrecon.io import (
     ConfigDocument,
     ConfigError,
     parse_config,
-    read_matrix,
     results_csv,
-    write_config,
     write_matrix,
 )
 
@@ -109,31 +107,21 @@ bogus = 1
         with pytest.raises(ConfigError, match="no scenarios"):
             parse_config("")
 
-    def test_roundtrip_identity(self):
-        doc = parse_config(FULL)
-        doc2 = parse_config(write_config(doc))
-        assert doc2 == doc
+    def test_repeated_global_key_rejected(self):
+        # within one [global] section and across two of them
+        for head, line in (
+            ("[global]\nroot_seed = 1\nroot_seed = 2\n", 3),
+            ("[global]\nroot_seed = 1\n[global]\nroot_seed = 2\n", 4),
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(head + MINIMAL)
+            assert excinfo.value.errors == [f"line {line}: key 'root_seed' already set on line 2"]
 
 
 class TestMatrixSerialization:
     def test_text_format_half_identity(self):
-        text = write_matrix(np.eye(2) / 2, "text")
+        text = write_matrix(np.eye(2) / 2)
         assert "0.500000+0.000000i" in text
-
-    def test_machine_format_diagonal_state(self):
-        rho = states.DensityMatrix(np.full((2, 2), 0.5, dtype=complex), positivity_checked=True)
-        machine = write_matrix(rho.matrix, "machine")
-        assert "1,2,0.5,0" in machine.splitlines()
-
-    def test_machine_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(31)
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        back = read_matrix(write_matrix(m, "machine"))
-        assert np.array_equal(back, m)
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            write_matrix(np.eye(2), "yaml")
 
 
 class TestResultsCsv:

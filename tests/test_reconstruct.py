@@ -18,6 +18,7 @@ from dmrecon.reconstruct import (
     DegenerateTraceError,
     born_probabilities,
     finalize,
+    qst_least_squares,
     qst_linear_inversion,
     reconstruct_exact_i,
     reconstruct_exact_ii,
@@ -233,40 +234,34 @@ class TestFinalize:
         assert np.max(np.abs(final - final.conj().T)) < 1e-15
 
 
+def _qubit_vector(m):
+    """The d = 2 family vector [a1, a2, +_12, i_12] (H, V, D, L) of a 2x2 matrix."""
+    return [m[0, 0].real, m[1, 1].real, 0.5 + m[0, 1].real, 0.5 - m[0, 1].imag]
+
+
 class TestQstLinearInversion:
     def test_h_state(self):
-        result = qst_linear_inversion({"H": 1.0, "V": 0.0, "D": 0.5, "R": 0.5}, 2)
+        result = qst_linear_inversion([1.0, 0.0, 0.5, 0.5], 2)
         np.testing.assert_allclose(result.finalized.matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_d_state(self):
-        result = qst_linear_inversion({"H": 0.5, "V": 0.5, "D": 1.0, "R": 0.5}, 2)
+        result = qst_linear_inversion([0.5, 0.5, 1.0, 0.5], 2)
         np.testing.assert_allclose(result.finalized.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_recovers_random_qubits_exactly(self):
         for seed in range(20):
             rho = states.random_density(2, seed)
-            m = rho.matrix
-            probs = {
-                "H": float(m[0, 0].real),
-                "V": float(m[1, 1].real),
-                "D": 0.5 + float(m[0, 1].real),
-                "R": 0.5 + float(m[0, 1].imag),
-            }
-            result = qst_linear_inversion(probs, 2)
+            result = qst_linear_inversion(_qubit_vector(rho.matrix), 2)
             assert distance_to(result, rho) < 1e-12
 
     def test_qubit_probabilities_from_born_rule(self):
-        # end to end: probabilities computed from projectors, not hand-fed
+        # end to end: probabilities computed from the H, V, D, L kets, which
+        # are the d = 2 family in its order
         rho = states.random_density(2, 33)
-        kets = {
-            "H": states.named_ket("H", 2),
-            "V": states.named_ket("V", 2),
-            "D": states.named_ket("D", 2),
-            "R": states.named_ket("R", 2),
-        }
-        probs = {
-            lbl: float(np.vdot(v, rho.matrix @ v).real) for lbl, v in kets.items()
-        }
+        probs = [
+            float(np.vdot(v, rho.matrix @ v).real)
+            for v in (states.named_ket(lbl, 2) for lbl in ("H", "V", "D", "L"))
+        ]
         result = qst_linear_inversion(probs, 2)
         assert distance_to(result, rho) < 1e-12
 
@@ -274,40 +269,25 @@ class TestQstLinearInversion:
         for d in (3, 4):
             rho = states.random_density(d, 10 + d)
             family = standard_projector_family(d)
-            projs = [p for _, p in family]
-            probs = born_probabilities(rho, projs)
-            result = qst_linear_inversion(list(zip(projs, probs)), d)
-            assert distance_to(result, rho) < 1e-10
+            probs = born_probabilities(rho, family)
+            assert distance_to(qst_linear_inversion(probs, d), rho) < 1e-10
+            assert distance_to(qst_least_squares(family, probs), rho) < 1e-10
 
     def test_family_size_and_rank(self):
         for d in (2, 3, 5):
             family = standard_projector_family(d)
-            assert len(family) == d * d
-            a = np.stack([p.reshape(-1) for _, p in family])
-            assert np.linalg.matrix_rank(a) == d * d
+            assert family.shape == (d * d, d, d)
+            assert np.linalg.matrix_rank(family.reshape(d * d, -1)) == d * d
 
     def test_rank_deficient_rejected(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
-        pairs = [(p0, 1.0)] * 4
         with pytest.raises(ValueError, match="rank-deficient"):
-            qst_linear_inversion(pairs, 2)
-
-    def test_missing_qubit_label_rejected(self):
-        with pytest.raises(ValueError, match="R"):
-            qst_linear_inversion({"H": 1.0, "V": 0.0, "D": 0.5}, 2)
+            qst_least_squares([p0] * 4, [1.0] * 4)
 
 
-def _labelled(d, probs):
-    return dict(zip((label for label, _ in standard_projector_family(d)), probs))
-
-
-def _paired(d, probs):
-    return [(p, prob) for (_, p), prob in zip(standard_projector_family(d), probs)]
-
-
-def _raw_or_none(projector_expectations, d):
+def _raw_or_none(reconstruct, *args):
     try:
-        return qst_linear_inversion(projector_expectations, d).raw
+        return reconstruct(*args).raw
     except DegenerateTraceError:
         return None
 
@@ -319,9 +299,10 @@ class TestStandardFamilyClosedForm:
     @given(d=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
     def test_matches_least_squares_on_born_vectors(self, d, seed):
         rho = states.random_density(d, seed)
-        probs = born_probabilities(rho, [p for _, p in standard_projector_family(d)])
-        closed = qst_linear_inversion(_labelled(d, probs), d)
-        oracle = qst_linear_inversion(_paired(d, probs), d)
+        family = standard_projector_family(d)
+        probs = born_probabilities(rho, family)
+        closed = qst_linear_inversion(probs, d)
+        oracle = qst_least_squares(family, probs)
         assert np.max(np.abs(closed.raw - oracle.raw)) <= 1e-12
         assert distance_to(closed, rho) < 1e-12
 
@@ -336,14 +317,13 @@ class TestStandardFamilyClosedForm:
         # Sampled and perturbed vectors need not be Born vectors of any state;
         # the inverse is still unique, so both paths must agree.
         rng = np.random.Generator(np.random.Philox(seed))
-        exact = born_probabilities(
-            states.random_density(d, seed), [p for _, p in standard_projector_family(d)]
-        )
+        family = standard_projector_family(d)
+        exact = born_probabilities(states.random_density(d, seed), family)
         sampled = rng.binomial(n, np.clip(exact, 0.0, 1.0)) / n
         perturbed = exact + rng.uniform(-spread, spread, size=exact.size)
         for probs in (sampled, perturbed):
-            closed = _raw_or_none(_labelled(d, probs), d)
-            oracle = _raw_or_none(_paired(d, probs), d)
+            closed = _raw_or_none(qst_linear_inversion, probs, d)
+            oracle = _raw_or_none(qst_least_squares, family, probs)
             assert (closed is None) == (oracle is None)
             if closed is not None:
                 assert np.max(np.abs(closed - oracle)) <= 1e-12
@@ -354,22 +334,24 @@ class TestStandardFamilyClosedForm:
             rho = states.random_density(d, 40 + d)
             kets = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
             kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-            projs = [p for _, p in standard_projector_family(d)]
+            projs = list(standard_projector_family(d))
             projs += [np.outer(v, v.conj()) for v in kets]
             loop = np.array([float(np.trace(p @ rho.matrix).real) for p in projs])
             np.testing.assert_allclose(born_probabilities(rho, projs), loop, rtol=0, atol=1e-15)
 
-    def test_missing_and_unknown_labels_named(self):
-        probs = _labelled(3, np.full(9, 1 / 3))
-        del probs["+_13"]
-        with pytest.raises(ValueError, match=r"\+_13"):
-            qst_linear_inversion(probs, 3)
-        with pytest.raises(ValueError, match="i_34"):
-            qst_linear_inversion({**_labelled(3, np.full(9, 1 / 3)), "i_34": 0.5}, 3)
+    def test_family_order_matches_documented_kets(self):
+        d = 4
+        eye = np.eye(d)
+        upper = [(j, k) for j in range(d) for k in range(j + 1, d)]
+        kets = list(eye)
+        kets += [(eye[j] + eye[k]) / np.sqrt(2) for j, k in upper]
+        kets += [(eye[j] + 1j * eye[k]) / np.sqrt(2) for j, k in upper]
+        want = np.stack([np.outer(v, v.conj()) for v in kets])
+        np.testing.assert_array_equal(standard_projector_family(d), want)
 
     def test_family_cached_and_read_only(self):
         family = standard_projector_family(4)
         assert standard_projector_family(4) is family
-        assert isinstance(family, tuple)
+        assert isinstance(family, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
-            family[0][1][0, 0] = 2.0
+            family[0, 0, 0] = 2.0
