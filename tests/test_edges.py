@@ -129,11 +129,13 @@ class TestMetricsRejections:
 
 
 class TestReconstructRejections:
-    def test_wrong_length_vector_rejected(self):
-        # the closed form reads exactly the d^2 family probabilities, in order
-        for probs in (np.full(4, 0.25), np.full(10, 0.1), np.full((3, 3), 1 / 3)):
-            with pytest.raises(ValueError, match="d=3 needs 9 probabilities"):
-                reconstruct.qst_linear_inversion(probs, 3)
+    def test_qubit_labels_require_d2(self):
+        # a qubit-sized vector (the d = 2 family: H, V, D, L) is read at d = 2
+        # only; at d = 3 the closed form needs all 9 family probabilities
+        qubit = np.array([1.0, 0.0, 0.5, 0.5])
+        reconstruct.qst_linear_inversion(qubit, 2)
+        with pytest.raises(ValueError, match="d=3 needs 9 probabilities"):
+            reconstruct.qst_linear_inversion(qubit, 3)
 
     def test_too_few_projectors(self):
         family = reconstruct.standard_projector_family(3)[:5]

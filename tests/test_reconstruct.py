@@ -1,5 +1,7 @@
 """Estimator assembly, finalization, and the tomography reference."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,11 @@ class TestQstLinearInversion:
         with pytest.raises(ValueError, match="rank-deficient"):
             qst_least_squares([p0] * 4, [1.0] * 4)
 
+    def test_missing_qubit_label_rejected(self):
+        # dropping one of H, V, D, L leaves a vector the closed form cannot read
+        with pytest.raises(ValueError, match="d=2 needs 4 probabilities"):
+            qst_linear_inversion([1.0, 0.0, 0.5], 2)
+
 
 def _raw_or_none(reconstruct, *args):
     try:
@@ -355,3 +362,11 @@ class TestStandardFamilyClosedForm:
         assert isinstance(family, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             family[0, 0, 0] = 2.0
+
+    def test_missing_and_unknown_labels_named(self):
+        # too few, too many or wrongly shaped probabilities: the error names
+        # the d^2 the family needs and the shape it got
+        for shape in ((8,), (10,), (3, 3)):
+            want = re.escape(f"d=3 needs 9 probabilities, got shape {shape}")
+            with pytest.raises(ValueError, match=want):
+                qst_linear_inversion(np.full(shape, 0.1), 3)
