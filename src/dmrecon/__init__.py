@@ -17,6 +17,7 @@ from .correlations import (
     analytic_correlation,
     exact_correlation_set,
     sampled_correlation_set,
+    stack_sets,
 )
 from .experiments import BiasModel, ResultRow, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
@@ -77,6 +78,7 @@ __all__ = [
     "reconstruct_weak",
     "run_scenario",
     "sampled_correlation_set",
+    "stack_sets",
 ]
 
 __version__ = "0.1.0"

@@ -71,7 +71,12 @@ def _cmd_exact(args) -> int:
         return _input_error("exact", str(exc))
     rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
     correls = correlations.exact_correlation_set(rho, cfg, pairs)
-    result = rebuild(correls, cfg)
+    try:
+        result = rebuild(correls, cfg)
+    except reconstruct.DegenerateTraceError as exc:
+        # valid input, but this estimator has no signal to normalize here
+        print(f"dmrecon exact: {exc}", file=sys.stderr)
+        return 1
     print(f"method {result.method}, d={args.d}, theta={args.theta}")
     print(io.write_matrix(result.finalized.matrix))
     return 0

@@ -12,9 +12,11 @@ Three evaluation paths are provided:
 The exact and sampled paths read the joint outcome probabilities of one grid
 point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
 and fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic
-path gives one value at a time. The exact and analytic paths are independent
-implementations and must agree; their agreement cross-validates both the
-Kraus contraction and the closed forms.
+path gives one value at a time. `stack_sets` joins the sets of several seeds
+into one `Correlations` with a leading seed axis, [seed, j-1, k-1, pair],
+which the estimators read in one call. The exact and analytic paths are
+independent implementations and must agree; their agreement cross-validates
+both the Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ class Correlations:
     so the data is a dense tensor: `values[j-1, k-1, p]` is <O_A O_B> for
     `pairs[p]`. `std_error` has the same shape and is all zeros for exact
     data; `n_events` is the event count per (j, pair) setting, 0 when exact.
+
+    Several sets of one grid point stack along leading axes (`stack_sets`):
+    `values[s, j-1, k-1, p]` is seed s's value, and all slices share
+    `n_events`. The estimators read a stack in one call and return results
+    that carry the same leading axis.
     """
 
     pairs: tuple[ObsPair, ...]
@@ -81,11 +88,15 @@ class Correlations:
     n_events: int = 0
 
     def __post_init__(self):
-        d = self.values.shape[0]
-        if self.values.shape != (d, d, len(self.pairs)) or self.std_error.shape != self.values.shape:
+        shape = self.values.shape
+        if (
+            len(shape) < 3
+            or shape[-3:] != (shape[-3], shape[-3], len(self.pairs))
+            or self.std_error.shape != shape
+        ):
             raise ValueError(
-                f"values and std_error must be shaped (d, d, {len(self.pairs)}), "
-                f"got {self.values.shape} and {self.std_error.shape}"
+                f"values and std_error must be shaped (..., d, d, {len(self.pairs)}), "
+                f"got {shape} and {self.std_error.shape}"
             )
         if np.any(self.std_error < 0.0):
             raise ValueError("standard error must be nonnegative")
@@ -94,17 +105,30 @@ class Correlations:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     def column(self, pair: ObsPair) -> tuple[np.ndarray, np.ndarray]:
-        """(values, std_error) of one observable pair, each indexed [j-1, k-1]."""
+        """(values, std_error) of one observable pair, each indexed [..., j-1, k-1]."""
         if pair not in self.pairs:
             raise ValueError(f"missing correlation <{pair[0]}_A {pair[1]}_B>")
         p = self.pairs.index(pair)
-        return self.values[:, :, p], self.std_error[:, :, p]
+        return self.values[..., p], self.std_error[..., p]
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def stack_sets(sets) -> Correlations:
+    """One `Correlations` with a leading axis over several sets of the same pairs and n_events."""
+    first = sets[0]
+    if any(c.pairs != first.pairs or c.n_events != first.n_events for c in sets):
+        raise ValueError("stacked correlation sets must share pairs and n_events")
+    return Correlations(
+        first.pairs,
+        np.array([c.values for c in sets]),
+        np.array([c.std_error for c in sets]),
+        first.n_events,
+    )
 
 
 def records_from_table(tables: OutcomeTables) -> np.ndarray:

@@ -12,6 +12,7 @@ tomography estimate, mirroring a real experiment's protocol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -206,8 +207,12 @@ def run_point(
     Seed -1 (EXPECTATION_SEED) reads the exact correlations and the exact QST
     Born vector; its rows are the exact source's data and the theoretical
     curve. Each sampled seed draws its correlations and QST vectors from its
-    own derived seeds. With `reference = qst` a seed's rows are compared with
-    its QST reference estimate; at seed -1 that is the exact QST estimate.
+    own derived seeds, reduced to correlation values at once. The sampled
+    seeds are then stacked, and each method (with its `finalize`) runs once
+    over the stack; seed -1 is a stack of its own, because estimator II reads
+    exact and sampled data differently. With `reference = qst` a seed's rows
+    are compared with its QST reference estimate; at seed -1 that is the
+    exact QST estimate. `ResultRow`s are built only at the end.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
@@ -226,18 +231,23 @@ def run_point(
         rng = np.random.Generator(np.random.Philox(derive_seed(*key)))
         return rng.binomial(scn.n_events, np.clip(born, 0.0, 1.0)) / scn.n_events
 
-    def estimate(method: str, correls, qst_probs) -> reconstruct.ReconstructionResult | None:
-        """One estimate, or None where its raw matrix cannot be normalized.
-
-        Zero signal (e.g. zero double-flip counts at small theta) leaves no
-        state estimate, and its statistical error is unbounded.
-        """
-        try:
-            if method == "QST":
-                return reconstruct.qst_linear_inversion(qst_probs, scn.d)
-            return _RECONSTRUCTORS[method][0](correls, cfg)
-        except reconstruct.DegenerateTraceError:
-            return None
+    def draw(seed: int) -> tuple:
+        """A seed's correlations, QST method vector and QST reference vector (None if unused)."""
+        if seed == EXPECTATION_SEED:
+            return (correlations.correlation_set_from_tables(tables) if pairs else None), born, born
+        sample_root = derive_seed(root_seed, *point_key, seed)
+        correls = (
+            correlations.correlation_set_from_tables(
+                tables, sampled=True, n=scn.n_events, root_seed=sample_root
+            )
+            if pairs
+            else None
+        )
+        return (
+            correls,
+            sampled_born(sample_root, "qst-method") if qst_method else None,
+            sampled_born(root_seed, *point_key, seed, "qst-ref") if qst_ref else None,
+        )
 
     # The statistical-error floor of each direct method, nan where undefined.
     bounds = {
@@ -245,63 +255,66 @@ def run_point(
         for m in direct_methods
         if metrics.has_error_floor(m, scn.d)
     }
+    row = functools.partial(
+        ResultRow,
+        scenario_id=scn.scenario_id,
+        kind=scn.kind,
+        d=scn.d,
+        theta_a=theta,
+        theta_b=theta,
+        purity_p=purity_p,
+        n_events=scn.n_events,
+        bias_epsilon=scn.bias.pointer_rotation_epsilon if scn.bias else 0.0,
+        bias_efficiency=scn.bias.per_projector_efficiency if scn.bias else 1.0,
+    )
 
-    bias_eps = scn.bias.pointer_rotation_epsilon if scn.bias else 0.0
-    bias_eff = scn.bias.per_projector_efficiency if scn.bias else 1.0
+    def stack_rows(seeds: tuple[int, ...]) -> list[ResultRow]:
+        """Rows of a stack of seeds: each method estimated once over the stack.
 
-    def make_row(method: str, seed: int, result, reference) -> ResultRow:
-        if result is None:
-            t_dist = float("nan")
-            d_rho = float("inf")
+        The methods' finalized stacks are then joined into one (method, seed,
+        d, d) array, so one `mean_square_error` and one `trace_distance` call
+        cover every row. A slice with near-zero trace (zero signal, e.g. zero
+        double-flip counts at small theta) has no state estimate: `finalize`
+        leaves it nan, and its row reads trace_distance nan and delta_rho inf.
+        A nan QST reference slice leaves trace_distance nan.
+        """
+        sets, method_probs, ref_probs = zip(*map(draw, seeds))
+        correls = correlations.stack_sets(sets) if pairs else None
+        del sets  # the stack holds the values; free the per-seed copies before estimating
+        results = [
+            reconstruct.qst_linear_inversion(np.array(method_probs), scn.d)
+            if m == "QST"
+            else _RECONSTRUCTORS[m][0](correls, cfg)
+            for m in scn.methods
+        ]
+        if not qst_ref:
+            reference = np.broadcast_to(rho.matrix, (len(seeds), scn.d, scn.d))
+        elif seeds == (EXPECTATION_SEED,) and qst_method:
+            # both read the exact Born vector: the method's estimate is the reference
+            reference = results[scn.methods.index("QST")].finalized
         else:
-            t_dist = (
-                qmath.trace_distance(result.finalized.matrix, reference.matrix)
-                if reference is not None
-                else float("nan")
-            )
-            d_rho = metrics.mean_square_error(result.element_errors)
-        return ResultRow(
-            scenario_id=scn.scenario_id,
-            kind=scn.kind,
-            method=method,
-            d=scn.d,
-            theta_a=theta,
-            theta_b=theta,
-            purity_p=purity_p,
-            n_events=scn.n_events,
-            seed=seed,
-            trace_distance=t_dist,
-            delta_rho=d_rho,
-            bound=bounds.get(method, float("nan")),
-            bias_epsilon=bias_eps,
-            bias_efficiency=bias_eff,
-        )
+            reference = reconstruct.qst_linear_inversion(np.array(ref_probs), scn.d).finalized
+        finalized = np.array([r.finalized for r in results])
+        degenerate = np.isnan(finalized[..., 0, 0])
+        errors = metrics.mean_square_error(np.array([r.element_errors for r in results]))
+        d_rho = np.where(degenerate, np.inf, errors)
+        ok = ~(degenerate | np.isnan(reference[:, 0, 0]))
+        reference = np.broadcast_to(reference, finalized.shape)
+        if ok.all():
+            t_dist = qmath.trace_distance(finalized, reference)
+        else:
+            t_dist = np.full(ok.shape, np.nan)
+            if ok.any():
+                t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
+        return [
+            row(method=m, seed=seed, trace_distance=t, delta_rho=e, bound=bounds.get(m, math.nan))
+            for m, m_dist, m_rho in zip(scn.methods, t_dist.tolist(), d_rho.tolist())
+            for seed, t, e in zip(seeds, m_dist, m_rho)
+        ]
 
-    rows: list[ResultRow] = []
-    sampled_seeds = scn.seeds if scn.source == "sampled" else ()
-    for seed in (EXPECTATION_SEED, *sampled_seeds):
-        if seed == EXPECTATION_SEED:
-            correls = correlations.correlation_set_from_tables(tables) if pairs else None
-            method_probs = ref_probs = born
-        else:
-            sample_root = derive_seed(root_seed, *point_key, seed)
-            correls = (
-                correlations.correlation_set_from_tables(
-                    tables, sampled=True, n=scn.n_events, root_seed=sample_root
-                )
-                if pairs
-                else None
-            )
-            method_probs = sampled_born(sample_root, "qst-method") if qst_method else None
-            ref_probs = sampled_born(root_seed, *point_key, seed, "qst-ref") if qst_ref else None
-        results = {m: estimate(m, correls, method_probs) for m in scn.methods}
-        if qst_ref:
-            shared = seed == EXPECTATION_SEED and qst_method
-            ref = results["QST"] if shared else estimate("QST", None, ref_probs)
-            reference = ref.finalized if ref is not None else None
-        else:
-            reference = rho
-        rows += [make_row(m, seed, results[m], reference) for m in scn.methods]
+    rows = stack_rows((EXPECTATION_SEED,))
+    if scn.source == "sampled":
+        rows += stack_rows(scn.seeds)
     return rows
 
 

@@ -40,12 +40,16 @@ class ComparisonSummary:
     purity_reference: float
 
 
-def mean_square_error(element_errors: np.ndarray) -> float:
-    """Aggregate statistical error sqrt(sum_jk |delta rho_jk|^2)."""
+def mean_square_error(element_errors: np.ndarray):
+    """Aggregate statistical error sqrt(sum_jk |delta rho_jk|^2).
+
+    One (d, d) matrix gives a float; a stack (..., d, d) gives one value per slice.
+    """
     e = np.asarray(element_errors, dtype=float)
     if e.size and e.min() < 0:
         raise ValueError("element errors must be nonnegative")
-    return float(np.sqrt(np.sum(e * e)))
+    err = np.sqrt(np.sum(e * e, axis=(-2, -1)))
+    return float(err) if err.ndim == 0 else err
 
 
 def has_error_floor(method: str, d: int) -> bool:
@@ -77,7 +81,9 @@ def error_lower_bound(method: str, d: int, theta: float, n: int) -> ErrorBound:
 
 
 def compare(result: ReconstructionResult, reference: states.DensityMatrix) -> ComparisonSummary:
-    """Trace distance and aggregate error of a reconstruction against a reference."""
+    """Trace distance and aggregate error of one reconstruction against a reference."""
+    if not isinstance(result.finalized, states.DensityMatrix):
+        raise ValueError("compare takes one reconstruction; a stacked result has no summary")
     if result.finalized.dim != reference.dim:
         raise ValueError(
             f"dimension mismatch: {result.finalized.dim} vs {reference.dim}"

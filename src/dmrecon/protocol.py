@@ -157,7 +157,7 @@ def coupling_unitary(proj: np.ndarray, theta: float) -> np.ndarray:
     (1 - proj) (x) 1 + proj (x) exp(-i theta Y) exactly, for any theta.
     """
     p = qmath.as_complex_matrix(proj)
-    if p.shape[0] != p.shape[1]:
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("coupling projector must be square")
     if not qmath.is_hermitian(p, PROJECTOR_ATOL):
         raise ValueError("coupling operator must be a Hermitian projector")

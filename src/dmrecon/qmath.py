@@ -1,4 +1,9 @@
-"""Dense complex linear algebra for small Hilbert spaces (dimension <= 64)."""
+"""Dense complex linear algebra for small Hilbert spaces (d <= protocol.MAX_DIM = 16).
+
+`is_hermitian`, `hermitian_part` and `trace_distance` also take a stack of
+matrices over leading axes, shaped (..., d, d), and act on each slice; the
+other functions take one matrix.
+"""
 
 from __future__ import annotations
 
@@ -17,11 +22,15 @@ class HermitianEigenSystem(NamedTuple):
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex ndarray without copying when possible."""
+    """Coerce to a complex ndarray of one matrix, or a stack of them over leading axes.
+
+    Does not copy when possible. The matrices are the last two axes; callers
+    that take one matrix check `ndim == 2` themselves.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
         raise ValueError("matrix must be nonempty")
     return a
 
@@ -36,10 +45,11 @@ def allclose(a, b, atol: float = DEFAULT_ATOL) -> bool:
 
 
 def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
+    """Whether m, or every slice of a stack, equals its adjoint within atol (nan never does)."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         return False
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= atol)
+    return bool(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0) <= atol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -48,17 +58,17 @@ def tensor(a, b) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """Return (m + m^dagger)/2."""
+    """Return (m + m^dagger)/2, slice by slice for a stack."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"hermitian_part requires a square matrix, got {a.shape}")
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> HermitianEigenSystem:
     """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
     a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigendecomposition requires a square matrix, got {a.shape}")
     dev = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if dev > atol:
@@ -80,8 +90,13 @@ def matrix_exponential(h, scale: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def trace_distance(r1, r2, atol: float = DEFAULT_ATOL) -> float:
-    """Half the trace norm of (r1 - r2); in [0, 1] for positive unit-trace states."""
+def trace_distance(r1, r2, atol: float = DEFAULT_ATOL):
+    """Half the trace norm of (r1 - r2); in [0, 1] for positive unit-trace states.
+
+    Two matrices give a float. Two stacks of the same shape (..., d, d)
+    give one distance per pair of slices, from one batched `eigvalsh`.
+    Every slice must be Hermitian.
+    """
     a = as_complex_matrix(r1)
     b = as_complex_matrix(r2)
     if a.shape != b.shape:
@@ -89,4 +104,5 @@ def trace_distance(r1, r2, atol: float = DEFAULT_ATOL) -> float:
     if not is_hermitian(a, atol) or not is_hermitian(b, atol):
         raise ValueError("trace_distance requires Hermitian inputs")
     w = np.linalg.eigvalsh(hermitian_part(a - b))
-    return float(0.5 * np.sum(np.abs(w)))
+    dist = 0.5 * np.sum(np.abs(w), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -13,6 +13,13 @@ Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
 finalized matrices may have negative eigenvalues and carry the positivity
 flag unset.
+
+Every estimator also takes a stack: `Correlations` with a leading seed axis,
+or an (S, d^2) stack of Born vectors for tomography. It then returns one
+result whose arrays carry that axis, with `finalized` the (S, d, d) array of
+finalized matrices. A slice with near-zero trace is all nan there instead of
+raising, so one degenerate seed does not stop the others; a single matrix
+still raises `DegenerateTraceError`.
 """
 
 from __future__ import annotations
@@ -40,12 +47,14 @@ class ReconstructionResult:
 
     `element_errors[j-1, k-1]` is the propagated statistical error |delta
     rho_jk| of the finalized matrix: all zeros when built from exact
-    correlations, all nan for tomography, which propagates no error.
+    correlations, all nan for tomography, which propagates no error. For a
+    stack every array has the leading seed axis and `finalized` is the array
+    `finalize` returns for it.
     """
 
     method: str
     raw: np.ndarray
-    finalized: states.DensityMatrix
+    finalized: states.DensityMatrix | np.ndarray
     element_errors: np.ndarray
 
 
@@ -53,15 +62,25 @@ class DegenerateTraceError(ValueError):
     """The Hermitian part of a raw matrix has near-zero trace: no state estimate exists."""
 
 
-def finalize(raw: np.ndarray) -> states.DensityMatrix:
-    """Hermitian part, then trace normalization. Positivity is not enforced."""
+def finalize(raw: np.ndarray) -> states.DensityMatrix | np.ndarray:
+    """Hermitian part, then trace normalization. Positivity is not enforced.
+
+    One (d, d) matrix gives a `DensityMatrix`, or raises DegenerateTraceError
+    at near-zero trace. A stack (..., d, d) gives the array of normalized
+    slices, each degenerate slice all nan.
+    """
     h = qmath.hermitian_part(raw)
-    tr = float(np.trace(h).real)
-    if abs(tr) <= FINALIZE_TRACE_ATOL:
-        raise DegenerateTraceError(
-            f"cannot normalize: Hermitian part has near-zero trace {tr:.3e}"
-        )
-    return states.DensityMatrix(h / tr, positivity_checked=False)
+    tr = np.trace(h, axis1=-2, axis2=-1).real
+    degenerate = np.abs(tr) <= FINALIZE_TRACE_ATOL
+    if h.ndim == 2:
+        if degenerate:
+            raise DegenerateTraceError(
+                f"cannot normalize: Hermitian part has near-zero trace {tr:.3e}"
+            )
+        return states.DensityMatrix(h / tr, positivity_checked=False)
+    out = h / np.where(degenerate, 1.0, tr)[..., None, None]
+    out[degenerate] = np.nan
+    return out
 
 
 def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
@@ -73,15 +92,16 @@ def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
     value of 1: dividing by the realized trace would mix its own sampling
     noise into every element and break the 1/theta^2 error scaling.
     """
-    herm_re = 0.5 * np.sqrt(re_err**2 + re_err.T**2)
-    np.fill_diagonal(herm_re, np.diag(re_err))
-    herm_im = 0.5 * np.sqrt(im_err**2 + im_err.T**2)
-    np.fill_diagonal(herm_im, 0.0)
+    i = np.arange(re_err.shape[-1])
+    herm_re = 0.5 * np.sqrt(re_err**2 + re_err.swapaxes(-1, -2) ** 2)
+    herm_re[..., i, i] = re_err[..., i, i]
+    herm_im = 0.5 * np.sqrt(im_err**2 + im_err.swapaxes(-1, -2) ** 2)
+    herm_im[..., i, i] = 0.0
     return np.sqrt(herm_re**2 + herm_im**2)
 
 
 def _columns(correls: Correlations, cfg: CouplingConfig, pairs) -> list[np.ndarray]:
-    """Values then standard errors, as d x d matrices, of each requested pair."""
+    """Values then standard errors, as (..., d, d) arrays, of each requested pair."""
     if correls.dim != cfg.dim:
         raise ValueError(f"correlations are for d={correls.dim}, config has d={cfg.dim}")
     cols = [correls.column(pair) for pair in pairs]
@@ -155,17 +175,18 @@ def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> Reconstr
     n = cfg.n_ab
     pp, yy, xy, _, e_yy, e_xy = _columns(correls, cfg, PAIRS_EXACT_II)
     if correls.n_events:
-        est = pp.mean(axis=1)
+        est = pp.mean(axis=-1)
         se = np.sqrt(np.maximum(est / d - est * est, 0.0) / correls.n_events)
     else:
-        est = np.diag(pp)
-        se = np.zeros(d)
+        est = np.diagonal(pp, axis1=-2, axis2=-1)
+        se = np.zeros_like(est)
     raw = -2 * n * yy + 2j * n * xy
     re_err = 2 * n * e_yy
     im_err = 2 * n * e_xy
-    np.fill_diagonal(raw, 16 * n * n * est)
-    np.fill_diagonal(re_err, 16 * n * n * se)
-    np.fill_diagonal(im_err, 0.0)
+    i = np.arange(d)
+    raw[..., i, i] = 16 * n * n * est
+    re_err[..., i, i] = 16 * n * n * se
+    im_err[..., i, i] = 0.0
     return _result(METHOD_EXACT_II, raw, re_err, im_err)
 
 
@@ -208,22 +229,25 @@ def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
     """Tomography by inverting the standard family's Born probabilities in closed form.
 
     `probs` holds the d^2 Born probabilities of `standard_projector_family(d)`,
-    in its order. With rho_jj = p_{a_j}, the others read
+    in its order, or an (S, d^2) stack of such vectors. With
+    rho_jj = p_{a_j}, the others read
     p_{+jk} = (rho_jj + rho_kk)/2 + Re rho_jk and
     p_{i_jk} = (rho_jj + rho_kk)/2 - Im rho_jk.
     """
     p = np.asarray(probs, dtype=float)
-    if p.shape != (d * d,):
+    if p.ndim not in (1, 2) or p.shape[-1] != d * d:
         raise ValueError(
             f"standard-family tomography at d={d} needs {d * d} probabilities, got shape {p.shape}"
         )
     n_off = d * (d - 1) // 2
-    diag, plus, imag = p[:d], p[d : d + n_off], p[d + n_off :]
+    diag, plus, imag = p[..., :d], p[..., d : d + n_off], p[..., d + n_off :]
+    i = np.arange(d)
     j, k = np.triu_indices(d, 1)
-    mean = (diag[j] + diag[k]) / 2
-    raw = np.diag(diag).astype(complex)
-    raw[j, k] = (plus - mean) + 1j * (mean - imag)
-    raw[k, j] = raw[j, k].conj()
+    mean = (diag[..., j] + diag[..., k]) / 2
+    raw = np.zeros((*p.shape[:-1], d, d), dtype=complex)
+    raw[..., i, i] = diag
+    raw[..., j, k] = (plus - mean) + 1j * (mean - imag)
+    raw[..., k, j] = raw[..., j, k].conj()
     return _qst_result(raw)
 
 

@@ -32,7 +32,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = qmath.as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if not qmath.is_hermitian(m, HERMITICITY_ATOL):
             raise ValueError("density matrix must be Hermitian within 1e-10")

@@ -159,6 +159,25 @@ def test_exact_reports_bad_input(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "mixed", "--theta", "1.5707963267948966"],
+        ["--state", "pure:a1", "--d", "1", "--theta", "1.5707963267948966"],
+    ],
+)
+def test_exact_reports_degenerate_estimate(capsys, argv):
+    # valid input where W has no signal (zero trace at full strength): one
+    # stderr line and exit status 1, not a traceback
+    rc = main(["exact", "--method", "W", *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("dmrecon exact: ")
+    assert "near-zero trace" in captured.err
+
+
+@pytest.mark.parametrize(
     "lines, message",
     [
         (["kind = single", "d = 40"], "outside supported range 1..16"),

@@ -31,6 +31,27 @@ class TestQmathRejections:
         with pytest.raises(ValueError, match="Hermitian"):
             qmath.trace_distance(skew, np.eye(2))
 
+    def test_trace_distance_rejects_one_non_hermitian_slice(self):
+        stack = np.stack([np.eye(2) / 2] * 3).astype(complex)
+        assert qmath.is_hermitian(stack)
+        skewed = stack.copy()
+        skewed[1, 0, 1] = 0.5
+        assert not qmath.is_hermitian(skewed)
+        for a, b in ((skewed, stack), (stack, skewed)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                qmath.trace_distance(a, b)
+
+    def test_trace_distance_rejects_mismatched_stacks(self):
+        half = np.eye(2) / 2
+        for a, b in (
+            (np.stack([half] * 3), np.stack([half] * 2)),
+            (np.stack([half] * 2), np.stack([np.eye(3) / 3] * 2)),
+            (np.stack([half] * 2), half),
+            (np.stack([half] * 2)[None], np.stack([half] * 2)),
+        ):
+            with pytest.raises(ValueError, match="mismatch"):
+                qmath.trace_distance(a, b)
+
 
 class TestStatesRejections:
     def test_non_square_density(self):
@@ -105,6 +126,28 @@ class TestCorrelationRejections:
     def test_negative_std_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), -0.1), n_events=10)
+
+    def test_stacked_std_error_checked(self):
+        pairs = (("X", "X"), ("Y", "Y"))
+        values = np.zeros((3, 2, 2, 2))
+        Correlations(pairs, values, np.full(values.shape, 0.1), n_events=10)
+        for wrong in ((2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 2)):
+            with pytest.raises(ValueError, match="shaped"):
+                Correlations(pairs, values, np.zeros(wrong), n_events=10)
+        negative = np.full(values.shape, 0.1)
+        negative[2, 1, 0, 1] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative"):
+            Correlations(pairs, values, negative, n_events=10)
+
+    def test_stack_needs_matching_sets(self):
+        rho = states.maximally_mixed(2)
+        cfg = CouplingConfig(2, 0.5, 0.5)
+        a = correlations.sampled_correlation_set(rho, cfg, PAIRS_WEAK, 100, root_seed=1)
+        b = correlations.sampled_correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
+        with pytest.raises(ValueError, match="share pairs and n_events"):
+            correlations.stack_sets([a, b])
+        stack = correlations.stack_sets([a, a])
+        assert stack.dim == 2 and stack.values.shape == (2, *a.values.shape)
 
     def test_analytic_index_range(self):
         rho = states.maximally_mixed(2)

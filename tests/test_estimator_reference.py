@@ -4,23 +4,39 @@ The references are the element-by-element formulas, read one (j, k) at a
 time from the dense correlation arrays. Raw matrices must agree exactly;
 element errors agree to rtol 1e-14, because the vectorised variance sums
 are rounded differently from `math.hypot`.
+
+A stack of correlation sets (or of QST Born vectors) must give, slice by
+slice, bit for bit what one call per set gives, through the estimators,
+`finalize`, `trace_distance` and `mean_square_error`; a slice whose single
+call raises DegenerateTraceError comes back all nan.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from dmrecon import states
-from dmrecon.correlations import PAIRS_EXACT_I, exact_correlation_set, sampled_correlation_set
+from dmrecon import metrics, qmath, states
+from dmrecon.correlations import (
+    PAIRS_EXACT_I,
+    build_tables,
+    correlation_set_from_tables,
+    exact_correlation_set,
+    sampled_correlation_set,
+    stack_sets,
+)
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import (
     DegenerateTraceError,
     _element_errors,
+    born_probabilities,
     finalize,
+    qst_linear_inversion,
     reconstruct_exact_i,
     reconstruct_exact_ii,
     reconstruct_weak,
+    standard_projector_family,
 )
 
 
@@ -144,3 +160,94 @@ def test_vectorised_estimators_match_loops(d, seed):
             np.testing.assert_allclose(
                 result.element_errors, _element_errors(re_err, im_err), rtol=1e-14, atol=0
             )
+
+
+STACK_SEEDS = 8
+
+
+def _check_stack_matches_slices(stacked, singles, truth, rebuild_slice):
+    """Each slice of a stacked result against one call per slice.
+
+    `singles[s]` is the single call's result, or None where it raised
+    DegenerateTraceError; there the stacked slice must be all nan and
+    `finalize` of its raw slice must raise. Returns the degenerate mask.
+    """
+    d = truth.shape[0]
+    assert stacked.finalized.shape == (len(singles), d, d)
+    degenerate = np.array([one is None for one in singles])
+    for s, one in enumerate(singles):
+        if one is None:
+            assert np.isnan(stacked.finalized[s]).all()
+            with pytest.raises(DegenerateTraceError):
+                finalize(stacked.raw[s])
+            assert_array_equal(stacked.raw[s], rebuild_slice(s))
+            continue
+        assert_array_equal(stacked.raw[s], one.raw)
+        assert_array_equal(stacked.element_errors[s], one.element_errors)
+        assert_array_equal(stacked.finalized[s], one.finalized.matrix)
+        assert_array_equal(finalize(stacked.raw)[s], finalize(stacked.raw[s]).matrix)
+    assert_array_equal(
+        metrics.mean_square_error(stacked.element_errors),
+        [metrics.mean_square_error(e) for e in stacked.element_errors],
+    )
+    ok = ~degenerate
+    if ok.any():
+        reference = np.broadcast_to(truth, (int(ok.sum()), d, d))
+        assert_array_equal(
+            qmath.trace_distance(stacked.finalized[ok], reference),
+            [qmath.trace_distance(one.finalized.matrix, truth) for one in singles if one],
+        )
+    return degenerate
+
+
+def _single(rebuild, *args):
+    try:
+        return rebuild(*args)
+    except DegenerateTraceError:
+        return None
+
+
+# Few events and small theta give degenerate slices among regular ones.
+STACK_CASES = [(0.05, 2), (0.3, 40), (math.pi / 2, 1), (math.pi / 2, 10_000)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("theta, n", STACK_CASES)
+def test_stacked_estimators_match_slices(d, theta, n):
+    rho = states.random_density(d, 7 * d)
+    cfg = CouplingConfig(d, theta, theta)
+    tables = build_tables(rho, cfg, PAIRS_EXACT_I)
+    sets = [
+        correlation_set_from_tables(tables, sampled=True, n=n, root_seed=seed)
+        for seed in range(STACK_SEEDS)
+    ]
+    stack = stack_sets(sets)
+    assert stack.values.shape == (STACK_SEEDS, d, d, len(PAIRS_EXACT_I))
+    mixed = False
+    for rebuild, loop in ESTIMATORS:
+        degenerate = _check_stack_matches_slices(
+            rebuild(stack, cfg),
+            [_single(rebuild, cs, cfg) for cs in sets],
+            rho.matrix,
+            lambda s: loop(sets[s], cfg)[0],
+        )
+        mixed |= 0 < degenerate.sum() < STACK_SEEDS
+    if (theta, n) == (math.pi / 2, 1):
+        assert mixed, "the one-event stack must mix degenerate and regular slices"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("n", [1, 3, 10_000])
+def test_stacked_qst_matches_slices(d, n):
+    rho = states.random_density(d, 11 * d)
+    born = born_probabilities(rho, standard_projector_family(d))
+    rng = np.random.default_rng(100 * d + n)
+    probs = rng.binomial(n, np.clip(born, 0.0, 1.0), size=(STACK_SEEDS, d * d)) / n
+    degenerate = _check_stack_matches_slices(
+        qst_linear_inversion(probs, d),
+        [_single(qst_linear_inversion, p, d) for p in probs],
+        rho.matrix,
+        lambda s: qst_linear_inversion(probs[s : s + 1], d).raw[0],
+    )
+    if (d, n) == (16, 1):
+        assert 0 < degenerate.sum() < STACK_SEEDS

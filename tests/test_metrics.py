@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from dmrecon import metrics, states
-from dmrecon.correlations import PAIRS_EXACT_I, PAIRS_WEAK, exact_correlation_set, sampled_correlation_set
+from dmrecon.correlations import (
+    PAIRS_EXACT_I,
+    PAIRS_WEAK,
+    exact_correlation_set,
+    sampled_correlation_set,
+    stack_sets,
+)
 from dmrecon.metrics import compare, ensemble_delta_rho, error_lower_bound, mean_square_error
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import reconstruct_exact_i, reconstruct_weak
@@ -87,6 +93,14 @@ class TestCompare:
         result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         with pytest.raises(ValueError, match="mismatch"):
             compare(result, states.maximally_mixed(3))
+
+    def test_rejects_stacked_result(self):
+        rho = states.random_density(2, 41)
+        cfg = CouplingConfig(2, 0.8, 0.8)
+        correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        result = reconstruct_exact_i(stack_sets([correls, correls]), cfg)
+        with pytest.raises(ValueError, match="stacked"):
+            compare(result, rho)
 
     def test_sampled_error_exceeds_floor_every_seed(self):
         # theta = 0.1, n = 1e4, d = 2: per-seed propagated error vs the floor
