@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small Hilbert spaces (d <= protocol.MAX_DIM = 16).
 
-`is_hermitian`, `hermitian_part` and `trace_distance` also take a stack of
-matrices over leading axes, shaped (..., d, d), and act on each slice; the
-other functions take one matrix.
+`as_complex_matrix`, `is_hermitian`, `hermitian_part` and `trace_distance`
+also take a stack of matrices over leading axes, shaped (..., d, d), and act
+on each slice; `hermitian_eigensystem` and `matrix_exponential` take one
+matrix.
 """
 
 from __future__ import annotations
