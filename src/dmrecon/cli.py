@@ -56,7 +56,10 @@ def _cmd_run(args) -> int:
         rows += experiments.run_scenario(scn, doc.root_seed)
     rows = experiments.sort_rows(rows)
     out_path = out_dir / "results.csv"
-    io.write_results(rows, out_path)
+    try:
+        io.write_results(rows, out_path)
+    except OSError as exc:
+        return _input_error("run", f"cannot write {out_path}: {exc}")
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

@@ -12,17 +12,21 @@ Three evaluation paths are provided:
 The exact and sampled paths read the joint outcome probabilities of one grid
 point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
 and fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic
-path gives one value at a time. `stack_sets` joins the sets of several seeds
-into one `Correlations` with a leading seed axis, [seed, j-1, k-1, pair],
-which the estimators read in one call. The exact and analytic paths are
-independent implementations and must agree; their agreement cross-validates
-both the Kraus contraction and the closed forms.
+path gives one value at a time. Given a list of root seeds, the sampled path
+draws every seed of a grid point in one call and returns one `Correlations`
+with a leading seed axis, [seed, j-1, k-1, pair], which the estimators read
+in one call; seed s's slice is bit for bit the set drawn from root_seed[s]
+alone. `stack_sets` joins separately drawn sets the same way. The exact and
+analytic paths are independent implementations and must agree; their
+agreement cross-validates both the Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,29 +200,44 @@ def analytic_correlation(
     return value
 
 
-def sample_counts(tables: OutcomeTables, n: int, root_seed: int) -> np.ndarray:
+def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int]) -> np.ndarray:
     """Draw n events from every (j, pair) table; integer counts shaped like `probs`.
 
-    One counter-based Philox generator keyed by the root seed makes one
+    Each root seed keys one counter-based Philox generator, which makes one
     multinomial draw over the stack of flattened (j, pair) tables:
     reproducible across runs and workers, with cost independent of n. A
-    table's counts depend on the root seed and on every table drawn with it.
+    table's counts depend on its root seed and on every table drawn with it.
+    An int root seed gives counts shaped like `probs`; a sequence of S root
+    seeds gives an (S, ...) stack whose slice s is the counts of root_seed[s]
+    alone, whatever the other roots are.
     """
     if n < 1:
         raise ValueError("need at least one event")
+    single = isinstance(root_seed, numbers.Integral)
+    roots = [root_seed] if single else list(root_seed)
+    if not roots:
+        raise ValueError("need at least one root seed")
     probs = tables.probs
     flat = probs.reshape(*probs.shape[:2], -1)
-    rng = np.random.Generator(np.random.Philox(root_seed))
-    return rng.multinomial(n, flat / flat.sum(axis=-1, keepdims=True)).reshape(probs.shape)
+    pvals = flat / flat.sum(axis=-1, keepdims=True)
+    counts = np.empty((len(roots), *flat.shape), dtype=np.int64)
+    for out, root in zip(counts, roots):
+        out[...] = np.random.Generator(np.random.Philox(root)).multinomial(n, pvals)
+    counts = counts.reshape(len(roots), *probs.shape)
+    return counts[0] if single else counts
 
 
 def sampled_records_from_counts(
     tables: OutcomeTables, counts: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation estimates and plug-in standard errors, each indexed [j-1, k-1, p]."""
+    """Correlation estimates and plug-in standard errors, each indexed [..., j-1, k-1, p].
+
+    `counts` is shaped like `probs`, or a stack of such with leading axes,
+    which the result keeps.
+    """
     w, freq = tables.weights, counts / n
-    est = np.einsum("pxy,jpxyk->jkp", w, freq)
-    second = np.einsum("pxy,jpxyk->jkp", w * w, freq)
+    est = np.einsum("pxy,...jpxyk->...jkp", w, freq)
+    second = np.einsum("pxy,...jpxyk->...jkp", w * w, freq)
     var = np.maximum(second - est * est, 0.0) / n
     return est, np.sqrt(var)
 
@@ -227,12 +246,15 @@ def correlation_set_from_tables(
     tables: OutcomeTables,
     sampled: bool = False,
     n: int = 0,
-    root_seed: int = 0,
+    root_seed: int | Sequence[int] = 0,
 ) -> Correlations:
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
     In sampled mode each (j, pair) table gets its own n-event draw, all of
     them from one generator keyed by the root seed: one per (grid point, seed).
+    A sequence of S root seeds draws S sets in one call and returns them as
+    one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the set of
+    root_seed[s] alone, bit for bit.
     """
     if sampled:
         counts = sample_counts(tables, n, root_seed)
@@ -274,9 +296,12 @@ def sampled_correlation_set(
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
     n: int,
-    root_seed: int,
+    root_seed: int | Sequence[int],
 ) -> Correlations:
-    """All (j, k) sampled correlations, n events per (j, pair) setting."""
+    """All (j, k) sampled correlations, n events per (j, pair) setting.
+
+    A sequence of root seeds gives one set per seed, stacked on a leading axis.
+    """
     return correlation_set_from_tables(
         build_tables(rho, cfg, pairs), sampled=True, n=n, root_seed=root_seed
     )

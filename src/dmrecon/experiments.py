@@ -206,13 +206,15 @@ def run_point(
 
     Seed -1 (EXPECTATION_SEED) reads the exact correlations and the exact QST
     Born vector; its rows are the exact source's data and the theoretical
-    curve. Each sampled seed draws its correlations and QST vectors from its
-    own derived seeds, reduced to correlation values at once. The sampled
-    seeds are then stacked, and each method (with its `finalize`) runs once
-    over the stack; seed -1 is a stack of its own, because estimator II reads
-    exact and sampled data differently. With `reference = qst` a seed's rows
-    are compared with its QST reference estimate; at seed -1 that is the
-    exact QST estimate. `ResultRow`s are built only at the end.
+    curve. The sampled seeds are drawn as one stack: one sampler call draws
+    every seed's correlations, each from its own derived root seed, and
+    reduces them to one `Correlations` with a leading seed axis; each seed's
+    QST vectors come from its own derived seeds too. Each method (with its
+    `finalize`) then runs once over the stack; seed -1 is a stack of its own,
+    because estimator II reads exact and sampled data differently. With
+    `reference = qst` a seed's rows are compared with its QST reference
+    estimate; at seed -1 that is the exact QST estimate. `ResultRow`s are
+    built only at the end.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
@@ -226,27 +228,40 @@ def run_point(
         else None
     )
 
-    def sampled_born(*key) -> np.ndarray:
-        """Born frequencies of n_events per projector, drawn from the key's derived seed."""
-        rng = np.random.Generator(np.random.Philox(derive_seed(*key)))
-        return rng.binomial(scn.n_events, np.clip(born, 0.0, 1.0)) / scn.n_events
+    # binomial success probabilities of every sampled QST vector at this point
+    clipped = None if born is None else np.clip(born, 0.0, 1.0)
 
-    def draw(seed: int) -> tuple:
-        """A seed's correlations, QST method vector and QST reference vector (None if unused)."""
-        if seed == EXPECTATION_SEED:
-            return (correlations.correlation_set_from_tables(tables) if pairs else None), born, born
-        sample_root = derive_seed(root_seed, *point_key, seed)
+    def sampled_born(keys) -> np.ndarray:
+        """Born frequencies of n_events per projector, one row per key's derived seed."""
+        return np.array([
+            np.random.Generator(np.random.Philox(derive_seed(*key))).binomial(scn.n_events, clipped)
+            / scn.n_events
+            for key in keys
+        ])
+
+    def draw(seeds: tuple[int, ...]) -> tuple:
+        """A seed stack's correlations, QST method and QST reference vectors (None if unused)."""
+        if seeds == (EXPECTATION_SEED,):
+            correls = None
+            if pairs:
+                exact = correlations.correlation_set_from_tables(tables)
+                correls = replace(exact, values=exact.values[None], std_error=exact.std_error[None])
+            exact_probs = None if born is None else born[None]
+            return correls, exact_probs, exact_probs
+        sample_roots = [derive_seed(root_seed, *point_key, seed) for seed in seeds]
         correls = (
             correlations.correlation_set_from_tables(
-                tables, sampled=True, n=scn.n_events, root_seed=sample_root
+                tables, sampled=True, n=scn.n_events, root_seed=sample_roots
             )
             if pairs
             else None
         )
+        method_keys = ((root, "qst-method") for root in sample_roots)
+        ref_keys = ((root_seed, *point_key, seed, "qst-ref") for seed in seeds)
         return (
             correls,
-            sampled_born(sample_root, "qst-method") if qst_method else None,
-            sampled_born(root_seed, *point_key, seed, "qst-ref") if qst_ref else None,
+            sampled_born(method_keys) if qst_method else None,
+            sampled_born(ref_keys) if qst_ref else None,
         )
 
     # The statistical-error floor of each direct method, nan where undefined.
@@ -278,11 +293,9 @@ def run_point(
         leaves it nan, and its row reads trace_distance nan and delta_rho inf.
         A nan QST reference slice leaves trace_distance nan.
         """
-        sets, method_probs, ref_probs = zip(*map(draw, seeds))
-        correls = correlations.stack_sets(sets) if pairs else None
-        del sets  # the stack holds the values; free the per-seed copies before estimating
+        correls, method_probs, ref_probs = draw(seeds)
         results = [
-            reconstruct.qst_linear_inversion(np.array(method_probs), scn.d)
+            reconstruct.qst_linear_inversion(method_probs, scn.d)
             if m == "QST"
             else _RECONSTRUCTORS[m][0](correls, cfg)
             for m in scn.methods
@@ -293,7 +306,7 @@ def run_point(
             # both read the exact Born vector: the method's estimate is the reference
             reference = results[scn.methods.index("QST")].finalized
         else:
-            reference = reconstruct.qst_linear_inversion(np.array(ref_probs), scn.d).finalized
+            reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
         finalized = np.array([r.finalized for r in results])
         degenerate = np.isnan(finalized[..., 0, 0])
         errors = metrics.mean_square_error(np.array([r.element_errors for r in results]))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import math
+import operator
 from dataclasses import dataclass
 
 from . import qmath
@@ -251,19 +252,16 @@ def write_matrix(m) -> str:
 # -- Results CSV ---------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def results_csv(rows: list[ResultRow]) -> str:
-    """Render result rows as CSV text with the fixed column set."""
+    """Render result rows as CSV text with the fixed column set.
+
+    The csv module writes floats with repr (nan, inf, -0.0 and 17
+    significant digits as Python prints them) and ints with str.
+    """
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+    writer.writerows(map(operator.attrgetter(*CSV_COLUMNS), rows))
     return buf.getvalue()
 
 

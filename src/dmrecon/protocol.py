@@ -20,6 +20,7 @@ of every j and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,11 +121,14 @@ class PointerSetting:
         return np.stack([p for _, p in self.projectors])
 
 
+@functools.lru_cache(maxsize=64)
 def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
     """Standard decompositions of the supported pointer observables.
 
     A nonzero `tilt` rotates every projector by that angle about the pointer
-    Y axis: a misaligned pointer measurement.
+    Y axis: a misaligned pointer measurement. Built and validated once per
+    (observable, tilt); the projectors are read-only because every caller
+    shares them.
     """
     if observable == "X":
         pairs = ((1.0, _proj(_KETP)), (-1.0, _proj(_KETM)))
@@ -141,6 +145,8 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
     if tilt != 0.0:
         r = pointer_rotation(tilt)
         pairs = tuple((eig, r @ p @ r.conj().T) for eig, p in pairs)
+    for _, p in pairs:
+        p.flags.writeable = False
     return PointerSetting(observable=observable, projectors=pairs)
 
 

@@ -141,6 +141,18 @@ def test_run_reports_uncreatable_out_dir(tmp_path, capsys, monkeypatch):
     assert "cannot create output directory" in _one_line_error(capsys, rc)
 
 
+def test_run_reports_unwritable_results(tmp_path, capsys, monkeypatch):
+    # the run completes, then results.csv cannot be written: one line, no traceback
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CONFIG)
+    out_dir = tmp_path / "o"
+    (out_dir / "results.csv").mkdir(parents=True)
+    rc = main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    err = _one_line_error(capsys, rc)
+    assert err.startswith(f"dmrecon run: cannot write {out_dir / 'results.csv'}: ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -16,7 +16,9 @@ from dmrecon.correlations import (
     derive_seed,
     sample_counts,
     sampled_records_from_counts,
+    stack_sets,
 )
+from dmrecon.experiments import BiasModel, build_tables
 from dmrecon.protocol import CouplingConfig
 
 
@@ -243,6 +245,67 @@ class TestSampling:
         spread = float(np.std(vals))
         claimed = float(np.mean(errs))
         assert claimed == pytest.approx(spread, rel=0.25)
+
+
+ROOTS = [derive_seed(9, "stack", s) for s in range(5)]
+
+
+def stacked_tables(d, biased):
+    """Outcome tables of every pair at one point, with tilt and efficiency bias or none."""
+    rho = states.random_density(d, 50 + d)
+    bias = BiasModel(0.04, 0.93) if biased else None
+    return build_tables(rho, CouplingConfig(d, 0.3, 1.4), SUPPORTED_PAIRS, bias)
+
+
+class TestSeedStack:
+    # a list of root seeds draws a seed stack in one call; slice s must be
+    # the single-root draw of roots[s], bit for bit
+
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_stack_equals_per_root_calls(self, d, biased):
+        tables = stacked_tables(d, biased)
+        n = 3000
+        counts = sample_counts(tables, n, ROOTS)
+        assert counts.shape == (len(ROOTS), *tables.probs.shape)
+        for root, slice_ in zip(ROOTS, counts):
+            np.testing.assert_array_equal(slice_, sample_counts(tables, n, root))
+        stack = correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=ROOTS)
+        oracle = stack_sets([
+            correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=root)
+            for root in ROOTS
+        ])
+        assert stack.pairs == oracle.pairs and stack.n_events == oracle.n_events == n
+        assert stack.values.shape == (len(ROOTS), d, d, len(SUPPORTED_PAIRS))
+        np.testing.assert_array_equal(stack.values, oracle.values)
+        np.testing.assert_array_equal(stack.std_error, oracle.std_error)
+
+    def test_slice_independent_of_other_roots(self):
+        tables = stacked_tables(4, True)
+        full = correlations.correlation_set_from_tables(tables, sampled=True, n=500, root_seed=ROOTS)
+        for others in ([ROOTS[2], ROOTS[4], ROOTS[0]], [ROOTS[2]], ROOTS[:0:-1]):
+            part = correlations.correlation_set_from_tables(
+                tables, sampled=True, n=500, root_seed=others
+            )
+            s = others.index(ROOTS[2])
+            np.testing.assert_array_equal(part.values[s], full.values[2])
+            np.testing.assert_array_equal(part.std_error[s], full.std_error[2])
+
+    def test_one_element_list_keeps_the_seed_axis(self):
+        tables = stacked_tables(2, False)
+        counts = sample_counts(tables, 100, ROOTS[:1])
+        assert counts.shape == (1, *tables.probs.shape)
+        np.testing.assert_array_equal(counts[0], sample_counts(tables, 100, ROOTS[0]))
+
+    def test_rejects_empty_roots_and_no_events(self):
+        tables = stacked_tables(2, False)
+        with pytest.raises(ValueError, match="at least one root seed"):
+            sample_counts(tables, 100, [])
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least one event"):
+                sample_counts(tables, n, ROOTS)
+            with pytest.raises(ValueError, match="at least one event"):
+                correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=7)
 
 
 class TestCorrelationSet:

@@ -1,12 +1,13 @@
 """Config parsing, matrix serialization, CSV output."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dmrecon import io
-from dmrecon.experiments import BiasModel, Scenario, run_scenario
+from dmrecon.experiments import BiasModel, ResultRow, Scenario, run_scenario
 from dmrecon.io import (
     ConfigDocument,
     ConfigError,
@@ -153,6 +154,33 @@ class TestResultsCsv:
         path = tmp_path / "r.csv"
         io.write_results(run_scenario(scn, root_seed=0), path)
         assert path.read_text().startswith("scenario_id,")
+
+    def test_exact_text_of_special_values(self):
+        # floats as repr (nan, inf, -0.0, all 17 digits), ints as str, and an
+        # id holding a comma and a quote quoted the csv way
+        row = ResultRow(
+            scenario_id='a,b"c',
+            kind="single",
+            method="W",
+            d=3,
+            theta_a=0.1,
+            theta_b=-0.0,
+            purity_p=1.0,
+            n_events=10_000,
+            seed=-1,
+            trace_distance=math.nan,
+            delta_rho=math.inf,
+            bound=0.12345678901234566,
+            bias_epsilon=-math.inf,
+            bias_efficiency=1e-300,
+        )
+        plain = replace(row, scenario_id="plain", seed=7, trace_distance=2.0 / 3.0)
+        assert results_csv([row, plain]) == (
+            ",".join(io.CSV_COLUMNS) + "\n"
+            '"a,b""c",single,W,3,0.1,-0.0,1.0,10000,-1,nan,inf,0.12345678901234566,-inf,1e-300\n'
+            "plain,single,W,3,0.1,-0.0,1.0,10000,7,0.6666666666666666,inf,"
+            "0.12345678901234566,-inf,1e-300\n"
+        )
 
 
 def test_config_document_defaults():

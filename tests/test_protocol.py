@@ -67,6 +67,17 @@ class TestPointerSettings:
         with pytest.raises(ValueError, match="unknown observable"):
             protocol.pointer_setting("W")
 
+    @pytest.mark.parametrize("tilt", [0.0, 0.03])
+    def test_cached_per_observable_and_tilt_and_read_only(self, tilt):
+        setting = protocol.pointer_setting("X", tilt)
+        assert protocol.pointer_setting("X", tilt) is setting
+        assert protocol.pointer_setting("Y", tilt) is not setting
+        assert protocol.pointer_setting("X", tilt + 0.01) is not setting
+        for _, p in setting.projectors:
+            assert not p.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p[0, 0] = 0.0
+
 
 class TestCouplingUnitary:
     def test_zero_strength_is_identity(self):
