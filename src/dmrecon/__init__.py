@@ -19,7 +19,7 @@ from .correlations import (
     sampled_correlation_set,
     stack_sets,
 )
-from .experiments import BiasModel, ResultRow, Scenario, run_scenario
+from .experiments import BiasModel, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
 from .protocol import CouplingConfig, PointerSetting, pointer_setting
 from .reconstruct import (
@@ -55,7 +55,6 @@ __all__ = [
     "PAIRS_WEAK",
     "PointerSetting",
     "ReconstructionResult",
-    "ResultRow",
     "Scenario",
     "analytic_correlation",
     "b0_state",

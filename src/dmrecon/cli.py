@@ -31,7 +31,7 @@ def _input_error(command: str, message: str) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")  # a leading BOM is dropped
     except (OSError, UnicodeDecodeError) as exc:
         return _input_error("run", f"cannot read config {args.config}: {exc}")
     try:
@@ -51,10 +51,9 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _input_error("run", f"cannot create output directory {out_dir}: {exc}")
-    rows: list[experiments.ResultRow] = []
-    for scn in doc.scenarios:
-        rows += experiments.run_scenario(scn, doc.root_seed)
-    rows = experiments.sort_rows(rows)
+    rows = experiments.sort_rows(
+        np.concatenate([experiments.run_scenario(scn, doc.root_seed) for scn in doc.scenarios])
+    )
     out_path = out_dir / "results.csv"
     try:
         io.write_results(rows, out_path)

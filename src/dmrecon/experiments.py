@@ -2,7 +2,8 @@
 
 Every run is deterministic: per-point seeds are derived from the root seed
 and the scenario coordinates, and rows are sorted before they are written,
-so repeated runs (or parallel ones) produce identical output.
+so repeated runs (or parallel ones) produce identical output. Rows are held
+as one structured array of `ROW_DTYPE`, whose fields are the CSV columns.
 
 The reference a reconstruction is compared against is, by default, the
 programmed input state itself, so the comparison carries no reference noise.
@@ -12,7 +13,6 @@ tomography estimate, mirroring a real experiment's protocol.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -116,6 +116,8 @@ class Scenario:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative ({EXPECTATION_SEED} marks expectation rows)")
+        if max(self.seeds) > np.iinfo(np.int64).max:
+            raise ValueError(f"seed={max(self.seeds)} outside 0..2**63-1 (the seed column's range)")
         if not 1 <= self.n_events <= np.iinfo(np.int64).max:
             raise ValueError(f"n_events={self.n_events} outside 1..2**63-1 (the sampler's range)")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -141,28 +143,26 @@ class Scenario:
                 raise ValueError(f"{key} must not repeat, got {' '.join(map(str, values))}")
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One reconstruction outcome; maps 1:1 onto a CSV output row.
-
-    `delta_rho` is the propagated statistical error, nan for QST, which
-    propagates none.
-    """
-
-    scenario_id: str
-    kind: str
-    method: str
-    d: int
-    theta_a: float
-    theta_b: float
-    purity_p: float
-    n_events: int
-    seed: int
-    trace_distance: float
-    delta_rho: float
-    bound: float
-    bias_epsilon: float
-    bias_efficiency: float
+# One result row per element, the fields in results.csv's column order.
+# `delta_rho` is the propagated statistical error, nan for QST, which
+# propagates none. The strings are object fields: a fixed-width unicode field
+# would drop a trailing "\x00" of a scenario id.
+ROW_DTYPE = np.dtype([
+    ("scenario_id", object),
+    ("kind", object),
+    ("method", object),
+    ("d", np.int64),
+    ("theta_a", np.float64),
+    ("theta_b", np.float64),
+    ("purity_p", np.float64),
+    ("n_events", np.int64),
+    ("seed", np.int64),
+    ("trace_distance", np.float64),
+    ("delta_rho", np.float64),
+    ("bound", np.float64),
+    ("bias_epsilon", np.float64),
+    ("bias_efficiency", np.float64),
+])
 
 
 def bias_outcome_table(tables: OutcomeTables, bias: BiasModel) -> OutcomeTables:
@@ -201,8 +201,8 @@ def run_point(
     purity_p: float,
     root_seed: int,
     point_key: tuple,
-) -> list[ResultRow]:
-    """All rows for one (state, theta) grid point of a scenario.
+) -> np.ndarray:
+    """All rows for one (state, theta) grid point of a scenario, as one `ROW_DTYPE` array.
 
     Seed -1 (EXPECTATION_SEED) reads the exact correlations and the exact QST
     Born vector; its rows are the exact source's data and the theoretical
@@ -213,8 +213,9 @@ def run_point(
     `finalize`) then runs once over the stack; seed -1 is a stack of its own,
     because estimator II reads exact and sampled data differently. With
     `reference = qst` a seed's rows are compared with its QST reference
-    estimate; at seed -1 that is the exact QST estimate. `ResultRow`s are
-    built only at the end.
+    estimate; at seed -1 that is the exact QST estimate. Each stack fills one
+    row array by field name, method-major: seed -1's rows, then the sampled
+    seeds' rows.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
@@ -270,21 +271,22 @@ def run_point(
         for m in direct_methods
         if metrics.has_error_floor(m, scn.d)
     }
-    row = functools.partial(
-        ResultRow,
-        scenario_id=scn.scenario_id,
-        kind=scn.kind,
-        d=scn.d,
-        theta_a=theta,
-        theta_b=theta,
-        purity_p=purity_p,
-        n_events=scn.n_events,
-        bias_epsilon=scn.bias.pointer_rotation_epsilon if scn.bias else 0.0,
-        bias_efficiency=scn.bias.per_projector_efficiency if scn.bias else 1.0,
-    )
+    # the fields every row of this point shares
+    point = {
+        "scenario_id": scn.scenario_id,
+        "kind": scn.kind,
+        "d": scn.d,
+        "theta_a": theta,
+        "theta_b": theta,
+        "purity_p": purity_p,
+        "n_events": scn.n_events,
+        "bias_epsilon": scn.bias.pointer_rotation_epsilon if scn.bias else 0.0,
+        "bias_efficiency": scn.bias.per_projector_efficiency if scn.bias else 1.0,
+    }
+    method_bounds = [bounds.get(m, math.nan) for m in scn.methods]
 
-    def stack_rows(seeds: tuple[int, ...]) -> list[ResultRow]:
-        """Rows of a stack of seeds: each method estimated once over the stack.
+    def stack_rows(seeds: tuple[int, ...]) -> np.ndarray:
+        """Rows of a stack of seeds, method-major: each method estimated once over the stack.
 
         The methods' finalized stacks are then joined into one (method, seed,
         d, d) array, so one `mean_square_error` and one `trace_distance` call
@@ -319,42 +321,43 @@ def run_point(
             t_dist = np.full(ok.shape, np.nan)
             if ok.any():
                 t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
-        return [
-            row(method=m, seed=seed, trace_distance=t, delta_rho=e, bound=bounds.get(m, math.nan))
-            for m, m_dist, m_rho in zip(scn.methods, t_dist.tolist(), d_rho.tolist())
-            for seed, t, e in zip(seeds, m_dist, m_rho)
-        ]
+        rows = np.empty(t_dist.size, ROW_DTYPE)
+        for name, value in point.items():
+            rows[name] = value
+        rows["method"] = np.repeat(scn.methods, len(seeds))
+        rows["seed"] = np.tile(seeds, len(scn.methods))
+        rows["trace_distance"] = t_dist.ravel()
+        rows["delta_rho"] = d_rho.ravel()
+        rows["bound"] = np.repeat(method_bounds, len(seeds))
+        return rows
 
-    rows = stack_rows((EXPECTATION_SEED,))
-    if scn.source == "sampled":
-        rows += stack_rows(scn.seeds)
-    return rows
+    if scn.source == "exact":
+        return stack_rows((EXPECTATION_SEED,))
+    return np.concatenate([stack_rows((EXPECTATION_SEED,)), stack_rows(scn.seeds)])
 
 
-def run_scenario(scn: Scenario, root_seed: int = 0) -> list[ResultRow]:
-    """All rows of a scenario, sorted.
+def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
+    """All rows of a scenario as one `ROW_DTYPE` array, sorted.
 
     A purity sweep runs the purity grid at its one coupling strength; every
     other kind runs one input state across the listed strengths.
     """
-    rows: list[ResultRow] = []
+    points = []
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
         theta = scn.theta_list[0]
         for p in scn.purity_grid:
             rho = states.purity_family(p, psi)
-            rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "p", p))
+            points.append(run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "p", p)))
     else:
         rho = states.parse_state_spec(scn.input_state, scn.d)
         p = states.purity(rho)
         for theta in scn.theta_list:
-            rows += run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta))
-    return sort_rows(rows)
+            points.append(run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta)))
+    return sort_rows(np.concatenate(points))
 
 
-def sort_rows(rows: list[ResultRow]) -> list[ResultRow]:
-    """Canonical row order, so parallel execution cannot change the artifact."""
-    return sorted(
-        rows,
-        key=lambda r: (r.scenario_id, r.kind, r.theta_a, r.purity_p, r.method, r.seed),
-    )
+def sort_rows(rows: np.ndarray) -> np.ndarray:
+    """Canonical row order, so parallel execution cannot change the artifact: one stable lexsort."""
+    keys = ("scenario_id", "kind", "theta_a", "purity_p", "method", "seed")
+    return rows[np.lexsort([rows[k] for k in reversed(keys)])]

@@ -26,28 +26,14 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import math
-import operator
 from dataclasses import dataclass
 
-from . import qmath
-from .experiments import BiasModel, ResultRow, Scenario
+import numpy as np
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "kind",
-    "method",
-    "d",
-    "theta_a",
-    "theta_b",
-    "purity_p",
-    "n_events",
-    "seed",
-    "trace_distance",
-    "delta_rho",
-    "bound",
-    "bias_epsilon",
-    "bias_efficiency",
-)
+from . import qmath
+from .experiments import ROW_DTYPE, BiasModel, Scenario
+
+CSV_COLUMNS = ROW_DTYPE.names
 
 _SCENARIO_KEYS = (
     "kind",
@@ -252,19 +238,20 @@ def write_matrix(m) -> str:
 # -- Results CSV ---------------------------------------------------------------
 
 
-def results_csv(rows: list[ResultRow]) -> str:
-    """Render result rows as CSV text with the fixed column set.
+def results_csv(rows: np.ndarray) -> str:
+    """Render a `ROW_DTYPE` array as CSV text, one line per row, its fields as columns.
 
-    The csv module writes floats with repr (nan, inf, -0.0 and 17
-    significant digits as Python prints them) and ints with str.
+    `tolist` turns each row into Python str, int and float cells, which the
+    csv module writes as themselves, with str and with repr (nan, inf, -0.0
+    and 17 significant digits as Python prints them).
     """
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(operator.attrgetter(*CSV_COLUMNS), rows))
+    writer.writerows(rows.tolist())
     return buf.getvalue()
 
 
-def write_results(rows: list[ResultRow], path) -> None:
+def write_results(rows: np.ndarray, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(results_csv(rows))

@@ -1,4 +1,4 @@
-"""Assemble correlation records into density-matrix estimates.
+"""Density-matrix estimates from correlation sets and tomography Born vectors.
 
 Three direct estimators are provided. The weak estimator combines four Pauli
 correlation pairs per element and is accurate only for small coupling. The

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmrecon import correlations, experiments, io, metrics, qmath, states
+from dmrecon import cli, correlations, metrics, qmath, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
@@ -239,9 +239,9 @@ def test_criterion_8_bias_robustness():
 
     def t_by_key(rows):
         return {
-            (r.method, round(r.theta_a, 6), r.seed): r.trace_distance
+            (r["method"], round(r["theta_a"], 6), r["seed"]): r["trace_distance"]
             for r in rows
-            if r.seed >= 0
+            if r["seed"] >= 0
         }
 
     plain = t_by_key(rows_plain)
@@ -267,7 +267,8 @@ def test_criterion_8_bias_robustness():
     )
 
 
-def test_criterion_9_deterministic_csv():
+def test_criterion_9_deterministic_csv(tmp_path, monkeypatch):
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
     config_text = """
 [global]
 root_seed = 12
@@ -303,16 +304,16 @@ n_seeds = 2
 methods = W I II QST
 reference = qst
 """
-    doc = io.parse_config(config_text)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(config_text, encoding="utf-8")
 
-    def run_all():
-        rows = []
-        for scn in doc.scenarios:
-            rows += run_scenario(scn, doc.root_seed)
-        return io.results_csv(experiments.sort_rows(rows)).encode()
+    def run_all(name):
+        out_dir = tmp_path / name
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        return (out_dir / "results.csv").read_bytes()
 
-    first = run_all()
-    second = run_all()
+    first = run_all("a")
+    second = run_all("b")
     report(
         9,
         "repeated suite runs produce byte-identical CSV",

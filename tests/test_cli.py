@@ -205,6 +205,8 @@ def test_exact_reports_degenerate_estimate(capsys, argv):
         (["kind = purity_sweep", "purity_grid = 0 0.5 0"], "purity_grid must not repeat"),
         (["kind = single", "theta ="], "theta needs at least one value"),
         (["kind = single", "bias_epsilon = nan"], "|epsilon| <= 0.1"),
+        (["kind = single", "seeds = 9223372036854775808 3"], "outside 0..2**63-1"),
+        (["kind = single", "seeds = 18446744073709551616 3"], "outside 0..2**63-1"),
     ],
 )
 def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):
@@ -215,6 +217,7 @@ def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lin
     rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 2
+    assert len(err.splitlines()) == 1, err
     assert "section [scenario late]" in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "results.csv").exists()
@@ -232,3 +235,28 @@ def test_run_rejects_n_events_beyond_the_sampler(tmp_path, capsys, monkeypatch):
     err = _one_line_error(capsys, rc)
     assert "section [scenario big]" in err and "n_events=9223372036854775808" in err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_run_writes_the_largest_seed(tmp_path, monkeypatch):
+    # 2**63 - 1 is the top of the int64 seed column and still runs
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("[scenario top]\nkind = single\ntheta = 0.5\nmethods = I\nn_events = 100\n"
+                   f"seeds = {2**63 - 1}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "results.csv").read_text().splitlines()
+    seed_col = io.CSV_COLUMNS.index("seed")
+    assert [line.split(",")[seed_col] for line in lines[1:]] == ["-1", str(2**63 - 1)]
+
+
+def test_run_reads_a_config_saved_with_a_bom(tmp_path, monkeypatch):
+    # editors that save UTF-8 with a byte-order mark must not break the first line
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        cfg = tmp_path / f"{name}.txt"
+        cfg.write_text(CONFIG.lstrip(), encoding=encoding)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name / "results.csv").read_bytes())
+    assert (tmp_path / "bom.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]

@@ -201,8 +201,8 @@ class TestDegenerateRunnerPoints:
         )
         rows = experiments.run_scenario(scn, root_seed=0)
         assert len(rows) == 1
-        assert math.isnan(rows[0].trace_distance)
-        assert math.isinf(rows[0].delta_rho)
+        assert math.isnan(rows[0]["trace_distance"])
+        assert math.isinf(rows[0]["delta_rho"])
 
     @pytest.mark.parametrize("on_sampled", [False, True])
     def test_estimator_value_error_propagates(self, monkeypatch, on_sampled):
@@ -231,7 +231,7 @@ class TestDegenerateRunnerPoints:
             scenario_id="b", kind="single", input_state="mixed", d=4, theta_list=(0.5,),
             methods=("II",), seeds=(0,),
         )
-        assert math.isnan(experiments.run_scenario(scn)[0].bound)  # II has no floor at d=4
+        assert math.isnan(experiments.run_scenario(scn)[0]["bound"])  # II has no floor at d=4
         with pytest.raises(ValueError, match="broken bound"):
             experiments.run_scenario(replace(scn, methods=("I",)))
 

@@ -20,11 +20,11 @@ from dmrecon.reconstruct import reconstruct_exact_i, reconstruct_exact_ii
 
 
 def rows_by(rows, **conditions):
-    out = []
-    for r in rows:
-        if all(getattr(r, key) == val for key, val in conditions.items()):
-            out.append(r)
-    return out
+    """The rows whose fields equal the given values, still one row array."""
+    keep = np.ones(len(rows), dtype=bool)
+    for key, val in conditions.items():
+        keep &= rows[key] == val
+    return rows[keep]
 
 
 class TestBiasModel:
@@ -139,13 +139,13 @@ class TestRunners:
         # exact estimators stay at machine precision across all purities
         for method in ("I", "II"):
             for r in rows_by(rows, method=method):
-                assert r.trace_distance < 1e-10
+                assert r["trace_distance"] < 1e-10
         # the weak estimator is far off at full strength
         for r in rows_by(rows, method="W"):
-            assert r.trace_distance > 0.05
+            assert r["trace_distance"] > 0.05
         # lower purity shrinks the weak bias (expected-value runs)
-        w_rows = sorted(rows_by(rows, method="W"), key=lambda r: r.purity_p)
-        assert w_rows[0].trace_distance < w_rows[-1].trace_distance
+        w_rows = sorted(rows_by(rows, method="W"), key=lambda r: r["purity_p"])
+        assert w_rows[0]["trace_distance"] < w_rows[-1]["trace_distance"]
 
     def test_strength_sweep_has_expectation_curve(self):
         scn = Scenario(
@@ -162,12 +162,12 @@ class TestRunners:
         sampled = rows_by(rows, method="W", theta_a=0.3)
         assert len(sampled) == 3  # expectation + two seeds
         # weak expectation distance grows with strength
-        by_theta = {r.theta_a: r.trace_distance for r in curve}
+        by_theta = {r["theta_a"]: r["trace_distance"] for r in curve}
         assert by_theta[math.pi / 2] > by_theta[0.3]
         # the exact estimators' expectation rows stay at machine precision
         for method in ("I", "II"):
             for r in rows_by(rows, seed=EXPECTATION_SEED, method=method):
-                assert r.trace_distance < 1e-9
+                assert r["trace_distance"] < 1e-9
 
     def test_exact_rows_match_direct_reconstruction(self):
         scn = Scenario(
@@ -182,8 +182,8 @@ class TestRunners:
         )
         rows = run_scenario(scn, root_seed=0)
         assert len(rows) == 1
-        assert rows[0].trace_distance < 1e-10
-        assert rows[0].delta_rho == 0.0
+        assert rows[0]["trace_distance"] < 1e-10
+        assert rows[0]["delta_rho"] == 0.0
 
     def test_error_sweep_reports_bound_and_measured(self):
         scn = Scenario(
@@ -197,10 +197,10 @@ class TestRunners:
         )
         rows = run_scenario(scn, root_seed=5)
         w = rows_by(rows, method="W", seed=0)[0]
-        assert w.bound == pytest.approx(0.5 / (0.2**2 * math.sqrt(4000)))
-        assert w.delta_rho > 0
+        assert w["bound"] == pytest.approx(0.5 / (0.2**2 * math.sqrt(4000)))
+        assert w["delta_rho"] > 0
         ii = rows_by(rows, method="II", seed=0)[0]
-        assert math.isnan(ii.bound)  # no floor below d=5
+        assert math.isnan(ii["bound"])  # no floor below d=5
 
     def test_qst_method_rows(self):
         scn = Scenario(
@@ -214,12 +214,12 @@ class TestRunners:
         )
         rows = run_scenario(scn, root_seed=9)
         exact_row = rows_by(rows, seed=EXPECTATION_SEED)[0]
-        assert exact_row.trace_distance < 1e-10
+        assert exact_row["trace_distance"] < 1e-10
         for r in rows_by(rows, method="QST"):
-            if r.seed != EXPECTATION_SEED:
-                assert 0 < r.trace_distance < 0.1
+            if r["seed"] != EXPECTATION_SEED:
+                assert 0 < r["trace_distance"] < 0.1
             # tomography propagates no statistical error
-            assert math.isnan(r.delta_rho)
+            assert math.isnan(r["delta_rho"])
 
     def test_qst_reference_mode(self):
         scn = Scenario(
@@ -235,7 +235,7 @@ class TestRunners:
         rows = run_scenario(scn, root_seed=11)
         sampled = rows_by(rows, seed=0)[0]
         # reference noise keeps this above machine precision but small
-        assert 0 < sampled.trace_distance < 0.2
+        assert 0 < sampled["trace_distance"] < 0.2
 
     def test_full_determinism(self):
         scn = Scenario(
@@ -292,7 +292,7 @@ class TestRunners:
             seeds=(1, 0),
         )
         rows = run_scenario(scn, root_seed=2)
-        keys = [(r.theta_a, r.purity_p, r.method, r.seed) for r in rows]
+        keys = [(r["theta_a"], r["purity_p"], r["method"], r["seed"]) for r in rows]
         assert keys == sorted(keys)
 
     def test_unreconstructable_seed_marked_unbounded(self):
@@ -309,5 +309,5 @@ class TestRunners:
         )
         rows = run_scenario(scn, root_seed=1)
         sampled = rows_by(rows, seed=0)[0]
-        assert math.isinf(sampled.delta_rho)
-        assert math.isnan(sampled.trace_distance)
+        assert math.isinf(sampled["delta_rho"])
+        assert math.isnan(sampled["trace_distance"])

@@ -1,13 +1,13 @@
 """Config parsing, matrix serialization, CSV output."""
 
 import math
-from dataclasses import replace
+import sys
 
 import numpy as np
 import pytest
 
 from dmrecon import io
-from dmrecon.experiments import BiasModel, ResultRow, Scenario, run_scenario
+from dmrecon.experiments import ROW_DTYPE, BiasModel, Scenario, run_scenario
 from dmrecon.io import (
     ConfigDocument,
     ConfigError,
@@ -155,31 +155,48 @@ class TestResultsCsv:
         io.write_results(run_scenario(scn, root_seed=0), path)
         assert path.read_text().startswith("scenario_id,")
 
+    @staticmethod
+    def special_rows(last_id):
+        # one row array, filled column by column like the runner fills it
+        rows = np.empty(3, ROW_DTYPE)
+        rows["scenario_id"] = ['a,b"c', "plain", last_id]
+        rows["kind"] = "single"
+        rows["method"] = "W"
+        rows["d"] = 3
+        rows["theta_a"] = 0.1
+        rows["theta_b"] = -0.0
+        rows["purity_p"] = 1.0
+        rows["n_events"] = [10_000, 10_000, 2**63 - 1]
+        rows["seed"] = [-1, 7, 2**63 - 1]
+        rows["trace_distance"] = [math.nan, 2.0 / 3.0, 2.0 / 3.0]
+        rows["delta_rho"] = math.inf
+        rows["bound"] = 0.12345678901234566
+        rows["bias_epsilon"] = -math.inf
+        rows["bias_efficiency"] = 1e-300
+        return rows
+
     def test_exact_text_of_special_values(self):
-        # floats as repr (nan, inf, -0.0, all 17 digits), ints as str, and an
-        # id holding a comma and a quote quoted the csv way
-        row = ResultRow(
-            scenario_id='a,b"c',
-            kind="single",
-            method="W",
-            d=3,
-            theta_a=0.1,
-            theta_b=-0.0,
-            purity_p=1.0,
-            n_events=10_000,
-            seed=-1,
-            trace_distance=math.nan,
-            delta_rho=math.inf,
-            bound=0.12345678901234566,
-            bias_epsilon=-math.inf,
-            bias_efficiency=1e-300,
-        )
-        plain = replace(row, scenario_id="plain", seed=7, trace_distance=2.0 / 3.0)
-        assert results_csv([row, plain]) == (
+        # floats as repr (nan, inf, -0.0, all 17 digits), ints as str up to
+        # 2**63 - 1, and an id holding a comma and a quote quoted the csv way
+        assert results_csv(self.special_rows("max")) == (
             ",".join(io.CSV_COLUMNS) + "\n"
             '"a,b""c",single,W,3,0.1,-0.0,1.0,10000,-1,nan,inf,0.12345678901234566,-inf,1e-300\n'
             "plain,single,W,3,0.1,-0.0,1.0,10000,7,0.6666666666666666,inf,"
             "0.12345678901234566,-inf,1e-300\n"
+            "max,single,W,3,0.1,-0.0,1.0,9223372036854775807,9223372036854775807,"
+            "0.6666666666666666,inf,0.12345678901234566,-inf,1e-300\n"
+        )
+
+    def test_scenario_id_keeps_trailing_nul(self):
+        # a section header can end an id in NUL; a fixed-width unicode field
+        # would drop it, the object field keeps it
+        rows = self.special_rows("max\x00")
+        assert rows["scenario_id"][-1] == "max\x00"
+        if sys.version_info < (3, 11):
+            pytest.skip("the csv module writes NUL from Python 3.11 on")
+        assert results_csv(rows).splitlines()[-1] == (
+            "max\x00,single,W,3,0.1,-0.0,1.0,9223372036854775807,9223372036854775807,"
+            "0.6666666666666666,inf,0.12345678901234566,-inf,1e-300"
         )
 
 
