@@ -51,9 +51,10 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _input_error("run", f"cannot create output directory {out_dir}: {exc}")
-    rows = experiments.sort_rows(
-        np.concatenate([experiments.run_scenario(scn, doc.root_seed) for scn in doc.scenarios])
-    )
+    # each scenario's rows arrive sorted and its id is unique: ordering the
+    # scenarios by id gives the canonical order of `experiments.sort_rows`
+    scenarios = sorted(doc.scenarios, key=lambda scn: scn.scenario_id)
+    rows = np.concatenate([experiments.run_scenario(scn, doc.root_seed) for scn in scenarios])
     out_path = out_dir / "results.csv"
     try:
         io.write_results(rows, out_path)

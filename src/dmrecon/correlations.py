@@ -272,16 +272,13 @@ def build_tables(
 ) -> OutcomeTables:
     """Outcome tables for every coupled index j and requested observable pair.
 
-    Each observable's pointer setting is built once, and one
-    `outcome_probabilities` call covers every j. A nonzero `tilt` rotates
-    every pointer projector (pointer-rotation bias).
+    The pairs' eigenvalue weights and pointer projectors come from the cached
+    `protocol.pointer_measurement`, built once per (pairs, tilt), and one
+    `outcome_probabilities` call, one matrix product, covers every j. A
+    nonzero `tilt` rotates every pointer projector (pointer-rotation bias).
     """
-    observables = dict.fromkeys(obs for pair in pairs for obs in pair)
-    settings = {obs: protocol.pointer_setting(obs, tilt) for obs in observables}
-    setting_pairs = tuple((settings[a], settings[b]) for a, b in pairs)
-    weights = np.stack([np.multiply.outer(a.eigenvalues, b.eigenvalues) for a, b in setting_pairs])
-    probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
-    return OutcomeTables(pairs, weights, probs)
+    weights, _ = protocol.pointer_measurement(pairs, tilt)
+    return OutcomeTables(pairs, weights, protocol.outcome_probabilities(rho, cfg, pairs, tilt))
 
 
 def exact_correlation_set(

@@ -11,11 +11,14 @@ pointer (`coupling_unitary`: the convention, and the oracle of the Kraus
 operators). Both pointers start in |0>, so each coupling acts on the system
 through M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector
 form. Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
-applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`). `evolve`
-applies them to the state, keeping the pointers' joint state at each diagonal
-system entry, and `outcome_probabilities` contracts that with the pointer
-setting projectors into the joint (pointer A, pointer B, system) outcome table
-of every j and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
+applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, built
+once per `CouplingConfig`). `evolve` applies them to the state, keeping the
+pointers' joint state at each diagonal system entry. `pointer_measurement`
+turns the pointer settings of a tuple of observable pairs into one
+(4P, 16) matrix, built once per (pairs, tilt), and `outcome_probabilities`
+contracts the evolved blocks with it in one matrix product: the joint
+(pointer A, pointer B, system) outcome table of every j and setting pair at
+once. No 2d x 2d or 4d x 4d operator is built.
 """
 
 from __future__ import annotations
@@ -183,16 +186,44 @@ def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
     return np.stack([m0, math.sin(theta) * proj], axis=-3)
 
 
+@functools.lru_cache(maxsize=64)
+def pointer_measurement(
+    pairs: tuple[tuple[str, str], ...], tilt: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, matrix) of measuring each observable pair on pointers A and B.
+
+    weights[p, alpha, beta] is the product of the two outcome eigenvalues of
+    `pairs[p]`, the value of O_A O_B on that outcome. With P, Q the projectors
+    of `pointer_setting(obs, tilt)` for the pair's two observables,
+    matrix[(p, alpha, beta), (a, b, c, d)] = P_alpha[c, a] Q_beta[d, b], so that
+    matrix @ block.ravel() = Tr[(P_alpha (x) Q_beta) block] for a two-pointer
+    block indexed [a, b, c, d]. Built once per (pairs, tilt); both arrays are
+    read-only because every caller shares them.
+    """
+    settings = [(pointer_setting(a, tilt), pointer_setting(b, tilt)) for a, b in pairs]
+    weights = np.stack([np.multiply.outer(a.eigenvalues, b.eigenvalues) for a, b in settings])
+    proj_a = np.stack([a.projector_stack for a, _ in settings])
+    proj_b = np.stack([b.projector_stack for _, b in settings])
+    matrix = np.einsum("pxca,pydb->pxyabcd", proj_a, proj_b).reshape(4 * len(pairs), 16)
+    for arr in (weights, matrix):
+        arr.flags.writeable = False
+    return weights, matrix
+
+
+@functools.lru_cache(maxsize=64)
 def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
     """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
 
     Real, from the projectors |a_j><a_j| (A) and |b_0><b_0| = J/d (B, J all ones); for
     every j the four d x d operators are complete, sum_{alpha beta} K^dagger K = 1.
+    Built once per config; the array is read-only because every caller shares it.
     """
     d = cfg.dim
     kraus_a = _kraus(np.eye(d)[:, :, None] * np.eye(d), cfg.theta_a)
     kraus_b = _kraus(np.full((d, d), 1.0 / d), cfg.theta_b)
-    return np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
+    kraus = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
+    kraus.flags.writeable = False
+    return kraus
 
 
 def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:
@@ -200,30 +231,37 @@ def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:
 
     blocks[j-1, alpha, beta, gamma, delta, k-1] =
     <a_k| K_{j alpha beta} rho K_{j gamma delta}^dagger |a_k>, the pointer
-    block of sigma_j at the k-th diagonal system entry; the setting-independent
-    part of every outcome table.
+    block of sigma_j at the k-th diagonal system entry. It stays a function
+    of its own, apart from `outcome_probabilities`: it is the part of every
+    outcome table that no pointer setting enters, the tests check it against
+    the dense evolved state, and the benchmark tracer times it as a layer.
     """
     if rho.dim != cfg.dim:
         raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
-    kraus = kraus_operators(cfg)
-    return np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus.conj())
+    kraus = kraus_operators(cfg)  # real, so K^dagger is its transpose
+    return np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus)
 
 
 def outcome_probabilities(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
-    setting_pairs: tuple[tuple[PointerSetting, PointerSetting], ...],
+    pairs: tuple[tuple[str, str], ...],
+    tilt: float = 0.0,
 ) -> np.ndarray:
-    """Joint outcome probabilities of every coupled index j and setting pair.
+    """Joint outcome probabilities of every coupled index j and observable pair.
 
     probs[j-1, p, alpha, beta, k-1] = Tr[(|a_k><a_k| (x) P_alpha (x) Q_beta) sigma_j]
-    with P, Q the projectors of `setting_pairs[p]` and sigma_j the state after
-    both couplings; each (j, pair) table sums to 1.
+    with P, Q the projectors of `pointer_setting(obs, tilt)` for the two
+    observables of `pairs[p]` and sigma_j the state after both couplings;
+    each (j, pair) table sums to 1. One matrix product, the cached
+    `pointer_measurement` matrix times the evolved blocks as a (d, 16, d)
+    stack, gives every table at once.
     """
     blocks = evolve(rho, cfg)
-    proj_a = np.stack([a.projector_stack for a, _ in setting_pairs])
-    proj_b = np.stack([b.projector_stack for _, b in setting_pairs])
-    return _checked_probabilities(np.einsum("pxca,pydb,jabcdk->jpxyk", proj_a, proj_b, blocks))
+    _, matrix = pointer_measurement(pairs, tilt)
+    d = cfg.dim
+    probs = matrix @ blocks.reshape(d, 16, d)
+    return _checked_probabilities(probs.reshape(d, len(pairs), 2, 2, d))
 
 
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """End-to-end command-line runs."""
 
+import numpy as np
 import pytest
 
-from dmrecon import io, protocol
+from dmrecon import experiments, io, protocol
 from dmrecon.cli import main
 
 CONFIG = """
@@ -57,6 +58,52 @@ def test_run_identical_with_same_seed(tmp_path, monkeypatch):
         assert rc == 0
         outputs.append((tmp_path / name / "results.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_run_orders_scenarios_by_id(tmp_path, monkeypatch):
+    # scenarios listed out of id order: the run writes the bytes of one
+    # canonical sort over every row, without sorting the rows again itself
+    monkeypatch.delenv("DMRECON_SEED", raising=False)
+    text = """
+[global]
+root_seed = 11
+
+[scenario m-purity]
+kind = purity_sweep
+state = pure:b0
+d = 2
+theta = 1.0
+purity_grid = 0.0 1.0
+n_events = 500
+seeds = 0 1
+methods = W II
+
+[scenario a-strength]
+kind = strength_sweep
+state = random:seed=2
+d = 3
+theta = 0.3 1.2
+n_events = 400
+seeds = 1 0
+methods = I QST
+
+[scenario z-exact]
+kind = single
+state = mixed
+d = 2
+theta = 0.8
+methods = II W
+source = exact
+"""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = io.parse_config(text)
+    ids = [scn.scenario_id for scn in doc.scenarios]
+    assert ids != sorted(ids)
+    rows = np.concatenate([experiments.run_scenario(scn, doc.root_seed) for scn in doc.scenarios])
+    want = io.results_csv(experiments.sort_rows(rows)).encode()
+    assert (tmp_path / "results.csv").read_bytes() == want
 
 
 def test_env_seed_override_changes_output(tmp_path, monkeypatch):

@@ -99,9 +99,8 @@ class TestProtocolRejections:
             protocol.coupling_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
 
     def test_outcome_probabilities_flags_corruption(self):
-        z, x = protocol.pointer_setting("Z"), protocol.pointer_setting("X")
         rho = states.maximally_mixed(2)
-        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), ((z, z), (x, z)))
+        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"), ("X", "Z")))
         probs = probs.astype(complex)
         # tables scaled so they no longer sum to one
         with pytest.raises(ValueError, match="sum to"):
@@ -117,9 +116,8 @@ class TestProtocolRejections:
         # a Hermitian unit-trace matrix with a negative eigenvalue is no state:
         # its outcome tables have negative entries
         rho = states.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-        z = protocol.pointer_setting("Z")
         with pytest.raises(ValueError, match="below -1e-9"):
-            protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), ((z, z),))
+            protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"),))
 
 
 class TestCorrelationRejections:

@@ -154,8 +154,9 @@ class TestCoupledEvolution:
         # differ from those of the swapped order U_A U_B: the couplings do not commute
         rho = states.random_density(2, 2026)
         cfg = CouplingConfig(2, 0.7, 0.7)
-        setting_pairs = setting_pairs_of(("X", "Y"), ("Y", "Y"), ("Pi1", "X"))
-        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
+        pairs = (("X", "Y"), ("Y", "Y"), ("Pi1", "X"))
+        setting_pairs = setting_pairs_of(*pairs)
+        probs = protocol.outcome_probabilities(rho, cfg, pairs)
         a_first = dense_tables(rho, cfg, setting_pairs)
         b_first = dense_tables(rho, cfg, setting_pairs, a_first=False)
         np.testing.assert_allclose(probs, a_first, rtol=0.0, atol=1e-14)
@@ -183,7 +184,7 @@ class TestEvolve:
         # no coupling: the system keeps rho's populations and both pointers stay in |0>
         rho = states.random_density(3, 1)
         cfg = CouplingConfig(3, 0.0, 0.0)
-        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("Z", "Z")))
+        probs = protocol.outcome_probabilities(rho, cfg, (("Z", "Z"),))
         populations = np.diag(rho.matrix).real
         for j in range(3):
             np.testing.assert_allclose(probs[j, 0].sum(axis=(0, 1)), populations, atol=1e-15)
@@ -193,12 +194,12 @@ class TestEvolve:
         # every (j, pair) table is a distribution whose system marginal does
         # not depend on how the pointers are read
         rng = np.random.default_rng(45)
-        setting_pairs = setting_pairs_of(("X", "X"), ("Y", "Pi1"), ("Z", "Y"))
+        pairs = (("X", "X"), ("Y", "Pi1"), ("Z", "Y"))
         for seed in range(5):
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, seed)
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            probs = protocol.outcome_probabilities(rho, cfg, setting_pairs)
+            probs = protocol.outcome_probabilities(rho, cfg, pairs)
             assert probs.shape == (d, 3, 2, 2, d)
             assert probs.min() >= 0.0 and probs.max() <= 1.0
             np.testing.assert_allclose(probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-12)
@@ -210,7 +211,7 @@ class TestEvolve:
             protocol.evolve(states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5))
         with pytest.raises(ValueError, match="dimension"):
             protocol.outcome_probabilities(
-                states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5), setting_pairs_of(("X", "X"))
+                states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
             )
 
     def test_system_marginals_consistent(self):
@@ -225,10 +226,39 @@ class TestEvolve:
         for k in range(1, 4):
             pk = np.outer(states.basis_state(3, k), states.basis_state(3, k).conj())
             direct.append(float(np.trace(qmath.tensor(pk, np.eye(4)) @ sigma).real))
-        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("X", "X"), ("Y", "Pi1"), ("Z", "Z")))
+        probs = protocol.outcome_probabilities(rho, cfg, (("X", "X"), ("Y", "Pi1"), ("Z", "Z")))
         assert probs.shape == (3, 3, 2, 2, 3)
         for table in probs[1]:
             np.testing.assert_allclose(table.sum(axis=(0, 1)), direct, atol=1e-12)
+
+
+class TestPointerMeasurement:
+    PAIRS = (("X", "Y"), ("Y", "Pi1"), ("Pi1", "X"), ("Z", "Z"))
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.02])
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 2])
+    @pytest.mark.parametrize("d", [1, 5, 8, 16])
+    def test_contraction_matches_dense_oracle(self, d, theta, tilt):
+        # one matrix product against the cached pointer measurement gives the
+        # tables of the dense 4d x 4d evolution, trace by trace
+        rho = states.random_density(d, 300 + d)
+        cfg = CouplingConfig(d, theta, theta)
+        setting_pairs = tuple(
+            (protocol.pointer_setting(a, tilt), protocol.pointer_setting(b, tilt)) for a, b in self.PAIRS
+        )
+        probs = protocol.outcome_probabilities(rho, cfg, self.PAIRS, tilt)
+        np.testing.assert_allclose(probs, dense_tables(rho, cfg, setting_pairs), rtol=0.0, atol=1e-14)
+
+    def test_cached_arrays_are_read_only(self):
+        weights, matrix = protocol.pointer_measurement(self.PAIRS, 0.02)
+        assert weights.shape == (4, 2, 2) and matrix.shape == (16, 16)
+        assert protocol.pointer_measurement(self.PAIRS, 0.02)[1] is matrix
+        cfg = CouplingConfig(3, 0.4, 0.9)
+        kraus = protocol.kraus_operators(cfg)
+        assert protocol.kraus_operators(CouplingConfig(3, 0.4, 0.9)) is kraus
+        for arr in (weights, matrix, kraus):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
 
 
 class TestOutcomeProbabilities:
@@ -238,7 +268,7 @@ class TestOutcomeProbabilities:
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, 100 + seed)
             cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
-            probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("X", "Y"), ("Pi1", "Z")))
+            probs = protocol.outcome_probabilities(rho, cfg, (("X", "Y"), ("Pi1", "Z")))
             np.testing.assert_allclose(probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-10)
             assert probs.min() >= 0.0
 
@@ -246,13 +276,13 @@ class TestOutcomeProbabilities:
         # full strength, d=2: prob of both pointers flipped is 1/8 for each j and k
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        probs = protocol.outcome_probabilities(rho, cfg, setting_pairs_of(("Pi1", "Pi1")))
+        probs = protocol.outcome_probabilities(rho, cfg, (("Pi1", "Pi1"),))
         np.testing.assert_allclose(probs[:, 0, 0, 0], 0.125, atol=1e-12)
 
     def test_pointers_stay_at_zero_strength(self):
         rho = states.random_density(2, 3)
         probs = protocol.outcome_probabilities(
-            rho, CouplingConfig(2, 0.0, 0.0), setting_pairs_of(("Z", "Z"))
+            rho, CouplingConfig(2, 0.0, 0.0), (("Z", "Z"),)
         )
         # all weight on the (+1, +1) Z outcomes, for every j
         np.testing.assert_allclose(probs[:, 0, 0, 0, :].sum(axis=-1), 1.0, atol=1e-12)
