@@ -210,7 +210,7 @@ def pointer_measurement(
     return weights, matrix
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=16)
 def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
     """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
 
