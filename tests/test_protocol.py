@@ -114,8 +114,8 @@ class TestCouplingUnitary:
             protocol.coupling_unitary(np.diag([2.0, 0.0]).astype(complex), 0.5)
 
 
-def setting_pairs_of(*pairs):
-    return tuple((protocol.pointer_setting(a), protocol.pointer_setting(b)) for a, b in pairs)
+def setting_pairs_of(*pairs, tilt=0.0):
+    return tuple((protocol.pointer_setting(a, tilt), protocol.pointer_setting(b, tilt)) for a, b in pairs)
 
 
 class TestCoupledEvolution:
@@ -243,11 +243,9 @@ class TestPointerMeasurement:
         # tables of the dense 4d x 4d evolution, trace by trace
         rho = states.random_density(d, 300 + d)
         cfg = CouplingConfig(d, theta, theta)
-        setting_pairs = tuple(
-            (protocol.pointer_setting(a, tilt), protocol.pointer_setting(b, tilt)) for a, b in self.PAIRS
-        )
         probs = protocol.outcome_probabilities(rho, cfg, self.PAIRS, tilt)
-        np.testing.assert_allclose(probs, dense_tables(rho, cfg, setting_pairs), rtol=0.0, atol=1e-14)
+        dense = dense_tables(rho, cfg, setting_pairs_of(*self.PAIRS, tilt=tilt))
+        np.testing.assert_allclose(probs, dense, rtol=0.0, atol=1e-14)
 
     def test_cached_arrays_are_read_only(self):
         weights, matrix = protocol.pointer_measurement(self.PAIRS, 0.02)
