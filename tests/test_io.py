@@ -119,6 +119,68 @@ bogus = 1
             assert excinfo.value.errors == [f"line {line}: key 'root_seed' already set on line 2"]
 
 
+# Each case's exact error list. Whole-scenario checks name the section, not a line.
+ERROR_CASES = {
+    "repeated scenario key": (
+        "[scenario demo]\nkind = single\nd = 2\nd = 3\ntheta = 0.5\n",
+        ["line 4: key 'd' already set on line 3"],
+    ),
+    "seeds with n_seeds": (
+        MINIMAL + "seeds = 0 1\nn_seeds = 2\n",
+        ["section [scenario demo]: give either seeds or n_seeds, not both"],
+    ),
+    "missing kind": (
+        "[scenario demo]\ntheta = 0.5\n",
+        ["section [scenario demo]: missing required key 'kind'"],
+    ),
+    "unknown section": (
+        MINIMAL + "[extra]\nx = 1\n",
+        ["line 6: unknown section '[extra]'"],
+    ),
+    "scenario without id": (
+        "[scenario]\nkind = single\n" + MINIMAL,
+        ["line 1: scenario section needs an id"],
+    ),
+    "line without =": (
+        MINIMAL + "just words\n",
+        ["line 6: expected 'key = value', got 'just words'"],
+    ),
+    "assignment before header": (
+        "root_seed = 1\n" + MINIMAL,
+        ["line 1: assignment before any [section] header"],
+    ),
+    "non-integer root_seed": (
+        "[global]\nroot_seed = seven\n" + MINIMAL,
+        ["line 2: invalid literal for int() with base 10: 'seven'"],
+    ),
+    "non-integer d": (
+        MINIMAL + "d = two\n",
+        ["line 6: invalid literal for int() with base 10: 'two'"],
+    ),
+    "efficiency out of range": (
+        MINIMAL + "bias_efficiency = 1.5\n",
+        ["section [scenario demo]: projector efficiency limited to [0.9, 1.1]"],
+    ),
+    "errors in line order, then whole-scenario checks": (
+        "[scenario a]\nbogus = 1\nd = x\nseeds = 0\nn_seeds = 2\nbias_epsilon = 0.5\n",
+        [
+            "line 2: unknown scenario key 'bogus'",
+            "line 3: invalid literal for int() with base 10: 'x'",
+            "section [scenario a]: give either seeds or n_seeds, not both",
+            "section [scenario a]: pointer rotation bias limited to |epsilon| <= 0.1 rad",
+            "section [scenario a]: missing required key 'kind'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("text, expected", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_error_messages(text, expected):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.errors == expected
+
+
 class TestMatrixSerialization:
     def test_text_format_half_identity(self):
         text = write_matrix(np.eye(2) / 2)
