@@ -86,7 +86,7 @@ class Scenario:
     theta_list: tuple[float, ...] | None = None  # None: the kind's default grid
     n_events: int = DEFAULT_N_EVENTS
     seeds: tuple[int, ...] = tuple(range(DEFAULT_N_SEEDS))
-    bias: BiasModel | None = None
+    bias: BiasModel = BiasModel()
     methods: tuple[str, ...] = ("W", "I", "II")
     source: str = "sampled"
     reference: str = "truth"
@@ -180,18 +180,11 @@ def build_tables(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
     pairs: tuple[correlations.ObsPair, ...],
-    bias: BiasModel | None = None,
+    bias: BiasModel,
 ) -> OutcomeTables:
-    """Outcome tables for all (j, pair) settings, with optional bias applied."""
-    if bias is None:
-        return correlations.build_tables(rho, cfg, pairs)
+    """Outcome tables for all (j, pair) settings, with the bias applied."""
     tables = correlations.build_tables(rho, cfg, pairs, bias.pointer_rotation_epsilon)
     return bias_outcome_table(tables, bias)
-
-
-def _pairs_for(methods: tuple[str, ...]) -> tuple[correlations.ObsPair, ...]:
-    """Observable pairs read by the given direct methods, in first-seen order."""
-    return tuple(dict.fromkeys(pair for m in methods for pair in _RECONSTRUCTORS[m][1]))
 
 
 def run_point(
@@ -204,136 +197,109 @@ def run_point(
 ) -> np.ndarray:
     """All rows for one (state, theta) grid point of a scenario, as one `ROW_DTYPE` array.
 
-    Seed -1 (EXPECTATION_SEED) reads the exact correlations and the exact QST
-    Born vector; its rows are the exact source's data and the theoretical
-    curve. The sampled seeds are drawn as one stack: one sampler call draws
-    every seed's correlations, each from its own derived root seed, and
-    reduces them to one `Correlations` with a leading seed axis; each seed's
-    QST vectors come from its own derived seeds too. Each method (with its
-    `finalize`) then runs once over the stack; seed -1 is a stack of its own,
-    because estimator II reads exact and sampled data differently. With
-    `reference = qst` a seed's rows are compared with its QST reference
-    estimate; at seed -1 that is the exact QST estimate. Each stack fills one
-    row array by field name, method-major: seed -1's rows, then the sampled
-    seeds' rows.
+    The outcome tables, the exact QST Born vector and the error floors are
+    built once. Seed -1 (EXPECTATION_SEED) is a stack of its own: it reads the
+    exact correlations and the exact Born vector, and its rows are the exact
+    source's data and the theoretical curve. With a sampled source the seeds
+    follow as one stack: one sampler call draws every seed's correlations,
+    each from its own derived root seed, and each seed's QST vectors come from
+    its own derived seeds too. Each stack's inputs are built just before
+    `_stack_rows` turns them into rows: seed -1's rows, then the sampled seeds'.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
-    direct_methods = tuple(m for m in scn.methods if m in _RECONSTRUCTORS)
-    pairs = _pairs_for(direct_methods)
+    # the observable pairs the direct methods read, in first-seen order
+    pairs = tuple(dict.fromkeys(
+        pair for m in scn.methods if m in _RECONSTRUCTORS for pair in _RECONSTRUCTORS[m][1]
+    ))
     tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else None
     qst_method = "QST" in scn.methods
     qst_ref = scn.reference == "qst"
-    born = (
-        reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(scn.d))
-        if qst_method or qst_ref
-        else None
-    )
-
-    # binomial success probabilities of every sampled QST vector at this point
-    clipped = None if born is None else np.clip(born, 0.0, 1.0)
-
-    def sampled_born(keys) -> np.ndarray:
-        """Born frequencies of n_events per projector, one row per key's derived seed."""
-        return np.array([
-            np.random.Generator(np.random.Philox(derive_seed(*key))).binomial(scn.n_events, clipped)
-            / scn.n_events
-            for key in keys
-        ])
-
-    def draw(seeds: tuple[int, ...]) -> tuple:
-        """A seed stack's correlations, QST method and QST reference vectors (None if unused)."""
-        if seeds == (EXPECTATION_SEED,):
-            correls = None
-            if pairs:
-                exact = correlations.correlation_set_from_tables(tables)
-                correls = replace(exact, values=exact.values[None], std_error=exact.std_error[None])
-            exact_probs = None if born is None else born[None]
-            return correls, exact_probs, exact_probs
-        sample_roots = [derive_seed(root_seed, *point_key, seed) for seed in seeds]
-        correls = (
-            correlations.correlation_set_from_tables(
-                tables, sampled=True, n=scn.n_events, root_seed=sample_roots
-            )
-            if pairs
-            else None
-        )
-        method_keys = ((root, "qst-method") for root in sample_roots)
-        ref_keys = ((root_seed, *point_key, seed, "qst-ref") for seed in seeds)
-        return (
-            correls,
-            sampled_born(method_keys) if qst_method else None,
-            sampled_born(ref_keys) if qst_ref else None,
-        )
-
-    # The statistical-error floor of each direct method, nan where undefined.
-    bounds = {
-        m: metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
-        for m in direct_methods
-        if metrics.has_error_floor(m, scn.d)
-    }
-    # the fields every row of this point shares
+    born = None
+    if qst_method or qst_ref:
+        born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(scn.d))
+    # every field but the seed and the two errors, broadcast over (method, seed)
     point = {
         "scenario_id": scn.scenario_id,
         "kind": scn.kind,
+        "method": np.array(scn.methods, dtype=object)[:, None],
         "d": scn.d,
         "theta_a": theta,
         "theta_b": theta,
         "purity_p": purity_p,
         "n_events": scn.n_events,
-        "bias_epsilon": scn.bias.pointer_rotation_epsilon if scn.bias else 0.0,
-        "bias_efficiency": scn.bias.per_projector_efficiency if scn.bias else 1.0,
-    }
-    method_bounds = [bounds.get(m, math.nan) for m in scn.methods]
-
-    def stack_rows(seeds: tuple[int, ...]) -> np.ndarray:
-        """Rows of a stack of seeds, method-major: each method estimated once over the stack.
-
-        The methods' finalized stacks are then joined into one (method, seed,
-        d, d) array, so one `mean_square_error` and one `trace_distance` call
-        cover every row. A slice with near-zero trace (zero signal, e.g. zero
-        double-flip counts at small theta) has no state estimate: `finalize`
-        leaves it nan, and its row reads trace_distance nan and delta_rho inf.
-        A nan QST reference slice leaves trace_distance nan.
-        """
-        correls, method_probs, ref_probs = draw(seeds)
-        results = [
-            reconstruct.qst_linear_inversion(method_probs, scn.d)
-            if m == "QST"
-            else _RECONSTRUCTORS[m][0](correls, cfg)
+        # the statistical-error floor of each method, nan where undefined
+        "bound": np.array([
+            metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
+            if metrics.has_error_floor(m, scn.d) else math.nan
             for m in scn.methods
-        ]
-        if not qst_ref:
-            reference = np.broadcast_to(rho.matrix, (len(seeds), scn.d, scn.d))
-        elif seeds == (EXPECTATION_SEED,) and qst_method:
-            # both read the exact Born vector: the method's estimate is the reference
-            reference = results[scn.methods.index("QST")].finalized
-        else:
-            reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
-        finalized = np.array([r.finalized for r in results])
-        degenerate = np.isnan(finalized[..., 0, 0])
-        errors = metrics.mean_square_error(np.array([r.element_errors for r in results]))
-        d_rho = np.where(degenerate, np.inf, errors)
-        ok = ~(degenerate | np.isnan(reference[:, 0, 0]))
-        reference = np.broadcast_to(reference, finalized.shape)
-        if ok.all():
-            t_dist = qmath.trace_distance(finalized, reference)
-        else:
-            t_dist = np.full(ok.shape, np.nan)
-            if ok.any():
-                t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
-        rows = np.empty(t_dist.size, ROW_DTYPE)
-        for name, value in point.items():
-            rows[name] = value
-        rows["method"] = np.repeat(scn.methods, len(seeds))
-        rows["seed"] = np.tile(seeds, len(scn.methods))
-        rows["trace_distance"] = t_dist.ravel()
-        rows["delta_rho"] = d_rho.ravel()
-        rows["bound"] = np.repeat(method_bounds, len(seeds))
-        return rows
+        ])[:, None],
+        "bias_epsilon": scn.bias.pointer_rotation_epsilon,
+        "bias_efficiency": scn.bias.per_projector_efficiency,
+    }
 
-    if scn.source == "exact":
-        return stack_rows((EXPECTATION_SEED,))
-    return np.concatenate([stack_rows((EXPECTATION_SEED,)), stack_rows(scn.seeds)])
+    correls = None
+    if pairs:
+        correls = correlations.stack_sets([correlations.correlation_set_from_tables(tables)])
+    exact_probs = None if born is None else born[None]
+    rows = [
+        _stack_rows(scn, cfg, rho, point, (EXPECTATION_SEED,), correls, exact_probs, exact_probs)
+    ]
+    if scn.source == "sampled":
+        roots = [derive_seed(root_seed, *point_key, seed) for seed in scn.seeds]
+        if pairs:
+            correls = correlations.correlation_set_from_tables(
+                tables, sampled=True, n=scn.n_events, root_seed=roots
+            )
+        method_probs = ref_probs = None
+        if qst_method:
+            method_probs = _sampled_born(born, scn.n_events, [(r, "qst-method") for r in roots])
+        if qst_ref:
+            ref_keys = [(root_seed, *point_key, seed, "qst-ref") for seed in scn.seeds]
+            ref_probs = _sampled_born(born, scn.n_events, ref_keys)
+        rows.append(_stack_rows(scn, cfg, rho, point, scn.seeds, correls, method_probs, ref_probs))
+    return np.concatenate(rows)
+
+
+def _sampled_born(born: np.ndarray, n: int, keys) -> np.ndarray:
+    """Born frequencies of n events per projector, one row per key's derived seed."""
+    p = np.clip(born, 0.0, 1.0)
+    rngs = (np.random.Generator(np.random.Philox(derive_seed(*key))) for key in keys)
+    return np.array([rng.binomial(n, p) / n for rng in rngs])
+
+
+def _stack_rows(scn, cfg, rho, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
+    """Rows of one seed stack, method-major: each method estimated once over the stack.
+
+    The inputs are the stack's correlations and its QST method and reference
+    Born vectors, one row per seed (None where nothing reads them). One
+    `mean_square_error` and one `trace_distance` call cover every row. A slice
+    with near-zero trace (zero signal, e.g. zero double-flip counts at small
+    theta) has no state estimate: `finalize` leaves it nan, and its row reads
+    trace_distance nan and delta_rho inf. A nan QST reference slice leaves
+    trace_distance nan.
+    """
+    results = [
+        reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
+        else _RECONSTRUCTORS[m][0](correls, cfg)
+        for m in scn.methods
+    ]
+    finalized = np.array([r.finalized for r in results])
+    reference = rho.matrix
+    if scn.reference == "qst":
+        reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
+    reference = np.broadcast_to(reference, finalized.shape)
+    degenerate = np.isnan(finalized[..., 0, 0])
+    errors = metrics.mean_square_error(np.array([r.element_errors for r in results]))
+    ok = ~(degenerate | np.isnan(reference[..., 0, 0]))
+    t_dist = np.full(ok.shape, np.nan)
+    t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
+    rows = np.empty(ok.shape, ROW_DTYPE)
+    for name, value in point.items():
+        rows[name] = value
+    rows["seed"] = seeds
+    rows["trace_distance"] = t_dist
+    rows["delta_rho"] = np.where(degenerate, np.inf, errors)
+    return rows.ravel()
 
 
 def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:

@@ -16,9 +16,14 @@ The config format is flat key-value text with one section per scenario:
     methods = W I II
     source = sampled
 
-Whole files validate before anything runs; every problem is reported with
-its line number, not just the first one. A key may be set once per
-scenario, and once across all [global] sections.
+`_SCENARIO_KEYS` and `_GLOBAL_KEYS` map each key to the parser of its value;
+`_FIELDS` names the three scenario keys whose `Scenario` field differs
+(state, theta and n_seeds). One `_read_section` loop reads both kinds of
+section. Whole files validate before anything runs, and every problem is
+reported, not just the first one: a key's problem with its line number, a
+whole-scenario check (kind, d, bias, seeds with n_seeds) with its
+`section [scenario <id>]`. A key may be set once per scenario, and once
+across all [global] sections.
 """
 
 from __future__ import annotations
@@ -35,22 +40,43 @@ from .experiments import ROW_DTYPE, BiasModel, Scenario
 
 CSV_COLUMNS = ROW_DTYPE.names
 
-_SCENARIO_KEYS = (
-    "kind",
-    "state",
-    "d",
-    "theta",
-    "n_events",
-    "seeds",
-    "n_seeds",
-    "methods",
-    "source",
-    "reference",
-    "bias_epsilon",
-    "bias_efficiency",
-    "purity_grid",
-)
-_GLOBAL_KEYS = ("root_seed", "output_dir")
+
+def _floats(value: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in value.split())
+
+
+def _thetas(value: str) -> tuple[float, ...]:
+    thetas = _floats(value)
+    for th in thetas:
+        if th == 0.0:
+            raise ValueError(
+                "theta = 0 makes the normalization "
+                "d/(4 sin(theta_a) sin(theta_b)) singular"
+            )
+        if not 0.0 < th <= math.pi / 2 + 1e-12:
+            raise ValueError(f"theta={th} outside (0, pi/2]")
+    return thetas
+
+
+# Each key of a section and the parser of its value text.
+_SCENARIO_KEYS = {
+    "kind": str,
+    "state": str,
+    "d": int,
+    "theta": _thetas,
+    "n_events": int,
+    "seeds": lambda value: tuple(int(tok) for tok in value.split()),
+    "n_seeds": lambda value: tuple(range(int(value))),
+    "methods": lambda value: tuple(value.split()),
+    "source": str,
+    "reference": str,
+    "bias_epsilon": float,
+    "bias_efficiency": float,
+    "purity_grid": _floats,
+}
+_GLOBAL_KEYS = {"root_seed": int, "output_dir": str}
+# The scenario keys whose `Scenario` field has another name; the others share theirs.
+_FIELDS = {"state": "input_state", "theta": "theta_list", "n_seeds": "seeds"}
 
 
 class ConfigError(ValueError):
@@ -92,111 +118,61 @@ def _split_sections(text: str):
     return sections, errors
 
 
-def _parse_floats(value: str) -> list[float]:
-    return [float(tok) for tok in value.split()]
+def _read_section(
+    entries, parsers: dict, label: str, seen: dict[str, int], errors: list[str]
+) -> dict:
+    """Each known key's parsed value; unknown, repeated and unparsable keys go to `errors`.
 
-
-def _parse_ints(value: str) -> list[int]:
-    return [int(tok) for tok in value.split()]
+    `seen` maps each key already set to its line, whether or not its value parsed.
+    """
+    values = {}
+    for lineno, key, value in entries:
+        if key not in parsers:
+            errors.append(f"line {lineno}: unknown {label} key '{key}'")
+        elif key in seen:
+            errors.append(f"line {lineno}: key '{key}' already set on line {seen[key]}")
+        else:
+            seen[key] = lineno
+            try:
+                values[key] = parsers[key](value)
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {exc}")
+    return values
 
 
 def _build_scenario(sid: str, entries, errors: list[str]) -> Scenario | None:
-    fields: dict = {}
     seen: dict[str, int] = {}
-    for lineno, key, value in entries:
-        if key not in _SCENARIO_KEYS:
-            errors.append(f"line {lineno}: unknown scenario key '{key}'")
-            continue
-        if key in seen:
-            errors.append(
-                f"line {lineno}: key '{key}' already set on line {seen[key]}"
-            )
-            continue
-        seen[key] = lineno
-        try:
-            if key == "kind":
-                fields["kind"] = value
-            elif key == "state":
-                fields["input_state"] = value
-            elif key == "d":
-                fields["d"] = int(value)
-            elif key == "theta":
-                thetas = _parse_floats(value)
-                for th in thetas:
-                    if th == 0.0:
-                        raise ValueError(
-                            "theta = 0 makes the normalization "
-                            "d/(4 sin(theta_a) sin(theta_b)) singular"
-                        )
-                    if not 0.0 < th <= math.pi / 2 + 1e-12:
-                        raise ValueError(f"theta={th} outside (0, pi/2]")
-                fields["theta_list"] = tuple(thetas)
-            elif key == "n_events":
-                fields["n_events"] = int(value)
-            elif key == "seeds":
-                fields["seeds"] = tuple(_parse_ints(value))
-            elif key == "n_seeds":
-                fields["seeds"] = tuple(range(int(value)))
-            elif key == "methods":
-                fields["methods"] = tuple(value.split())
-            elif key == "source":
-                fields["source"] = value
-            elif key == "reference":
-                fields["reference"] = value
-            elif key == "bias_epsilon":
-                fields["bias_epsilon"] = float(value)
-            elif key == "bias_efficiency":
-                fields["bias_efficiency"] = float(value)
-            elif key == "purity_grid":
-                fields["purity_grid"] = tuple(_parse_floats(value))
-        except ValueError as exc:
-            errors.append(f"line {lineno}: {exc}")
+    values = _read_section(entries, _SCENARIO_KEYS, "scenario", seen, errors)
+    section = f"section [scenario {sid}]"
     if "seeds" in seen and "n_seeds" in seen:
-        errors.append(f"section [scenario {sid}]: give either seeds or n_seeds, not both")
-    eps = fields.pop("bias_epsilon", 0.0)
-    eff = fields.pop("bias_efficiency", 1.0)
-    if eps != 0.0 or eff != 1.0:
-        try:
-            fields["bias"] = BiasModel(pointer_rotation_epsilon=eps, per_projector_efficiency=eff)
-        except ValueError as exc:
-            errors.append(f"section [scenario {sid}]: {exc}")
+        errors.append(f"{section}: give either seeds or n_seeds, not both")
+    eps = values.pop("bias_epsilon", 0.0)
+    eff = values.pop("bias_efficiency", 1.0)
+    fields = {_FIELDS.get(key, key): value for key, value in values.items()}
+    try:
+        fields["bias"] = BiasModel(pointer_rotation_epsilon=eps, per_projector_efficiency=eff)
+    except ValueError as exc:
+        errors.append(f"{section}: {exc}")
     if "kind" not in fields:
-        errors.append(f"section [scenario {sid}]: missing required key 'kind'")
+        errors.append(f"{section}: missing required key 'kind'")
         return None
     try:
         return Scenario(scenario_id=sid, **fields)
     except (TypeError, ValueError) as exc:
-        errors.append(f"section [scenario {sid}]: {exc}")
+        errors.append(f"{section}: {exc}")
         return None
 
 
 def parse_config(text: str) -> ConfigDocument:
     """Parse and validate a whole config; raises ConfigError listing all problems."""
     sections, errors = _split_sections(text)
-    root_seed = 0
-    output_dir = "results"
+    settings: dict = {}
     scenarios: list[Scenario] = []
     seen_ids: dict[str, int] = {}
     seen_global: dict[str, int] = {}  # across every [global] section
     for name, header_line, entries in sections:
         if name == "global":
-            for lineno, key, value in entries:
-                if key not in _GLOBAL_KEYS:
-                    errors.append(f"line {lineno}: unknown global key '{key}'")
-                    continue
-                if key in seen_global:
-                    errors.append(
-                        f"line {lineno}: key '{key}' already set on line {seen_global[key]}"
-                    )
-                    continue
-                seen_global[key] = lineno
-                try:
-                    if key == "root_seed":
-                        root_seed = int(value)
-                    elif key == "output_dir":
-                        output_dir = value
-                except ValueError as exc:
-                    errors.append(f"line {lineno}: {exc}")
+            settings.update(_read_section(entries, _GLOBAL_KEYS, "global", seen_global, errors))
             continue
         if not name.startswith("scenario"):
             errors.append(f"line {header_line}: unknown section '[{name}]'")
@@ -219,7 +195,7 @@ def parse_config(text: str) -> ConfigDocument:
         errors.append("config defines no scenarios")
     if errors:
         raise ConfigError(errors)
-    return ConfigDocument(scenarios=tuple(scenarios), root_seed=root_seed, output_dir=output_dir)
+    return ConfigDocument(scenarios=tuple(scenarios), **settings)
 
 
 # -- Matrix text ---------------------------------------------------------------

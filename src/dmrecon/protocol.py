@@ -35,14 +35,15 @@ PROJECTOR_ATOL = 1e-10
 PROB_CORRUPT = 1e-9
 MAX_DIM = 16
 
-OBSERVABLE_NAMES = ("X", "Y", "Z", "Pi1")
-
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-_KETP = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-_KETM = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
-_KETPI = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
-_KETMI = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2)
+# Each pointer observable's (eigenvalue, eigenvector) pairs, the vectors as qubit
+# labels of `states.named_ket`.
+_POINTER_EIGENSTATES = {
+    "X": ((1.0, "D"), (-1.0, "A")),
+    "Y": ((1.0, "L"), (-1.0, "R")),
+    "Z": ((1.0, "H"), (-1.0, "V")),
+    "Pi1": ((1.0, "V"), (0.0, "H")),
+}
+OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
 
 
 def _proj(v: np.ndarray) -> np.ndarray:
@@ -133,18 +134,13 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
     (observable, tilt); the projectors are read-only because every caller
     shares them.
     """
-    if observable == "X":
-        pairs = ((1.0, _proj(_KETP)), (-1.0, _proj(_KETM)))
-    elif observable == "Y":
-        pairs = ((1.0, _proj(_KETPI)), (-1.0, _proj(_KETMI)))
-    elif observable == "Z":
-        pairs = ((1.0, _proj(_KET0)), (-1.0, _proj(_KET1)))
-    elif observable == "Pi1":
-        pairs = ((1.0, _proj(_KET1)), (0.0, _proj(_KET0)))
-    else:
+    if observable not in _POINTER_EIGENSTATES:
         raise ValueError(
             f"unknown observable '{observable}', expected one of {OBSERVABLE_NAMES}"
         )
+    pairs = tuple(
+        (eig, _proj(states.named_ket(label, 2))) for eig, label in _POINTER_EIGENSTATES[observable]
+    )
     if tilt != 0.0:
         r = pointer_rotation(tilt)
         pairs = tuple((eig, r @ p @ r.conj().T) for eig, p in pairs)

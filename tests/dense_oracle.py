@@ -37,16 +37,20 @@ def evolved(rho, u):
 
 
 def trace_tables(sigma, setting_pairs):
-    """probs[p, alpha, beta, k-1] = Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma], one trace each."""
+    """probs[p, alpha, beta, k-1] = Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma], one trace each.
+
+    Pi_k (x) 1 (x) 1 selects the k-th diagonal 4 x 4 block of sigma, so each
+    trace reads Tr[(P_alpha (x) Q_beta) sigma_kk].
+    """
     d = sigma.shape[0] // 4
     probs = np.empty((len(setting_pairs), 2, 2, d))
     for p, (setting_a, setting_b) in enumerate(setting_pairs):
         for alpha, (_, proj_a) in enumerate(setting_a.projectors):
             for beta, (_, proj_b) in enumerate(setting_b.projectors):
+                op = qmath.tensor(proj_a, proj_b)
                 for k in range(d):
-                    proj_k = _proj(states.basis_state(d, k + 1))
-                    op = qmath.tensor(proj_k, qmath.tensor(proj_a, proj_b))
-                    probs[p, alpha, beta, k] = np.trace(op @ sigma).real
+                    block = sigma[4 * k : 4 * k + 4, 4 * k : 4 * k + 4]
+                    probs[p, alpha, beta, k] = np.trace(op @ block).real
     return probs
 
 

@@ -253,7 +253,7 @@ ROOTS = [derive_seed(9, "stack", s) for s in range(5)]
 def stacked_tables(d, biased):
     """Outcome tables of every pair at one point, with tilt and efficiency bias or none."""
     rho = states.random_density(d, 50 + d)
-    bias = BiasModel(0.04, 0.93) if biased else None
+    bias = BiasModel(0.04, 0.93) if biased else BiasModel()
     return build_tables(rho, CouplingConfig(d, 0.3, 1.4), SUPPORTED_PAIRS, bias)
 
 
