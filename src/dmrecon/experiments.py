@@ -5,6 +5,15 @@ and the scenario coordinates, and rows are sorted before they are written,
 so repeated runs (or parallel ones) produce identical output. Rows are held
 as one structured array of `ROW_DTYPE`, whose fields are the CSV columns.
 
+Each grid point builds its outcome tables once and turns its sampled seeds
+into rows as one stack (`run_point`). The expectation rows (seed -1, from
+exact correlations) of all grid points of a scenario are one grid stack
+instead: `run_scenario` stacks the points' exact correlations and Born
+vectors and estimates them with one call per method (one `finalize` each),
+one `mean_square_error` and one `trace_distance` call, each point read with
+its own coupling config. Every row equals, bit for bit, the row of
+a scenario that holds its grid point alone.
+
 The reference a reconstruction is compared against is, by default, the
 programmed input state itself, so the comparison carries no reference noise.
 A `reference = qst` mode instead compares against a sampled linear-inversion
@@ -192,19 +201,22 @@ def run_point(
     rho: states.DensityMatrix,
     theta: float,
     purity_p: float,
+    bound: np.ndarray,
     root_seed: int,
     point_key: tuple,
-) -> np.ndarray:
-    """All rows for one (state, theta) grid point of a scenario, as one `ROW_DTYPE` array.
+) -> tuple[np.ndarray | None, correlations.Correlations | None, np.ndarray | None]:
+    """One (state, theta) grid point: its sampled rows and its exact inputs.
 
-    The outcome tables, the exact QST Born vector and the error floors are
-    built once. Seed -1 (EXPECTATION_SEED) is a stack of its own: it reads the
-    exact correlations and the exact Born vector, and its rows are the exact
-    source's data and the theoretical curve. With a sampled source the seeds
-    follow as one stack: one sampler call draws every seed's correlations,
-    each from its own derived root seed, and each seed's QST vectors come from
-    its own derived seeds too. Each stack's inputs are built just before
-    `_stack_rows` turns them into rows: seed -1's rows, then the sampled seeds'.
+    Returns (rows, correls, born). The outcome tables and the exact Born
+    vector are built once. `correls` is the point's exact correlation set,
+    indexed [j-1, k-1, p] (None without a direct method), and `born` its
+    exact d^2 Born vector (None without QST); `run_scenario` estimates seed -1
+    (EXPECTATION_SEED) of every grid point from them as one grid stack.
+    `rows` holds the sampled seeds' rows, `ROW_DTYPE` with the error floors
+    `bound` of `_bounds`, and is None for an exact source. The seeds are one
+    stack: one sampler call draws every seed's correlations, each from its own
+    derived root seed, and each seed's QST vectors come from its own derived
+    seeds too.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -217,35 +229,11 @@ def run_point(
     born = None
     if qst_method or qst_ref:
         born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(scn.d))
-    # every field but the seed and the two errors, broadcast over (method, seed)
-    point = {
-        "scenario_id": scn.scenario_id,
-        "kind": scn.kind,
-        "method": np.array(scn.methods, dtype=object)[:, None],
-        "d": scn.d,
-        "theta_a": theta,
-        "theta_b": theta,
-        "purity_p": purity_p,
-        "n_events": scn.n_events,
-        # the statistical-error floor of each method, nan where undefined
-        "bound": np.array([
-            metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
-            if metrics.has_error_floor(m, scn.d) else math.nan
-            for m in scn.methods
-        ])[:, None],
-        "bias_epsilon": scn.bias.pointer_rotation_epsilon,
-        "bias_efficiency": scn.bias.per_projector_efficiency,
-    }
-
-    correls = None
-    if pairs:
-        correls = correlations.stack_sets([correlations.correlation_set_from_tables(tables)])
-    exact_probs = None if born is None else born[None]
-    rows = [
-        _stack_rows(scn, cfg, rho, point, (EXPECTATION_SEED,), correls, exact_probs, exact_probs)
-    ]
+    exact = correlations.correlation_set_from_tables(tables) if pairs else None
+    rows = None
     if scn.source == "sampled":
         roots = [derive_seed(root_seed, *point_key, seed) for seed in scn.seeds]
+        correls = None
         if pairs:
             correls = correlations.correlation_set_from_tables(
                 tables, sampled=True, n=scn.n_events, root_seed=roots
@@ -256,8 +244,41 @@ def run_point(
         if qst_ref:
             ref_keys = [(root_seed, *point_key, seed, "qst-ref") for seed in scn.seeds]
             ref_probs = _sampled_born(born, scn.n_events, ref_keys)
-        rows.append(_stack_rows(scn, cfg, rho, point, scn.seeds, correls, method_probs, ref_probs))
-    return np.concatenate(rows)
+        point = _fields(scn, theta, purity_p, bound[:, None])
+        rows = _stack_rows(
+            scn, cfg, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs
+        )
+    return rows, exact, born
+
+
+def _bounds(scn: Scenario, theta: float) -> np.ndarray:
+    """The statistical-error floor of each method at theta, nan where undefined."""
+    return np.array([
+        metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
+        if metrics.has_error_floor(m, scn.d) else math.nan
+        for m in scn.methods
+    ])
+
+
+def _fields(scn: Scenario, theta, purity_p, bound) -> dict:
+    """Every row field but the seed and the two errors, broadcast over (method, stack).
+
+    theta and purity_p are one value or one per stack slice, bound one value
+    per (method, slice) or per method as a (methods, 1) column.
+    """
+    return {
+        "scenario_id": scn.scenario_id,
+        "kind": scn.kind,
+        "method": np.array(scn.methods, dtype=object)[:, None],
+        "d": scn.d,
+        "theta_a": theta,
+        "theta_b": theta,
+        "purity_p": purity_p,
+        "n_events": scn.n_events,
+        "bound": bound,
+        "bias_epsilon": scn.bias.pointer_rotation_epsilon,
+        "bias_efficiency": scn.bias.per_projector_efficiency,
+    }
 
 
 def _sampled_born(born: np.ndarray, n: int, keys) -> np.ndarray:
@@ -267,16 +288,20 @@ def _sampled_born(born: np.ndarray, n: int, keys) -> np.ndarray:
     return np.array([rng.binomial(n, p) / n for rng in rngs])
 
 
-def _stack_rows(scn, cfg, rho, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
-    """Rows of one seed stack, method-major: each method estimated once over the stack.
+def _stack_rows(scn, cfg, truth, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
+    """Rows of one stack, method-major: each method estimated once over the stack.
 
-    The inputs are the stack's correlations and its QST method and reference
-    Born vectors, one row per seed (None where nothing reads them). One
-    `mean_square_error` and one `trace_distance` call cover every row. A slice
-    with near-zero trace (zero signal, e.g. zero double-flip counts at small
-    theta) has no state estimate: `finalize` leaves it nan, and its row reads
-    trace_distance nan and delta_rho inf. A nan QST reference slice leaves
-    trace_distance nan.
+    A stack is either one grid point's sampled seeds, with its one config,
+    or the seed -1 rows of every grid point of a scenario, the grid stack,
+    with a tuple of one config per point. The inputs are the stack's
+    correlations, the true states (one matrix, or one per slice) and the QST
+    method and reference Born vectors, one row per slice (None where nothing
+    reads them); `point` holds the other row fields (`_fields`). One
+    `finalize` per method, one `mean_square_error` and one `trace_distance`
+    call cover every row. A slice with near-zero trace (zero signal, e.g.
+    zero double-flip counts at small theta) has no state estimate:
+    `finalize` leaves it nan, and its row reads trace_distance nan and
+    delta_rho inf. A nan QST reference slice leaves trace_distance nan.
     """
     results = [
         reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
@@ -284,7 +309,7 @@ def _stack_rows(scn, cfg, rho, point, seeds, correls, method_probs, ref_probs) -
         for m in scn.methods
     ]
     finalized = np.array([r.finalized for r in results])
-    reference = rho.matrix
+    reference = truth
     if scn.reference == "qst":
         reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
     reference = np.broadcast_to(reference, finalized.shape)
@@ -306,21 +331,37 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     """All rows of a scenario as one `ROW_DTYPE` array, sorted.
 
     A purity sweep runs the purity grid at its one coupling strength; every
-    other kind runs one input state across the listed strengths.
+    other kind runs one input state across the listed strengths. Each grid
+    point's sampled rows come from `run_point`; the seed -1 rows of all
+    points are one grid stack, estimated from the points' exact correlations
+    and Born vectors with one call per estimator.
     """
-    points = []
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
         theta = scn.theta_list[0]
-        for p in scn.purity_grid:
-            rho = states.purity_family(p, psi)
-            points.append(run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "p", p)))
+        grid = [
+            (states.purity_family(p, psi), theta, p, (scn.scenario_id, "p", p))
+            for p in scn.purity_grid
+        ]
     else:
         rho = states.parse_state_spec(scn.input_state, scn.d)
         p = states.purity(rho)
-        for theta in scn.theta_list:
-            points.append(run_point(scn, rho, theta, p, root_seed, (scn.scenario_id, "th", theta)))
-    return sort_rows(np.concatenate(points))
+        grid = [(rho, theta, p, (scn.scenario_id, "th", theta)) for theta in scn.theta_list]
+    rhos, thetas, purities, _ = zip(*grid)
+    bound = np.array([_bounds(scn, theta) for theta in thetas]).T
+    sampled, exact, born = zip(*(
+        run_point(scn, rho, theta, p, bound[:, t], root_seed, key)
+        for t, (rho, theta, p, key) in enumerate(grid)
+    ))
+    cfgs = tuple(CouplingConfig(scn.d, theta, theta) for theta in thetas)
+    point = _fields(scn, np.array(thetas), np.array(purities), bound)
+    correls = None if exact[0] is None else correlations.stack_sets(exact)
+    born = None if born[0] is None else np.array(born)
+    truth = np.array([rho.matrix for rho in rhos])
+    rows = _stack_rows(scn, cfgs, truth, point, EXPECTATION_SEED, correls, born, born)
+    if scn.source == "sampled":
+        rows = np.concatenate([rows, *sampled])
+    return sort_rows(rows)
 
 
 def sort_rows(rows: np.ndarray) -> np.ndarray:

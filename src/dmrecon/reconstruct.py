@@ -14,12 +14,16 @@ trace; no positivity projection or maximum-likelihood step is applied, so
 finalized matrices may have negative eigenvalues and carry the positivity
 flag unset.
 
-Every estimator also takes a stack: `Correlations` with a leading seed axis,
-or an (S, d^2) stack of Born vectors for tomography. It then returns one
-result whose arrays carry that axis, with `finalized` the (S, d, d) array of
+Every estimator also takes a stack: `Correlations` with a leading axis, or
+an (S, d^2) stack of Born vectors for tomography. It then returns one result
+whose arrays carry that axis, with `finalized` the (S, d, d) array of
 finalized matrices. A slice with near-zero trace is all nan there instead of
-raising, so one degenerate seed does not stop the others; a single matrix
-still raises `DegenerateTraceError`.
+raising, so one degenerate slice does not stop the others; a single matrix
+still raises `DegenerateTraceError`. The leading axis is a seed stack of one
+grid point, read with that point's one `CouplingConfig`, or a stack over grid
+points, read with a tuple of one config per slice; each slice's constants
+(n_ab, tan(theta/2)) are computed per config in Python floats, so a slice's
+estimate equals the call with its own set and config alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ METHOD_EXACT_II = "II"
 METHOD_QST = "QST"
 
 FINALIZE_TRACE_ATOL = 1e-9
+
+# One coupling config, or one per slice of a stack's first axis.
+Configs = CouplingConfig | tuple[CouplingConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,29 @@ def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
     return np.sqrt(herm_re**2 + herm_im**2)
 
 
-def _columns(correls: Correlations, cfg: CouplingConfig, pairs) -> list[np.ndarray]:
+def _constants(correls: Correlations, cfg: Configs, f) -> tuple:
+    """The floats f(c) returns for a coupling config c, checked against the correlations.
+
+    For one `CouplingConfig` these are f(cfg) itself. For a tuple of configs
+    aligned with the stack's first axis, each value becomes an array over
+    that axis that broadcasts against a (..., d, d) column. f computes in
+    Python floats per config, so each slice gets the constants, and the
+    estimate, of a call with its own config alone, bit for bit.
+    """
+    single = isinstance(cfg, CouplingConfig)
+    for c in (cfg,) if single else cfg:
+        if correls.dim != c.dim:
+            raise ValueError(f"correlations are for d={correls.dim}, config has d={c.dim}")
+    if single:
+        return f(cfg)
+    shape = correls.values.shape
+    if len(shape) < 4 or len(cfg) != shape[0]:
+        raise ValueError(f"{len(cfg)} configs for correlations shaped {shape}")
+    return tuple(np.reshape(v, (-1,) + (1,) * (len(shape) - 2)) for v in zip(*map(f, cfg)))
+
+
+def _columns(correls: Correlations, pairs) -> list[np.ndarray]:
     """Values then standard errors, as (..., d, d) arrays, of each requested pair."""
-    if correls.dim != cfg.dim:
-        raise ValueError(f"correlations are for d={correls.dim}, config has d={cfg.dim}")
     cols = [correls.column(pair) for pair in pairs]
     return [v for v, _ in cols] + [e for _, e in cols]
 
@@ -117,75 +143,80 @@ def _result(method, raw, re_err, im_err) -> ReconstructionResult:
     )
 
 
-def _pauli_terms(correls: Correlations, cfg: CouplingConfig):
+def _pauli_terms(correls: Correlations, n):
     """The weak combination of the four Pauli pairs, with its error variances.
 
     Returns the real and imaginary parts n_ab (<XX> - <YY>) and
     n_ab (<XY> + <YX>), and the variance sums behind their errors (before
     the factor n_ab).
     """
-    xx, yy, yx, xy, e_xx, e_yy, e_yx, e_xy = _columns(correls, cfg, PAIRS_WEAK)
-    n = cfg.n_ab
+    xx, yy, yx, xy, e_xx, e_yy, e_yx, e_xy = _columns(correls, PAIRS_WEAK)
     return n * (xx - yy), n * (xy + yx), e_xx**2 + e_yy**2, e_yx**2 + e_xy**2
 
 
-def reconstruct_weak(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
+def reconstruct_weak(correls: Correlations, cfg: Configs) -> ReconstructionResult:
     """Weak-approximation estimator from the four Pauli correlation pairs.
 
     Element (j, k) is n_ab * (<XX> - <YY>) + i n_ab * (<YX> + <XY>). The
-    result approximates the state only for small coupling strength.
+    result approximates the state only for small coupling strength. `cfg`
+    is one `CouplingConfig`, or a tuple of them aligned with a stack's first
+    axis (see `_constants`).
     """
-    n = cfg.n_ab
-    re, im, re_var, im_var = _pauli_terms(correls, cfg)
+    (n,) = _constants(correls, cfg, lambda c: (c.n_ab,))
+    re, im, re_var, im_var = _pauli_terms(correls, n)
     raw = re + 1j * im
     return _result(METHOD_WEAK, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
-def reconstruct_exact_i(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
+def reconstruct_exact_i(correls: Correlations, cfg: Configs) -> ReconstructionResult:
     """Exact estimator: the weak combination plus tangent-weighted Pi1 terms.
 
     From exact correlations this reproduces the state at any coupling
     strength; the correction terms vanish as the strength goes to zero.
+    `cfg` is one config or a tuple of them, as for `reconstruct_weak`.
     """
-    n = cfg.n_ab
-    t_a, t_b = cfg.t_a, cfg.t_b
-    re, im, re_var, im_var = _pauli_terms(correls, cfg)
-    xp, px, yp, pp, e_xp, e_px, e_yp, e_pp = _columns(correls, cfg, PAIRS_EXACT_I[4:])
+    n, t_a, t_b, t_a2, t_b2 = _constants(
+        correls, cfg, lambda c: (c.n_ab, c.t_a, c.t_b, c.t_a**2, c.t_b**2)
+    )
+    re, im, re_var, im_var = _pauli_terms(correls, n)
+    xp, px, yp, pp, e_xp, e_px, e_yp, e_pp = _columns(correls, PAIRS_EXACT_I[4:])
     re = re + 2 * n * (t_b * xp + t_a * px + 2 * t_a * t_b * pp)
     im = im + 2 * n * t_b * yp
     re_var = (
         re_var
-        + 4 * t_b**2 * e_xp**2
-        + 4 * t_a**2 * e_px**2
-        + 16 * t_a**2 * t_b**2 * e_pp**2
+        + 4 * t_b2 * e_xp**2
+        + 4 * t_a2 * e_px**2
+        + 16 * t_a2 * t_b2 * e_pp**2
     )
-    im_var = im_var + 4 * t_b**2 * e_yp**2
+    im_var = im_var + 4 * t_b2 * e_yp**2
     raw = re + 1j * im
     return _result(METHOD_EXACT_I, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
-def reconstruct_exact_ii(correls: Correlations, cfg: CouplingConfig) -> ReconstructionResult:
+def reconstruct_exact_ii(correls: Correlations, cfg: Configs) -> ReconstructionResult:
     """Exact estimator from only three observable pairs.
 
     Diagonal entries come from the double-flip probability <Pi1 Pi1>, which
     is independent of the final system outcome k: exact data uses k = j,
-    sampled data is averaged over k so every event contributes.
+    sampled data is averaged over k so every event contributes. `cfg` is one
+    config or a tuple of them, as for `reconstruct_weak`.
     """
-    d = cfg.dim
-    n = cfg.n_ab
-    pp, yy, xy, _, e_yy, e_xy = _columns(correls, cfg, PAIRS_EXACT_II)
+    d = correls.dim
+    (n,) = _constants(correls, cfg, lambda c: (c.n_ab,))
+    pp, yy, xy, _, e_yy, e_xy = _columns(correls, PAIRS_EXACT_II)
+    # the diagonal estimates as (..., d, 1) columns, which broadcast against n
     if correls.n_events:
-        est = pp.mean(axis=-1)
+        est = pp.mean(axis=-1, keepdims=True)
         se = np.sqrt(np.maximum(est / d - est * est, 0.0) / correls.n_events)
     else:
-        est = np.diagonal(pp, axis1=-2, axis2=-1)
+        est = np.diagonal(pp, axis1=-2, axis2=-1)[..., None]
         se = np.zeros_like(est)
     raw = -2 * n * yy + 2j * n * xy
     re_err = 2 * n * e_yy
     im_err = 2 * n * e_xy
     i = np.arange(d)
-    raw[..., i, i] = 16 * n * n * est
-    re_err[..., i, i] = 16 * n * n * se
+    raw[..., i, i] = (16 * n * n * est)[..., 0]
+    re_err[..., i, i] = (16 * n * n * se)[..., 0]
     im_err[..., i, i] = 0.0
     return _result(METHOD_EXACT_II, raw, re_err, im_err)
 

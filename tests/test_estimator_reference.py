@@ -236,6 +236,38 @@ def test_stacked_estimators_match_slices(d, theta, n):
         assert mixed, "the one-event stack must mix degenerate and regular slices"
 
 
+# One config per slice. tan(0.212 / 2)**2 and tan(0.6468 / 2)**2 in Python
+# floats differ in the last bit from numpy's square of the same tangents, so
+# these slices match only if the constants stay per-config Python floats.
+GRID_CONFIGS = [(0.212, 0.9), (0.6468, 0.3), (1.2, 1.2), (math.pi / 2, 0.05)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [0, 40, 10_000])
+def test_config_tuple_matches_per_config_calls(d, n):
+    # a stack over grid points, with a tuple of one config per slice, equals
+    # one call per slice with its own config, bit for bit; n = 0 is exact data
+    rho = states.random_density(d, 5 * d)
+    cfgs = tuple(CouplingConfig(d, t_a, t_b) for t_a, t_b in GRID_CONFIGS)
+    sets = [
+        correlation_set_from_tables(
+            build_tables(rho, cfg, PAIRS_EXACT_I), sampled=n > 0, n=n, root_seed=s
+        )
+        for s, cfg in enumerate(cfgs)
+    ]
+    stack = stack_sets(sets)
+    for rebuild, loop in ESTIMATORS:
+        _check_stack_matches_slices(
+            rebuild(stack, cfgs),
+            [_single(rebuild, cs, cfg) for cs, cfg in zip(sets, cfgs)],
+            rho.matrix,
+            lambda s: loop(sets[s], cfgs[s])[0],
+        )
+        for wrong_stack, wrong_cfgs in ((stack, cfgs[:3]), (sets[0], cfgs)):
+            with pytest.raises(ValueError, match="configs for correlations shaped"):
+                rebuild(wrong_stack, wrong_cfgs)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
 @pytest.mark.parametrize("n", [1, 3, 10_000])
 def test_stacked_qst_matches_slices(d, n):

@@ -1,6 +1,7 @@
 """Scenario runner: sweeps, bias injection, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dmrecon.experiments import (
     build_tables,
     run_scenario,
 )
+from dmrecon.io import results_csv
 from dmrecon.protocol import CouplingConfig, pointer_setting
 from dmrecon.reconstruct import reconstruct_exact_i, reconstruct_exact_ii
 
@@ -247,8 +249,6 @@ class TestRunners:
             seeds=(0, 1, 2),
             bias=BiasModel(pointer_rotation_epsilon=0.01),
         )
-        from dmrecon.io import results_csv
-
         csv_a = results_csv(run_scenario(scn, root_seed=21))
         csv_b = results_csv(run_scenario(scn, root_seed=21))
         assert csv_a == csv_b
@@ -259,8 +259,6 @@ class TestRunners:
     def test_seed_rows_independent_of_listed_seeds(self, reference):
         # each seed draws from its own stream: listing other seeds, or
         # listing them in another order, leaves its rows byte-identical
-        from dmrecon.io import results_csv
-
         def seed_2_csv(seeds):
             scn = Scenario(
                 scenario_id="ind",
@@ -311,3 +309,35 @@ class TestRunners:
         sampled = rows_by(rows, seed=0)[0]
         assert math.isinf(sampled["delta_rho"])
         assert math.isnan(sampled["trace_distance"])
+
+
+def one_point_scenarios(scn):
+    """The scenario split into one scenario per grid point, under the same id."""
+    if scn.kind == "purity_sweep":
+        return [replace(scn, purity_grid=(p,)) for p in scn.purity_grid]
+    return [replace(scn, theta_list=(theta,)) for theta in scn.theta_list]
+
+
+@pytest.mark.parametrize("scn", [
+    Scenario(
+        scenario_id="grid-exact", kind="strength_sweep", input_state="random:seed=3", d=4,
+        theta_list=(0.05, 0.4, 1.1, math.pi / 2), source="exact", seeds=(0,),
+        methods=("W", "I", "II", "QST"), reference="qst",
+        bias=BiasModel(pointer_rotation_epsilon=0.02, per_projector_efficiency=1.04),
+    ),
+    Scenario(
+        scenario_id="grid-purity", kind="purity_sweep", input_state="pure:b0", d=3,
+        purity_grid=(0.0, 0.3, 0.7, 1.0), n_events=600, seeds=(0, 1, 2),
+        methods=("W", "I", "II", "QST"),
+    ),
+    Scenario(
+        scenario_id="grid-error", kind="error_sweep", input_state="random:seed=2", d=5,
+        theta_list=(0.1, 0.6, 1.3), n_events=900, seeds=(0, 1), methods=("II", "W"),
+    ),
+], ids=["exact-strength-qstref", "sampled-purity-qst", "error-d5"])
+def test_grid_stack_matches_one_point_scenarios(scn):
+    # a scenario's seed -1 rows are estimated as one stack over its grid
+    # points; every row, to the last bit, must equal the row of a scenario
+    # holding that point alone
+    split = np.concatenate([run_scenario(one, root_seed=13) for one in one_point_scenarios(scn)])
+    assert results_csv(run_scenario(scn, root_seed=13)) == results_csv(experiments.sort_rows(split))
