@@ -23,7 +23,6 @@ from .experiments import BiasModel, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
 from .protocol import CouplingConfig, PointerSetting, pointer_setting
 from .reconstruct import (
-    DegenerateTraceError,
     ReconstructionResult,
     finalize,
     qst_linear_inversion,
@@ -47,7 +46,6 @@ __all__ = [
     "BiasModel",
     "Correlations",
     "CouplingConfig",
-    "DegenerateTraceError",
     "DensityMatrix",
     "OutcomeTables",
     "PAIRS_EXACT_I",

@@ -67,21 +67,18 @@ def _cmd_run(args) -> int:
 def _cmd_exact(args) -> int:
     try:
         cfg = CouplingConfig(args.d, args.theta, args.theta)
-        if not args.theta > 0.0:
-            raise ValueError(f"theta={args.theta} outside (0, pi/2]")
+        protocol.check_theta(args.theta)
         rho = states.parse_state_spec(args.state, args.d)
     except ValueError as exc:
         return _input_error("exact", str(exc))
     rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
-    correls = correlations.exact_correlation_set(rho, cfg, pairs)
-    try:
-        result = rebuild(correls, cfg)
-    except reconstruct.DegenerateTraceError as exc:
+    result = rebuild(correlations.exact_correlation_set(rho, cfg, pairs), cfg)
+    if np.isnan(result.finalized).any():
         # valid input, but this estimator has no signal to normalize here
-        print(f"dmrecon exact: {exc}", file=sys.stderr)
+        print("dmrecon exact: cannot normalize: Hermitian part has near-zero trace", file=sys.stderr)
         return 1
     print(f"method {result.method}, d={args.d}, theta={args.theta}")
-    print(io.write_matrix(result.finalized.matrix))
+    print(io.write_matrix(result.finalized))
     return 0
 
 
@@ -150,7 +147,7 @@ def _cmd_validate(args) -> int:
             correls = correlations.exact_correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
             for rebuild in (reconstruct.reconstruct_exact_i, reconstruct.reconstruct_exact_ii):
                 result = rebuild(correls, cfg)
-                worst = max(worst, qmath.trace_distance(result.finalized.matrix, rho.matrix))
+                worst = max(worst, qmath.trace_distance(result.finalized, rho.matrix))
     check("exact estimators reproduce the state", worst < 1e-9, f"max distance {worst:.2e}")
 
     # Closed-form standard-family tomography vs least squares on the same vectors.

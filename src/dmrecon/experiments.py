@@ -9,10 +9,10 @@ Each grid point builds its outcome tables once and turns its sampled seeds
 into rows as one stack (`run_point`). The expectation rows (seed -1, from
 exact correlations) of all grid points of a scenario are one grid stack
 instead: `run_scenario` stacks the points' exact correlations and Born
-vectors and estimates them with one call per method (one `finalize` each),
-one `mean_square_error` and one `trace_distance` call, each point read with
-its own coupling config. Every row equals, bit for bit, the row of
-a scenario that holds its grid point alone.
+vectors and estimates them with one call per method (one `finalize` each)
+and one `metrics.compare` call, each point read with its own coupling
+config. Every row equals, bit for bit, the row of a scenario that holds its
+grid point alone.
 
 The reference a reconstruction is compared against is, by default, the
 programmed input state itself, so the comparison carries no reference noise.
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import correlations, metrics, qmath, reconstruct, states
+from . import correlations, metrics, reconstruct, states
 from .correlations import OutcomeTables, derive_seed
-from .protocol import CouplingConfig, check_dim
+from .protocol import CouplingConfig, check_dim, check_theta
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -113,8 +113,7 @@ class Scenario:
         if not thetas:
             raise ValueError("theta needs at least one value")
         for th in thetas:
-            if not 0.0 < th <= math.pi / 2 + 1e-12:
-                raise ValueError(f"theta={th} outside (0, pi/2]")
+            check_theta(th)
         if self.kind == "purity_sweep" and len(thetas) != 1:
             raise ValueError("purity sweeps use a single coupling strength")
         check_dim(self.d)
@@ -297,11 +296,11 @@ def _stack_rows(scn, cfg, truth, point, seeds, correls, method_probs, ref_probs)
     correlations, the true states (one matrix, or one per slice) and the QST
     method and reference Born vectors, one row per slice (None where nothing
     reads them); `point` holds the other row fields (`_fields`). One
-    `finalize` per method, one `mean_square_error` and one `trace_distance`
-    call cover every row. A slice with near-zero trace (zero signal, e.g.
-    zero double-flip counts at small theta) has no state estimate:
-    `finalize` leaves it nan, and its row reads trace_distance nan and
-    delta_rho inf. A nan QST reference slice leaves trace_distance nan.
+    `finalize` per method and one `metrics.compare` call cover every row.
+    A slice with near-zero trace (zero signal, e.g. zero double-flip counts
+    at small theta) has no state estimate: `finalize` leaves it nan, and
+    `compare` gives its row trace_distance nan and delta_rho inf. A nan QST
+    reference slice leaves trace_distance nan.
     """
     results = [
         reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
@@ -312,18 +311,15 @@ def _stack_rows(scn, cfg, truth, point, seeds, correls, method_probs, ref_probs)
     reference = truth
     if scn.reference == "qst":
         reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
-    reference = np.broadcast_to(reference, finalized.shape)
-    degenerate = np.isnan(finalized[..., 0, 0])
-    errors = metrics.mean_square_error(np.array([r.element_errors for r in results]))
-    ok = ~(degenerate | np.isnan(reference[..., 0, 0]))
-    t_dist = np.full(ok.shape, np.nan)
-    t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
-    rows = np.empty(ok.shape, ROW_DTYPE)
+    t_dist, delta_rho = metrics.compare(
+        finalized, np.array([r.element_errors for r in results]), reference
+    )
+    rows = np.empty(t_dist.shape, ROW_DTYPE)
     for name, value in point.items():
         rows[name] = value
     rows["seed"] = seeds
     rows["trace_distance"] = t_dist
-    rows["delta_rho"] = np.where(degenerate, np.inf, errors)
+    rows["delta_rho"] = delta_rho
     return rows.ravel()
 
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
 from .experiments import ROW_DTYPE, BiasModel, Scenario
+from .protocol import check_theta
 
 CSV_COLUMNS = ROW_DTYPE.names
 
@@ -48,13 +48,7 @@ def _floats(value: str) -> tuple[float, ...]:
 def _thetas(value: str) -> tuple[float, ...]:
     thetas = _floats(value)
     for th in thetas:
-        if th == 0.0:
-            raise ValueError(
-                "theta = 0 makes the normalization "
-                "d/(4 sin(theta_a) sin(theta_b)) singular"
-            )
-        if not 0.0 < th <= math.pi / 2 + 1e-12:
-            raise ValueError(f"theta={th} outside (0, pi/2]")
+        check_theta(th)
     return thetas
 
 
@@ -174,13 +168,15 @@ def parse_config(text: str) -> ConfigDocument:
         if name == "global":
             settings.update(_read_section(entries, _GLOBAL_KEYS, "global", seen_global, errors))
             continue
-        if not name.startswith("scenario"):
+        # `scenario`, whitespace, then the id: [scenarios] is no scenario section
+        parts = name.split(None, 1)
+        if parts[:1] != ["scenario"]:
             errors.append(f"line {header_line}: unknown section '[{name}]'")
             continue
-        sid = name[len("scenario"):].strip()
-        if not sid:
+        if len(parts) == 1:
             errors.append(f"line {header_line}: scenario section needs an id")
             continue
+        sid = parts[1]
         if sid in seen_ids:
             errors.append(
                 f"line {header_line}: duplicate scenario id '{sid}' "

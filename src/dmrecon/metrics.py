@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath, states
-from .reconstruct import ReconstructionResult
+from . import qmath
 
 
 @dataclass(frozen=True)
@@ -29,15 +28,6 @@ class ErrorBound:
     @property
     def bound(self) -> float:
         return self.alpha / (self.theta**2 * math.sqrt(self.n))
-
-
-@dataclass(frozen=True)
-class ComparisonSummary:
-    method: str
-    trace_distance: float
-    delta_rho: float
-    purity_reconstructed: float
-    purity_reference: float
 
 
 def mean_square_error(element_errors: np.ndarray):
@@ -80,32 +70,38 @@ def error_lower_bound(method: str, d: int, theta: float, n: int) -> ErrorBound:
     return ErrorBound(method=method, d=d, theta=theta, n=n, alpha=alpha)
 
 
-def compare(result: ReconstructionResult, reference: states.DensityMatrix) -> ComparisonSummary:
-    """Trace distance and aggregate error of one reconstruction against a reference."""
-    if not isinstance(result.finalized, states.DensityMatrix):
-        raise ValueError("compare takes one reconstruction; a stacked result has no summary")
-    if result.finalized.dim != reference.dim:
-        raise ValueError(
-            f"dimension mismatch: {result.finalized.dim} vs {reference.dim}"
-        )
-    return ComparisonSummary(
-        method=result.method,
-        trace_distance=qmath.trace_distance(result.finalized.matrix, reference.matrix),
-        delta_rho=mean_square_error(result.element_errors),
-        purity_reconstructed=states.purity(result.finalized),
-        purity_reference=states.purity(reference),
-    )
+def compare(finalized, element_errors, reference) -> tuple[np.ndarray, np.ndarray]:
+    """(trace_distance, delta_rho) of a reconstruction against a reference.
+
+    `finalized` and `element_errors` are a `ReconstructionResult`'s (..., d, d)
+    arrays, over any leading axes; `reference` broadcasts against them. Both
+    results are arrays of the leading shape, 0-d for one matrix. A degenerate
+    estimate (all nan) reads distance nan and delta_rho inf; a nan reference
+    reads distance nan. One `trace_distance` and one `mean_square_error` call
+    cover every matrix.
+    """
+    finalized = np.asarray(finalized)
+    reference = np.asarray(reference)
+    if reference.shape[-2:] != finalized.shape[-2:]:
+        raise ValueError(f"dimension mismatch: {finalized.shape} vs {reference.shape}")
+    reference = np.broadcast_to(reference, finalized.shape)
+    degenerate = np.isnan(finalized[..., 0, 0])
+    ok = ~(degenerate | np.isnan(reference[..., 0, 0]))
+    t_dist = np.full(ok.shape, np.nan)
+    t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
+    delta_rho = np.where(degenerate, np.inf, mean_square_error(element_errors))
+    return t_dist, delta_rho
 
 
-def ensemble_delta_rho(matrices: list[np.ndarray]) -> float:
+def ensemble_delta_rho(finalized) -> float:
     """Ensemble cross-check of the propagated error: spread over repeated runs.
 
     sqrt(sum_jk Var(rho_jk)) with the variance taken elementwise over the
-    supplied finalized matrices.
+    first axis of an (S, d, d) stack of finalized matrices, S >= 2.
     """
-    if len(matrices) < 2:
-        raise ValueError("need at least two matrices for an ensemble estimate")
-    stack = np.stack([np.asarray(m, dtype=complex) for m in matrices])
+    stack = np.asarray(finalized, dtype=complex)
+    if stack.ndim != 3 or len(stack) < 2:
+        raise ValueError(f"need an (S, d, d) stack with S >= 2, got shape {stack.shape}")
     mean = stack.mean(axis=0)
     var = np.mean(np.abs(stack - mean) ** 2, axis=0)
     return float(np.sqrt(var.sum()))

@@ -56,6 +56,24 @@ def check_dim(d: int) -> None:
         raise ValueError(f"dimension d={d} outside supported range 1..{MAX_DIM}")
 
 
+def check_theta(theta: float) -> None:
+    """Reject a coupling strength outside (0, pi/2], or too small to estimate from.
+
+    Below about 3.4e-77 the estimators' largest constant, method II's
+    16 n_ab^2 with n_ab = d / (4 sin^2 theta), overflows at d = MAX_DIM.
+    """
+    if theta == 0.0:
+        raise ValueError(
+            "theta = 0 makes the normalization d/(4 sin(theta_a) sin(theta_b)) singular"
+        )
+    if not 0.0 < theta <= math.pi / 2 + 1e-12:
+        raise ValueError(f"theta={theta} outside (0, pi/2]")
+    s = math.sin(theta) ** 2
+    n_ab = MAX_DIM / (4.0 * s) if s else math.inf
+    if math.isinf(16 * n_ab * n_ab):
+        raise ValueError(f"theta={theta} too small: 16 n_ab^2 overflows below theta ~ 3.4e-77")
+
+
 @dataclass(frozen=True)
 class CouplingConfig:
     """Dimension and coupling strengths, with derived constants.

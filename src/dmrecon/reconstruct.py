@@ -11,16 +11,17 @@ the Born vector of the standard d^2-projector family (one (d^2, d, d) stack,
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
-finalized matrices may have negative eigenvalues and carry the positivity
-flag unset.
+finalized matrices may have negative eigenvalues. A matrix whose Hermitian
+part has near-zero trace has no state estimate: `finalize` returns it all
+nan, so a degenerate point is a value, not an exception.
 
 Every estimator also takes a stack: `Correlations` with a leading axis, or
-an (S, d^2) stack of Born vectors for tomography. It then returns one result
-whose arrays carry that axis, with `finalized` the (S, d, d) array of
-finalized matrices. A slice with near-zero trace is all nan there instead of
-raising, so one degenerate slice does not stop the others; a single matrix
-still raises `DegenerateTraceError`. The leading axis is a seed stack of one
-grid point, read with that point's one `CouplingConfig`, or a stack over grid
+a (..., d^2) stack of Born vectors for tomography. It then returns one
+result whose arrays carry those axes, with `finalized` the (..., d, d) array
+of finalized matrices; one matrix is the stack without leading axes, on the
+same code path, so a degenerate slice is all nan and the others are
+unaffected. The leading axis of `Correlations` is a seed stack of one grid
+point, read with that point's one `CouplingConfig`, or a stack over grid
 points, read with a tuple of one config per slice; each slice's constants
 (n_ab, tan(theta/2)) are computed per config in Python floats, so a slice's
 estimate equals the call with its own set and config alone, bit for bit.
@@ -55,36 +56,26 @@ class ReconstructionResult:
     `element_errors[j-1, k-1]` is the propagated statistical error |delta
     rho_jk| of the finalized matrix: all zeros when built from exact
     correlations, all nan for tomography, which propagates no error. For a
-    stack every array has the leading seed axis and `finalized` is the array
-    `finalize` returns for it.
+    stack every array has the leading axes; `finalized` is always the array
+    `finalize` returns.
     """
 
     method: str
     raw: np.ndarray
-    finalized: states.DensityMatrix | np.ndarray
+    finalized: np.ndarray
     element_errors: np.ndarray
 
 
-class DegenerateTraceError(ValueError):
-    """The Hermitian part of a raw matrix has near-zero trace: no state estimate exists."""
-
-
-def finalize(raw: np.ndarray) -> states.DensityMatrix | np.ndarray:
+def finalize(raw: np.ndarray) -> np.ndarray:
     """Hermitian part, then trace normalization. Positivity is not enforced.
 
-    One (d, d) matrix gives a `DensityMatrix`, or raises DegenerateTraceError
-    at near-zero trace. A stack (..., d, d) gives the array of normalized
-    slices, each degenerate slice all nan.
+    Takes one (d, d) matrix or a stack (..., d, d) and returns the array of
+    the same shape; a matrix whose Hermitian part has near-zero trace
+    (|trace| <= FINALIZE_TRACE_ATOL) has no state estimate and is all nan.
     """
     h = qmath.hermitian_part(raw)
     tr = np.trace(h, axis1=-2, axis2=-1).real
     degenerate = np.abs(tr) <= FINALIZE_TRACE_ATOL
-    if h.ndim == 2:
-        if degenerate:
-            raise DegenerateTraceError(
-                f"cannot normalize: Hermitian part has near-zero trace {tr:.3e}"
-            )
-        return states.DensityMatrix(h / tr, positivity_checked=False)
     out = h / np.where(degenerate, 1.0, tr)[..., None, None]
     out[degenerate] = np.nan
     return out
@@ -260,13 +251,13 @@ def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
     """Tomography by inverting the standard family's Born probabilities in closed form.
 
     `probs` holds the d^2 Born probabilities of `standard_projector_family(d)`,
-    in its order, or an (S, d^2) stack of such vectors. With
+    in its order, or a (..., d^2) stack of such vectors. With
     rho_jj = p_{a_j}, the others read
     p_{+jk} = (rho_jj + rho_kk)/2 + Re rho_jk and
     p_{i_jk} = (rho_jj + rho_kk)/2 - Im rho_jk.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != d * d:
+    if p.ndim == 0 or p.shape[-1] != d * d:
         raise ValueError(
             f"standard-family tomography at d={d} needs {d * d} probabilities, got shape {p.shape}"
         )

@@ -152,19 +152,17 @@ def parse_state_spec(spec: str, d: int) -> DensityMatrix:
     if text.startswith("pure:"):
         return pure_state(named_ket(text[len("pure:"):], d))
     if text.startswith("family:"):
-        p = None
-        label = None
+        params = {}
         for part in text[len("family:"):].split(","):
             key, _, val = part.partition("=")
-            if key == "p":
-                p = float(val)
-            elif key == "psi":
-                label = val
-            else:
+            if key not in ("p", "psi"):
                 raise ValueError(f"unknown family parameter '{key}' in '{spec}'")
-        if p is None or label is None:
+            if key in params:
+                raise ValueError(f"family parameter '{key}' given twice in '{spec}'")
+            params[key] = val
+        if len(params) < 2:
             raise ValueError(f"family spec needs p=<float>,psi=<label>: '{spec}'")
-        return purity_family(p, named_ket(label, d))
+        return purity_family(float(params["p"]), named_ket(params["psi"], d))
     if text.startswith("random:"):
         return random_density(d, _random_seed(text))
     raise ValueError(f"unrecognized state spec '{spec}'")

@@ -205,11 +205,12 @@ def test_run_reports_unwritable_results(tmp_path, capsys, monkeypatch):
     [
         (["--state", "bogus", "--theta", "1"], "unrecognized state spec"),
         (["--state", "mixed", "--theta", "3"], "outside [0, pi/2]"),
-        (["--state", "mixed", "--theta", "0"], "outside (0, pi/2]"),
+        (["--state", "mixed", "--theta", "0"], "singular"),
         (["--state", "mixed", "--theta", "1", "--d", "40"], "outside supported range"),
         (["--state", "mixed", "--theta", "1", "--d", "0"], "outside supported range"),
         (["--state", "pure:H", "--theta", "1", "--d", "3"], "requires d=2"),
         (["--state", "pure:a5", "--theta", "1", "--d", "3"], "out of range 1..3"),
+        (["--state", "mixed", "--theta", "1e-300"], "theta=1e-300 too small"),
     ],
 )
 def test_exact_reports_bad_input(capsys, argv, message):

@@ -7,8 +7,8 @@ are rounded differently from `math.hypot`.
 
 A stack of correlation sets (or of QST Born vectors) must give, slice by
 slice, bit for bit what one call per set gives, through the estimators,
-`finalize`, `trace_distance` and `mean_square_error`; a slice whose single
-call raises DegenerateTraceError comes back all nan.
+`finalize` and `metrics.compare`; a degenerate slice (near-zero trace) is
+all nan in both.
 """
 
 import math
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from dmrecon import metrics, qmath, states
+from dmrecon import metrics, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     build_tables,
@@ -28,7 +28,6 @@ from dmrecon.correlations import (
 )
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import (
-    DegenerateTraceError,
     _element_errors,
     born_probabilities,
     finalize,
@@ -150,13 +149,9 @@ def test_vectorised_estimators_match_loops(d, seed):
     for cs in sets:
         for rebuild, loop in ESTIMATORS:
             raw, re_err, im_err = loop(cs, cfg)
-            try:
-                result = rebuild(cs, cfg)
-            except DegenerateTraceError:
-                with pytest.raises(DegenerateTraceError):
-                    finalize(raw)
-                continue
+            result = rebuild(cs, cfg)
             np.testing.assert_array_equal(result.raw, raw)
+            np.testing.assert_array_equal(result.finalized, finalize(raw))
             np.testing.assert_allclose(
                 result.element_errors, _element_errors(re_err, im_err), rtol=1e-14, atol=0
             )
@@ -165,46 +160,28 @@ def test_vectorised_estimators_match_loops(d, seed):
 STACK_SEEDS = 8
 
 
-def _check_stack_matches_slices(stacked, singles, truth, rebuild_slice):
-    """Each slice of a stacked result against one call per slice.
+def _check_stack_matches_slices(stacked, singles, truth):
+    """Each slice of a stacked result against one call per slice, bit for bit.
 
-    `singles[s]` is the single call's result, or None where it raised
-    DegenerateTraceError; there the stacked slice must be all nan and
-    `finalize` of its raw slice must raise. Returns the degenerate mask.
+    A degenerate slice is all nan in both, and `compare` reads it as
+    distance nan and delta_rho inf. Returns the degenerate mask.
     """
     d = truth.shape[0]
     assert stacked.finalized.shape == (len(singles), d, d)
-    degenerate = np.array([one is None for one in singles])
     for s, one in enumerate(singles):
-        if one is None:
-            assert np.isnan(stacked.finalized[s]).all()
-            with pytest.raises(DegenerateTraceError):
-                finalize(stacked.raw[s])
-            assert_array_equal(stacked.raw[s], rebuild_slice(s))
-            continue
         assert_array_equal(stacked.raw[s], one.raw)
         assert_array_equal(stacked.element_errors[s], one.element_errors)
-        assert_array_equal(stacked.finalized[s], one.finalized.matrix)
-        assert_array_equal(finalize(stacked.raw)[s], finalize(stacked.raw[s]).matrix)
-    assert_array_equal(
-        metrics.mean_square_error(stacked.element_errors),
-        [metrics.mean_square_error(e) for e in stacked.element_errors],
-    )
-    ok = ~degenerate
-    if ok.any():
-        reference = np.broadcast_to(truth, (int(ok.sum()), d, d))
-        assert_array_equal(
-            qmath.trace_distance(stacked.finalized[ok], reference),
-            [qmath.trace_distance(one.finalized.matrix, truth) for one in singles if one],
-        )
+        assert_array_equal(stacked.finalized[s], one.finalized)
+        assert_array_equal(finalize(stacked.raw)[s], finalize(stacked.raw[s]))
+    degenerate = np.isnan(stacked.finalized).all(axis=(1, 2))
+    assert_array_equal(degenerate, np.isnan(stacked.finalized).any(axis=(1, 2)))
+    t_dist, delta_rho = metrics.compare(stacked.finalized, stacked.element_errors, truth)
+    one_by_one = [metrics.compare(one.finalized, one.element_errors, truth) for one in singles]
+    assert_array_equal(t_dist, [t for t, _ in one_by_one])
+    assert_array_equal(delta_rho, [e for _, e in one_by_one])
+    assert_array_equal(np.isnan(t_dist), degenerate)
+    assert_array_equal(np.isinf(delta_rho), degenerate)
     return degenerate
-
-
-def _single(rebuild, *args):
-    try:
-        return rebuild(*args)
-    except DegenerateTraceError:
-        return None
 
 
 # Few events and small theta give degenerate slices among regular ones.
@@ -224,12 +201,9 @@ def test_stacked_estimators_match_slices(d, theta, n):
     stack = stack_sets(sets)
     assert stack.values.shape == (STACK_SEEDS, d, d, len(PAIRS_EXACT_I))
     mixed = False
-    for rebuild, loop in ESTIMATORS:
+    for rebuild, _ in ESTIMATORS:
         degenerate = _check_stack_matches_slices(
-            rebuild(stack, cfg),
-            [_single(rebuild, cs, cfg) for cs in sets],
-            rho.matrix,
-            lambda s: loop(sets[s], cfg)[0],
+            rebuild(stack, cfg), [rebuild(cs, cfg) for cs in sets], rho.matrix
         )
         mixed |= 0 < degenerate.sum() < STACK_SEEDS
     if (theta, n) == (math.pi / 2, 1):
@@ -256,12 +230,9 @@ def test_config_tuple_matches_per_config_calls(d, n):
         for s, cfg in enumerate(cfgs)
     ]
     stack = stack_sets(sets)
-    for rebuild, loop in ESTIMATORS:
+    for rebuild, _ in ESTIMATORS:
         _check_stack_matches_slices(
-            rebuild(stack, cfgs),
-            [_single(rebuild, cs, cfg) for cs, cfg in zip(sets, cfgs)],
-            rho.matrix,
-            lambda s: loop(sets[s], cfgs[s])[0],
+            rebuild(stack, cfgs), [rebuild(cs, cfg) for cs, cfg in zip(sets, cfgs)], rho.matrix
         )
         for wrong_stack, wrong_cfgs in ((stack, cfgs[:3]), (sets[0], cfgs)):
             with pytest.raises(ValueError, match="configs for correlations shaped"):
@@ -275,11 +246,19 @@ def test_stacked_qst_matches_slices(d, n):
     born = born_probabilities(rho, standard_projector_family(d))
     rng = np.random.default_rng(100 * d + n)
     probs = rng.binomial(n, np.clip(born, 0.0, 1.0), size=(STACK_SEEDS, d * d)) / n
+    stacked = qst_linear_inversion(probs, d)
     degenerate = _check_stack_matches_slices(
-        qst_linear_inversion(probs, d),
-        [_single(qst_linear_inversion, p, d) for p in probs],
-        rho.matrix,
-        lambda s: qst_linear_inversion(probs[s : s + 1], d).raw[0],
+        stacked, [qst_linear_inversion(p, d) for p in probs], rho.matrix
     )
     if (d, n) == (16, 1):
         assert 0 < degenerate.sum() < STACK_SEEDS
+    # any leading axes: a (T, S, d^2) stack gives the (T, S) reshape of the flat one
+    shape = (2, STACK_SEEDS // 2)
+    grid = qst_linear_inversion(probs.reshape(*shape, d * d), d)
+    for name in ("raw", "finalized", "element_errors"):
+        assert_array_equal(getattr(grid, name), getattr(stacked, name).reshape(*shape, d, d))
+    for got, flat in zip(
+        metrics.compare(grid.finalized, grid.element_errors, rho.matrix),
+        metrics.compare(stacked.finalized, stacked.element_errors, rho.matrix),
+    ):
+        assert_array_equal(got, flat.reshape(shape))

@@ -81,7 +81,7 @@ class TestBiasDirectionalEffects:
             cfg = CouplingConfig(2, theta, theta)
             tables = build_tables(rho, cfg, PAIRS_EXACT_II, bias)
             result = reconstruct_exact_ii(correlation_set_from_tables(tables), cfg)
-            dists[theta] = qmath.trace_distance(result.finalized.matrix, rho.matrix)
+            dists[theta] = qmath.trace_distance(result.finalized, rho.matrix)
         assert dists[0.1] > 10 * dists[math.pi / 2]
 
     def test_strong_regime_robust_for_both_exact_methods(self):
@@ -97,7 +97,7 @@ class TestBiasDirectionalEffects:
                 biased = rebuild(
                     correlation_set_from_tables(build_tables(rho, cfg, pairs, bias)), cfg
                 )
-                changes[theta] = qmath.trace_distance(biased.finalized.matrix, rho.matrix)
+                changes[theta] = qmath.trace_distance(biased.finalized, rho.matrix)
             assert changes[math.pi / 2] < changes[0.05]
 
 

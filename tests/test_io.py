@@ -137,6 +137,25 @@ ERROR_CASES = {
         MINIMAL + "[extra]\nx = 1\n",
         ["line 6: unknown section '[extra]'"],
     ),
+    "misspelled scenario headers": (
+        MINIMAL + "[scenarios]\nkind = single\n[scenario_x]\nkind = single\n",
+        ["line 6: unknown section '[scenarios]'", "line 8: unknown section '[scenario_x]'"],
+    ),
+    "theta where 16 n_ab^2 overflows": (
+        MINIMAL.replace("theta = 0.5", "theta = 0.5 1e-100"),
+        ["line 5: theta=1e-100 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],
+    ),
+    "theta where sin^2 underflows": (
+        MINIMAL.replace("theta = 0.5", "theta = 1e-300"),
+        ["line 5: theta=1e-300 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],
+    ),
+    "repeated family parameter": (
+        MINIMAL.replace("pure:D", "family:p=0.5,psi=D,p=0.2"),
+        [
+            "section [scenario demo]: family parameter 'p' given twice "
+            "in 'family:p=0.5,psi=D,p=0.2'"
+        ],
+    ),
     "scenario without id": (
         "[scenario]\nkind = single\n" + MINIMAL,
         ["line 1: scenario section needs an id"],

@@ -1,4 +1,4 @@
-"""Error aggregation, the theoretical floor, and comparison summaries."""
+"""Error aggregation, the theoretical floor, and comparisons against a reference."""
 
 import numpy as np
 import pytest
@@ -75,42 +75,70 @@ class TestCompare:
         rho = states.random_density(3, 40)
         cfg = CouplingConfig(3, 0.8, 0.8)
         result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
-        summary = compare(result, rho)
-        assert summary.trace_distance < 1e-10
-        assert summary.delta_rho == 0.0
-        assert summary.method == "I"
-        assert summary.purity_reconstructed == pytest.approx(summary.purity_reference, abs=1e-9)
+        t_dist, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
+        assert isinstance(t_dist, np.ndarray) and t_dist.shape == ()
+        assert t_dist < 1e-10
+        assert delta_rho == 0.0
 
     def test_reference_against_itself(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
         result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
-        assert compare(result, result.finalized).trace_distance == pytest.approx(0.0, abs=1e-12)
+        t_dist, _ = compare(result.finalized, result.element_errors, result.finalized)
+        assert t_dist == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
         result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         with pytest.raises(ValueError, match="mismatch"):
-            compare(result, states.maximally_mixed(3))
+            compare(result.finalized, result.element_errors, np.eye(3) / 3)
 
-    def test_rejects_stacked_result(self):
+    def test_stacked_result_per_slice(self):
+        # a stack over two leading axes, against one reference or one per slice
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
-        result = reconstruct_exact_i(stack_sets([correls, correls]), cfg)
-        with pytest.raises(ValueError, match="stacked"):
-            compare(result, rho)
+        sets = [sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=s) for s in range(6)]
+        result = reconstruct_exact_i(stack_sets(sets), cfg)
+        finalized = result.finalized.reshape(2, 3, 2, 2)
+        errors = result.element_errors.reshape(2, 3, 2, 2)
+        t_dist, delta_rho = compare(finalized, errors, rho.matrix)
+        assert t_dist.shape == delta_rho.shape == (2, 3)
+        for s, one in enumerate(sets):
+            single = reconstruct_exact_i(one, cfg)
+            want = compare(single.finalized, single.element_errors, rho.matrix)
+            assert (t_dist.flat[s], delta_rho.flat[s]) == want
+        references = np.broadcast_to(rho.matrix, finalized.shape)
+        np.testing.assert_array_equal(compare(finalized, errors, references)[0], t_dist)
+
+    def test_degenerate_estimate_and_nan_reference(self):
+        # an all-nan estimate reads distance nan and delta_rho inf; a nan
+        # reference only loses the distance
+        errors = np.full((3, 2, 2), 0.1)
+        finalized = np.stack([np.full((2, 2), np.nan), np.eye(2) / 2, np.eye(2) / 2])
+        reference = np.stack([np.eye(2) / 2, np.full((2, 2), np.nan), np.diag([1.0, 0.0])])
+        t_dist, delta_rho = compare(finalized, errors, reference)
+        np.testing.assert_array_equal(t_dist, [np.nan, np.nan, 0.5])
+        np.testing.assert_array_equal(delta_rho, [np.inf, 0.2, 0.2])
 
     def test_sampled_error_exceeds_floor_every_seed(self):
         # theta = 0.1, n = 1e4, d = 2: per-seed propagated error vs the floor
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, 0.1, 0.1)
         floor = error_lower_bound("W", 2, 0.1, 10**4).bound
-        for seed in range(50):
-            correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
-            summary = compare(reconstruct_weak(correls, cfg), rho)
-            assert summary.delta_rho >= 0.9 * floor
+        sets = [
+            sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
+            for seed in range(50)
+        ]
+        result = reconstruct_weak(stack_sets(sets), cfg)
+        _, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
+        assert delta_rho.shape == (50,)
+        assert np.all(delta_rho >= 0.9 * floor)
+
+
+def _delta_rho(result, rho):
+    """Propagated error of a reconstruction, inf where it has no state estimate."""
+    return float(compare(result.finalized, result.element_errors, rho.matrix)[1])
 
 
 class TestStatisticalScaling:
@@ -119,10 +147,7 @@ class TestStatisticalScaling:
         out = []
         for seed in seeds:
             correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, n, root_seed=seed)
-            try:
-                out.append(mean_square_error(reconstruct_weak(correls, cfg).element_errors))
-            except ValueError:
-                out.append(float("inf"))  # raw trace lost in the noise
+            out.append(_delta_rho(reconstruct_weak(correls, cfg), rho))
         return out
 
     def test_event_count_scaling(self):
@@ -175,10 +200,7 @@ class TestStatisticalScaling:
                 vals = []
                 for seed in range(20):
                     correls = sampled_correlation_set(rho, cfg, pairs, 10**4, root_seed=seed)
-                    try:
-                        vals.append(mean_square_error(rebuild(correls, cfg).element_errors))
-                    except ValueError:
-                        vals.append(float("inf"))  # no normalizable estimate
+                    vals.append(_delta_rho(rebuild(correls, cfg), rho))
                 meds[theta] = float(np.median(vals))
             assert meds[np.pi / 2] < meds[0.1], f"method {method}"
 
@@ -187,15 +209,16 @@ class TestEnsembleCrossCheck:
     def test_propagation_matches_ensemble_spread(self):
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, 0.4, 0.4)
-        mats, propagated = [], []
-        for seed in range(60):
-            correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
-            result = reconstruct_weak(correls, cfg)
-            mats.append(result.finalized.matrix)
-            propagated.append(mean_square_error(result.element_errors))
-        ens = ensemble_delta_rho(mats)
+        sets = [
+            sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
+            for seed in range(60)
+        ]
+        result = reconstruct_weak(stack_sets(sets), cfg)
+        propagated = mean_square_error(result.element_errors)
+        ens = ensemble_delta_rho(result.finalized)
         assert float(np.mean(propagated)) == pytest.approx(ens, rel=0.3)
 
     def test_needs_two_matrices(self):
-        with pytest.raises(ValueError):
-            ensemble_delta_rho([np.eye(2)])
+        for shape in ((1, 2, 2), (2, 2), (3, 1, 2, 2)):
+            with pytest.raises(ValueError, match="S >= 2"):
+                ensemble_delta_rho(np.zeros(shape))

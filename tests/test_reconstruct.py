@@ -17,7 +17,6 @@ from dmrecon.correlations import (
 )
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import (
-    DegenerateTraceError,
     born_probabilities,
     finalize,
     qst_least_squares,
@@ -30,7 +29,7 @@ from dmrecon.reconstruct import (
 
 
 def distance_to(result, rho):
-    return qmath.trace_distance(result.finalized.matrix, rho.matrix)
+    return qmath.trace_distance(result.finalized, rho.matrix)
 
 
 class TestWeakEstimator:
@@ -75,14 +74,13 @@ class TestWeakEstimator:
 
     def test_maximally_mixed_full_strength_degenerates(self):
         # at theta = pi/2 every weak combination vanishes for 1/2: the raw
-        # matrix is exactly zero and cannot be normalized
+        # matrix is exactly zero and has no state estimate, so it finalizes all nan
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         correls = exact_correlation_set(rho, cfg, PAIRS_WEAK)
         combo = cfg.n_ab * (correls.column(("X", "X"))[0] - correls.column(("Y", "Y"))[0])
         np.testing.assert_allclose(combo, 0.0, atol=1e-12)
-        with pytest.raises(DegenerateTraceError, match="trace"):
-            reconstruct_weak(correls, cfg)
+        assert np.isnan(reconstruct_weak(correls, cfg).finalized).all()
 
     def test_missing_correlation_named(self):
         rho = states.maximally_mixed(2)
@@ -134,7 +132,7 @@ class TestExactEstimators:
         r_i = reconstruct_exact_i(correls, cfg)
         r_ii = reconstruct_exact_ii(correls, cfg)
         assert (
-            qmath.trace_distance(r_i.finalized.matrix, r_ii.finalized.matrix) < 1e-9
+            qmath.trace_distance(r_i.finalized, r_ii.finalized) < 1e-9
         )
 
     def test_corrections_vanish_with_strength(self):
@@ -200,39 +198,43 @@ class TestExactEstimators:
 class TestFinalize:
     def test_unit_trace_hermitian_unchanged(self):
         rho = states.random_density(3, 2)
-        np.testing.assert_allclose(finalize(rho.matrix).matrix, rho.matrix, atol=1e-14)
+        np.testing.assert_allclose(finalize(rho.matrix), rho.matrix, atol=1e-14)
 
     def test_trace_two_halved(self):
         m = np.eye(2, dtype=complex)
-        np.testing.assert_allclose(finalize(m).matrix, np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(finalize(m), np.eye(2) / 2, atol=1e-15)
 
     def test_idempotent(self):
         rng = np.random.default_rng(19)
         raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         once = finalize(raw)
-        twice = finalize(once.matrix)
-        np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
+        twice = finalize(once)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
-    def test_positivity_flag_unset(self):
+    def test_negative_eigenvalue_kept(self):
+        # positivity is not enforced: a unit-trace raw matrix comes back as it is
         raw = np.diag([1.5, -0.5]).astype(complex)
-        out = finalize(raw)
-        assert not out.positivity_checked
+        np.testing.assert_array_equal(finalize(raw), raw)
 
     def test_bias_survives_finalization(self):
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
-        assert qmath.trace_distance(result.finalized.matrix, rho.matrix) > 0.05
+        assert qmath.trace_distance(result.finalized, rho.matrix) > 0.05
 
     def test_near_zero_trace_rejected(self):
-        with pytest.raises(DegenerateTraceError, match="trace"):
-            finalize(np.array([[1e-12, 1.0], [0.0, -1e-12]], dtype=complex))
+        # no state estimate: all nan, alone or as one slice of a stack
+        degenerate = np.array([[1e-12, 1.0], [0.0, -1e-12]], dtype=complex)
+        assert np.isnan(finalize(degenerate)).all()
+        stack = finalize(np.stack([degenerate, np.eye(2)]))
+        assert np.isnan(stack[0]).all()
+        np.testing.assert_array_equal(stack[1], np.eye(2) / 2)
 
     def test_hermitian_part_of_sampled_raw(self):
         rho = states.random_density(2, 8)
         cfg = CouplingConfig(2, 0.6, 0.6)
         correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, 500, root_seed=4)
-        final = reconstruct_weak(correls, cfg).finalized.matrix
+        final = reconstruct_weak(correls, cfg).finalized
         assert np.max(np.abs(final - final.conj().T)) < 1e-15
 
 
@@ -244,11 +246,11 @@ def _qubit_vector(m):
 class TestQstLinearInversion:
     def test_h_state(self):
         result = qst_linear_inversion([1.0, 0.0, 0.5, 0.5], 2)
-        np.testing.assert_allclose(result.finalized.matrix, np.diag([1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(result.finalized, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_d_state(self):
         result = qst_linear_inversion([0.5, 0.5, 1.0, 0.5], 2)
-        np.testing.assert_allclose(result.finalized.matrix, np.full((2, 2), 0.5), atol=1e-12)
+        np.testing.assert_allclose(result.finalized, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_recovers_random_qubits_exactly(self):
         for seed in range(20):
@@ -292,13 +294,6 @@ class TestQstLinearInversion:
             qst_linear_inversion([1.0, 0.0, 0.5], 2)
 
 
-def _raw_or_none(reconstruct, *args):
-    try:
-        return reconstruct(*args).raw
-    except DegenerateTraceError:
-        return None
-
-
 class TestStandardFamilyClosedForm:
     """The closed-form inverse against the least-squares path as oracle."""
 
@@ -329,11 +324,10 @@ class TestStandardFamilyClosedForm:
         sampled = rng.binomial(n, np.clip(exact, 0.0, 1.0)) / n
         perturbed = exact + rng.uniform(-spread, spread, size=exact.size)
         for probs in (sampled, perturbed):
-            closed = _raw_or_none(qst_linear_inversion, probs, d)
-            oracle = _raw_or_none(qst_least_squares, family, probs)
-            assert (closed is None) == (oracle is None)
-            if closed is not None:
-                assert np.max(np.abs(closed - oracle)) <= 1e-12
+            closed = qst_linear_inversion(probs, d)
+            oracle = qst_least_squares(family, probs)
+            assert np.max(np.abs(closed.raw - oracle.raw)) <= 1e-12
+            np.testing.assert_array_equal(np.isnan(closed.finalized), np.isnan(oracle.finalized))
 
     def test_born_probabilities_match_trace_loop(self):
         rng = np.random.Generator(np.random.Philox(17))

@@ -142,6 +142,15 @@ class TestStateSpecGrammar:
         rho = states.parse_state_spec("family:p=0.5,psi=D", 2)
         assert states.purity(rho) == pytest.approx(0.625)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("family:p=0.5,psi=D,p=0.2", "p"), ("family:psi=D,p=0.5,psi=H", "psi")],
+    )
+    def test_repeated_family_parameter_rejected(self, spec, key):
+        # a later value would silently overwrite the first one
+        with pytest.raises(ValueError, match=f"family parameter '{key}' given twice"):
+            states.parse_state_spec(spec, 2)
+
     def test_random_spec_deterministic(self):
         a = states.parse_state_spec("random:seed=9", 3)
         b = states.parse_state_spec("random:seed=9", 3)
