@@ -12,7 +12,8 @@ instead: `run_scenario` stacks the points' exact correlations and Born
 vectors and estimates them with one call per method (one `finalize` each)
 and one `metrics.compare` call, each point read with its own coupling
 config. Every row equals, bit for bit, the row of a scenario that holds its
-grid point alone.
+grid point alone. A row's `bound` is `metrics.error_lower_bound` of its
+method and theta, nan where the method has no floor (QST, and II below d = 5).
 
 The reference a reconstruction is compared against is, by default, the
 programmed input state itself, so the comparison carries no reference noise.
@@ -200,7 +201,6 @@ def run_point(
     rho: states.DensityMatrix,
     theta: float,
     purity_p: float,
-    bound: np.ndarray,
     root_seed: int,
     point_key: tuple,
 ) -> tuple[np.ndarray | None, correlations.Correlations | None, np.ndarray | None]:
@@ -211,11 +211,10 @@ def run_point(
     indexed [j-1, k-1, p] (None without a direct method), and `born` its
     exact d^2 Born vector (None without QST); `run_scenario` estimates seed -1
     (EXPECTATION_SEED) of every grid point from them as one grid stack.
-    `rows` holds the sampled seeds' rows, `ROW_DTYPE` with the error floors
-    `bound` of `_bounds`, and is None for an exact source. The seeds are one
-    stack: one sampler call draws every seed's correlations, each from its own
-    derived root seed, and each seed's QST vectors come from its own derived
-    seeds too.
+    `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
+    exact source. The seeds are one stack: one sampler call draws every
+    seed's correlations, each from its own derived root seed, and each seed's
+    QST vectors come from its own derived seeds too.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -243,28 +242,25 @@ def run_point(
         if qst_ref:
             ref_keys = [(root_seed, *point_key, seed, "qst-ref") for seed in scn.seeds]
             ref_probs = _sampled_born(born, scn.n_events, ref_keys)
-        point = _fields(scn, theta, purity_p, bound[:, None])
+        point = _fields(scn, theta, purity_p)
         rows = _stack_rows(
             scn, cfg, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs
         )
     return rows, exact, born
 
 
-def _bounds(scn: Scenario, theta: float) -> np.ndarray:
-    """The statistical-error floor of each method at theta, nan where undefined."""
-    return np.array([
-        metrics.error_lower_bound(m, scn.d, theta, scn.n_events).bound
-        if metrics.has_error_floor(m, scn.d) else math.nan
-        for m in scn.methods
-    ])
-
-
-def _fields(scn: Scenario, theta, purity_p, bound) -> dict:
+def _fields(scn: Scenario, theta, purity_p) -> dict:
     """Every row field but the seed and the two errors, broadcast over (method, stack).
 
-    theta and purity_p are one value or one per stack slice, bound one value
-    per (method, slice) or per method as a (methods, 1) column.
+    theta and purity_p are one value or one per stack slice. `bound` is each
+    method's `metrics.error_lower_bound` at each theta, nan where the method
+    has no floor.
     """
+    thetas = np.atleast_1d(theta).tolist()
+    bound = [
+        [metrics.error_lower_bound(m, scn.d, th, scn.n_events) for th in thetas]
+        for m in scn.methods
+    ]
     return {
         "scenario_id": scn.scenario_id,
         "kind": scn.kind,
@@ -344,13 +340,11 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
         p = states.purity(rho)
         grid = [(rho, theta, p, (scn.scenario_id, "th", theta)) for theta in scn.theta_list]
     rhos, thetas, purities, _ = zip(*grid)
-    bound = np.array([_bounds(scn, theta) for theta in thetas]).T
     sampled, exact, born = zip(*(
-        run_point(scn, rho, theta, p, bound[:, t], root_seed, key)
-        for t, (rho, theta, p, key) in enumerate(grid)
+        run_point(scn, rho, theta, p, root_seed, key) for rho, theta, p, key in grid
     ))
     cfgs = tuple(CouplingConfig(scn.d, theta, theta) for theta in thetas)
-    point = _fields(scn, np.array(thetas), np.array(purities), bound)
+    point = _fields(scn, np.array(thetas), np.array(purities))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
     born = None if born[0] is None else np.array(born)
     truth = np.array([rho.matrix for rho in rhos])

@@ -20,7 +20,7 @@ The config format is flat key-value text with one section per scenario:
 `_FIELDS` names the three scenario keys whose `Scenario` field differs
 (state, theta and n_seeds). One `_read_section` loop reads both kinds of
 section. Whole files validate before anything runs, and every problem is
-reported, not just the first one: a key's problem with its line number, a
+reported, not just the first one: a key's problems with its line number, a
 whole-scenario check (kind, d, bias, seeds with n_seeds) with its
 `section [scenario <id>]`. A key may be set once per scenario, and once
 across all [global] sections.
@@ -46,10 +46,17 @@ def _floats(value: str) -> tuple[float, ...]:
 
 
 def _thetas(value: str) -> tuple[float, ...]:
-    thetas = _floats(value)
-    for th in thetas:
-        check_theta(th)
-    return thetas
+    """The listed strengths; raises one `ConfigError` naming every bad token, in order."""
+    thetas, problems = [], []
+    for tok in value.split():
+        try:
+            thetas.append(float(tok))
+            check_theta(thetas[-1])
+        except ValueError as exc:
+            problems.append(str(exc))
+    if problems:
+        raise ConfigError(problems)
+    return tuple(thetas)
 
 
 # Each key of a section and the parser of its value text.
@@ -130,7 +137,8 @@ def _read_section(
             try:
                 values[key] = parsers[key](value)
             except ValueError as exc:
-                errors.append(f"line {lineno}: {exc}")
+                problems = exc.errors if isinstance(exc, ConfigError) else [exc]
+                errors.extend(f"line {lineno}: {problem}" for problem in problems)
     return values
 
 

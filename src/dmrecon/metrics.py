@@ -3,31 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
-
-
-@dataclass(frozen=True)
-class ErrorBound:
-    """Statistical-error floor alpha(d) / (theta^2 sqrt(n)) for one method.
-
-    The floor is a weak-approximation result: it is the reference curve to
-    plot against measured errors at any strength, not a strong-regime
-    guarantee.
-    """
-
-    method: str
-    d: int
-    theta: float
-    n: int
-    alpha: float
-
-    @property
-    def bound(self) -> float:
-        return self.alpha / (self.theta**2 * math.sqrt(self.n))
 
 
 def mean_square_error(element_errors: np.ndarray):
@@ -42,32 +21,27 @@ def mean_square_error(element_errors: np.ndarray):
     return float(err) if err.ndim == 0 else err
 
 
-def has_error_floor(method: str, d: int) -> bool:
-    """Whether `error_lower_bound` defines a floor: method II has none below d = 5."""
-    return method in ("W", "I") or (method == "II" and d >= 5)
-
-
-def error_lower_bound(method: str, d: int, theta: float, n: int) -> ErrorBound:
-    """The theoretical error floor for a full-matrix reconstruction.
+def error_lower_bound(method: str, d: int, theta: float, n: int) -> float:
+    """A full-matrix reconstruction's error floor alpha(d) / (theta^2 sqrt(n)), or nan.
 
     alpha(d) is (d-1) sqrt(d) / (2 sqrt(2)) for methods W and I and
     sqrt(d (d-1) (d-4)) / 2 for method II. The latter radicand is negative
-    below d = 5, where no floor is defined and the Monte Carlo ensemble
-    estimate is the only available reference.
+    below d = 5, where, as for QST, no floor is defined and the Monte Carlo
+    ensemble estimate is the only available reference. The floor is a
+    weak-approximation result: it is the reference curve to plot against
+    measured errors at any strength, not a strong-regime guarantee.
     """
-    if method in ("W", "I"):
-        alpha = (d - 1) * math.sqrt(d) / (2 * math.sqrt(2))
-    elif method == "II":
-        if not has_error_floor(method, d):
-            raise ValueError(
-                f"no error floor for method II at d={d}: the radicand d-4 is negative"
-            )
-        alpha = math.sqrt(d * (d - 1) * (d - 4)) / 2
-    else:
-        raise ValueError(f"unknown method '{method}', expected W, I or II")
+    if method not in ("W", "I", "II", "QST"):
+        raise ValueError(f"unknown method '{method}', expected W, I, II or QST")
     if theta <= 0 or n < 1:
         raise ValueError("need theta > 0 and n >= 1")
-    return ErrorBound(method=method, d=d, theta=theta, n=n, alpha=alpha)
+    if method in ("W", "I"):
+        alpha = (d - 1) * math.sqrt(d) / (2 * math.sqrt(2))
+    elif method == "II" and d >= 5:
+        alpha = math.sqrt(d * (d - 1) * (d - 4)) / 2
+    else:
+        return math.nan
+    return alpha / (theta**2 * math.sqrt(n))
 
 
 def compare(finalized, element_errors, reference) -> tuple[np.ndarray, np.ndarray]:

@@ -20,15 +20,12 @@ POSITIVITY_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A Hermitian, unit-trace d x d operator.
+    """A Hermitian, unit-trace, positive semidefinite d x d operator.
 
-    `positivity_checked` records whether the eigenvalues were verified
-    nonnegative at construction. Raw reconstructed matrices carry the flag
-    unset: the direct estimators do not guarantee positivity.
+    Raw reconstructions, which need not be positive, are plain arrays.
     """
 
     matrix: np.ndarray
-    positivity_checked: bool = False
 
     def __post_init__(self):
         m = qmath.as_complex_matrix(self.matrix)
@@ -39,10 +36,9 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
-        if self.positivity_checked:
-            lo = float(np.min(np.linalg.eigvalsh(qmath.hermitian_part(m))))
-            if lo < -POSITIVITY_ATOL:
-                raise ValueError(f"matrix marked positive has eigenvalue {lo:.3e}")
+        lo = float(np.min(np.linalg.eigvalsh(qmath.hermitian_part(m))))
+        if lo < -POSITIVITY_ATOL:
+            raise ValueError(f"density matrix must be positive, has eigenvalue {lo:.3e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -74,11 +70,11 @@ def pure_state(psi: np.ndarray) -> DensityMatrix:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"state vector must be unit norm, got |psi| = {nrm:.12g}")
-    return DensityMatrix(np.outer(v, v.conj()), positivity_checked=True)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def maximally_mixed(d: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(d, dtype=complex) / d, positivity_checked=True)
+    return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
 def purity_family(p: float, psi: np.ndarray) -> DensityMatrix:
@@ -91,7 +87,7 @@ def purity_family(p: float, psi: np.ndarray) -> DensityMatrix:
         raise ValueError(f"state vector must be unit norm, got |psi| = {nrm:.12g}")
     d = v.size
     m = p * np.outer(v, v.conj()) + (1.0 - p) * np.eye(d) / d
-    return DensityMatrix(m, positivity_checked=True)
+    return DensityMatrix(m)
 
 
 def random_density(d: int, seed: int) -> DensityMatrix:
@@ -102,7 +98,7 @@ def random_density(d: int, seed: int) -> DensityMatrix:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(m, positivity_checked=True)
+    return DensityMatrix(m)
 
 
 def purity(r: DensityMatrix) -> float:

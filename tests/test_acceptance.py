@@ -166,10 +166,10 @@ def test_criterion_5_statistical_scaling():
 
     floor_ok = True
     for theta, med in zip(thetas, med_t):
-        floor = metrics.error_lower_bound("W", 2, theta, 10**4).bound
+        floor = metrics.error_lower_bound("W", 2, theta, 10**4)
         floor_ok = floor_ok and med >= 0.9 * floor
     for n, med in zip(ns, med_n):
-        floor = metrics.error_lower_bound("W", 2, 0.2, n).bound
+        floor = metrics.error_lower_bound("W", 2, 0.2, n)
         floor_ok = floor_ok and med >= 0.9 * floor
 
     elapsed = time.time() - t0

@@ -1,7 +1,7 @@
 """Error contracts and degenerate inputs across the package."""
 
 import math
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,7 +115,9 @@ class TestProtocolRejections:
     def test_outcome_probabilities_flags_non_positive_state(self):
         # a Hermitian unit-trace matrix with a negative eigenvalue is no state:
         # its outcome tables have negative entries
-        rho = states.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        # (a DensityMatrix rejects it, so a stand-in carries it)
+        m = np.diag([1.5, -0.5]).astype(complex)
+        rho = SimpleNamespace(matrix=m, dim=2)
         with pytest.raises(ValueError, match="below -1e-9"):
             protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"),))
 
@@ -163,10 +165,12 @@ class TestCorrelationRejections:
 
 class TestMetricsRejections:
     def test_bound_input_validation(self):
-        with pytest.raises(ValueError, match="theta > 0"):
-            metrics.error_lower_bound("W", 2, 0.0, 100)
-        with pytest.raises(ValueError, match="theta > 0"):
-            metrics.error_lower_bound("W", 2, 0.5, 0)
+        # checked for every method, those whose floor is nan too
+        for method in experiments.METHODS:
+            with pytest.raises(ValueError, match="theta > 0"):
+                metrics.error_lower_bound(method, 4, 0.0, 100)
+            with pytest.raises(ValueError, match="theta > 0"):
+                metrics.error_lower_bound(method, 4, 0.5, 0)
 
 
 class TestReconstructRejections:
@@ -219,19 +223,19 @@ class TestDegenerateRunnerPoints:
             experiments.run_scenario(scn)
 
     def test_error_bound_value_error_propagates(self, monkeypatch):
-        # the bound is nan only where metrics.has_error_floor says no floor
-        # exists; any other ValueError from the floor is a fault
+        # a missing floor is nan from error_lower_bound itself; no guard in the
+        # runner swallows a ValueError from it, not even for II at d = 4
         def broken(method, d, theta, n):
             raise ValueError("broken bound")
 
         monkeypatch.setattr(metrics, "error_lower_bound", broken)
-        scn = experiments.Scenario(
-            scenario_id="b", kind="single", input_state="mixed", d=4, theta_list=(0.5,),
-            methods=("II",), seeds=(0,),
-        )
-        assert math.isnan(experiments.run_scenario(scn)[0]["bound"])  # II has no floor at d=4
-        with pytest.raises(ValueError, match="broken bound"):
-            experiments.run_scenario(replace(scn, methods=("I",)))
+        for method in experiments.METHODS:
+            scn = experiments.Scenario(
+                scenario_id="b", kind="single", input_state="mixed", d=4, theta_list=(0.5,),
+                methods=(method,), seeds=(0,),
+            )
+            with pytest.raises(ValueError, match="broken bound"):
+                experiments.run_scenario(scn)
 
     def test_purity_sweep_needs_pure_state(self):
         with pytest.raises(ValueError, match="pure input"):

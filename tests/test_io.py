@@ -145,6 +145,14 @@ ERROR_CASES = {
         MINIMAL.replace("theta = 0.5", "theta = 0.5 1e-100"),
         ["line 5: theta=1e-100 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],
     ),
+    "every bad theta on one line": (
+        MINIMAL.replace("theta = 0.5", "theta = 0 3 1e-100 0.5"),
+        [
+            "line 5: theta = 0 makes the normalization d/(4 sin(theta_a) sin(theta_b)) singular",
+            "line 5: theta=3.0 outside (0, pi/2]",
+            "line 5: theta=1e-100 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77",
+        ],
+    ),
     "theta where sin^2 underflows": (
         MINIMAL.replace("theta = 0.5", "theta = 1e-300"),
         ["line 5: theta=1e-300 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],

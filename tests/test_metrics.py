@@ -33,41 +33,33 @@ class TestMeanSquareError:
             mean_square_error(np.array([[-0.1]]))
 
 
-class TestErrorLowerBound:
-    def test_alpha_weak_d2(self):
-        b = error_lower_bound("W", 2, 0.5, 100)
-        assert b.alpha == pytest.approx(0.5)
-        assert b.bound == pytest.approx(0.5 / (0.5**2 * 10))
+# alpha(d) of error_lower_bound's docstring in closed form, nan where no floor exists
+_ALPHA_W_I = {2: 0.5, 4: 3 / np.sqrt(2), 5: np.sqrt(10), 16: 15 * np.sqrt(2)}
+_ALPHA_II = {2: np.nan, 4: np.nan, 5: np.sqrt(5), 16: 12 * np.sqrt(5)}
+FLOOR_CASES = [
+    *((m, d, alpha) for m in ("W", "I") for d, alpha in _ALPHA_W_I.items()),
+    *(("II", d, alpha) for d, alpha in _ALPHA_II.items()),
+    *(("QST", d, np.nan) for d in _ALPHA_II),
+]
 
-    def test_method_i_shares_alpha(self):
-        assert error_lower_bound("I", 3, 0.2, 50).alpha == pytest.approx(
-            error_lower_bound("W", 3, 0.2, 50).alpha
-        )
+
+class TestErrorLowerBound:
+    @pytest.mark.parametrize(
+        "method, d, alpha", FLOOR_CASES, ids=[f"{m}-d{d}" for m, d, _ in FLOOR_CASES]
+    )
+    def test_floor_table(self, method, d, alpha):
+        bound = error_lower_bound(method, d, 0.5, 100)
+        assert type(bound) is float
+        assert bound == pytest.approx(alpha / (0.5**2 * np.sqrt(100)), nan_ok=True)
 
     def test_quadratic_strength_scaling(self):
-        full = error_lower_bound("W", 2, 0.4, 1000).bound
-        half = error_lower_bound("W", 2, 0.2, 1000).bound
+        full = error_lower_bound("W", 2, 0.4, 1000)
+        half = error_lower_bound("W", 2, 0.2, 1000)
         assert half == pytest.approx(4 * full)
 
-    def test_method_ii_d5(self):
-        b = error_lower_bound("II", 5, 0.3, 100)
-        assert b.alpha == pytest.approx(np.sqrt(20) / 2)
-        assert metrics.has_error_floor("II", 5)
-
-    def test_method_ii_rejects_small_d(self):
-        for d in (2, 3, 4):
-            assert not metrics.has_error_floor("II", d)
-            assert metrics.has_error_floor("W", d) and metrics.has_error_floor("I", d)
-            with pytest.raises(ValueError, match="radicand"):
-                error_lower_bound("II", d, 0.3, 100)
-
     def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            error_lower_bound("QST", 2, 0.3, 100)
-
-    def test_bound_recomputed_from_fields(self):
-        b = error_lower_bound("W", 4, 0.7, 1234)
-        assert b.bound == pytest.approx(b.alpha / (b.theta**2 * np.sqrt(b.n)))
+        with pytest.raises(ValueError, match="unknown method 'X'"):
+            error_lower_bound("X", 2, 0.3, 100)
 
 
 class TestCompare:
@@ -125,7 +117,7 @@ class TestCompare:
         # theta = 0.1, n = 1e4, d = 2: per-seed propagated error vs the floor
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, 0.1, 0.1)
-        floor = error_lower_bound("W", 2, 0.1, 10**4).bound
+        floor = error_lower_bound("W", 2, 0.1, 10**4)
         sets = [
             sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(50)
@@ -174,7 +166,7 @@ class TestStatisticalScaling:
         rho = states.pure_state(states.b0_state(2))
         for theta in (0.1, 0.2, 0.3):
             med = float(np.median(self._weak_delta_rhos(rho, theta, 10**4, range(20))))
-            floor = error_lower_bound("W", 2, theta, 10**4).bound
+            floor = error_lower_bound("W", 2, theta, 10**4)
             assert 0.9 * floor <= med <= 2.1 * floor
 
     def test_doubling_events_shrinks_error_by_sqrt2(self):

@@ -112,7 +112,7 @@ class TestExactEstimators:
         assert result.raw[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_method_ii_off_diagonals_vanish_for_diagonal_state(self):
-        rho = states.DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex), positivity_checked=True)
+        rho = states.DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
         cfg = CouplingConfig(3, 0.9, 0.9)
         result = reconstruct_exact_ii(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
         off = result.raw - np.diag(np.diag(result.raw))

@@ -115,10 +115,9 @@ class TestDensityMatrixValidation:
             states.DensityMatrix(np.eye(2, dtype=complex))
 
     def test_positivity_flag_enforced(self):
-        m = np.diag([1.5, -0.5]).astype(complex)
-        states.DensityMatrix(m)  # unflagged raw matrix is fine
-        with pytest.raises(ValueError, match="eigenvalue"):
-            states.DensityMatrix(m, positivity_checked=True)
+        # every DensityMatrix is checked: Hermitian and unit trace, but a negative eigenvalue
+        with pytest.raises(ValueError, match="positive, has eigenvalue -5.000e-01"):
+            states.DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
     def test_matrix_is_frozen(self):
         rho = states.maximally_mixed(2)
