@@ -21,7 +21,7 @@ from .correlations import (
 )
 from .experiments import BiasModel, Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
-from .protocol import CouplingConfig, PointerSetting, pointer_setting
+from .protocol import CouplingConfig, pointer_setting
 from .reconstruct import (
     ReconstructionResult,
     finalize,
@@ -51,7 +51,6 @@ __all__ = [
     "PAIRS_EXACT_I",
     "PAIRS_EXACT_II",
     "PAIRS_WEAK",
-    "PointerSetting",
     "ReconstructionResult",
     "Scenario",
     "analytic_correlation",

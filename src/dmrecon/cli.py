@@ -77,7 +77,7 @@ def _cmd_exact(args) -> int:
         # valid input, but this estimator has no signal to normalize here
         print("dmrecon exact: cannot normalize: Hermitian part has near-zero trace", file=sys.stderr)
         return 1
-    print(f"method {result.method}, d={args.d}, theta={args.theta}")
+    print(f"method {args.method}, d={args.d}, theta={args.theta}")
     print(io.write_matrix(result.finalized))
     return 0
 

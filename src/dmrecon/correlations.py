@@ -244,24 +244,28 @@ def sampled_records_from_counts(
 
 def correlation_set_from_tables(
     tables: OutcomeTables,
-    sampled: bool = False,
     n: int = 0,
-    root_seed: int | Sequence[int] = 0,
+    root_seed: int | Sequence[int] | None = None,
 ) -> Correlations:
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
-    In sampled mode each (j, pair) table gets its own n-event draw, all of
-    them from one generator keyed by the root seed: one per (grid point, seed).
-    A sequence of S root seeds draws S sets in one call and returns them as
-    one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the set of
-    root_seed[s] alone, bit for bit.
+    n = 0 gives the exact set, and then no root seed may be given. n >= 1
+    draws n events from each (j, pair) table, all of them from one generator
+    keyed by the root seed, which is then required: one per (grid point,
+    seed). A sequence of S root seeds draws S sets in one call and returns
+    them as one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the
+    set of root_seed[s] alone, bit for bit.
     """
-    if sampled:
-        counts = sample_counts(tables, n, root_seed)
-        values, std_error = sampled_records_from_counts(tables, counts, n)
-        return Correlations(tables.pairs, values, std_error, n)
-    values = records_from_table(tables)
-    return Correlations(tables.pairs, values, np.zeros_like(values))
+    if n == 0:
+        if root_seed is not None:
+            raise ValueError("exact correlations (n = 0) take no root seed")
+        values = records_from_table(tables)
+        return Correlations(tables.pairs, values, np.zeros_like(values))
+    if root_seed is None:
+        raise ValueError(f"drawing n={n} events needs a root seed")
+    counts = sample_counts(tables, n, root_seed)
+    values, std_error = sampled_records_from_counts(tables, counts, n)
+    return Correlations(tables.pairs, values, std_error, n)
 
 
 def build_tables(
@@ -300,5 +304,5 @@ def sampled_correlation_set(
     A sequence of root seeds gives one set per seed, stacked on a leading axis.
     """
     return correlation_set_from_tables(
-        build_tables(rho, cfg, pairs), sampled=True, n=n, root_seed=root_seed
+        build_tables(rho, cfg, pairs), n=n, root_seed=root_seed
     )

@@ -234,7 +234,7 @@ def run_point(
         correls = None
         if pairs:
             correls = correlations.correlation_set_from_tables(
-                tables, sampled=True, n=scn.n_events, root_seed=roots
+                tables, n=scn.n_events, root_seed=roots
             )
         method_probs = ref_probs = None
         if qst_method:

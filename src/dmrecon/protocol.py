@@ -13,12 +13,14 @@ through M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector
 form. Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
 applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, built
 once per `CouplingConfig`). `evolve` applies them to the state, keeping the
-pointers' joint state at each diagonal system entry. `pointer_measurement`
-turns the pointer settings of a tuple of observable pairs into one
-(4P, 16) matrix, built once per (pairs, tilt), and `outcome_probabilities`
-contracts the evolved blocks with it in one matrix product: the joint
-(pointer A, pointer B, system) outcome table of every j and setting pair at
-once. No 2d x 2d or 4d x 4d operator is built.
+pointers' joint state at each diagonal system entry. A pointer setting is
+an observable's two-outcome spectral decomposition held as two cached
+read-only arrays, eigenvalues (2,) and projectors (2, 2, 2)
+(`pointer_setting`). `pointer_measurement` stacks the settings of a tuple of
+observable pairs into one (4P, 16) matrix, built once per (pairs, tilt),
+and `outcome_probabilities` contracts the evolved blocks with it in one
+matrix product: the joint (pointer A, pointer B, system) outcome table of
+every j and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ _POINTER_EIGENSTATES = {
     "Pi1": ((1.0, "V"), (0.0, "H")),
 }
 OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
-
-
-def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
 
 
 def check_dim(d: int) -> None:
@@ -111,60 +109,32 @@ class CouplingConfig:
         return self.dim / (4.0 * s)
 
 
-@dataclass(frozen=True)
-class PointerSetting:
-    """A pointer observable with its spectral decomposition.
-
-    `projectors` is an ordered tuple of (eigenvalue, rank-1 projector) pairs
-    whose projectors sum to the identity. For Pi1 = |1><1| the order is
-    (1, |1><1|), (0, |0><0|).
-    """
-
-    observable: str
-    projectors: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        total = np.zeros((2, 2), dtype=complex)
-        for eig, p in self.projectors:
-            if not qmath.is_hermitian(p, 1e-12):
-                raise ValueError(f"{self.observable}: projector not Hermitian")
-            if not qmath.allclose(p @ p, p, atol=1e-12):
-                raise ValueError(f"{self.observable}: projector not idempotent")
-            total = total + p
-        if not qmath.allclose(total, np.eye(2), atol=1e-12):
-            raise ValueError(f"{self.observable}: projectors do not sum to identity")
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([eig for eig, _ in self.projectors])
-
-    @property
-    def projector_stack(self) -> np.ndarray:
-        return np.stack([p for _, p in self.projectors])
-
-
 @functools.lru_cache(maxsize=64)
-def pointer_setting(observable: str, tilt: float = 0.0) -> PointerSetting:
-    """Standard decompositions of the supported pointer observables.
+def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, projectors) of a supported pointer observable's spectral decomposition.
 
-    A nonzero `tilt` rotates every projector by that angle about the pointer
-    Y axis: a misaligned pointer measurement. Built and validated once per
-    (observable, tilt); the projectors are read-only because every caller
+    eigenvalues is (2,) and projectors (2, 2, 2): projectors[i] is the rank-1
+    projector onto eigenvalue i's eigenvector, and the two sum to the
+    identity. For Pi1 = |1><1| the order is (1, |1><1|), (0, |0><0|). A
+    nonzero `tilt` rotates every projector by that angle about the pointer
+    Y axis: a misaligned pointer measurement. Built once per
+    (observable, tilt); both arrays are read-only because every caller
     shares them.
     """
     if observable not in _POINTER_EIGENSTATES:
         raise ValueError(
             f"unknown observable '{observable}', expected one of {OBSERVABLE_NAMES}"
         )
-    pairs = tuple(
-        (eig, _proj(states.named_ket(label, 2))) for eig, label in _POINTER_EIGENSTATES[observable]
-    )
+    eigenvalues, labels = zip(*_POINTER_EIGENSTATES[observable])
+    kets = [states.named_ket(label, 2) for label in labels]
+    projectors = [np.outer(v, v.conj()) for v in kets]
     if tilt != 0.0:
         r = pointer_rotation(tilt)
-        pairs = tuple((eig, r @ p @ r.conj().T) for eig, p in pairs)
-    for _, p in pairs:
-        p.flags.writeable = False
-    return PointerSetting(observable=observable, projectors=pairs)
+        projectors = [r @ p @ r.conj().T for p in projectors]
+    eigenvalues, projectors = np.array(eigenvalues), np.stack(projectors)
+    for arr in (eigenvalues, projectors):
+        arr.flags.writeable = False
+    return eigenvalues, projectors
 
 
 def pointer_rotation(theta: float) -> np.ndarray:
@@ -215,9 +185,9 @@ def pointer_measurement(
     read-only because every caller shares them.
     """
     settings = [(pointer_setting(a, tilt), pointer_setting(b, tilt)) for a, b in pairs]
-    weights = np.stack([np.multiply.outer(a.eigenvalues, b.eigenvalues) for a, b in settings])
-    proj_a = np.stack([a.projector_stack for a, _ in settings])
-    proj_b = np.stack([b.projector_stack for _, b in settings])
+    weights = np.stack([np.multiply.outer(eig_a, eig_b) for (eig_a, _), (eig_b, _) in settings])
+    proj_a = np.stack([p for (_, p), _ in settings])
+    proj_b = np.stack([p for _, (_, p) in settings])
     matrix = np.einsum("pxca,pydb->pxyabcd", proj_a, proj_b).reshape(4 * len(pairs), 16)
     for arr in (weights, matrix):
         arr.flags.writeable = False

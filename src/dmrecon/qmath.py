@@ -8,18 +8,9 @@ matrix.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 DEFAULT_ATOL = 1e-10
-
-
-class HermitianEigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -66,8 +57,11 @@ def hermitian_part(m) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian matrix, rejecting non-Hermitian input."""
+def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of `np.linalg.eigh`, rejecting non-Hermitian input.
+
+    w holds the eigenvalues ascending, v the orthonormal eigenvectors as columns.
+    """
     a = as_complex_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigendecomposition requires a square matrix, got {a.shape}")
@@ -76,8 +70,7 @@ def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> HermitianEigenSystem
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {atol:.1e}"
         )
-    w, v = np.linalg.eigh(a)
-    return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(a)
 
 
 def matrix_exponential(h, scale: float) -> np.ndarray:

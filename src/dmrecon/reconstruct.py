@@ -38,11 +38,6 @@ from . import qmath, states
 from .correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, PAIRS_WEAK, Correlations
 from .protocol import MAX_DIM, CouplingConfig
 
-METHOD_WEAK = "W"
-METHOD_EXACT_I = "I"
-METHOD_EXACT_II = "II"
-METHOD_QST = "QST"
-
 FINALIZE_TRACE_ATOL = 1e-9
 
 # One coupling config, or one per slice of a stack's first axis.
@@ -60,7 +55,6 @@ class ReconstructionResult:
     `finalize` returns.
     """
 
-    method: str
     raw: np.ndarray
     finalized: np.ndarray
     element_errors: np.ndarray
@@ -125,13 +119,13 @@ def _columns(correls: Correlations, pairs) -> list[np.ndarray]:
     return [v for v, _ in cols] + [e for _, e in cols]
 
 
-def _result(method, raw, re_err, im_err) -> ReconstructionResult:
-    return ReconstructionResult(
-        method=method,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=_element_errors(re_err, im_err),
-    )
+def _result(raw, re_err=None, im_err=None) -> ReconstructionResult:
+    """The result of a raw estimate; without errors (tomography) they are all nan."""
+    if re_err is None:
+        errors = np.full(raw.shape, np.nan)
+    else:
+        errors = _element_errors(re_err, im_err)
+    return ReconstructionResult(raw, finalize(raw), errors)
 
 
 def _pauli_terms(correls: Correlations, n):
@@ -156,7 +150,7 @@ def reconstruct_weak(correls: Correlations, cfg: Configs) -> ReconstructionResul
     (n,) = _constants(correls, cfg, lambda c: (c.n_ab,))
     re, im, re_var, im_var = _pauli_terms(correls, n)
     raw = re + 1j * im
-    return _result(METHOD_WEAK, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
+    return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
 def reconstruct_exact_i(correls: Correlations, cfg: Configs) -> ReconstructionResult:
@@ -181,7 +175,7 @@ def reconstruct_exact_i(correls: Correlations, cfg: Configs) -> ReconstructionRe
     )
     im_var = im_var + 4 * t_b2 * e_yp**2
     raw = re + 1j * im
-    return _result(METHOD_EXACT_I, raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
+    return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
 def reconstruct_exact_ii(correls: Correlations, cfg: Configs) -> ReconstructionResult:
@@ -209,7 +203,7 @@ def reconstruct_exact_ii(correls: Correlations, cfg: Configs) -> ReconstructionR
     raw[..., i, i] = (16 * n * n * est)[..., 0]
     re_err[..., i, i] = (16 * n * n * se)[..., 0]
     im_err[..., i, i] = 0.0
-    return _result(METHOD_EXACT_II, raw, re_err, im_err)
+    return _result(raw, re_err, im_err)
 
 
 # -- Reference tomography -----------------------------------------------------
@@ -238,15 +232,6 @@ def born_probabilities(rho: states.DensityMatrix, projectors) -> np.ndarray:
     return np.einsum("pab,ba->p", np.asarray(projectors), rho.matrix).real
 
 
-def _qst_result(raw: np.ndarray) -> ReconstructionResult:
-    return ReconstructionResult(
-        method=METHOD_QST,
-        raw=raw,
-        finalized=finalize(raw),
-        element_errors=np.full(raw.shape, np.nan),
-    )
-
-
 def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
     """Tomography by inverting the standard family's Born probabilities in closed form.
 
@@ -270,7 +255,7 @@ def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
     raw[..., i, i] = diag
     raw[..., j, k] = (plus - mean) + 1j * (mean - imag)
     raw[..., k, j] = raw[..., j, k].conj()
-    return _qst_result(raw)
+    return _result(raw)
 
 
 def qst_least_squares(projectors, probs) -> ReconstructionResult:
@@ -290,4 +275,4 @@ def qst_least_squares(projectors, probs) -> ReconstructionResult:
     if sv[-1] < 1e-10 * sv[0]:
         raise ValueError("projector set is rank-deficient: not informationally complete")
     x, *_ = np.linalg.lstsq(a, np.asarray(probs, dtype=float), rcond=None)
-    return _qst_result(x.reshape(d, d))
+    return _result(x.reshape(d, d))

@@ -14,7 +14,7 @@ Y = np.array([[0, -1j], [1j, 0]])
 I2 = np.eye(2)
 
 
-def _proj(v):
+def _projector(v):
     return np.outer(v, v.conj())
 
 
@@ -22,10 +22,10 @@ def couplings(j, cfg):
     """(U_A, U_B): exp(-i theta_A P_j (x) Y (x) 1) and exp(-i theta_B P_b0 (x) 1 (x) Y)."""
     d = cfg.dim
     u_a = qmath.matrix_exponential(
-        qmath.tensor(_proj(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta_a
+        qmath.tensor(_projector(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta_a
     )
     u_b = qmath.matrix_exponential(
-        qmath.tensor(_proj(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta_b
+        qmath.tensor(_projector(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta_b
     )
     return u_a, u_b
 
@@ -44,9 +44,9 @@ def trace_tables(sigma, setting_pairs):
     """
     d = sigma.shape[0] // 4
     probs = np.empty((len(setting_pairs), 2, 2, d))
-    for p, (setting_a, setting_b) in enumerate(setting_pairs):
-        for alpha, (_, proj_a) in enumerate(setting_a.projectors):
-            for beta, (_, proj_b) in enumerate(setting_b.projectors):
+    for p, ((_, projs_a), (_, projs_b)) in enumerate(setting_pairs):
+        for alpha, proj_a in enumerate(projs_a):
+            for beta, proj_b in enumerate(projs_b):
                 op = qmath.tensor(proj_a, proj_b)
                 for k in range(d):
                     block = sigma[4 * k : 4 * k + 4, 4 * k : 4 * k + 4]

@@ -50,7 +50,7 @@ def sampled_delta_rhos(rho, theta, n, pairs, rebuild, seeds):
     tables = correlations.build_tables(rho, cfg, pairs)
     out = []
     for seed in seeds:
-        cs = correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=seed)
+        cs = correlations.correlation_set_from_tables(tables, n=n, root_seed=seed)
         result = rebuild(cs, cfg)
         out.append(metrics.compare(result.finalized, result.element_errors, rho.matrix)[1])
     return np.array(out)

@@ -59,9 +59,9 @@ class TestOutcomeTables:
             (protocol.pointer_setting(obs_a, tilt), protocol.pointer_setting(obs_b, tilt))
             for obs_a, obs_b in SUPPORTED_PAIRS
         ]
-        for p, (setting_a, setting_b) in enumerate(setting_pairs):
-            for alpha, (eig_a, _) in enumerate(setting_a.projectors):
-                for beta, (eig_b, _) in enumerate(setting_b.projectors):
+        for p, ((eigs_a, _), (eigs_b, _)) in enumerate(setting_pairs):
+            for alpha, eig_a in enumerate(eigs_a):
+                for beta, eig_b in enumerate(eigs_b):
                     assert tables.weights[p, alpha, beta] == eig_a * eig_b
         for j in range(1, d + 1):
             u_a, u_b = couplings(j, cfg)
@@ -267,9 +267,9 @@ class TestSeedStack:
         assert counts.shape == (len(ROOTS), *tables.probs.shape)
         for root, slice_ in zip(ROOTS, counts):
             np.testing.assert_array_equal(slice_, sample_counts(tables, n, root))
-        stack = correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=ROOTS)
+        stack = correlations.correlation_set_from_tables(tables, n=n, root_seed=ROOTS)
         oracle = stack_sets([
-            correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=root)
+            correlations.correlation_set_from_tables(tables, n=n, root_seed=root)
             for root in ROOTS
         ])
         assert stack.pairs == oracle.pairs and stack.n_events == oracle.n_events == n
@@ -279,10 +279,10 @@ class TestSeedStack:
 
     def test_slice_independent_of_other_roots(self):
         tables = stacked_tables(4, True)
-        full = correlations.correlation_set_from_tables(tables, sampled=True, n=500, root_seed=ROOTS)
+        full = correlations.correlation_set_from_tables(tables, n=500, root_seed=ROOTS)
         for others in ([ROOTS[2], ROOTS[4], ROOTS[0]], [ROOTS[2]], ROOTS[:0:-1]):
             part = correlations.correlation_set_from_tables(
-                tables, sampled=True, n=500, root_seed=others
+                tables, n=500, root_seed=others
             )
             s = others.index(ROOTS[2])
             np.testing.assert_array_equal(part.values[s], full.values[2])
@@ -301,8 +301,21 @@ class TestSeedStack:
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least one event"):
                 sample_counts(tables, n, ROOTS)
-            with pytest.raises(ValueError, match="at least one event"):
-                correlations.correlation_set_from_tables(tables, sampled=True, n=n, root_seed=7)
+        with pytest.raises(ValueError, match="at least one event"):
+            correlations.correlation_set_from_tables(tables, n=-1, root_seed=7)
+
+    @pytest.mark.parametrize("root_seed", [7, [1, 2]])
+    def test_exact_set_rejects_a_root_seed(self, root_seed):
+        # n = 0 is the exact set: a root seed there would be silently unused
+        tables = stacked_tables(2, False)
+        with pytest.raises(ValueError, match="take no root seed"):
+            correlations.correlation_set_from_tables(tables, n=0, root_seed=root_seed)
+
+    def test_draw_requires_a_root_seed(self):
+        # n >= 1 draws: without a root seed it must not fall back to a default one
+        tables = stacked_tables(2, False)
+        with pytest.raises(ValueError, match="needs a root seed"):
+            correlations.correlation_set_from_tables(tables, n=100)
 
 
 class TestCorrelationSet:

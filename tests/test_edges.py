@@ -8,7 +8,7 @@ import pytest
 
 from dmrecon import correlations, experiments, metrics, protocol, qmath, reconstruct, states
 from dmrecon.correlations import PAIRS_WEAK, Correlations, sample_counts
-from dmrecon.protocol import CouplingConfig, PointerSetting
+from dmrecon.protocol import CouplingConfig
 
 
 class TestQmathRejections:
@@ -83,15 +83,6 @@ class TestStatesRejections:
 
 
 class TestProtocolRejections:
-    def test_pointer_setting_validation(self):
-        good = protocol.pointer_setting("Z").projectors
-        with pytest.raises(ValueError, match="not Hermitian"):
-            PointerSetting("Z", ((1.0, np.array([[0, 1], [0, 0]], dtype=complex)), good[1]))
-        with pytest.raises(ValueError, match="not idempotent"):
-            PointerSetting("Z", ((1.0, 2 * good[0][1]), good[1]))
-        with pytest.raises(ValueError, match="sum to identity"):
-            PointerSetting("Z", (good[0], good[0]))
-
     def test_coupling_unitary_input_checks(self):
         with pytest.raises(ValueError, match="square"):
             protocol.coupling_unitary(np.zeros((2, 3)), 0.5)

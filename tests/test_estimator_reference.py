@@ -195,7 +195,7 @@ def test_stacked_estimators_match_slices(d, theta, n):
     cfg = CouplingConfig(d, theta, theta)
     tables = build_tables(rho, cfg, PAIRS_EXACT_I)
     sets = [
-        correlation_set_from_tables(tables, sampled=True, n=n, root_seed=seed)
+        correlation_set_from_tables(tables, n=n, root_seed=seed)
         for seed in range(STACK_SEEDS)
     ]
     stack = stack_sets(sets)
@@ -225,7 +225,7 @@ def test_config_tuple_matches_per_config_calls(d, n):
     cfgs = tuple(CouplingConfig(d, t_a, t_b) for t_a, t_b in GRID_CONFIGS)
     sets = [
         correlation_set_from_tables(
-            build_tables(rho, cfg, PAIRS_EXACT_I), sampled=n > 0, n=n, root_seed=s
+            build_tables(rho, cfg, PAIRS_EXACT_I), n=n, root_seed=s if n else None
         )
         for s, cfg in enumerate(cfgs)
     ]

@@ -41,16 +41,15 @@ class TestBiasModel:
 
     def test_rotation_overlap_geometry(self):
         # a projector tilted by epsilon overlaps its original by cos^2(epsilon)
-        tilted = pointer_setting("X", BiasModel(pointer_rotation_epsilon=0.02).pointer_rotation_epsilon)
-        for original, perturbed in zip(pointer_setting("X").projectors, tilted.projectors):
-            overlap = float(np.trace(original[1] @ perturbed[1]).real)
+        _, tilted = pointer_setting("X", BiasModel(pointer_rotation_epsilon=0.02).pointer_rotation_epsilon)
+        for original, perturbed in zip(pointer_setting("X")[1], tilted):
+            overlap = float(np.trace(original @ perturbed).real)
             assert overlap == pytest.approx(np.cos(0.02) ** 2, abs=1e-12)
 
     def test_perturbed_settings_still_complete(self):
         for name in ("X", "Y", "Z", "Pi1"):
-            setting = pointer_setting(name, 0.05)
-            total = sum(p for _, p in setting.projectors)
-            np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+            _, projectors = pointer_setting(name, 0.05)
+            np.testing.assert_allclose(projectors.sum(axis=0), np.eye(2), atol=1e-12)
 
     def test_efficiency_scaling_renormalizes(self):
         rho = states.random_density(2, 3)

@@ -1,7 +1,10 @@
 """Config parsing, matrix serialization, CSV output."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +296,35 @@ def test_config_document_defaults():
     doc = ConfigDocument(scenarios=())
     assert doc.root_seed == 0
     assert doc.output_dir == "results"
+
+
+# Run in a fresh interpreter: prints "eager" when numpy itself imports
+# numpy.random (older numpy releases), else whether reading the config imported it.
+_READ_CONFIG_CHILD = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("eager")
+    sys.exit()
+import dmrecon.cli
+from dmrecon import io
+with open(sys.argv[1], encoding="utf-8") as f:
+    io.parse_config(f.read())
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_reading_a_config_does_not_import_numpy_random():
+    # `states.check_state_spec` checks random:seed= specs without drawing them,
+    # so start-up skips the numpy.random import (about a tenth of it)
+    golden = Path(__file__).parent / "data" / "golden.cfg"
+    assert "random:seed=" in golden.read_text(encoding="utf-8")
+    src = str(Path(io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _READ_CONFIG_CHILD, str(golden)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if out == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out == "False"

@@ -41,27 +41,34 @@ class TestCouplingConfig:
             CouplingConfig(99, 0.5, 0.5)
 
 
+# every pointer observable, untilted (id: its name) and tilted
+SETTING_CASES = [
+    pytest.param(name, tilt, id=name if tilt == 0.0 else f"{name}-tilt{tilt}")
+    for tilt in (0.0, 0.03)
+    for name in protocol.OBSERVABLE_NAMES
+]
+
+
 class TestPointerSettings:
-    @pytest.mark.parametrize("name", ["X", "Y", "Z", "Pi1"])
-    def test_projectors_complete_and_idempotent(self, name):
-        setting = protocol.pointer_setting(name)
-        total = sum(p for _, p in setting.projectors)
-        np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
-        for _, p in setting.projectors:
+    @pytest.mark.parametrize("name, tilt", SETTING_CASES)
+    def test_projectors_complete_and_idempotent(self, name, tilt):
+        eigenvalues, projectors = protocol.pointer_setting(name, tilt)
+        assert eigenvalues.shape == (2,) and projectors.shape == (2, 2, 2)
+        np.testing.assert_allclose(projectors.sum(axis=0), np.eye(2), atol=1e-12)
+        for p in projectors:
             np.testing.assert_allclose(p @ p, p, atol=1e-12)
+            np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
 
     def test_pauli_spectral_decomposition(self):
         for name, op in [("X", np.array([[0, 1], [1, 0]], dtype=complex)), ("Y", Y)]:
-            setting = protocol.pointer_setting(name)
-            rebuilt = sum(eig * p for eig, p in setting.projectors)
+            eigenvalues, projectors = protocol.pointer_setting(name)
+            rebuilt = np.einsum("i,iab->ab", eigenvalues, projectors)
             np.testing.assert_allclose(rebuilt, op, atol=1e-12)
 
     def test_pi1_carries_flip_projector_first(self):
-        setting = protocol.pointer_setting("Pi1")
-        eig0, p0 = setting.projectors[0]
-        assert eig0 == 1.0
-        np.testing.assert_allclose(p0, np.diag([0.0, 1.0]), atol=1e-15)
-        assert setting.projectors[1][0] == 0.0
+        eigenvalues, projectors = protocol.pointer_setting("Pi1")
+        assert eigenvalues.tolist() == [1.0, 0.0]
+        np.testing.assert_allclose(projectors[0], np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_unknown_observable(self):
         with pytest.raises(ValueError, match="unknown observable"):
@@ -73,10 +80,10 @@ class TestPointerSettings:
         assert protocol.pointer_setting("X", tilt) is setting
         assert protocol.pointer_setting("Y", tilt) is not setting
         assert protocol.pointer_setting("X", tilt + 0.01) is not setting
-        for _, p in setting.projectors:
-            assert not p.flags.writeable
+        for arr in setting:
+            assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                p[0, 0] = 0.0
+                arr[0] = 0.0
 
 
 class TestCouplingUnitary:
