@@ -15,11 +15,10 @@ from .correlations import (
     Correlations,
     OutcomeTables,
     analytic_correlation,
-    exact_correlation_set,
-    sampled_correlation_set,
+    correlation_set,
     stack_sets,
 )
-from .experiments import BiasModel, Scenario, run_scenario
+from .experiments import Scenario, run_scenario
 from .metrics import compare, error_lower_bound, mean_square_error
 from .protocol import CouplingConfig, pointer_setting
 from .reconstruct import (
@@ -43,7 +42,6 @@ from .states import (
 )
 
 __all__ = [
-    "BiasModel",
     "Correlations",
     "CouplingConfig",
     "DensityMatrix",
@@ -57,8 +55,8 @@ __all__ = [
     "b0_state",
     "basis_state",
     "compare",
+    "correlation_set",
     "error_lower_bound",
-    "exact_correlation_set",
     "finalize",
     "maximally_mixed",
     "mean_square_error",
@@ -73,7 +71,6 @@ __all__ = [
     "reconstruct_exact_ii",
     "reconstruct_weak",
     "run_scenario",
-    "sampled_correlation_set",
     "stack_sets",
 ]
 

@@ -72,7 +72,7 @@ def _cmd_exact(args) -> int:
     except ValueError as exc:
         return _input_error("exact", str(exc))
     rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
-    result = rebuild(correlations.exact_correlation_set(rho, cfg, pairs), cfg)
+    result = rebuild(correlations.correlation_set(rho, cfg, pairs), cfg)
     if np.isnan(result.finalized).any():
         # valid input, but this estimator has no signal to normalize here
         print("dmrecon exact: cannot normalize: Hermitian part has near-zero trace", file=sys.stderr)
@@ -132,7 +132,7 @@ def _cmd_validate(args) -> int:
         cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)), float(rng.uniform(0.05, math.pi / 2)))
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
-        correls = correlations.exact_correlation_set(rho, cfg, correlations.SUPPORTED_PAIRS)
+        correls = correlations.correlation_set(rho, cfg, correlations.SUPPORTED_PAIRS)
         for pair, exact in zip(correls.pairs, correls.values[j - 1, k - 1]):
             closed = correlations.analytic_correlation(rho, j, k, pair[0], pair[1], cfg)
             worst = max(worst, abs(exact - closed))
@@ -144,7 +144,7 @@ def _cmd_validate(args) -> int:
         rho = states.random_density(d, 97 + d)
         for theta in (0.2, math.pi / 2):
             cfg = CouplingConfig(d, theta, theta)
-            correls = correlations.exact_correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
+            correls = correlations.correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
             for rebuild in (reconstruct.reconstruct_exact_i, reconstruct.reconstruct_exact_ii):
                 result = rebuild(correls, cfg)
                 worst = max(worst, qmath.trace_distance(result.finalized, rho.matrix))

@@ -9,14 +9,17 @@ Three evaluation paths are provided:
   sampled   finite-N multinomial draw from the joint outcome distribution,
             one generator per (grid point, seed) for all of its tables
 
-The exact and sampled paths read the joint outcome probabilities of one grid
-point, one dense `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1],
-and fill a dense `Correlations` tensor indexed [j-1, k-1, pair]; the analytic
-path gives one value at a time. Given a list of root seeds, the sampled path
-draws every seed of a grid point in one call and returns one `Correlations`
-with a leading seed axis, [seed, j-1, k-1, pair], which the estimators read
-in one call; seed s's slice is bit for bit the set drawn from root_seed[s]
-alone. `stack_sets` joins separately drawn sets the same way. The exact and
+The exact and sampled paths are one constructor, `correlation_set` (or
+`correlation_set_from_tables` on tables already built), whose event count n
+picks the path: 0 is exact, as in `Correlations.n_events`, and n >= 1 draws.
+Both read the joint outcome probabilities of one grid point, one dense
+`OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1], and fill a dense
+`Correlations` tensor indexed [j-1, k-1, pair]; the analytic path gives one
+value at a time. Given a list of root seeds, the sampled path draws every
+seed of a grid point in one call and returns one `Correlations` with a
+leading seed axis, [seed, j-1, k-1, pair], which the estimators read in one
+call; seed s's slice is bit for bit the set drawn from root_seed[s] alone.
+`stack_sets` joins separately drawn sets the same way. The exact and
 analytic paths are independent implementations and must agree; their
 agreement cross-validates both the Kraus contraction and the closed forms.
 """
@@ -285,24 +288,15 @@ def build_tables(
     return OutcomeTables(pairs, weights, protocol.outcome_probabilities(rho, cfg, pairs, tilt))
 
 
-def exact_correlation_set(
-    rho: states.DensityMatrix, cfg: CouplingConfig, pairs: tuple[ObsPair, ...]
-) -> Correlations:
-    """All (j, k) exact correlations for the requested pairs."""
-    return correlation_set_from_tables(build_tables(rho, cfg, pairs))
-
-
-def sampled_correlation_set(
+def correlation_set(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
-    n: int,
-    root_seed: int | Sequence[int],
+    n: int = 0,
+    root_seed: int | Sequence[int] | None = None,
 ) -> Correlations:
-    """All (j, k) sampled correlations, n events per (j, pair) setting.
+    """All (j, k) unbiased correlations of the requested pairs.
 
-    A sequence of root seeds gives one set per seed, stacked on a leading axis.
+    n = 0 gives the exact set; n >= 1 draws, as `correlation_set_from_tables` says.
     """
-    return correlation_set_from_tables(
-        build_tables(rho, cfg, pairs), n=n, root_seed=root_seed
-    )
+    return correlation_set_from_tables(build_tables(rho, cfg, pairs), n, root_seed)

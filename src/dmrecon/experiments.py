@@ -65,24 +65,18 @@ def default_purity_grid() -> tuple[float, ...]:
     return tuple(float(p) for p in np.linspace(0.0, 1.0, DEFAULT_PURITY_POINTS))
 
 
-@dataclass(frozen=True)
-class BiasModel:
-    """Systematic imperfections of the pointer measurements.
+def check_bias(epsilon: float, efficiency: float) -> None:
+    """Reject a pointer tilt or a projector efficiency outside the modelled range.
 
-    `pointer_rotation_epsilon` tilts every pointer projector by a small
-    rotation about the pointer Y axis. `per_projector_efficiency` scales the
-    counts of one designated projector (by convention the first-listed
-    outcome of pointer A) before renormalization.
+    `epsilon` tilts every pointer projector by a small rotation about the
+    pointer Y axis; `efficiency` scales the probabilities of one designated
+    projector (by convention the first-listed outcome of pointer A) before
+    renormalization.
     """
-
-    pointer_rotation_epsilon: float = 0.0
-    per_projector_efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not abs(self.pointer_rotation_epsilon) <= 0.1:  # also rejects nan
-            raise ValueError("pointer rotation bias limited to |epsilon| <= 0.1 rad")
-        if not 0.9 <= self.per_projector_efficiency <= 1.1:
-            raise ValueError("projector efficiency limited to [0.9, 1.1]")
+    if not abs(epsilon) <= 0.1:  # also rejects nan
+        raise ValueError("pointer rotation bias limited to |epsilon| <= 0.1 rad")
+    if not 0.9 <= efficiency <= 1.1:
+        raise ValueError("projector efficiency limited to [0.9, 1.1]")
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,8 @@ class Scenario:
     theta_list: tuple[float, ...] | None = None  # None: the kind's default grid
     n_events: int = DEFAULT_N_EVENTS
     seeds: tuple[int, ...] = tuple(range(DEFAULT_N_SEEDS))
-    bias: BiasModel = BiasModel()
+    bias_epsilon: float = 0.0
+    bias_efficiency: float = 1.0
     methods: tuple[str, ...] = ("W", "I", "II")
     source: str = "sampled"
     reference: str = "truth"
@@ -121,6 +116,7 @@ class Scenario:
         if self.kind == "purity_sweep" and not self.input_state.startswith("pure:"):
             raise ValueError("purity sweeps need a pure input spec for the family state")
         states.check_state_spec(self.input_state, self.d)
+        check_bias(self.bias_epsilon, self.bias_efficiency)
         if not self.seeds:
             raise ValueError("need at least one seed")
         if min(self.seeds) < 0:
@@ -174,26 +170,25 @@ ROW_DTYPE = np.dtype([
 ])
 
 
-def bias_outcome_table(tables: OutcomeTables, bias: BiasModel) -> OutcomeTables:
-    """Scale the designated projector's probability rows, then renormalize each table."""
-    eff = bias.per_projector_efficiency
-    if eff == 1.0:
-        return tables
-    probs = tables.probs.copy()
-    probs[:, :, 0] *= eff
-    probs /= probs.sum(axis=(2, 3, 4), keepdims=True)
-    return replace(tables, probs=probs)
-
-
 def build_tables(
     rho: states.DensityMatrix,
     cfg: CouplingConfig,
     pairs: tuple[correlations.ObsPair, ...],
-    bias: BiasModel,
+    epsilon: float = 0.0,
+    efficiency: float = 1.0,
 ) -> OutcomeTables:
-    """Outcome tables for all (j, pair) settings, with the bias applied."""
-    tables = correlations.build_tables(rho, cfg, pairs, bias.pointer_rotation_epsilon)
-    return bias_outcome_table(tables, bias)
+    """Outcome tables for all (j, pair) settings, biased as `check_bias` describes.
+
+    An efficiency other than 1 scales the designated projector's probability
+    rows of a copy, then renormalizes each (j, pair) table.
+    """
+    tables = correlations.build_tables(rho, cfg, pairs, epsilon)
+    if efficiency == 1.0:
+        return tables
+    probs = tables.probs.copy()
+    probs[:, :, 0] *= efficiency
+    probs /= probs.sum(axis=(2, 3, 4), keepdims=True)
+    return replace(tables, probs=probs)
 
 
 def run_point(
@@ -221,7 +216,7 @@ def run_point(
     pairs = tuple(dict.fromkeys(
         pair for m in scn.methods if m in _RECONSTRUCTORS for pair in _RECONSTRUCTORS[m][1]
     ))
-    tables = build_tables(rho, cfg, pairs, scn.bias) if pairs else None
+    tables = build_tables(rho, cfg, pairs, scn.bias_epsilon, scn.bias_efficiency) if pairs else None
     qst_method = "QST" in scn.methods
     qst_ref = scn.reference == "qst"
     born = None
@@ -271,8 +266,8 @@ def _fields(scn: Scenario, theta, purity_p) -> dict:
         "purity_p": purity_p,
         "n_events": scn.n_events,
         "bound": bound,
-        "bias_epsilon": scn.bias.pointer_rotation_epsilon,
-        "bias_efficiency": scn.bias.per_projector_efficiency,
+        "bias_epsilon": scn.bias_epsilon,
+        "bias_efficiency": scn.bias_efficiency,
     }
 
 

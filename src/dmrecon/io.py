@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .experiments import ROW_DTYPE, BiasModel, Scenario
+from .experiments import ROW_DTYPE, Scenario, check_bias
 from .protocol import check_theta
 
 CSV_COLUMNS = ROW_DTYPE.names
@@ -143,18 +143,25 @@ def _read_section(
 
 
 def _build_scenario(sid: str, entries, errors: list[str]) -> Scenario | None:
+    """The section's `Scenario`, or None; every problem found goes to `errors`.
+
+    Each bias key is checked here on its own, with the other one neutral, so
+    each bad value is reported under the section even without a `kind`, and
+    then dropped, so that `Scenario` does not report it a second time.
+    """
     seen: dict[str, int] = {}
     values = _read_section(entries, _SCENARIO_KEYS, "scenario", seen, errors)
     section = f"section [scenario {sid}]"
     if "seeds" in seen and "n_seeds" in seen:
         errors.append(f"{section}: give either seeds or n_seeds, not both")
-    eps = values.pop("bias_epsilon", 0.0)
-    eff = values.pop("bias_efficiency", 1.0)
+    eps, eff = values.get("bias_epsilon", 0.0), values.get("bias_efficiency", 1.0)
+    for key, bias in (("bias_epsilon", (eps, 1.0)), ("bias_efficiency", (0.0, eff))):
+        try:
+            check_bias(*bias)
+        except ValueError as exc:
+            errors.append(f"{section}: {exc}")
+            del values[key]
     fields = {_FIELDS.get(key, key): value for key, value in values.items()}
-    try:
-        fields["bias"] = BiasModel(pointer_rotation_epsilon=eps, per_projector_efficiency=eff)
-    except ValueError as exc:
-        errors.append(f"{section}: {exc}")
     if "kind" not in fields:
         errors.append(f"{section}: missing required key 'kind'")
         return None

@@ -20,10 +20,9 @@ from dmrecon.correlations import (
     PAIRS_EXACT_II,
     PAIRS_WEAK,
     analytic_correlation,
-    exact_correlation_set,
-    sampled_correlation_set,
+    correlation_set,
 )
-from dmrecon.experiments import BiasModel, Scenario, run_scenario
+from dmrecon.experiments import Scenario, run_scenario
 from dmrecon.protocol import CouplingConfig, coupling_unitary
 from dmrecon.reconstruct import (
     born_probabilities,
@@ -64,7 +63,7 @@ def test_criterion_1_exactness_at_arbitrary_strength():
             cfg = CouplingConfig(d, theta, theta)
             for seed in range(20):
                 rho = states.random_density(d, 1000 * d + seed)
-                correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+                correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
                 for rebuild in (reconstruct_exact_i, reconstruct_exact_ii):
                     dist = qmath.trace_distance(rebuild(correls, cfg).finalized, rho.matrix)
                     worst = max(worst, dist)
@@ -89,7 +88,7 @@ def test_criterion_2_oracle_equivalence():
         cfg = CouplingConfig(d, theta_a, theta_b)
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
-        cs = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        cs = correlation_set(rho, cfg, PAIRS_EXACT_I)
         for (oa, ob), trace_val in zip(cs.pairs, cs.values[j - 1, k - 1]):
             gap = abs(trace_val - analytic_correlation(rho, j, k, oa, ob, cfg))
             worst = max(worst, gap)
@@ -127,12 +126,12 @@ def test_criterion_3_coupling_unitary_identity():
 def test_criterion_4_weak_estimator_bias():
     rho = states.pure_state(states.b0_state(2))
     cfg_strong = CouplingConfig(2, math.pi / 2, math.pi / 2)
-    correls = exact_correlation_set(rho, cfg_strong, PAIRS_EXACT_I)
+    correls = correlation_set(rho, cfg_strong, PAIRS_EXACT_I)
     t_weak = qmath.trace_distance(reconstruct_weak(correls, cfg_strong).finalized, rho.matrix)
     t_i = qmath.trace_distance(reconstruct_exact_i(correls, cfg_strong).finalized, rho.matrix)
     t_ii = qmath.trace_distance(reconstruct_exact_ii(correls, cfg_strong).finalized, rho.matrix)
     cfg_weak = CouplingConfig(2, 0.01, 0.01)
-    correls_weak = exact_correlation_set(rho, cfg_weak, PAIRS_WEAK)
+    correls_weak = correlation_set(rho, cfg_weak, PAIRS_WEAK)
     t_small = qmath.trace_distance(
         reconstruct_weak(correls_weak, cfg_weak).finalized, rho.matrix
     )
@@ -210,7 +209,7 @@ def test_criterion_6_strong_regime_advantage():
 def test_criterion_7_double_flip_k_independence():
     rho = states.random_density(4, 777)
     cfg = CouplingConfig(4, 0.8, 1.3)
-    pp = exact_correlation_set(rho, cfg, (("Pi1", "Pi1"),)).column(("Pi1", "Pi1"))[0]
+    pp = correlation_set(rho, cfg, (("Pi1", "Pi1"),)).column(("Pi1", "Pi1"))[0]
     worst = float(np.max(pp.max(axis=1) - pp.min(axis=1)))
     report(
         7,
@@ -231,7 +230,7 @@ def test_criterion_8_bias_robustness():
         seeds=tuple(range(50)),
         methods=("I", "II"),
     )
-    biased = replace(base, bias=BiasModel(pointer_rotation_epsilon=0.02))
+    biased = replace(base, bias_epsilon=0.02)
     rows_plain = run_scenario(base, root_seed=88)
     rows_biased = run_scenario(biased, root_seed=88)
 

@@ -18,13 +18,13 @@ from dmrecon.correlations import (
     sampled_records_from_counts,
     stack_sets,
 )
-from dmrecon.experiments import BiasModel, build_tables
+from dmrecon.experiments import build_tables
 from dmrecon.protocol import CouplingConfig
 
 
 def exact_values(rho, pair, cfg):
     """Exact <O_A O_B> of one pair as a d x d matrix indexed [j-1, k-1]."""
-    return correlations.exact_correlation_set(rho, cfg, (pair,)).column(pair)[0]
+    return correlations.correlation_set(rho, cfg, (pair,)).column(pair)[0]
 
 
 def tables_for(rho, pair, cfg):
@@ -87,7 +87,7 @@ class TestExactCorrelation:
     def test_real_state_has_zero_xy(self):
         rho = states.pure_state(states.basis_state(2, 1))
         cfg = CouplingConfig(2, 0.8, 0.8)
-        cs = correlations.exact_correlation_set(rho, cfg, (("X", "Y"),))
+        cs = correlations.correlation_set(rho, cfg, (("X", "Y"),))
         assert cs.values[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
         assert cs.n_events == 0
         assert np.all(cs.std_error == 0.0)
@@ -125,7 +125,7 @@ class TestAnalyticCorrelation:
             )
             j = int(rng.integers(1, d + 1))
             k = int(rng.integers(1, d + 1))
-            cs = correlations.exact_correlation_set(rho, cfg, SUPPORTED_PAIRS)
+            cs = correlations.correlation_set(rho, cfg, SUPPORTED_PAIRS)
             for (oa, ob), trace_val in zip(cs.pairs, cs.values[j - 1, k - 1]):
                 closed_val = analytic_correlation(rho, j, k, oa, ob, cfg)
                 worst = max(worst, abs(trace_val - closed_val))
@@ -189,7 +189,7 @@ class TestSampling:
         np.testing.assert_array_equal(counts.sum(axis=(2, 3, 4)), 1234)
         est, se = sampled_records_from_counts(tables, counts, 1234)
         assert est.shape == se.shape == (3, 3, 1)
-        cs = correlations.sampled_correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
+        cs = correlations.correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
         assert cs.n_events == 1234
 
     def test_double_flip_estimate_is_relative_frequency(self):
@@ -250,8 +250,19 @@ ROOTS = [derive_seed(9, "stack", s) for s in range(5)]
 def stacked_tables(d, biased):
     """Outcome tables of every pair at one point, with tilt and efficiency bias or none."""
     rho = states.random_density(d, 50 + d)
-    bias = BiasModel(0.04, 0.93) if biased else BiasModel()
-    return build_tables(rho, CouplingConfig(d, 0.3, 1.4), SUPPORTED_PAIRS, bias)
+    bias = (0.04, 0.93) if biased else (0.0, 1.0)
+    return build_tables(rho, CouplingConfig(d, 0.3, 1.4), SUPPORTED_PAIRS, *bias)
+
+
+def set_from_tables(rho, cfg, pairs, n=0, root_seed=None):
+    return correlations.correlation_set_from_tables(build_tables(rho, cfg, pairs), n, root_seed)
+
+
+# both ways to build a correlation set follow the same n and root-seed rules
+SET_BUILDERS = pytest.mark.parametrize(
+    "make", [set_from_tables, correlations.correlation_set],
+    ids=["from_tables", "correlation_set"],
+)
 
 
 class TestSeedStack:
@@ -305,23 +316,25 @@ class TestSeedStack:
             correlations.correlation_set_from_tables(tables, n=-1, root_seed=7)
 
     @pytest.mark.parametrize("root_seed", [7, [1, 2]])
-    def test_exact_set_rejects_a_root_seed(self, root_seed):
+    @SET_BUILDERS
+    def test_exact_set_rejects_a_root_seed(self, make, root_seed):
         # n = 0 is the exact set: a root seed there would be silently unused
-        tables = stacked_tables(2, False)
+        rho = states.random_density(2, 52)
         with pytest.raises(ValueError, match="take no root seed"):
-            correlations.correlation_set_from_tables(tables, n=0, root_seed=root_seed)
+            make(rho, CouplingConfig(2, 0.3, 1.4), SUPPORTED_PAIRS, n=0, root_seed=root_seed)
 
-    def test_draw_requires_a_root_seed(self):
+    @SET_BUILDERS
+    def test_draw_requires_a_root_seed(self, make):
         # n >= 1 draws: without a root seed it must not fall back to a default one
-        tables = stacked_tables(2, False)
+        rho = states.random_density(2, 52)
         with pytest.raises(ValueError, match="needs a root seed"):
-            correlations.correlation_set_from_tables(tables, n=100)
+            make(rho, CouplingConfig(2, 0.3, 1.4), SUPPORTED_PAIRS, n=100)
 
 
 class TestCorrelationSet:
     def test_missing_entry_named(self):
         rho = states.maximally_mixed(2)
-        cs = correlations.exact_correlation_set(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
+        cs = correlations.correlation_set(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
         with pytest.raises(ValueError, match=r"missing correlation <X_A X_B>"):
             cs.column(("X", "X"))
 
@@ -335,7 +348,7 @@ class TestCorrelationSet:
     def test_exact_set_covers_all_indices(self):
         rho = states.random_density(3, 20)
         cfg = CouplingConfig(3, 0.5, 0.5)
-        cs = correlations.exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        cs = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I)
         assert len(cs) == 3 * 3 * len(PAIRS_EXACT_I)
         assert cs.values.shape == (3, 3, len(PAIRS_EXACT_I))
         assert cs.pairs == PAIRS_EXACT_I
@@ -357,7 +370,7 @@ class TestSeedDerivation:
     def test_sampled_sets_reproducible(self):
         rho = states.random_density(2, 12)
         cfg = CouplingConfig(2, 0.9, 0.9)
-        cs1 = correlations.sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
-        cs2 = correlations.sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
+        cs1 = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
+        cs2 = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
         np.testing.assert_array_equal(cs1.values, cs2.values)
         np.testing.assert_array_equal(cs1.std_error, cs2.std_error)

@@ -133,8 +133,8 @@ class TestCorrelationRejections:
     def test_stack_needs_matching_sets(self):
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        a = correlations.sampled_correlation_set(rho, cfg, PAIRS_WEAK, 100, root_seed=1)
-        b = correlations.sampled_correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
+        a = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 100, root_seed=1)
+        b = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
         with pytest.raises(ValueError, match="share pairs and n_events"):
             correlations.stack_sets([a, b])
         stack = correlations.stack_sets([a, a])

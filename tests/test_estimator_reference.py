@@ -21,9 +21,8 @@ from dmrecon import metrics, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     build_tables,
+    correlation_set,
     correlation_set_from_tables,
-    exact_correlation_set,
-    sampled_correlation_set,
     stack_sets,
 )
 from dmrecon.protocol import CouplingConfig
@@ -137,8 +136,8 @@ def _correlation_sets(d, seed):
     assert theta_a != theta_b
     cfg = CouplingConfig(d, theta_a, theta_b)
     return cfg, (
-        exact_correlation_set(rho, cfg, PAIRS_EXACT_I),
-        sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 50 * d, root_seed=seed),
+        correlation_set(rho, cfg, PAIRS_EXACT_I),
+        correlation_set(rho, cfg, PAIRS_EXACT_I, 50 * d, root_seed=seed),
     )
 
 

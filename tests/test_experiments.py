@@ -10,10 +10,9 @@ from dmrecon import correlations, experiments, qmath, states
 from dmrecon.correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, correlation_set_from_tables
 from dmrecon.experiments import (
     EXPECTATION_SEED,
-    BiasModel,
     Scenario,
-    bias_outcome_table,
     build_tables,
+    check_bias,
     run_scenario,
 )
 from dmrecon.io import results_csv
@@ -34,14 +33,14 @@ class TestBiasModel:
         rho = states.random_density(2, 3)
         cfg = CouplingConfig(2, 0.7, 0.7)
         plain = correlations.build_tables(rho, cfg, PAIRS_EXACT_I)
-        neutral = build_tables(rho, cfg, PAIRS_EXACT_I, BiasModel())
+        neutral = build_tables(rho, cfg, PAIRS_EXACT_I, 0.0, 1.0)
         assert neutral.pairs == plain.pairs
         np.testing.assert_array_equal(neutral.weights, plain.weights)
         np.testing.assert_array_equal(neutral.probs, plain.probs)
 
     def test_rotation_overlap_geometry(self):
         # a projector tilted by epsilon overlaps its original by cos^2(epsilon)
-        _, tilted = pointer_setting("X", BiasModel(pointer_rotation_epsilon=0.02).pointer_rotation_epsilon)
+        _, tilted = pointer_setting("X", 0.02)
         for original, perturbed in zip(pointer_setting("X")[1], tilted):
             overlap = float(np.trace(original @ perturbed).real)
             assert overlap == pytest.approx(np.cos(0.02) ** 2, abs=1e-12)
@@ -54,8 +53,9 @@ class TestBiasModel:
     def test_efficiency_scaling_renormalizes(self):
         rho = states.random_density(2, 3)
         cfg = CouplingConfig(2, 0.7, 0.7)
-        tables = correlations.build_tables(rho, cfg, (("X", "X"), ("Y", "Pi1")))
-        biased = bias_outcome_table(tables, BiasModel(per_projector_efficiency=1.05))
+        pairs = (("X", "X"), ("Y", "Pi1"))
+        tables = correlations.build_tables(rho, cfg, pairs)
+        biased = build_tables(rho, cfg, pairs, efficiency=1.05)
         # every (j, pair) table renormalized on its own
         np.testing.assert_allclose(biased.probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-12)
         ratio = biased.probs[:, :, 0] / tables.probs[:, :, 0]
@@ -63,10 +63,17 @@ class TestBiasModel:
         assert np.all(biased.probs[:, :, 1] < tables.probs[:, :, 1])
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            BiasModel(pointer_rotation_epsilon=0.5)
-        with pytest.raises(ValueError):
-            BiasModel(per_projector_efficiency=1.5)
+        rotation = r"pointer rotation bias limited to \|epsilon\| <= 0\.1 rad"
+        efficiency = r"projector efficiency limited to \[0\.9, 1\.1\]"
+        for bias, message in (
+            (dict(bias_epsilon=0.5), rotation),
+            (dict(bias_epsilon=float("nan")), rotation),
+            (dict(bias_efficiency=1.5), efficiency),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_bias(bias.get("bias_epsilon", 0.0), bias.get("bias_efficiency", 1.0))
+            with pytest.raises(ValueError, match=message):
+                Scenario(scenario_id="v", kind="single", **bias)
 
 
 class TestBiasDirectionalEffects:
@@ -74,18 +81,16 @@ class TestBiasDirectionalEffects:
         # expected-value runs: the same tilt distorts method II far more at
         # theta = 0.1 than at full strength
         rho = states.pure_state(states.b0_state(2))
-        bias = BiasModel(pointer_rotation_epsilon=0.02)
         dists = {}
         for theta in (0.1, math.pi / 2):
             cfg = CouplingConfig(2, theta, theta)
-            tables = build_tables(rho, cfg, PAIRS_EXACT_II, bias)
+            tables = build_tables(rho, cfg, PAIRS_EXACT_II, epsilon=0.02)
             result = reconstruct_exact_ii(correlation_set_from_tables(tables), cfg)
             dists[theta] = qmath.trace_distance(result.finalized, rho.matrix)
         assert dists[0.1] > 10 * dists[math.pi / 2]
 
     def test_strong_regime_robust_for_both_exact_methods(self):
         rho = states.pure_state(states.b0_state(2))
-        bias = BiasModel(pointer_rotation_epsilon=0.02)
         for rebuild, pairs in (
             (reconstruct_exact_i, PAIRS_EXACT_I),
             (reconstruct_exact_ii, PAIRS_EXACT_II),
@@ -94,7 +99,7 @@ class TestBiasDirectionalEffects:
             for theta in (0.05, math.pi / 2):
                 cfg = CouplingConfig(2, theta, theta)
                 biased = rebuild(
-                    correlation_set_from_tables(build_tables(rho, cfg, pairs, bias)), cfg
+                    correlation_set_from_tables(build_tables(rho, cfg, pairs, epsilon=0.02)), cfg
                 )
                 changes[theta] = qmath.trace_distance(biased.finalized, rho.matrix)
             assert changes[math.pi / 2] < changes[0.05]
@@ -246,7 +251,7 @@ class TestRunners:
             theta_list=(0.4, 1.2),
             n_events=3000,
             seeds=(0, 1, 2),
-            bias=BiasModel(pointer_rotation_epsilon=0.01),
+            bias_epsilon=0.01,
         )
         csv_a = results_csv(run_scenario(scn, root_seed=21))
         csv_b = results_csv(run_scenario(scn, root_seed=21))
@@ -269,7 +274,8 @@ class TestRunners:
                 seeds=seeds,
                 methods=("W", "I", "II", "QST"),
                 reference=reference,
-                bias=BiasModel(pointer_rotation_epsilon=0.01, per_projector_efficiency=0.97),
+                bias_epsilon=0.01,
+                bias_efficiency=0.97,
             )
             rows = rows_by(run_scenario(scn, root_seed=5), seed=2)
             assert len(rows) == 2 * 4
@@ -322,7 +328,7 @@ def one_point_scenarios(scn):
         scenario_id="grid-exact", kind="strength_sweep", input_state="random:seed=3", d=4,
         theta_list=(0.05, 0.4, 1.1, math.pi / 2), source="exact", seeds=(0,),
         methods=("W", "I", "II", "QST"), reference="qst",
-        bias=BiasModel(pointer_rotation_epsilon=0.02, per_projector_efficiency=1.04),
+        bias_epsilon=0.02, bias_efficiency=1.04,
     ),
     Scenario(
         scenario_id="grid-purity", kind="purity_sweep", input_state="pure:b0", d=3,

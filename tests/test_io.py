@@ -1,5 +1,6 @@
 """Config parsing, matrix serialization, CSV output."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from dmrecon import io
-from dmrecon.experiments import ROW_DTYPE, BiasModel, Scenario, run_scenario
+from dmrecon.experiments import ROW_DTYPE, Scenario, run_scenario
 from dmrecon.io import (
     ConfigDocument,
     ConfigError,
@@ -68,7 +69,7 @@ class TestParseConfig:
         assert doc.output_dir == "out"
         fig4 = doc.scenarios[0]
         assert fig4.theta_list == (0.1, 0.5, 1.5)
-        assert fig4.bias == BiasModel(pointer_rotation_epsilon=0.02)
+        assert (fig4.bias_epsilon, fig4.bias_efficiency) == (0.02, 1.0)
         fig3 = doc.scenarios[1]
         assert fig3.kind == "purity_sweep"
         assert fig3.theta_list == (math.pi / 2,)
@@ -191,6 +192,21 @@ ERROR_CASES = {
         MINIMAL + "bias_efficiency = 1.5\n",
         ["section [scenario demo]: projector efficiency limited to [0.9, 1.1]"],
     ),
+    "nan epsilon": (
+        MINIMAL + "bias_epsilon = nan\n",
+        ["section [scenario demo]: pointer rotation bias limited to |epsilon| <= 0.1 rad"],
+    ),
+    "infinite efficiency": (
+        MINIMAL + "bias_efficiency = inf\n",
+        ["section [scenario demo]: projector efficiency limited to [0.9, 1.1]"],
+    ),
+    "both bias values bad": (
+        MINIMAL + "bias_epsilon = -inf\nbias_efficiency = nan\n",
+        [
+            "section [scenario demo]: pointer rotation bias limited to |epsilon| <= 0.1 rad",
+            "section [scenario demo]: projector efficiency limited to [0.9, 1.1]",
+        ],
+    ),
     "errors in line order, then whole-scenario checks": (
         "[scenario a]\nbogus = 1\nd = x\nseeds = 0\nn_seeds = 2\nbias_epsilon = 0.5\n",
         [
@@ -209,6 +225,15 @@ def test_error_messages(text, expected):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert excinfo.value.errors == expected
+
+
+def test_one_name_per_input():
+    # a config key is the `Scenario` field of its name, or of the one `_FIELDS`
+    # gives it; the scenario-level CSV columns are `Scenario` fields too
+    fields = {f.name for f in dataclasses.fields(Scenario)}
+    assert {io._FIELDS.get(key, key) for key in io._SCENARIO_KEYS} <= fields
+    columns = ("scenario_id", "kind", "d", "n_events", "bias_epsilon", "bias_efficiency")
+    assert set(columns) <= fields and set(columns) <= set(io.CSV_COLUMNS)
 
 
 class TestMatrixSerialization:

@@ -7,8 +7,7 @@ from dmrecon import metrics, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_WEAK,
-    exact_correlation_set,
-    sampled_correlation_set,
+    correlation_set,
     stack_sets,
 )
 from dmrecon.metrics import compare, ensemble_delta_rho, error_lower_bound, mean_square_error
@@ -66,7 +65,7 @@ class TestCompare:
     def test_exact_reconstruction_summary(self):
         rho = states.random_density(3, 40)
         cfg = CouplingConfig(3, 0.8, 0.8)
-        result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         t_dist, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
         assert isinstance(t_dist, np.ndarray) and t_dist.shape == ()
         assert t_dist < 1e-10
@@ -75,14 +74,14 @@ class TestCompare:
     def test_reference_against_itself(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         t_dist, _ = compare(result.finalized, result.element_errors, result.finalized)
         assert t_dist == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         with pytest.raises(ValueError, match="mismatch"):
             compare(result.finalized, result.element_errors, np.eye(3) / 3)
 
@@ -90,7 +89,7 @@ class TestCompare:
         # a stack over two leading axes, against one reference or one per slice
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        sets = [sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=s) for s in range(6)]
+        sets = [correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=s) for s in range(6)]
         result = reconstruct_exact_i(stack_sets(sets), cfg)
         finalized = result.finalized.reshape(2, 3, 2, 2)
         errors = result.element_errors.reshape(2, 3, 2, 2)
@@ -119,7 +118,7 @@ class TestCompare:
         cfg = CouplingConfig(2, 0.1, 0.1)
         floor = error_lower_bound("W", 2, 0.1, 10**4)
         sets = [
-            sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
+            correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(50)
         ]
         result = reconstruct_weak(stack_sets(sets), cfg)
@@ -138,7 +137,7 @@ class TestStatisticalScaling:
         cfg = CouplingConfig(2, theta, theta)
         out = []
         for seed in seeds:
-            correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, n, root_seed=seed)
+            correls = correlation_set(rho, cfg, PAIRS_WEAK, n, root_seed=seed)
             out.append(_delta_rho(reconstruct_weak(correls, cfg), rho))
         return out
 
@@ -191,7 +190,7 @@ class TestStatisticalScaling:
                 cfg = CouplingConfig(2, theta, theta)
                 vals = []
                 for seed in range(20):
-                    correls = sampled_correlation_set(rho, cfg, pairs, 10**4, root_seed=seed)
+                    correls = correlation_set(rho, cfg, pairs, 10**4, root_seed=seed)
                     vals.append(_delta_rho(rebuild(correls, cfg), rho))
                 meds[theta] = float(np.median(vals))
             assert meds[np.pi / 2] < meds[0.1], f"method {method}"
@@ -202,7 +201,7 @@ class TestEnsembleCrossCheck:
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, 0.4, 0.4)
         sets = [
-            sampled_correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
+            correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(60)
         ]
         result = reconstruct_weak(stack_sets(sets), cfg)

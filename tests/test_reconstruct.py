@@ -12,8 +12,7 @@ from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
     PAIRS_WEAK,
-    exact_correlation_set,
-    sampled_correlation_set,
+    correlation_set,
 )
 from dmrecon.protocol import CouplingConfig
 from dmrecon.reconstruct import (
@@ -36,7 +35,7 @@ class TestWeakEstimator:
     def test_accurate_in_weak_limit(self):
         rho = states.random_density(3, 21)
         cfg = CouplingConfig(3, 0.01, 0.01)
-        result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
         assert distance_to(result, rho) < 1e-3
 
     def test_bias_shrinks_quadratically(self):
@@ -46,7 +45,7 @@ class TestWeakEstimator:
         dists = []
         for theta in (0.2, 0.1, 0.05):
             cfg = CouplingConfig(3, theta, theta)
-            result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+            result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
             dists.append(distance_to(result, rho))
         assert dists[1] <= 0.6 * dists[0]
         assert dists[2] <= 0.6 * dists[1]
@@ -56,7 +55,7 @@ class TestWeakEstimator:
         # which finalizes to the orthogonal state |A><A| at trace distance 1
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
         np.testing.assert_allclose(
             result.raw, 0.25 * np.array([[-1, 1], [1, -1]]), atol=1e-12
         )
@@ -68,7 +67,7 @@ class TestWeakEstimator:
         # at intermediate strength, zero at full strength
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
         expected = (np.cos(0.5) - 1) * np.cos(0.5) * 0.5 / 2
         assert result.raw[0, 1].real == pytest.approx(expected, abs=1e-12)
 
@@ -77,7 +76,7 @@ class TestWeakEstimator:
         # matrix is exactly zero and has no state estimate, so it finalizes all nan
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        correls = exact_correlation_set(rho, cfg, PAIRS_WEAK)
+        correls = correlation_set(rho, cfg, PAIRS_WEAK)
         combo = cfg.n_ab * (correls.column(("X", "X"))[0] - correls.column(("Y", "Y"))[0])
         np.testing.assert_allclose(combo, 0.0, atol=1e-12)
         assert np.isnan(reconstruct_weak(correls, cfg).finalized).all()
@@ -86,7 +85,7 @@ class TestWeakEstimator:
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
         with pytest.raises(ValueError, match="missing correlation <X_A X_B>"):
-            reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+            reconstruct_weak(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
 
 
 class TestExactEstimators:
@@ -95,40 +94,40 @@ class TestExactEstimators:
     def test_method_i_exact_at_any_strength(self, d, theta):
         rho = states.random_density(d, 100 * d)
         cfg = CouplingConfig(d, theta, theta)
-        result = reconstruct_exact_i(exact_correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_exact_d5(self):
         rho = states.random_density(5, 55)
         cfg = CouplingConfig(5, np.pi / 4, np.pi / 4)
-        result = reconstruct_exact_ii(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_diagonal_chain(self):
         # maximally mixed, full strength: 16 n_ab^2 <Pi1 Pi1> = 16 * 0.25 * 0.125
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_exact_ii(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
         assert result.raw[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_method_ii_off_diagonals_vanish_for_diagonal_state(self):
         rho = states.DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
         cfg = CouplingConfig(3, 0.9, 0.9)
-        result = reconstruct_exact_ii(exact_correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
         off = result.raw - np.diag(np.diag(result.raw))
         assert np.max(np.abs(off)) < 1e-10
 
     def test_asymmetric_strengths_still_exact(self):
         rho = states.random_density(3, 71)
         cfg = CouplingConfig(3, 0.3, 1.2)
-        correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         assert distance_to(reconstruct_exact_i(correls, cfg), rho) < 1e-10
         assert distance_to(reconstruct_exact_ii(correls, cfg), rho) < 1e-10
 
     def test_estimators_agree_on_exact_correlations(self):
         rho = states.random_density(4, 91)
         cfg = CouplingConfig(4, 0.7, 0.7)
-        correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         r_i = reconstruct_exact_i(correls, cfg)
         r_ii = reconstruct_exact_ii(correls, cfg)
         assert (
@@ -140,7 +139,7 @@ class TestExactEstimators:
         prev = None
         for theta in (0.2, 0.1, 0.05):
             cfg = CouplingConfig(3, theta, theta)
-            correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+            correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
             gap = np.max(
                 np.abs(reconstruct_exact_i(correls, cfg).raw - reconstruct_weak(correls, cfg).raw)
             )
@@ -155,7 +154,7 @@ class TestExactEstimators:
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         good = 0
         for seed in range(100):
-            correls = sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 10**4, root_seed=seed)
+            correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 10**4, root_seed=seed)
             result = reconstruct_exact_i(correls, cfg)
             if distance_to(result, rho) < 0.05:
                 good += 1
@@ -166,7 +165,7 @@ class TestExactEstimators:
         # diagonal averages the per-k estimates instead of picking one
         rho = states.random_density(3, 14)
         cfg = CouplingConfig(3, 1.0, 1.0)
-        correls = sampled_correlation_set(rho, cfg, PAIRS_EXACT_II, 5000, root_seed=7)
+        correls = correlation_set(rho, cfg, PAIRS_EXACT_II, 5000, root_seed=7)
         result = reconstruct_exact_ii(correls, cfg)
         n = cfg.n_ab
         pooled = correls.column(("Pi1", "Pi1"))[0].mean(axis=1)
@@ -174,7 +173,7 @@ class TestExactEstimators:
 
     def test_dimension_mismatch_rejected(self):
         rho = states.random_density(2, 5)
-        correls = exact_correlation_set(rho, CouplingConfig(2, 0.8, 0.8), PAIRS_EXACT_I)
+        correls = correlation_set(rho, CouplingConfig(2, 0.8, 0.8), PAIRS_EXACT_I)
         for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
             with pytest.raises(ValueError, match="d=2"):
                 rebuild(correls, CouplingConfig(3, 0.8, 0.8))
@@ -182,14 +181,14 @@ class TestExactEstimators:
     def test_element_errors_zero_for_exact_sources(self):
         rho = states.random_density(2, 5)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        correls = exact_correlation_set(rho, cfg, PAIRS_EXACT_I)
+        correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
             assert np.all(rebuild(correls, cfg).element_errors == 0.0)
 
     def test_element_errors_positive_for_sampled(self):
         rho = states.random_density(2, 5)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        correls = sampled_correlation_set(rho, cfg, PAIRS_EXACT_I, 2000, root_seed=1)
+        correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 2000, root_seed=1)
         result = reconstruct_exact_i(correls, cfg)
         assert np.all(result.element_errors >= 0.0)
         assert result.element_errors.max() > 0.0
@@ -219,7 +218,7 @@ class TestFinalize:
     def test_bias_survives_finalization(self):
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_weak(exact_correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
         assert qmath.trace_distance(result.finalized, rho.matrix) > 0.05
 
     def test_near_zero_trace_rejected(self):
@@ -233,7 +232,7 @@ class TestFinalize:
     def test_hermitian_part_of_sampled_raw(self):
         rho = states.random_density(2, 8)
         cfg = CouplingConfig(2, 0.6, 0.6)
-        correls = sampled_correlation_set(rho, cfg, PAIRS_WEAK, 500, root_seed=4)
+        correls = correlation_set(rho, cfg, PAIRS_WEAK, 500, root_seed=4)
         final = reconstruct_weak(correls, cfg).finalized
         assert np.max(np.abs(final - final.conj().T)) < 1e-15
 
