@@ -72,7 +72,7 @@ def _cmd_exact(args) -> int:
     except ValueError as exc:
         return _input_error("exact", str(exc))
     rebuild, pairs = experiments._RECONSTRUCTORS[args.method]
-    result = rebuild(correlations.correlation_set(rho, cfg, pairs), cfg)
+    result = rebuild(correlations.correlation_set(rho, cfg, pairs))
     if np.isnan(result.finalized).any():
         # valid input, but this estimator has no signal to normalize here
         print("dmrecon exact: cannot normalize: Hermitian part has near-zero trace", file=sys.stderr)
@@ -146,7 +146,7 @@ def _cmd_validate(args) -> int:
             cfg = CouplingConfig(d, theta, theta)
             correls = correlations.correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
             for rebuild in (reconstruct.reconstruct_exact_i, reconstruct.reconstruct_exact_ii):
-                result = rebuild(correls, cfg)
+                result = rebuild(correls)
                 worst = max(worst, qmath.trace_distance(result.finalized, rho.matrix))
     check("exact estimators reproduce the state", worst < 1e-9, f"max distance {worst:.2e}")
 

@@ -15,13 +15,13 @@ picks the path: 0 is exact, as in `Correlations.n_events`, and n >= 1 draws.
 Both read the joint outcome probabilities of one grid point, one dense
 `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1], and fill a dense
 `Correlations` tensor indexed [j-1, k-1, pair]; the analytic path gives one
-value at a time. Given a list of root seeds, the sampled path draws every
-seed of a grid point in one call and returns one `Correlations` with a
-leading seed axis, [seed, j-1, k-1, pair], which the estimators read in one
-call; seed s's slice is bit for bit the set drawn from root_seed[s] alone.
-`stack_sets` joins separately drawn sets the same way. The exact and
-analytic paths are independent implementations and must agree; their
-agreement cross-validates both the Kraus contraction and the closed forms.
+value at a time. Tables and sets carry the `CouplingConfig` they were built
+at. Given a list of root seeds, the sampled path draws every seed of a grid
+point in one call and returns one `Correlations` with a leading seed axis,
+[seed, j-1, k-1, pair]; seed s's slice is the set of root_seed[s] alone, bit
+for bit. `stack_sets` joins separately drawn sets the same way. The exact
+and analytic paths are independent, so their agreement cross-validates both
+the Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ class OutcomeTables:
     """Joint outcome probabilities of every (j, pair) setting at one grid point.
 
     `probs[j-1, p, alpha, beta, k-1]` is the probability that, with the j-th
-    coupling and `pairs[p]` measured, pointer A gives its alpha-th listed
-    outcome, pointer B its beta-th and the system lands on |a_k>; each
+    coupling of `cfg` and `pairs[p]` measured, pointer A gives its alpha-th
+    listed outcome, pointer B its beta-th and the system lands on |a_k>; each
     (j, pair) table sums to 1. `weights[p, alpha, beta]` is the product of
     the two outcome eigenvalues, the value of O_A O_B on that outcome.
     """
 
+    cfg: CouplingConfig
     pairs: tuple[ObsPair, ...]
     weights: np.ndarray
     probs: np.ndarray
@@ -80,15 +81,17 @@ class Correlations:
 
     The protocol reads all final outcomes k of one (j, pair) setting at once,
     so the data is a dense tensor: `values[j-1, k-1, p]` is <O_A O_B> for
-    `pairs[p]`. `std_error` has the same shape and is all zeros for exact
-    data; `n_events` is the event count per (j, pair) setting, 0 when exact.
+    `pairs[p]` at the coupling `cfg`. `std_error` has the same shape and is
+    all zeros for exact data; `n_events` is the event count per (j, pair)
+    setting, 0 when exact.
 
-    Several sets of one grid point stack along leading axes (`stack_sets`):
-    `values[s, j-1, k-1, p]` is seed s's value, and all slices share
-    `n_events`. The estimators read a stack in one call and return results
-    that carry the same leading axis.
+    Sets stack along leading axes (`stack_sets`): `values[s, j-1, k-1, p]`
+    is slice s's value, all slices share `n_events`, and `cfg` is their one
+    config or a tuple of one per slice of the first axis. The estimators
+    read a stack in one call and return results with the same leading axes.
     """
 
+    cfg: CouplingConfig | tuple[CouplingConfig, ...]
     pairs: tuple[ObsPair, ...]
     values: np.ndarray
     std_error: np.ndarray
@@ -105,6 +108,14 @@ class Correlations:
                 f"values and std_error must be shaped (..., d, d, {len(self.pairs)}), "
                 f"got {shape} and {self.std_error.shape}"
             )
+        per_slice = isinstance(self.cfg, tuple)
+        for c in self.cfg if per_slice else (self.cfg,):
+            if not isinstance(c, CouplingConfig):
+                raise TypeError(f"cfg must be a CouplingConfig or a tuple of them, got {c!r}")
+            if c.dim != self.dim:
+                raise ValueError(f"correlations are for d={self.dim}, config has d={c.dim}")
+        if per_slice and (len(shape) < 4 or len(self.cfg) != shape[0]):
+            raise ValueError(f"{len(self.cfg)} configs for correlations shaped {shape}")
         if np.any(self.std_error < 0.0):
             raise ValueError("standard error must be nonnegative")
         if self.n_events == 0 and np.any(self.std_error > 0.0):
@@ -126,11 +137,16 @@ class Correlations:
 
 
 def stack_sets(sets) -> Correlations:
-    """One `Correlations` with a leading axis over several sets of the same pairs and n_events."""
+    """One `Correlations` with a leading axis over several sets of the same pairs and n_events.
+
+    The stack keeps the one config the sets share, or else holds one per set.
+    """
     first = sets[0]
     if any(c.pairs != first.pairs or c.n_events != first.n_events for c in sets):
         raise ValueError("stacked correlation sets must share pairs and n_events")
+    cfgs = tuple(c.cfg for c in sets)  # a set with one config per slice nests, and is rejected
     return Correlations(
+        first.cfg if len(set(cfgs)) == 1 and isinstance(first.cfg, CouplingConfig) else cfgs,
         first.pairs,
         np.array([c.values for c in sets]),
         np.array([c.std_error for c in sets]),
@@ -164,6 +180,8 @@ def analytic_correlation(
             + ", ".join(f"{a}-{b}" for a, b in SUPPORTED_PAIRS)
         )
     d = cfg.dim
+    if rho.dim != d:
+        raise ValueError(f"state dimension {rho.dim} does not match config d={d}")
     if not (1 <= j <= d and 1 <= k <= d):
         raise ValueError(f"indices (j={j}, k={k}) out of range 1..{d}")
     m = rho.matrix
@@ -263,12 +281,12 @@ def correlation_set_from_tables(
         if root_seed is not None:
             raise ValueError("exact correlations (n = 0) take no root seed")
         values = records_from_table(tables)
-        return Correlations(tables.pairs, values, np.zeros_like(values))
+        return Correlations(tables.cfg, tables.pairs, values, np.zeros_like(values))
     if root_seed is None:
         raise ValueError(f"drawing n={n} events needs a root seed")
     counts = sample_counts(tables, n, root_seed)
     values, std_error = sampled_records_from_counts(tables, counts, n)
-    return Correlations(tables.pairs, values, std_error, n)
+    return Correlations(tables.cfg, tables.pairs, values, std_error, n)
 
 
 def build_tables(
@@ -285,7 +303,8 @@ def build_tables(
     nonzero `tilt` rotates every pointer projector (pointer-rotation bias).
     """
     weights, _ = protocol.pointer_measurement(pairs, tilt)
-    return OutcomeTables(pairs, weights, protocol.outcome_probabilities(rho, cfg, pairs, tilt))
+    probs = protocol.outcome_probabilities(rho, cfg, pairs, tilt)
+    return OutcomeTables(cfg, pairs, weights, probs)
 
 
 def correlation_set(

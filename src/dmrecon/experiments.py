@@ -238,9 +238,7 @@ def run_point(
             ref_keys = [(root_seed, *point_key, seed, "qst-ref") for seed in scn.seeds]
             ref_probs = _sampled_born(born, scn.n_events, ref_keys)
         point = _fields(scn, theta, purity_p)
-        rows = _stack_rows(
-            scn, cfg, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs
-        )
+        rows = _stack_rows(scn, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs)
     return rows, exact, born
 
 
@@ -278,12 +276,11 @@ def _sampled_born(born: np.ndarray, n: int, keys) -> np.ndarray:
     return np.array([rng.binomial(n, p) / n for rng in rngs])
 
 
-def _stack_rows(scn, cfg, truth, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
+def _stack_rows(scn, truth, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
     """Rows of one stack, method-major: each method estimated once over the stack.
 
-    A stack is either one grid point's sampled seeds, with its one config,
-    or the seed -1 rows of every grid point of a scenario, the grid stack,
-    with a tuple of one config per point. The inputs are the stack's
+    A stack is either one grid point's sampled seeds or the seed -1 rows of
+    every grid point of a scenario, the grid stack. The inputs are the stack's
     correlations, the true states (one matrix, or one per slice) and the QST
     method and reference Born vectors, one row per slice (None where nothing
     reads them); `point` holds the other row fields (`_fields`). One
@@ -295,7 +292,7 @@ def _stack_rows(scn, cfg, truth, point, seeds, correls, method_probs, ref_probs)
     """
     results = [
         reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
-        else _RECONSTRUCTORS[m][0](correls, cfg)
+        else _RECONSTRUCTORS[m][0](correls)
         for m in scn.methods
     ]
     finalized = np.array([r.finalized for r in results])
@@ -320,8 +317,8 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     A purity sweep runs the purity grid at its one coupling strength; every
     other kind runs one input state across the listed strengths. Each grid
     point's sampled rows come from `run_point`; the seed -1 rows of all
-    points are one grid stack, estimated from the points' exact correlations
-    and Born vectors with one call per estimator.
+    points are one grid stack of their exact correlations (`stack_sets`, one
+    config per point) and Born vectors, estimated with one call per method.
     """
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
@@ -338,12 +335,11 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     sampled, exact, born = zip(*(
         run_point(scn, rho, theta, p, root_seed, key) for rho, theta, p, key in grid
     ))
-    cfgs = tuple(CouplingConfig(scn.d, theta, theta) for theta in thetas)
     point = _fields(scn, np.array(thetas), np.array(purities))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
     born = None if born[0] is None else np.array(born)
     truth = np.array([rho.matrix for rho in rhos])
-    rows = _stack_rows(scn, cfgs, truth, point, EXPECTATION_SEED, correls, born, born)
+    rows = _stack_rows(scn, truth, point, EXPECTATION_SEED, correls, born, born)
     if scn.source == "sampled":
         rows = np.concatenate([rows, *sampled])
     return sort_rows(rows)

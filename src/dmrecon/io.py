@@ -96,7 +96,7 @@ class ConfigDocument:
 
 
 def _split_sections(text: str):
-    """Yield (section_name, line_number, [(lineno, key, value), ...])."""
+    """(sections, errors): each section (name, line_number, [(lineno, key, value), ...])."""
     sections = []
     current = None
     errors = []

@@ -57,7 +57,7 @@ def hermitian_part(m) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
-def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) of `np.linalg.eigh`, rejecting non-Hermitian input.
 
     w holds the eigenvalues ascending, v the orthonormal eigenvectors as columns.
@@ -66,9 +66,9 @@ def hermitian_eigensystem(m, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, np
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigendecomposition requires a square matrix, got {a.shape}")
     dev = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if dev > atol:
+    if dev > DEFAULT_ATOL:
         raise ValueError(
-            f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {atol:.1e}"
+            f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {DEFAULT_ATOL:.1e}"
         )
     return np.linalg.eigh(a)
 
@@ -84,7 +84,7 @@ def matrix_exponential(h, scale: float) -> np.ndarray:
     return (v * phases) @ v.conj().T
 
 
-def trace_distance(r1, r2, atol: float = DEFAULT_ATOL):
+def trace_distance(r1, r2):
     """Half the trace norm of (r1 - r2); in [0, 1] for positive unit-trace states.
 
     Two matrices give a float. Two stacks of the same shape (..., d, d)
@@ -95,7 +95,7 @@ def trace_distance(r1, r2, atol: float = DEFAULT_ATOL):
     b = as_complex_matrix(r2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not is_hermitian(a, atol) or not is_hermitian(b, atol):
+    if not is_hermitian(a) or not is_hermitian(b):
         raise ValueError("trace_distance requires Hermitian inputs")
     w = np.linalg.eigvalsh(hermitian_part(a - b))
     dist = 0.5 * np.sum(np.abs(w), axis=-1)

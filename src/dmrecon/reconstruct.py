@@ -20,11 +20,10 @@ a (..., d^2) stack of Born vectors for tomography. It then returns one
 result whose arrays carry those axes, with `finalized` the (..., d, d) array
 of finalized matrices; one matrix is the stack without leading axes, on the
 same code path, so a degenerate slice is all nan and the others are
-unaffected. The leading axis of `Correlations` is a seed stack of one grid
-point, read with that point's one `CouplingConfig`, or a stack over grid
-points, read with a tuple of one config per slice; each slice's constants
-(n_ab, tan(theta/2)) are computed per config in Python floats, so a slice's
-estimate equals the call with its own set and config alone, bit for bit.
+unaffected. Each set is read at the coupling it carries (`Correlations.cfg`,
+one per slice for a stack over grid points), with constants (n_ab,
+tan(theta/2)) in Python floats per config, so a slice's estimate equals the
+call with its own set alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,9 +38,6 @@ from .correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, PAIRS_WEAK, Correlation
 from .protocol import MAX_DIM, CouplingConfig
 
 FINALIZE_TRACE_ATOL = 1e-9
-
-# One coupling config, or one per slice of a stack's first axis.
-Configs = CouplingConfig | tuple[CouplingConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -92,25 +88,17 @@ def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
     return np.sqrt(herm_re**2 + herm_im**2)
 
 
-def _constants(correls: Correlations, cfg: Configs, f) -> tuple:
-    """The floats f(c) returns for a coupling config c, checked against the correlations.
+def _constants(correls: Correlations, f) -> tuple:
+    """The floats f(c) for the coupling config c the correlations carry.
 
-    For one `CouplingConfig` these are f(cfg) itself. For a tuple of configs
-    aligned with the stack's first axis, each value becomes an array over
-    that axis that broadcasts against a (..., d, d) column. f computes in
-    Python floats per config, so each slice gets the constants, and the
-    estimate, of a call with its own config alone, bit for bit.
+    With one config per slice, each value is an array over the first axis
+    that broadcasts against a (..., d, d) column; f still computes in Python
+    floats per config, so each slice's estimate is that of its set alone.
     """
-    single = isinstance(cfg, CouplingConfig)
-    for c in (cfg,) if single else cfg:
-        if correls.dim != c.dim:
-            raise ValueError(f"correlations are for d={correls.dim}, config has d={c.dim}")
-    if single:
-        return f(cfg)
-    shape = correls.values.shape
-    if len(shape) < 4 or len(cfg) != shape[0]:
-        raise ValueError(f"{len(cfg)} configs for correlations shaped {shape}")
-    return tuple(np.reshape(v, (-1,) + (1,) * (len(shape) - 2)) for v in zip(*map(f, cfg)))
+    if isinstance(correls.cfg, CouplingConfig):
+        return f(correls.cfg)
+    shape = (-1,) + (1,) * (correls.values.ndim - 2)
+    return tuple(np.reshape(v, shape) for v in zip(*map(f, correls.cfg)))
 
 
 def _columns(correls: Correlations, pairs) -> list[np.ndarray]:
@@ -139,29 +127,26 @@ def _pauli_terms(correls: Correlations, n):
     return n * (xx - yy), n * (xy + yx), e_xx**2 + e_yy**2, e_yx**2 + e_xy**2
 
 
-def reconstruct_weak(correls: Correlations, cfg: Configs) -> ReconstructionResult:
+def reconstruct_weak(correls: Correlations) -> ReconstructionResult:
     """Weak-approximation estimator from the four Pauli correlation pairs.
 
     Element (j, k) is n_ab * (<XX> - <YY>) + i n_ab * (<YX> + <XY>). The
-    result approximates the state only for small coupling strength. `cfg`
-    is one `CouplingConfig`, or a tuple of them aligned with a stack's first
-    axis (see `_constants`).
+    result approximates the state only for small coupling strength.
     """
-    (n,) = _constants(correls, cfg, lambda c: (c.n_ab,))
+    (n,) = _constants(correls, lambda c: (c.n_ab,))
     re, im, re_var, im_var = _pauli_terms(correls, n)
     raw = re + 1j * im
     return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
-def reconstruct_exact_i(correls: Correlations, cfg: Configs) -> ReconstructionResult:
+def reconstruct_exact_i(correls: Correlations) -> ReconstructionResult:
     """Exact estimator: the weak combination plus tangent-weighted Pi1 terms.
 
     From exact correlations this reproduces the state at any coupling
     strength; the correction terms vanish as the strength goes to zero.
-    `cfg` is one config or a tuple of them, as for `reconstruct_weak`.
     """
     n, t_a, t_b, t_a2, t_b2 = _constants(
-        correls, cfg, lambda c: (c.n_ab, c.t_a, c.t_b, c.t_a**2, c.t_b**2)
+        correls, lambda c: (c.n_ab, c.t_a, c.t_b, c.t_a**2, c.t_b**2)
     )
     re, im, re_var, im_var = _pauli_terms(correls, n)
     xp, px, yp, pp, e_xp, e_px, e_yp, e_pp = _columns(correls, PAIRS_EXACT_I[4:])
@@ -178,16 +163,15 @@ def reconstruct_exact_i(correls: Correlations, cfg: Configs) -> ReconstructionRe
     return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
 
 
-def reconstruct_exact_ii(correls: Correlations, cfg: Configs) -> ReconstructionResult:
+def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
     """Exact estimator from only three observable pairs.
 
     Diagonal entries come from the double-flip probability <Pi1 Pi1>, which
     is independent of the final system outcome k: exact data uses k = j,
-    sampled data is averaged over k so every event contributes. `cfg` is one
-    config or a tuple of them, as for `reconstruct_weak`.
+    sampled data is averaged over k so every event contributes.
     """
     d = correls.dim
-    (n,) = _constants(correls, cfg, lambda c: (c.n_ab,))
+    (n,) = _constants(correls, lambda c: (c.n_ab,))
     pp, yy, xy, _, e_yy, e_xy = _columns(correls, PAIRS_EXACT_II)
     # the diagonal estimates as (..., d, 1) columns, which broadcast against n
     if correls.n_events:

@@ -8,8 +8,12 @@ Run with:  pytest tests/test_acceptance.py -v -s
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +54,7 @@ def sampled_delta_rhos(rho, theta, n, pairs, rebuild, seeds):
     out = []
     for seed in seeds:
         cs = correlations.correlation_set_from_tables(tables, n=n, root_seed=seed)
-        result = rebuild(cs, cfg)
+        result = rebuild(cs)
         out.append(metrics.compare(result.finalized, result.element_errors, rho.matrix)[1])
     return np.array(out)
 
@@ -65,7 +69,7 @@ def test_criterion_1_exactness_at_arbitrary_strength():
                 rho = states.random_density(d, 1000 * d + seed)
                 correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
                 for rebuild in (reconstruct_exact_i, reconstruct_exact_ii):
-                    dist = qmath.trace_distance(rebuild(correls, cfg).finalized, rho.matrix)
+                    dist = qmath.trace_distance(rebuild(correls).finalized, rho.matrix)
                     worst = max(worst, dist)
     elapsed = time.time() - t0
     report(
@@ -127,13 +131,13 @@ def test_criterion_4_weak_estimator_bias():
     rho = states.pure_state(states.b0_state(2))
     cfg_strong = CouplingConfig(2, math.pi / 2, math.pi / 2)
     correls = correlation_set(rho, cfg_strong, PAIRS_EXACT_I)
-    t_weak = qmath.trace_distance(reconstruct_weak(correls, cfg_strong).finalized, rho.matrix)
-    t_i = qmath.trace_distance(reconstruct_exact_i(correls, cfg_strong).finalized, rho.matrix)
-    t_ii = qmath.trace_distance(reconstruct_exact_ii(correls, cfg_strong).finalized, rho.matrix)
+    t_weak = qmath.trace_distance(reconstruct_weak(correls).finalized, rho.matrix)
+    t_i = qmath.trace_distance(reconstruct_exact_i(correls).finalized, rho.matrix)
+    t_ii = qmath.trace_distance(reconstruct_exact_ii(correls).finalized, rho.matrix)
     cfg_weak = CouplingConfig(2, 0.01, 0.01)
     correls_weak = correlation_set(rho, cfg_weak, PAIRS_WEAK)
     t_small = qmath.trace_distance(
-        reconstruct_weak(correls_weak, cfg_weak).finalized, rho.matrix
+        reconstruct_weak(correls_weak).finalized, rho.matrix
     )
     ok = t_weak > 0.05 and t_i < 1e-9 and t_ii < 1e-9 and t_small < 1e-3
     report(
@@ -309,12 +313,26 @@ reference = qst
         assert cli.main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
         return (out_dir / "results.csv").read_bytes()
 
+    def run_fresh(name, hash_seed):
+        # a new interpreter per run, so str hashing (set and dict order) varies
+        out_dir = tmp_path / name
+        env = {k: v for k, v in os.environ.items() if k != "DMRECON_SEED"}
+        src = str(Path(cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONHASHSEED"] = hash_seed
+        command = ["run", "--config", str(cfg), "--out", str(out_dir)]
+        subprocess.run(
+            [sys.executable, "-m", "dmrecon.cli", *command], env=env, capture_output=True, check=True
+        )
+        return (out_dir / "results.csv").read_bytes()
+
     first = run_all("a")
     second = run_all("b")
+    fresh = [run_fresh(f"hash{seed}", seed) for seed in ("0", "1")]
     report(
         9,
-        "repeated suite runs produce byte-identical CSV",
-        first == second,
+        "repeated suite runs produce byte-identical CSV, in process and under two hash seeds",
+        first == second == fresh[0] == fresh[1],
         f"{len(first)} bytes",
     )
 

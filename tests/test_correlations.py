@@ -1,5 +1,7 @@
 """Correlation values: trace path vs closed forms vs finite-N sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from dense_oracle import couplings, evolved, trace_tables
@@ -168,6 +170,15 @@ class TestAnalyticCorrelation:
         cfg = CouplingConfig(2, 0.5, 0.5)
         with pytest.raises(ValueError, match="supported pairs"):
             analytic_correlation(rho, 1, 1, "Z", "Z", cfg)
+
+    @pytest.mark.parametrize("d_state, d_cfg, j", [(3, 2, 1), (2, 3, 3)])
+    def test_rejects_state_of_another_dimension(self, d_state, d_cfg, j):
+        # j = 3 lies inside the config's range but outside the d = 2 state
+        rho = states.random_density(d_state, 1)
+        cfg = CouplingConfig(d_cfg, 0.5, 0.5)
+        message = f"state dimension {d_state} does not match config d={d_cfg}"
+        with pytest.raises(ValueError, match=message):
+            analytic_correlation(rho, j, j, "X", "X", cfg)
 
 
 class TestSampling:
@@ -339,7 +350,8 @@ class TestCorrelationSet:
             cs.column(("X", "X"))
 
     def test_roundtrip(self):
-        cs = Correlations((("X", "X"),), np.full((1, 1, 1), 0.25), np.zeros((1, 1, 1)))
+        cfg = CouplingConfig(1, 0.5, 0.5)
+        cs = Correlations(cfg, (("X", "X"),), np.full((1, 1, 1), 0.25), np.zeros((1, 1, 1)))
         values, errors = cs.column(("X", "X"))
         assert values[0, 0] == 0.25
         assert errors[0, 0] == 0.0
@@ -354,10 +366,50 @@ class TestCorrelationSet:
         assert cs.pairs == PAIRS_EXACT_I
 
     def test_record_validation(self):
+        cfg = CouplingConfig(1, 0.5, 0.5)
         with pytest.raises(ValueError, match="standard error"):
-            Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
+            Correlations(cfg, (("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
         with pytest.raises(ValueError, match="shaped"):
-            Correlations((("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+            Correlations(cfg, (("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+CFG = CouplingConfig(2, 0.3, 1.4)
+CFG2 = CouplingConfig(2, 0.9, 0.9)
+
+
+def _set_at(cfg, n=0, root_seed=None):
+    return correlations.correlation_set(
+        states.random_density(2, 52), cfg, PAIRS_EXACT_II, n, root_seed
+    )
+
+
+def _grid_stack_with(cfg):
+    """A two-slice stack over CFG and CFG2, rebuilt to carry `cfg` instead."""
+    return replace(stack_sets([_set_at(CFG), _set_at(CFG2)]), cfg=cfg)
+
+
+@pytest.mark.parametrize("make, carried", [
+    (lambda: _set_at(CFG), CFG),
+    (lambda: _set_at(CFG, 100, 7), CFG),
+    (lambda: _set_at(CFG, 100, [7, 8]), CFG),
+    (lambda: stack_sets([_set_at(CFG), _set_at(CouplingConfig(2, 0.3, 1.4))]), CFG),
+    (lambda: stack_sets([_set_at(CFG), _set_at(CFG2)]), (CFG, CFG2)),
+    (lambda: _grid_stack_with(((CFG, CFG2), (CFG, CFG2))), "a CouplingConfig or a tuple"),
+    (lambda: _grid_stack_with((CFG, CFG2, CFG)), "3 configs for correlations shaped"),
+    (lambda: _grid_stack_with(CouplingConfig(3, 0.3, 1.4)), "for d=2, config has d=3"),
+    (lambda: stack_sets([_grid_stack_with((CFG, CFG2))] * 2), "a CouplingConfig or a tuple"),
+], ids=[
+    "exact", "int-root", "root-list", "stack-one-config", "stack-two-configs",
+    "nested-tuple", "wrong-length-tuple", "other-d", "restack-per-slice",
+])
+def test_set_carries_its_coupling(make, carried):
+    # a set is read at the coupling it was drawn at, so it must hold that
+    # config, one per slice of a grid stack, and refuse one that cannot fit
+    if isinstance(carried, str):
+        with pytest.raises((TypeError, ValueError), match=carried):
+            make()
+    else:
+        assert make().cfg == carried
 
 
 class TestSeedDerivation:

@@ -116,19 +116,23 @@ class TestProtocolRejections:
 class TestCorrelationRejections:
     def test_negative_std_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            Correlations((("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), -0.1), n_events=10)
+            Correlations(
+                CouplingConfig(1, 0.5, 0.5), (("X", "X"),), np.zeros((1, 1, 1)),
+                np.full((1, 1, 1), -0.1), n_events=10,
+            )
 
     def test_stacked_std_error_checked(self):
+        cfg = CouplingConfig(2, 0.5, 0.5)
         pairs = (("X", "X"), ("Y", "Y"))
         values = np.zeros((3, 2, 2, 2))
-        Correlations(pairs, values, np.full(values.shape, 0.1), n_events=10)
+        Correlations(cfg, pairs, values, np.full(values.shape, 0.1), n_events=10)
         for wrong in ((2, 2, 2, 2), (3, 2, 2, 1), (2, 2, 2)):
             with pytest.raises(ValueError, match="shaped"):
-                Correlations(pairs, values, np.zeros(wrong), n_events=10)
+                Correlations(cfg, pairs, values, np.zeros(wrong), n_events=10)
         negative = np.full(values.shape, 0.1)
         negative[2, 1, 0, 1] = -1e-3
         with pytest.raises(ValueError, match="nonnegative"):
-            Correlations(pairs, values, negative, n_events=10)
+            Correlations(cfg, pairs, values, negative, n_events=10)
 
     def test_stack_needs_matching_sets(self):
         rho = states.maximally_mixed(2)
@@ -201,10 +205,10 @@ class TestDegenerateRunnerPoints:
     def test_estimator_value_error_propagates(self, monkeypatch, on_sampled):
         # only a near-zero trace marks a row degenerate; any other ValueError
         # from an estimator, on exact or on sampled data, is a fault and must surface
-        def broken(correls, cfg):
+        def broken(correls):
             if bool(correls.n_events) == on_sampled:
                 raise ValueError("broken estimator")
-            return reconstruct.reconstruct_weak(correls, cfg)
+            return reconstruct.reconstruct_weak(correls)
 
         monkeypatch.setitem(experiments._RECONSTRUCTORS, "W", (broken, PAIRS_WEAK))
         scn = experiments.Scenario(

@@ -12,6 +12,7 @@ all nan in both.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_vectorised_estimators_match_loops(d, seed):
     for cs in sets:
         for rebuild, loop in ESTIMATORS:
             raw, re_err, im_err = loop(cs, cfg)
-            result = rebuild(cs, cfg)
+            result = rebuild(cs)
             np.testing.assert_array_equal(result.raw, raw)
             np.testing.assert_array_equal(result.finalized, finalize(raw))
             np.testing.assert_allclose(
@@ -202,7 +203,7 @@ def test_stacked_estimators_match_slices(d, theta, n):
     mixed = False
     for rebuild, _ in ESTIMATORS:
         degenerate = _check_stack_matches_slices(
-            rebuild(stack, cfg), [rebuild(cs, cfg) for cs in sets], rho.matrix
+            rebuild(stack), [rebuild(cs) for cs in sets], rho.matrix
         )
         mixed |= 0 < degenerate.sum() < STACK_SEEDS
     if (theta, n) == (math.pi / 2, 1):
@@ -218,7 +219,7 @@ GRID_CONFIGS = [(0.212, 0.9), (0.6468, 0.3), (1.2, 1.2), (math.pi / 2, 0.05)]
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 @pytest.mark.parametrize("n", [0, 40, 10_000])
 def test_config_tuple_matches_per_config_calls(d, n):
-    # a stack over grid points, with a tuple of one config per slice, equals
+    # a stack over grid points, which carries one config per slice, equals
     # one call per slice with its own config, bit for bit; n = 0 is exact data
     rho = states.random_density(d, 5 * d)
     cfgs = tuple(CouplingConfig(d, t_a, t_b) for t_a, t_b in GRID_CONFIGS)
@@ -229,13 +230,12 @@ def test_config_tuple_matches_per_config_calls(d, n):
         for s, cfg in enumerate(cfgs)
     ]
     stack = stack_sets(sets)
+    assert stack.cfg == cfgs
     for rebuild, _ in ESTIMATORS:
-        _check_stack_matches_slices(
-            rebuild(stack, cfgs), [rebuild(cs, cfg) for cs, cfg in zip(sets, cfgs)], rho.matrix
-        )
-        for wrong_stack, wrong_cfgs in ((stack, cfgs[:3]), (sets[0], cfgs)):
-            with pytest.raises(ValueError, match="configs for correlations shaped"):
-                rebuild(wrong_stack, wrong_cfgs)
+        _check_stack_matches_slices(rebuild(stack), [rebuild(cs) for cs in sets], rho.matrix)
+    for wrong_set, wrong_cfgs in ((stack, cfgs[:3]), (sets[0], cfgs)):
+        with pytest.raises(ValueError, match="configs for correlations shaped"):
+            replace(wrong_set, cfg=wrong_cfgs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])

@@ -85,7 +85,7 @@ class TestBiasDirectionalEffects:
         for theta in (0.1, math.pi / 2):
             cfg = CouplingConfig(2, theta, theta)
             tables = build_tables(rho, cfg, PAIRS_EXACT_II, epsilon=0.02)
-            result = reconstruct_exact_ii(correlation_set_from_tables(tables), cfg)
+            result = reconstruct_exact_ii(correlation_set_from_tables(tables))
             dists[theta] = qmath.trace_distance(result.finalized, rho.matrix)
         assert dists[0.1] > 10 * dists[math.pi / 2]
 
@@ -99,7 +99,7 @@ class TestBiasDirectionalEffects:
             for theta in (0.05, math.pi / 2):
                 cfg = CouplingConfig(2, theta, theta)
                 biased = rebuild(
-                    correlation_set_from_tables(build_tables(rho, cfg, pairs, epsilon=0.02)), cfg
+                    correlation_set_from_tables(build_tables(rho, cfg, pairs, epsilon=0.02))
                 )
                 changes[theta] = qmath.trace_distance(biased.finalized, rho.matrix)
             assert changes[math.pi / 2] < changes[0.05]

@@ -65,7 +65,7 @@ class TestCompare:
     def test_exact_reconstruction_summary(self):
         rho = states.random_density(3, 40)
         cfg = CouplingConfig(3, 0.8, 0.8)
-        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         t_dist, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
         assert isinstance(t_dist, np.ndarray) and t_dist.shape == ()
         assert t_dist < 1e-10
@@ -74,14 +74,14 @@ class TestCompare:
     def test_reference_against_itself(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         t_dist, _ = compare(result.finalized, result.element_errors, result.finalized)
         assert t_dist == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
-        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         with pytest.raises(ValueError, match="mismatch"):
             compare(result.finalized, result.element_errors, np.eye(3) / 3)
 
@@ -90,13 +90,13 @@ class TestCompare:
         rho = states.random_density(2, 41)
         cfg = CouplingConfig(2, 0.8, 0.8)
         sets = [correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=s) for s in range(6)]
-        result = reconstruct_exact_i(stack_sets(sets), cfg)
+        result = reconstruct_exact_i(stack_sets(sets))
         finalized = result.finalized.reshape(2, 3, 2, 2)
         errors = result.element_errors.reshape(2, 3, 2, 2)
         t_dist, delta_rho = compare(finalized, errors, rho.matrix)
         assert t_dist.shape == delta_rho.shape == (2, 3)
         for s, one in enumerate(sets):
-            single = reconstruct_exact_i(one, cfg)
+            single = reconstruct_exact_i(one)
             want = compare(single.finalized, single.element_errors, rho.matrix)
             assert (t_dist.flat[s], delta_rho.flat[s]) == want
         references = np.broadcast_to(rho.matrix, finalized.shape)
@@ -121,7 +121,7 @@ class TestCompare:
             correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(50)
         ]
-        result = reconstruct_weak(stack_sets(sets), cfg)
+        result = reconstruct_weak(stack_sets(sets))
         _, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
         assert delta_rho.shape == (50,)
         assert np.all(delta_rho >= 0.9 * floor)
@@ -138,7 +138,7 @@ class TestStatisticalScaling:
         out = []
         for seed in seeds:
             correls = correlation_set(rho, cfg, PAIRS_WEAK, n, root_seed=seed)
-            out.append(_delta_rho(reconstruct_weak(correls, cfg), rho))
+            out.append(_delta_rho(reconstruct_weak(correls), rho))
         return out
 
     def test_event_count_scaling(self):
@@ -191,7 +191,7 @@ class TestStatisticalScaling:
                 vals = []
                 for seed in range(20):
                     correls = correlation_set(rho, cfg, pairs, 10**4, root_seed=seed)
-                    vals.append(_delta_rho(rebuild(correls, cfg), rho))
+                    vals.append(_delta_rho(rebuild(correls), rho))
                 meds[theta] = float(np.median(vals))
             assert meds[np.pi / 2] < meds[0.1], f"method {method}"
 
@@ -204,7 +204,7 @@ class TestEnsembleCrossCheck:
             correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(60)
         ]
-        result = reconstruct_weak(stack_sets(sets), cfg)
+        result = reconstruct_weak(stack_sets(sets))
         propagated = mean_square_error(result.element_errors)
         ens = ensemble_delta_rho(result.finalized)
         assert float(np.mean(propagated)) == pytest.approx(ens, rel=0.3)

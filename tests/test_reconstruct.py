@@ -1,6 +1,7 @@
 """Estimator assembly, finalization, and the tomography reference."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class TestWeakEstimator:
     def test_accurate_in_weak_limit(self):
         rho = states.random_density(3, 21)
         cfg = CouplingConfig(3, 0.01, 0.01)
-        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         assert distance_to(result, rho) < 1e-3
 
     def test_bias_shrinks_quadratically(self):
@@ -45,7 +46,7 @@ class TestWeakEstimator:
         dists = []
         for theta in (0.2, 0.1, 0.05):
             cfg = CouplingConfig(3, theta, theta)
-            result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+            result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
             dists.append(distance_to(result, rho))
         assert dists[1] <= 0.6 * dists[0]
         assert dists[2] <= 0.6 * dists[1]
@@ -55,7 +56,7 @@ class TestWeakEstimator:
         # which finalizes to the orthogonal state |A><A| at trace distance 1
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         np.testing.assert_allclose(
             result.raw, 0.25 * np.array([[-1, 1], [1, -1]]), atol=1e-12
         )
@@ -67,7 +68,7 @@ class TestWeakEstimator:
         # at intermediate strength, zero at full strength
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
-        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         expected = (np.cos(0.5) - 1) * np.cos(0.5) * 0.5 / 2
         assert result.raw[0, 1].real == pytest.approx(expected, abs=1e-12)
 
@@ -79,13 +80,13 @@ class TestWeakEstimator:
         correls = correlation_set(rho, cfg, PAIRS_WEAK)
         combo = cfg.n_ab * (correls.column(("X", "X"))[0] - correls.column(("Y", "Y"))[0])
         np.testing.assert_allclose(combo, 0.0, atol=1e-12)
-        assert np.isnan(reconstruct_weak(correls, cfg).finalized).all()
+        assert np.isnan(reconstruct_weak(correls).finalized).all()
 
     def test_missing_correlation_named(self):
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
         with pytest.raises(ValueError, match="missing correlation <X_A X_B>"):
-            reconstruct_weak(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+            reconstruct_weak(correlation_set(rho, cfg, PAIRS_EXACT_II))
 
 
 class TestExactEstimators:
@@ -94,26 +95,26 @@ class TestExactEstimators:
     def test_method_i_exact_at_any_strength(self, d, theta):
         rho = states.random_density(d, 100 * d)
         cfg = CouplingConfig(d, theta, theta)
-        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I), cfg)
+        result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_exact_d5(self):
         rho = states.random_density(5, 55)
         cfg = CouplingConfig(5, np.pi / 4, np.pi / 4)
-        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_diagonal_chain(self):
         # maximally mixed, full strength: 16 n_ab^2 <Pi1 Pi1> = 16 * 0.25 * 0.125
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         assert result.raw[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_method_ii_off_diagonals_vanish_for_diagonal_state(self):
         rho = states.DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
         cfg = CouplingConfig(3, 0.9, 0.9)
-        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II), cfg)
+        result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         off = result.raw - np.diag(np.diag(result.raw))
         assert np.max(np.abs(off)) < 1e-10
 
@@ -121,15 +122,15 @@ class TestExactEstimators:
         rho = states.random_density(3, 71)
         cfg = CouplingConfig(3, 0.3, 1.2)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
-        assert distance_to(reconstruct_exact_i(correls, cfg), rho) < 1e-10
-        assert distance_to(reconstruct_exact_ii(correls, cfg), rho) < 1e-10
+        assert distance_to(reconstruct_exact_i(correls), rho) < 1e-10
+        assert distance_to(reconstruct_exact_ii(correls), rho) < 1e-10
 
     def test_estimators_agree_on_exact_correlations(self):
         rho = states.random_density(4, 91)
         cfg = CouplingConfig(4, 0.7, 0.7)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
-        r_i = reconstruct_exact_i(correls, cfg)
-        r_ii = reconstruct_exact_ii(correls, cfg)
+        r_i = reconstruct_exact_i(correls)
+        r_ii = reconstruct_exact_ii(correls)
         assert (
             qmath.trace_distance(r_i.finalized, r_ii.finalized) < 1e-9
         )
@@ -141,7 +142,7 @@ class TestExactEstimators:
             cfg = CouplingConfig(3, theta, theta)
             correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
             gap = np.max(
-                np.abs(reconstruct_exact_i(correls, cfg).raw - reconstruct_weak(correls, cfg).raw)
+                np.abs(reconstruct_exact_i(correls).raw - reconstruct_weak(correls).raw)
             )
             if prev is not None:
                 assert gap < 0.5 * prev
@@ -155,7 +156,7 @@ class TestExactEstimators:
         good = 0
         for seed in range(100):
             correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 10**4, root_seed=seed)
-            result = reconstruct_exact_i(correls, cfg)
+            result = reconstruct_exact_i(correls)
             if distance_to(result, rho) < 0.05:
                 good += 1
         assert good >= 95
@@ -166,30 +167,30 @@ class TestExactEstimators:
         rho = states.random_density(3, 14)
         cfg = CouplingConfig(3, 1.0, 1.0)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_II, 5000, root_seed=7)
-        result = reconstruct_exact_ii(correls, cfg)
+        result = reconstruct_exact_ii(correls)
         n = cfg.n_ab
         pooled = correls.column(("Pi1", "Pi1"))[0].mean(axis=1)
         np.testing.assert_allclose(np.diag(result.raw).real, 16 * n * n * pooled)
 
     def test_dimension_mismatch_rejected(self):
+        # a set cannot carry a config of another d, so no estimator reads one
         rho = states.random_density(2, 5)
         correls = correlation_set(rho, CouplingConfig(2, 0.8, 0.8), PAIRS_EXACT_I)
-        for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
-            with pytest.raises(ValueError, match="d=2"):
-                rebuild(correls, CouplingConfig(3, 0.8, 0.8))
+        with pytest.raises(ValueError, match="correlations are for d=2, config has d=3"):
+            replace(correls, cfg=CouplingConfig(3, 0.8, 0.8))
 
     def test_element_errors_zero_for_exact_sources(self):
         rho = states.random_density(2, 5)
         cfg = CouplingConfig(2, 0.8, 0.8)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
-            assert np.all(rebuild(correls, cfg).element_errors == 0.0)
+            assert np.all(rebuild(correls).element_errors == 0.0)
 
     def test_element_errors_positive_for_sampled(self):
         rho = states.random_density(2, 5)
         cfg = CouplingConfig(2, 0.8, 0.8)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 2000, root_seed=1)
-        result = reconstruct_exact_i(correls, cfg)
+        result = reconstruct_exact_i(correls)
         assert np.all(result.element_errors >= 0.0)
         assert result.element_errors.max() > 0.0
 
@@ -218,7 +219,7 @@ class TestFinalize:
     def test_bias_survives_finalization(self):
         rho = states.pure_state(states.b0_state(2))
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
-        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK), cfg)
+        result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         assert qmath.trace_distance(result.finalized, rho.matrix) > 0.05
 
     def test_near_zero_trace_rejected(self):
@@ -233,7 +234,7 @@ class TestFinalize:
         rho = states.random_density(2, 8)
         cfg = CouplingConfig(2, 0.6, 0.6)
         correls = correlation_set(rho, cfg, PAIRS_WEAK, 500, root_seed=4)
-        final = reconstruct_weak(correls, cfg).finalized
+        final = reconstruct_weak(correls).finalized
         assert np.max(np.abs(final - final.conj().T)) < 1e-15
 
 
