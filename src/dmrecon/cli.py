@@ -167,6 +167,25 @@ def _cmd_validate(args) -> int:
         f"max dev {worst:.2e}",
     )
 
+    # Outcome classes, the sampler's categories, vs the biased tables they merge.
+    worst = 0.0
+    for d in range(1, protocol.MAX_DIM + 1):
+        rho = states.random_density(d, int(rng.integers(0, 2**31)))
+        theta_a, theta_b = rng.uniform(0.05, math.pi / 2, size=2)
+        cfg = CouplingConfig(d, float(theta_a), float(theta_b))
+        epsilon, efficiency = float(rng.uniform(-0.1, 0.1)), float(rng.uniform(0.9, 1.1))
+        tables = experiments.build_tables(rho, cfg, correlations.SUPPORTED_PAIRS, epsilon, efficiency)
+        classes = correlations.outcome_classes(tables)
+        plus, minus = classes[..., :d], classes[..., d : 2 * d]
+        w = tables.weights
+        for got, want in (
+            (plus - minus, np.einsum("pxy,jpxyk->jpk", w, tables.probs)),
+            (plus + minus, np.einsum("pxy,jpxyk->jpk", w * w, tables.probs)),
+            (classes.sum(axis=-1), 1.0),
+        ):
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    check("outcome classes carry the tables' moments", worst < 1e-14, f"max dev {worst:.2e}")
+
     print("validation " + ("failed" if failures else "passed"))
     return 1 if failures else 0
 

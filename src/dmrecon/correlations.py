@@ -6,7 +6,7 @@ Three evaluation paths are provided:
 
   exact     numerical outcome probabilities from the couplings' Kraus operators
   analytic  closed-form expressions in the entries of rho
-  sampled   finite-N multinomial draw from the joint outcome distribution,
+  sampled   finite-N multinomial draw over each table's outcome classes,
             one generator per (grid point, seed) for all of its tables
 
 The exact and sampled paths are one constructor, `correlation_set` (or
@@ -15,7 +15,12 @@ picks the path: 0 is exact, as in `Correlations.n_events`, and n >= 1 draws.
 Both read the joint outcome probabilities of one grid point, one dense
 `OutcomeTables` array indexed [j-1, pair, alpha, beta, k-1], and fill a dense
 `Correlations` tensor indexed [j-1, k-1, pair]; the analytic path gives one
-value at a time. Tables and sets carry the `CouplingConfig` they were built
+value at a time. A correlation and its plug-in error read only the first
+and second moments of O_A O_B at each k, and every weight is +1, -1 or 0,
+so the sampled path draws each (j, pair) table's 2d + 1 outcome classes
+(`outcome_classes`), not its 4d cells: merged cells of a multinomial are a
+multinomial over the summed probabilities, so the estimates keep their
+exact distribution. Tables and sets carry the `CouplingConfig` they were built
 at. Given a list of root seeds, the sampled path draws every seed of a grid
 point in one call and returns one `Correlations` with a leading seed axis,
 [seed, j-1, k-1, pair]; seed s's slice is the set of root_seed[s] alone, bit
@@ -221,16 +226,42 @@ def analytic_correlation(
     return value
 
 
-def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int]) -> np.ndarray:
-    """Draw n events from every (j, pair) table; integer counts shaped like `probs`.
+def outcome_classes(tables: OutcomeTables) -> np.ndarray:
+    """Probabilities of every (j, pair) table's 2d + 1 outcome classes, indexed [j-1, p, c].
 
-    Each root seed keys one counter-based Philox generator, which makes one
-    multinomial draw over the stack of flattened (j, pair) tables:
-    reproducible across runs and workers, with cost independent of n. A
-    table's counts depend on its root seed and on every table drawn with it.
-    An int root seed gives counts shaped like `probs`; a sequence of S root
-    seeds gives an (S, ...) stack whose slice s is the counts of root_seed[s]
-    alone, whatever the other roots are.
+    Class c = k-1 holds the outcomes of weight +1 at system outcome k, class
+    d + k-1 those of weight -1 at k, and class 2d pools every zero-weight
+    outcome over all k. A pair without a weight -1 outcome (Pi1-Pi1) has
+    probability 0 in classes d..2d-1. The classes partition each table, so
+    they carry its sum and its moments: sum_c p_c = 1 per (j, pair), and at
+    each k the +1 class minus (plus) the -1 class is sum w p (sum w^2 p).
+    """
+    w = tables.weights[..., None]
+    signs = (w == 1.0, w == -1.0)
+    zero = w == 0.0
+    if not np.all(signs[0] | signs[1] | zero):
+        raise ValueError("outcome classes need every weight in {-1, 0, 1}")
+    probs = tables.probs
+    return np.concatenate(
+        [np.where(s, probs, 0.0).sum(axis=(2, 3)) for s in signs]
+        + [np.where(zero, probs, 0.0).sum(axis=(2, 3, 4))[..., None]],
+        axis=-1,
+    )
+
+
+def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int]) -> np.ndarray:
+    """Draw n events from every (j, pair) table; integer outcome-class counts [..., j-1, p, c].
+
+    The classes are those of `outcome_classes`: c = k-1 counts the weight +1
+    outcomes at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
+    zero-weight outcome; each (j, pair) row sums to n. Each root seed keys
+    one counter-based Philox generator, which makes one multinomial draw
+    over the (d, P, 2d + 1) class stack: reproducible across runs and
+    workers, with cost independent of n. A table's counts depend on its root
+    seed and on every table drawn with it. An int root seed gives a
+    (d, P, 2d + 1) array; a sequence of S root seeds gives an (S, d, P, 2d + 1)
+    stack whose slice s is the counts of root_seed[s] alone, whatever the
+    other roots are.
     """
     if n < 1:
         raise ValueError("need at least one event")
@@ -238,13 +269,11 @@ def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int])
     roots = [root_seed] if single else list(root_seed)
     if not roots:
         raise ValueError("need at least one root seed")
-    probs = tables.probs
-    flat = probs.reshape(*probs.shape[:2], -1)
-    pvals = flat / flat.sum(axis=-1, keepdims=True)
-    counts = np.empty((len(roots), *flat.shape), dtype=np.int64)
+    classes = outcome_classes(tables)
+    pvals = classes / classes.sum(axis=-1, keepdims=True)
+    counts = np.empty((len(roots), *pvals.shape), dtype=np.int64)
     for out, root in zip(counts, roots):
         out[...] = np.random.Generator(np.random.Philox(root)).multinomial(n, pvals)
-    counts = counts.reshape(len(roots), *probs.shape)
     return counts[0] if single else counts
 
 
@@ -253,12 +282,16 @@ def sampled_records_from_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Correlation estimates and plug-in standard errors, each indexed [..., j-1, k-1, p].
 
-    `counts` is shaped like `probs`, or a stack of such with leading axes,
-    which the result keeps.
+    `counts` holds the outcome-class counts of `sample_counts`, indexed
+    [..., j-1, p, c], with any leading axes, which the result keeps. With
+    c+ and c- the weight +1 and -1 counts at k, the estimate is
+    (c+ - c-) / n and the second moment (c+ + c-) / n.
     """
-    w, freq = tables.weights, counts / n
-    est = np.einsum("pxy,...jpxyk->...jkp", w, freq)
-    second = np.einsum("pxy,...jpxyk->...jkp", w * w, freq)
+    d = tables.cfg.dim
+    counts = np.swapaxes(counts, -1, -2)
+    plus, minus = counts[..., :d, :], counts[..., d : 2 * d, :]
+    est = np.subtract(plus, minus, order="C") / n
+    second = np.add(plus, minus, order="C") / n
     var = np.maximum(second - est * est, 0.0) / n
     return est, np.sqrt(var)
 

@@ -33,8 +33,26 @@ def tables_for(rho, pair, cfg):
     return correlations.build_tables(rho, cfg, (pair,))
 
 
+def classes_by_loop(weights, cells):
+    """Merge cells [..., j-1, p, alpha, beta, k-1] into outcome classes [..., j-1, p, c], one at a time.
+
+    Class k-1 gathers weight +1 at k, class d + k-1 weight -1 at k, class 2d
+    every zero-weight cell.
+    """
+    d, n_pairs = cells.shape[-1], cells.shape[-4]
+    out = np.zeros((*cells.shape[:-3], 2 * d + 1), dtype=cells.dtype)
+    for p in range(n_pairs):
+        for alpha in range(2):
+            for beta in range(2):
+                w = weights[p, alpha, beta]
+                for k in range(d):
+                    c = {1.0: k, -1.0: d + k, 0.0: 2 * d}[w]
+                    out[..., p, c] += cells[..., p, alpha, beta, k]
+    return out
+
+
 def sample(tables, j, n, root_seed):
-    """Counts, per-k estimates and per-k standard errors of setting (j, pairs[0])."""
+    """Class counts, per-k estimates and per-k standard errors of setting (j, pairs[0])."""
     counts = sample_counts(tables, n, root_seed)
     est, se = sampled_records_from_counts(tables, counts, n)
     return counts[j - 1, 0], est[j - 1, :, 0], se[j - 1, :, 0]
@@ -72,17 +90,20 @@ class TestOutcomeTables:
 
     def test_counts_follow_one_philox_stream(self):
         # pins the sampling stream: one Philox generator keyed by the root
-        # seed, one multinomial draw over the (d, P, 4d) stack of flat tables
+        # seed, one multinomial draw over the (d, P, 2d + 1) outcome classes
         rho = states.random_density(3, 41)
-        tables = correlations.build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02)
+        tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
         root, n = 12345, 777
         counts = sample_counts(tables, n, root)
-        flat = tables.probs.reshape(3, len(PAIRS_EXACT_II), 12)
+        classes = classes_by_loop(tables.weights, tables.probs)
+        np.testing.assert_allclose(correlations.outcome_classes(tables), classes, rtol=0, atol=1e-15)
         rng = np.random.Generator(np.random.Philox(root))
-        expected = rng.multinomial(n, flat / flat.sum(axis=-1, keepdims=True))
-        assert counts.shape == tables.probs.shape
-        np.testing.assert_array_equal(counts, expected.reshape(tables.probs.shape))
-        assert np.all(counts.sum(axis=(2, 3, 4)) == n)
+        expected = rng.multinomial(n, classes / classes.sum(axis=-1, keepdims=True))
+        assert counts.shape == (3, len(PAIRS_EXACT_II), 7)
+        np.testing.assert_array_equal(counts, expected)
+        assert np.all(counts.sum(axis=-1) == n)
+        # Pi1-Pi1 has no weight -1 outcome: its padded classes draw nothing
+        assert np.all(counts[:, PAIRS_EXACT_II.index(("Pi1", "Pi1")), 3:6] == 0)
 
 
 class TestExactCorrelation:
@@ -196,8 +217,8 @@ class TestSampling:
         cfg = CouplingConfig(3, 0.9, 0.9)
         tables = tables_for(rho, ("Y", "Y"), cfg)
         counts = sample_counts(tables, 1234, 5)
-        assert counts.shape == tables.probs.shape == (3, 1, 2, 2, 3)
-        np.testing.assert_array_equal(counts.sum(axis=(2, 3, 4)), 1234)
+        assert counts.shape == (3, 1, 7)
+        np.testing.assert_array_equal(counts.sum(axis=-1), 1234)
         est, se = sampled_records_from_counts(tables, counts, 1234)
         assert est.shape == se.shape == (3, 3, 1)
         cs = correlations.correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
@@ -207,7 +228,8 @@ class TestSampling:
         rho = states.random_density(2, 6)
         cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
         counts, est, _ = sample(tables_for(rho, ("Pi1", "Pi1"), cfg), 1, 2000, 3)
-        np.testing.assert_allclose(est, counts[0, 0] / 2000)
+        np.testing.assert_allclose(est, counts[:2] / 2000)
+        np.testing.assert_array_equal(counts[2:4], 0)
         assert np.all((0.0 <= est) & (est <= 1.0))
 
     def test_large_n_consistency(self):
@@ -286,7 +308,7 @@ class TestSeedStack:
         tables = stacked_tables(d, biased)
         n = 3000
         counts = sample_counts(tables, n, ROOTS)
-        assert counts.shape == (len(ROOTS), *tables.probs.shape)
+        assert counts.shape == (len(ROOTS), d, len(SUPPORTED_PAIRS), 2 * d + 1)
         for root, slice_ in zip(ROOTS, counts):
             np.testing.assert_array_equal(slice_, sample_counts(tables, n, root))
         stack = correlations.correlation_set_from_tables(tables, n=n, root_seed=ROOTS)
@@ -313,7 +335,7 @@ class TestSeedStack:
     def test_one_element_list_keeps_the_seed_axis(self):
         tables = stacked_tables(2, False)
         counts = sample_counts(tables, 100, ROOTS[:1])
-        assert counts.shape == (1, *tables.probs.shape)
+        assert counts.shape == (1, 2, len(SUPPORTED_PAIRS), 5)
         np.testing.assert_array_equal(counts[0], sample_counts(tables, 100, ROOTS[0]))
 
     def test_rejects_empty_roots_and_no_events(self):
@@ -340,6 +362,51 @@ class TestSeedStack:
         rho = states.random_density(2, 52)
         with pytest.raises(ValueError, match="needs a root seed"):
             make(rho, CouplingConfig(2, 0.3, 1.4), SUPPORTED_PAIRS, n=100)
+
+
+class TestOutcomeClasses:
+    # the sampler draws each table's outcome classes instead of its cells;
+    # merged multinomial cells are a multinomial over the summed probabilities
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_merged_fine_counts_give_the_cell_estimates(self, d):
+        # fine counts of every cell, merged into classes, must give the
+        # estimates of the weighted sum over cells; the cell formula lives
+        # only here, as the oracle. Each count is summed once either way, so
+        # the two agree to a few ulp of the unit-bounded moments.
+        tables = stacked_tables(d, True)
+        n = 3000
+        flat = tables.probs.reshape(d, len(SUPPORTED_PAIRS), 4 * d)
+        fine = np.array([
+            np.random.Generator(np.random.Philox(root)).multinomial(n, flat / flat.sum(-1, keepdims=True))
+            for root in ROOTS
+        ]).reshape(len(ROOTS), *tables.probs.shape)
+        w, freq = tables.weights, fine / n
+        est_cells = np.einsum("pxy,...jpxyk->...jkp", w, freq)
+        second_cells = np.einsum("pxy,...jpxyk->...jkp", w * w, freq)
+        var_cells = np.maximum(second_cells - est_cells * est_cells, 0.0)
+        est, se = sampled_records_from_counts(tables, classes_by_loop(w, fine), n)
+        assert est.shape == se.shape == (len(ROOTS), d, d, len(SUPPORTED_PAIRS))
+        np.testing.assert_allclose(est, est_cells, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(n * se * se, var_cells, rtol=0, atol=1e-14)
+
+    def test_class_draws_follow_the_exact_distribution(self):
+        # 2000 seeds at d = 3 with tilt and efficiency: every mean within 5
+        # sigma of the exact correlation, and the plug-in standard error of
+        # one draw as large as the ensemble's spread. The spread of 2000
+        # draws is known to about 1.6%; the median standard error of a rare
+        # outcome moves in steps of one count, so each entry is checked by
+        # its root-mean-square error and the medians only across entries.
+        tables = stacked_tables(3, True)
+        seeds, n = 2000, 2000
+        roots = [derive_seed(11, "ensemble", s) for s in range(seeds)]
+        est, se = sampled_records_from_counts(tables, sample_counts(tables, n, roots), n)
+        spread = est.std(axis=0)
+        z = (est.mean(axis=0) - correlations.records_from_table(tables)) / (spread / np.sqrt(seeds))
+        assert np.max(np.abs(z)) < 5.0
+        rms = np.sqrt(np.mean(se * se, axis=0)) / spread
+        assert np.all((0.9 < rms) & (rms < 1.1)), rms
+        assert 0.95 < np.median(np.median(se, axis=0) / spread) < 1.05
 
 
 class TestCorrelationSet:
