@@ -236,17 +236,13 @@ def outcome_classes(tables: OutcomeTables) -> np.ndarray:
     they carry its sum and its moments: sum_c p_c = 1 per (j, pair), and at
     each k the +1 class minus (plus) the -1 class is sum w p (sum w^2 p).
     """
-    w = tables.weights[..., None]
-    signs = (w == 1.0, w == -1.0)
-    zero = w == 0.0
-    if not np.all(signs[0] | signs[1] | zero):
+    w, probs = tables.weights[..., None], tables.probs
+    if not np.all(np.isin(w, (-1.0, 0.0, 1.0))):
         raise ValueError("outcome classes need every weight in {-1, 0, 1}")
-    probs = tables.probs
-    return np.concatenate(
-        [np.where(s, probs, 0.0).sum(axis=(2, 3)) for s in signs]
-        + [np.where(zero, probs, 0.0).sum(axis=(2, 3, 4))[..., None]],
-        axis=-1,
-    )
+    plus = np.where(w == 1.0, probs, 0.0).sum(axis=(2, 3))
+    minus = np.where(w == -1.0, probs, 0.0).sum(axis=(2, 3))
+    pool = np.where(w == 0.0, probs, 0.0).sum(axis=(2, 3, 4))
+    return np.concatenate([plus, minus, pool[..., None]], axis=-1)
 
 
 def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int]) -> np.ndarray:
@@ -290,8 +286,8 @@ def sampled_records_from_counts(
     d = tables.cfg.dim
     counts = np.swapaxes(counts, -1, -2)
     plus, minus = counts[..., :d, :], counts[..., d : 2 * d, :]
-    est = np.subtract(plus, minus, order="C") / n
-    second = np.add(plus, minus, order="C") / n
+    est = (plus - minus) / n
+    second = (plus + minus) / n
     var = np.maximum(second - est * est, 0.0) / n
     return est, np.sqrt(var)
 

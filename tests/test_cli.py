@@ -144,9 +144,10 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 5
+    assert out.count("[ok]") == 6
     assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
+    assert "[ok] outcome classes carry the tables' moments (max dev" in out
 
 
 def _one_line_error(capsys, rc):
