@@ -390,6 +390,12 @@ class TestOutcomeClasses:
         np.testing.assert_allclose(est, est_cells, rtol=0, atol=1e-15)
         np.testing.assert_allclose(n * se * se, var_cells, rtol=0, atol=1e-14)
 
+    def test_rejects_a_weight_outside_the_classes(self):
+        # a table built by hand may carry any weights; the classes hold only -1, 0 and 1
+        tables = replace(stacked_tables(2, False), weights=np.full((len(SUPPORTED_PAIRS), 2, 2), 0.5))
+        with pytest.raises(ValueError, match=r"weight in \{-1, 0, 1\}"):
+            sample_counts(tables, 100, 7)
+
     def test_class_draws_follow_the_exact_distribution(self):
         # 2000 seeds at d = 3 with tilt and efficiency: every mean within 5
         # sigma of the exact correlation, and the plug-in standard error of
