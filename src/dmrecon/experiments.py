@@ -24,7 +24,7 @@ tomography estimate, mirroring a real experiment's protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,25 +95,30 @@ class Scenario:
     methods: tuple[str, ...] = ("W", "I", "II")
     source: str = "sampled"
     reference: str = "truth"
-    purity_grid: tuple[float, ...] = field(default_factory=default_purity_grid)
+    purity_grid: tuple[float, ...] | None = None  # None: a purity sweep's default grid
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind '{self.kind}'")
         if not self.scenario_id:
             raise ValueError("scenario id must be nonempty")
+        purity_sweep = self.kind == "purity_sweep"
         thetas = self.theta_list
         if thetas is None:
-            thetas = (math.pi / 2,) if self.kind == "purity_sweep" else default_theta_grid()
+            thetas = (math.pi / 2,) if purity_sweep else default_theta_grid()
             object.__setattr__(self, "theta_list", thetas)
+        if self.purity_grid is None and purity_sweep:
+            object.__setattr__(self, "purity_grid", default_purity_grid())
+        if self.purity_grid is not None and not purity_sweep:
+            raise ValueError(f"purity_grid applies only to purity sweeps, not to {self.kind}")
         if not thetas:
             raise ValueError("theta needs at least one value")
         for th in thetas:
             check_theta(th)
-        if self.kind == "purity_sweep" and len(thetas) != 1:
+        if purity_sweep and len(thetas) != 1:
             raise ValueError("purity sweeps use a single coupling strength")
         check_dim(self.d)
-        if self.kind == "purity_sweep" and not self.input_state.startswith("pure:"):
+        if purity_sweep and not self.input_state.startswith("pure:"):
             raise ValueError("purity sweeps need a pure input spec for the family state")
         states.check_state_spec(self.input_state, self.d)
         check_bias(self.bias_epsilon, self.bias_efficiency)
@@ -134,15 +139,15 @@ class Scenario:
             raise ValueError(f"source must be one of {SOURCES}")
         if self.reference not in REFERENCES:
             raise ValueError(f"reference must be one of {REFERENCES}")
-        if not self.purity_grid:
+        if purity_sweep and not self.purity_grid:
             raise ValueError("purity_grid needs at least one point")
-        for p in self.purity_grid:
+        for p in self.purity_grid or ():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"purity point {p} outside [0, 1]")
         # a repeated grid coordinate would only write duplicate rows
         for key, values in (
             ("seeds", self.seeds), ("theta", thetas), ("methods", self.methods),
-            ("purity_grid", self.purity_grid),
+            ("purity_grid", self.purity_grid or ()),
         ):
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat, got {' '.join(map(str, values))}")

@@ -21,9 +21,9 @@ The config format is flat key-value text with one section per scenario:
 (state, theta and n_seeds). One `_read_section` loop reads both kinds of
 section. Whole files validate before anything runs, and every problem is
 reported, not just the first one: a key's problems with its line number, a
-whole-scenario check (kind, d, bias, seeds with n_seeds) with its
-`section [scenario <id>]`. A key may be set once per scenario, and once
-across all [global] sections.
+whole-scenario check (kind, d, bias, seeds with n_seeds, purity_grid in a
+purity sweep only) with its `section [scenario <id>]`. A key may be set
+once per scenario, and once across all [global] sections.
 """
 
 from __future__ import annotations
