@@ -245,23 +245,25 @@ def outcome_classes(tables: OutcomeTables) -> np.ndarray:
     return np.concatenate([plus, minus, pool[..., None]], axis=-1)
 
 
-def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int]) -> np.ndarray:
+def sample_counts(
+    tables: OutcomeTables, n: int, root_seed: int | np.random.Generator | Sequence
+) -> np.ndarray:
     """Draw n events from every (j, pair) table; integer outcome-class counts [..., j-1, p, c].
 
     The classes are those of `outcome_classes`: c = k-1 counts the weight +1
     outcomes at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
-    zero-weight outcome; each (j, pair) row sums to n. Each root seed keys
-    one counter-based Philox generator, which makes one multinomial draw
-    over the (d, P, 2d + 1) class stack: reproducible across runs and
-    workers, with cost independent of n. A table's counts depend on its root
-    seed and on every table drawn with it. An int root seed gives a
-    (d, P, 2d + 1) array; a sequence of S root seeds gives an (S, d, P, 2d + 1)
-    stack whose slice s is the counts of root_seed[s] alone, whatever the
-    other roots are.
+    zero-weight outcome; each (j, pair) row sums to n. Each slice is one
+    multinomial draw over the (d, P, 2d + 1) class stack, from a Generator
+    as given (which the caller may draw from next) or from a fresh
+    counter-based `Philox(root)` for an int root: reproducible across runs
+    and workers, with cost independent of n. A table's counts depend on its
+    generator and on every table drawn with it. One root or Generator gives
+    a (d, P, 2d + 1) array; a sequence of S an (S, d, P, 2d + 1) stack whose
+    slice s is the counts of root_seed[s] alone, whatever the others are.
     """
     if n < 1:
         raise ValueError("need at least one event")
-    single = isinstance(root_seed, numbers.Integral)
+    single = isinstance(root_seed, (numbers.Integral, np.random.Generator))
     roots = [root_seed] if single else list(root_seed)
     if not roots:
         raise ValueError("need at least one root seed")
@@ -269,7 +271,9 @@ def sample_counts(tables: OutcomeTables, n: int, root_seed: int | Sequence[int])
     pvals = classes / classes.sum(axis=-1, keepdims=True)
     counts = np.empty((len(roots), *pvals.shape), dtype=np.int64)
     for out, root in zip(counts, roots):
-        out[...] = np.random.Generator(np.random.Philox(root)).multinomial(n, pvals)
+        if not isinstance(root, np.random.Generator):
+            root = np.random.Generator(np.random.Philox(root))
+        out[...] = root.multinomial(n, pvals)
     return counts[0] if single else counts
 
 
@@ -295,16 +299,16 @@ def sampled_records_from_counts(
 def correlation_set_from_tables(
     tables: OutcomeTables,
     n: int = 0,
-    root_seed: int | Sequence[int] | None = None,
+    root_seed: int | np.random.Generator | Sequence[int | np.random.Generator] | None = None,
 ) -> Correlations:
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
     n = 0 gives the exact set, and then no root seed may be given. n >= 1
-    draws n events from each (j, pair) table, all of them from one generator
-    keyed by the root seed, which is then required: one per (grid point,
-    seed). A sequence of S root seeds draws S sets in one call and returns
-    them as one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the
-    set of root_seed[s] alone, bit for bit.
+    draws n events from each (j, pair) table, all of them from one generator,
+    which is then required: a Generator or a root seed (`sample_counts`), one
+    per (grid point, seed). A sequence of S draws S sets in one call and
+    returns them as one `Correlations` indexed [s, j-1, k-1, p]; slice s
+    equals the set of root_seed[s] alone, bit for bit.
     """
     if n == 0:
         if root_seed is not None:
@@ -341,7 +345,7 @@ def correlation_set(
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
     n: int = 0,
-    root_seed: int | Sequence[int] | None = None,
+    root_seed: int | np.random.Generator | Sequence[int | np.random.Generator] | None = None,
 ) -> Correlations:
     """All (j, k) unbiased correlations of the requested pairs.
 

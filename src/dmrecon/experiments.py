@@ -1,9 +1,10 @@
 """Scenario runner: purity, strength and statistical-error sweeps.
 
-Every run is deterministic: per-point seeds are derived from the root seed
-and the scenario coordinates, and rows are sorted before they are written,
-so repeated runs (or parallel ones) produce identical output. Rows are held
-as one structured array of `ROW_DTYPE`, whose fields are the CSV columns.
+Every run is deterministic: each (grid point, seed) draws all of its counts
+from one generator, keyed by a seed derived from the root seed and its
+coordinates, and rows are sorted before they are written, so repeated runs
+(or parallel ones) produce identical output. Rows are held as one
+structured array of `ROW_DTYPE`, whose fields are the CSV columns.
 
 Each grid point builds its outcome tables once and turns its sampled seeds
 into rows as one stack (`run_point`). The expectation rows (seed -1, from
@@ -212,9 +213,10 @@ def run_point(
     exact d^2 Born vector (None without QST); `run_scenario` estimates seed -1
     (EXPECTATION_SEED) of every grid point from them as one grid stack.
     `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
-    exact source. The seeds are one stack: one sampler call draws every
-    seed's correlations, each from its own derived root seed, and each seed's
-    QST vectors come from its own derived seeds too.
+    exact source. The seeds are one stack, and each seed has one generator,
+    `Philox(derive_seed(root_seed, *point_key, seed))`. It draws the seed's
+    outcome classes, then the QST method's Born counts, then the QST
+    reference's, each only where it is read.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -230,18 +232,13 @@ def run_point(
     exact = correlations.correlation_set_from_tables(tables) if pairs else None
     rows = None
     if scn.source == "sampled":
-        roots = [derive_seed(root_seed, *point_key, seed) for seed in scn.seeds]
-        correls = None
-        if pairs:
-            correls = correlations.correlation_set_from_tables(
-                tables, n=scn.n_events, root_seed=roots
-            )
-        method_probs = ref_probs = None
-        if qst_method:
-            method_probs = _sampled_born(born, scn.n_events, [(r, "qst-method") for r in roots])
-        if qst_ref:
-            ref_keys = [(root_seed, *point_key, seed, "qst-ref") for seed in scn.seeds]
-            ref_probs = _sampled_born(born, scn.n_events, ref_keys)
+        n = scn.n_events
+        roots = (derive_seed(root_seed, *point_key, seed) for seed in scn.seeds)
+        rngs = [np.random.Generator(np.random.Philox(root)) for root in roots]
+        correls = correlations.correlation_set_from_tables(tables, n, rngs) if pairs else None
+        p = None if born is None else np.clip(born, 0.0, 1.0)
+        method_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_method else None
+        ref_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_ref else None
         point = _fields(scn, theta, purity_p)
         rows = _stack_rows(scn, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs)
     return rows, exact, born
@@ -272,13 +269,6 @@ def _fields(scn: Scenario, theta, purity_p) -> dict:
         "bias_epsilon": scn.bias_epsilon,
         "bias_efficiency": scn.bias_efficiency,
     }
-
-
-def _sampled_born(born: np.ndarray, n: int, keys) -> np.ndarray:
-    """Born frequencies of n events per projector, one row per key's derived seed."""
-    p = np.clip(born, 0.0, 1.0)
-    rngs = (np.random.Generator(np.random.Philox(derive_seed(*key))) for key in keys)
-    return np.array([rng.binomial(n, p) / n for rng in rngs])
 
 
 def _stack_rows(scn, truth, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:

@@ -105,6 +105,24 @@ class TestOutcomeTables:
         # Pi1-Pi1 has no weight -1 outcome: its padded classes draw nothing
         assert np.all(counts[:, PAIRS_EXACT_II.index(("Pi1", "Pi1")), 3:6] == 0)
 
+    def test_a_generator_slice_takes_one_multinomial(self):
+        # a Generator in place of a root seed makes exactly one multinomial
+        # draw, the one a fresh Philox(root) makes, and the caller draws on
+        # from where it stopped: one stream per (grid point, seed)
+        rho = states.random_density(3, 41)
+        tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
+        classes = correlations.outcome_classes(tables)
+        pvals = classes / classes.sum(axis=-1, keepdims=True)
+        roots, n = (12345, 678), 777
+        rngs = [np.random.Generator(np.random.Philox(root)) for root in roots]
+        stack = sample_counts(tables, n, rngs)
+        single = np.random.Generator(np.random.Philox(roots[0]))
+        np.testing.assert_array_equal(sample_counts(tables, n, single), stack[0])
+        for rng, counts, root in zip([*rngs, single], [*stack, stack[0]], [*roots, roots[0]]):
+            mirror = np.random.Generator(np.random.Philox(root))
+            np.testing.assert_array_equal(counts, mirror.multinomial(n, pvals))
+            np.testing.assert_array_equal(rng.random(4), mirror.random(4))
+
 
 class TestExactCorrelation:
     def test_real_state_has_zero_xy(self):

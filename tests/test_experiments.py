@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dmrecon import correlations, experiments, qmath, states
+from dmrecon import correlations, experiments, qmath, reconstruct, states
 from dmrecon.correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, correlation_set_from_tables
 from dmrecon.experiments import (
     EXPECTATION_SEED,
@@ -284,6 +284,40 @@ class TestRunners:
         want = seed_2_csv((0, 1, 2))
         assert seed_2_csv((2, 0)) == want
         assert seed_2_csv((2,)) == want
+
+    @pytest.mark.parametrize("methods", [("W", "QST"), ("QST",)], ids=["W-QST", "QST-only"])
+    def test_one_generator_per_seed_draws_classes_then_method_then_reference(self, methods):
+        # one seed's generator, rebuilt by hand from its derived seed: the
+        # outcome classes (when a direct method reads them), then the QST
+        # method's Born counts, then the QST reference's, all drawn with
+        # numpy directly, give the scenario's rows to the last bit
+        scn = Scenario(
+            scenario_id="one-stream", kind="strength_sweep", input_state="random:seed=4", d=3,
+            theta_list=(0.4, 1.1), n_events=700, seeds=(0, 1, 2), methods=methods,
+            reference="qst", bias_epsilon=0.01, bias_efficiency=0.97,
+        )
+        root_seed, theta, seed, n, d = 5, 1.1, 1, scn.n_events, scn.d
+        rows = rows_by(run_scenario(scn, root_seed), theta_a=theta, seed=seed)
+        rng = np.random.Generator(np.random.Philox(
+            correlations.derive_seed(root_seed, scn.scenario_id, "th", theta, seed)
+        ))
+        rho = states.parse_state_spec(scn.input_state, d)
+        cfg = CouplingConfig(d, theta, theta)
+        estimates = {}
+        if "W" in methods:
+            tables = build_tables(rho, cfg, correlations.PAIRS_WEAK, 0.01, 0.97)
+            classes = correlations.outcome_classes(tables)
+            counts = rng.multinomial(n, classes / classes.sum(axis=-1, keepdims=True))
+            values, std_error = correlations.sampled_records_from_counts(tables, counts, n)
+            correls = correlations.Correlations(cfg, tables.pairs, values, std_error, n)
+            estimates["W"] = reconstruct.reconstruct_weak(correls).finalized
+        born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(d))
+        p = np.clip(born, 0.0, 1.0)
+        estimates["QST"] = reconstruct.qst_linear_inversion(rng.binomial(n, p) / n, d).finalized
+        reference = reconstruct.qst_linear_inversion(rng.binomial(n, p) / n, d).finalized
+        assert sorted(rows["method"]) == sorted(methods)
+        for row in rows:
+            assert row["trace_distance"] == qmath.trace_distance(estimates[row["method"]], reference)
 
     def test_rows_sorted(self):
         scn = Scenario(
