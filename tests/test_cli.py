@@ -252,12 +252,12 @@ def test_exact_reports_degenerate_estimate(capsys, argv):
         (["kind = single", "methods = W W"], "methods must not repeat"),
         (["kind = purity_sweep", "purity_grid ="], "purity_grid needs at least one point"),
         (["kind = purity_sweep", "purity_grid = 0 0.5 0"], "purity_grid must not repeat"),
-        (["kind = strength_sweep", "purity_grid = 0.1 0.2"],
-         "purity_grid applies only to purity sweeps"),
         (["kind = single", "theta ="], "theta needs at least one value"),
         (["kind = single", "bias_epsilon = nan"], "|epsilon| <= 0.1"),
         (["kind = single", "seeds = 9223372036854775808 3"], "outside 0..2**63-1"),
         (["kind = single", "seeds = 18446744073709551616 3"], "outside 0..2**63-1"),
+        (["kind = strength_sweep", "purity_grid = 0.1 0.2"],
+         "purity_grid applies only to purity sweeps"),
     ],
 )
 def test_run_rejects_scenario_that_cannot_run(tmp_path, capsys, monkeypatch, lines, message):
