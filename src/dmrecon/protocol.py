@@ -79,6 +79,7 @@ class CouplingConfig:
     Derived quantities are recomputed on access so they can never go stale.
     theta = 0 is accepted (evolution is then the identity) but `n_ab` is
     undefined there and raises: the estimator formulas divide by sin(theta).
+    Every nonzero theta must pass `check_theta`.
     """
 
     dim: int
@@ -90,6 +91,8 @@ class CouplingConfig:
         for name, th in (("theta_a", self.theta_a), ("theta_b", self.theta_b)):
             if not 0.0 <= th <= math.pi / 2 + 1e-12:
                 raise ValueError(f"{name}={th} outside [0, pi/2]")
+            if th:
+                check_theta(th)
 
     @property
     def t_a(self) -> float:

@@ -166,19 +166,18 @@ def reconstruct_exact_i(correls: Correlations) -> ReconstructionResult:
 def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
     """Exact estimator from only three observable pairs.
 
-    Diagonal entries come from the double-flip probability <Pi1 Pi1>, which
-    is independent of the final system outcome k: exact data uses k = j,
-    sampled data is averaged over k so every event contributes.
+    Diagonal entry j is 16 n_ab^2 times the double-flip correlation
+    <Pi1 Pi1> averaged over the final system outcome k, for exact and
+    sampled data alike; its standard error is zero for exact data.
     """
     d = correls.dim
     (n,) = _constants(correls, lambda c: (c.n_ab,))
     pp, yy, xy, _, e_yy, e_xy = _columns(correls, PAIRS_EXACT_II)
     # the diagonal estimates as (..., d, 1) columns, which broadcast against n
+    est = pp.mean(axis=-1, keepdims=True)
     if correls.n_events:
-        est = pp.mean(axis=-1, keepdims=True)
         se = np.sqrt(np.maximum(est / d - est * est, 0.0) / correls.n_events)
     else:
-        est = np.diagonal(pp, axis1=-2, axis2=-1)[..., None]
         se = np.zeros_like(est)
     raw = -2 * n * yy + 2j * n * xy
     re_err = 2 * n * e_yy

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from dmrecon import metrics, states
+from dmrecon import experiments, metrics, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     build_tables,
@@ -103,12 +103,8 @@ def loop_exact_ii(cs, cfg):
     re_err = np.zeros((d, d))
     im_err = np.zeros((d, d))
     for j in range(1, d + 1):
-        if cs.n_events:
-            est = float(np.mean([get(j, k, ("Pi1", "Pi1"))[0] for k in range(1, d + 1)]))
-            se = math.sqrt(max(est / d - est * est, 0.0) / cs.n_events)
-        else:
-            est = get(j, j, ("Pi1", "Pi1"))[0]
-            se = 0.0
+        est = float(np.mean([get(j, k, ("Pi1", "Pi1"))[0] for k in range(1, d + 1)]))
+        se = math.sqrt(max(est / d - est * est, 0.0) / cs.n_events) if cs.n_events else 0.0
         raw[j - 1, j - 1] = 16 * n * n * est
         re_err[j - 1, j - 1] = 16 * n * n * se
         for k in range(1, d + 1):
@@ -155,6 +151,22 @@ def test_vectorised_estimators_match_loops(d, seed):
             np.testing.assert_allclose(
                 result.element_errors, _element_errors(re_err, im_err), rtol=1e-14, atol=0
             )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_exact_set_reads_as_the_same_values_sampled(d):
+    # an estimator reads the values it is given, exact or sampled: under
+    # pointer tilt and inefficiency <Pi1 Pi1> varies over k, and the exact
+    # set must still give what the same values carried as a sampled set give
+    rho = states.random_density(d, 13 * d)
+    cfg = CouplingConfig(d, 0.5, 0.5)
+    tables = experiments.build_tables(rho, cfg, PAIRS_EXACT_I, epsilon=0.05, efficiency=0.95)
+    exact = correlation_set_from_tables(tables)
+    pp, _ = exact.column(("Pi1", "Pi1"))
+    assert np.all(np.ptp(pp, axis=-1) > 0.1 * np.abs(pp).max())
+    carried = replace(exact, n_events=1)
+    for rebuild, _ in ESTIMATORS:
+        assert_array_equal(rebuild(carried).raw, rebuild(exact).raw)
 
 
 STACK_SEEDS = 8

@@ -175,6 +175,30 @@ class TestRunners:
             for r in rows_by(rows, seed=EXPECTATION_SEED, method=method):
                 assert r["trace_distance"] < 1e-9
 
+    def test_expectation_row_is_limit_of_sampled_rows(self):
+        # a seed -1 row applies each estimator to the exact correlations: the
+        # large-n limit of its sampled rows, also where bias makes the
+        # double-flip correlation vary over the final outcome k
+        scn = Scenario(
+            scenario_id="lim",
+            kind="single",
+            input_state="random:seed=5",
+            d=3,
+            theta_list=(0.5,),
+            n_events=10**12,
+            seeds=tuple(range(20)),
+            bias_epsilon=0.05,
+            bias_efficiency=0.95,
+            methods=("W", "I", "II"),
+        )
+        rows = run_scenario(scn, root_seed=0)
+        for method in scn.methods:
+            (expected,) = rows_by(rows, method=method, seed=EXPECTATION_SEED)["trace_distance"]
+            sampled = rows_by(rows, method=method)
+            sampled = sampled[sampled["seed"] != EXPECTATION_SEED]["trace_distance"]
+            assert len(sampled) == 20
+            assert abs(np.median(sampled) - expected) < 1e-3, method
+
     def test_exact_rows_match_direct_reconstruction(self):
         scn = Scenario(
             scenario_id="x",

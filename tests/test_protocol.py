@@ -39,6 +39,9 @@ class TestCouplingConfig:
             CouplingConfig(2, 0.5, 2.0)
         with pytest.raises(ValueError):
             CouplingConfig(99, 0.5, 0.5)
+        # a nonzero theta so small that 16 n_ab^2 overflows, as check_theta says
+        with pytest.raises(ValueError, match="too small"):
+            CouplingConfig(2, 1e-100, 1e-100)
 
 
 # every pointer observable, untilted (id: its name) and tilted
