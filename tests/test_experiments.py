@@ -189,7 +189,6 @@ class TestRunners:
             seeds=tuple(range(20)),
             bias_epsilon=0.05,
             bias_efficiency=0.95,
-            methods=("W", "I", "II"),
         )
         rows = run_scenario(scn, root_seed=0)
         for method in scn.methods:
