@@ -225,18 +225,41 @@ def write_matrix(m) -> str:
 # -- Results CSV ---------------------------------------------------------------
 
 
+def _text_cell(value) -> str:
+    """`value` as the csv module writes it in a row of more than one field."""
+    buf = _stdio.StringIO()
+    # a lone empty field is written as "", so the cell gets an empty neighbour
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
+
+
+def _column_cells(col: np.ndarray) -> list[str]:
+    """The text of each cell of one `ROW_DTYPE` field, each distinct value formatted once.
+
+    Numbers are keyed by their bits, which keeps 0.0 and -0.0 apart and gives
+    each nan bit pattern one key, where float keys would merge the zeros and
+    split every nan. Their text is what the csv module writes: repr for a
+    float (nan, inf, -0.0, up to 17 significant digits) and str for an int.
+    """
+    if col.dtype == object:
+        cells = col.tolist()
+        texts = {value: _text_cell(value) for value in dict.fromkeys(cells)}
+        return [texts[value] for value in cells]
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    text = repr if col.dtype.kind == "f" else str
+    texts = [text(value) for value in keys.view(col.dtype).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
 def results_csv(rows: np.ndarray) -> str:
     """Render a `ROW_DTYPE` array as CSV text, one line per row, its fields as columns.
 
-    `tolist` turns each row into Python str, int and float cells, which the
-    csv module writes as themselves, with str and with repr (nan, inf, -0.0
-    and 17 significant digits as Python prints them).
+    The text equals, byte for byte, `csv.writer(lineterminator="\\n")` writing
+    the header and `rows.tolist()`; it is built column by column instead.
     """
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows.tolist())
-    return buf.getvalue()
+    columns = [_column_cells(rows[name]) for name in CSV_COLUMNS]
+    lines = [",".join(CSV_COLUMNS), *map(",".join, zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def write_results(rows: np.ndarray, path) -> None:

@@ -1,10 +1,12 @@
 """Config parsing, matrix serialization, CSV output."""
 
+import csv
 import dataclasses
 import math
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +262,7 @@ class TestResultsCsv:
 
     def test_write_results_file(self, tmp_path):
         scn = Scenario(
-            scenario_id="c",
+            scenario_id="c-θ",
             kind="single",
             input_state="mixed",
             theta_list=(0.5,),
@@ -268,9 +270,10 @@ class TestResultsCsv:
             seeds=(0,),
             methods=("I",),
         )
+        rows = run_scenario(scn, root_seed=0)
         path = tmp_path / "r.csv"
-        io.write_results(run_scenario(scn, root_seed=0), path)
-        assert path.read_text().startswith("scenario_id,")
+        io.write_results(rows, path)
+        assert path.read_bytes() == results_csv(rows).encode("utf-8")
 
     @staticmethod
     def special_rows(last_id):
@@ -315,6 +318,76 @@ class TestResultsCsv:
             "max\x00,single,W,3,0.1,-0.0,1.0,9223372036854775807,9223372036854775807,"
             "0.6666666666666666,inf,0.12345678901234566,-inf,1e-300"
         )
+
+
+def oracle_csv(rows: np.ndarray) -> str:
+    """The csv module writing the header and every row as Python cells: the reference."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(io.CSV_COLUMNS)
+    writer.writerows(rows.tolist())
+    return buf.getvalue()
+
+
+def golden_rows() -> np.ndarray:
+    # every scenario of the golden config, in the order `dmrecon run` writes them
+    golden = Path(__file__).parent / "data" / "golden.cfg"
+    doc = parse_config(golden.read_text(encoding="utf-8"))
+    scenarios = sorted(doc.scenarios, key=lambda scn: scn.scenario_id)
+    return np.concatenate([run_scenario(scn, doc.root_seed) for scn in scenarios])
+
+
+def crafted_rows(with_nul: bool) -> np.ndarray:
+    # repeated and distinct values whose text a value-keyed cache or a
+    # hand-made quoting rule would get wrong; each column cycles its values
+    ids = ["a,b", 'say "hi"', " lead", "trail ", "cr\rlf\n", "θ-ü", "", "plain"]
+    if with_nul:
+        ids.append("nul\x00end")
+    n = len(ids)
+
+    def cycle(*values):
+        return (list(values) * n)[:n]
+
+    rows = np.empty(n, ROW_DTYPE)
+    rows["scenario_id"] = ids
+    rows["kind"] = cycle("single", "")
+    rows["method"] = cycle("W", "I", "II", "QST")
+    rows["d"] = cycle(2, 3, 16)
+    rows["theta_a"] = cycle(0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e-300)
+    rows["theta_b"] = cycle(1e-300, 5e-324, -0.0, 0.0, 2.0 / 3.0)
+    rows["purity_p"] = cycle(-0.0, 0.0)
+    rows["n_events"] = cycle(0, 2**63 - 1, 1)
+    rows["seed"] = cycle(-1, 2**63 - 1, 0)
+    rows["trace_distance"] = cycle(math.nan, -math.nan)
+    rows["delta_rho"] = cycle(math.inf, -math.inf)
+    rows["bound"] = np.linspace(0.1, 0.9, n)
+    rows["bias_epsilon"] = 5e-324
+    rows["bias_efficiency"] = -5e-324
+    return rows
+
+
+class TestResultsCsvOracle:
+    """`results_csv` byte for byte against the csv module writing `rows.tolist()`."""
+
+    def test_golden_scenarios(self):
+        rows = golden_rows()
+        assert len(rows) == 231
+        assert results_csv(rows) == oracle_csv(rows)
+
+    @pytest.mark.parametrize("with_nul", [False, True], ids=["text", "text-with-nul"])
+    def test_crafted_rows(self, with_nul):
+        if with_nul and sys.version_info < (3, 11):
+            pytest.skip("the csv module writes NUL from Python 3.11 on")
+        rows = crafted_rows(with_nul)
+        # the crafted cells really are there: both zeros and both nan signs
+        assert {math.copysign(1.0, z) for z in rows["purity_p"]} == {1.0, -1.0}
+        assert {math.copysign(1.0, v) for v in rows["trace_distance"]} == {1.0, -1.0}
+        assert "" in rows["kind"].tolist() and "" in rows["scenario_id"].tolist()
+        assert results_csv(rows) == oracle_csv(rows)
+
+    def test_zero_rows_give_the_header_only(self):
+        rows = np.empty(0, ROW_DTYPE)
+        assert results_csv(rows) == oracle_csv(rows) == ",".join(io.CSV_COLUMNS) + "\n"
 
 
 def test_config_document_defaults():
