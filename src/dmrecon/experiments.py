@@ -297,7 +297,7 @@ def _stack_rows(scn, truth, point, seeds, correls, method_probs, ref_probs) -> n
     t_dist, delta_rho = metrics.compare(
         finalized, np.array([r.element_errors for r in results]), reference
     )
-    rows = np.empty(t_dist.shape, ROW_DTYPE)
+    rows = np.zeros(t_dist.shape, ROW_DTYPE)
     for name, value in point.items():
         rows[name] = value
     rows["seed"] = seeds

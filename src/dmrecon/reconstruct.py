@@ -3,11 +3,14 @@
 Three direct estimators are provided. The weak estimator combines four Pauli
 correlation pairs per element and is accurate only for small coupling. The
 two exact estimators add flipped-pointer (Pi1) terms, or use them outright,
-and reproduce the state at any coupling strength. Linear-inversion
-tomography serves as the reference method: `qst_linear_inversion` inverts
-the Born vector of the standard d^2-projector family (one (d^2, d, d) stack,
-`standard_projector_family`) in closed form at any d, and
-`qst_least_squares` solves any other informationally complete projector set.
+and reproduce the state at any coupling strength. Each is a table of
+(scale, {pair: weight}) terms that one function (`_linear`) applies and
+propagates the errors through; the diagonal of method II is the exception.
+Linear-inversion tomography serves as the reference method:
+`qst_linear_inversion` inverts the Born vector of the standard
+d^2-projector family (one (d^2, d, d) stack, `standard_projector_family`)
+in closed form at any d, and `qst_least_squares` solves any other
+informationally complete projector set.
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
@@ -30,11 +33,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from . import qmath, states
-from .correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, PAIRS_WEAK, Correlations
+from .correlations import PAIRS_EXACT_I, Correlations
 from .protocol import MAX_DIM, CouplingConfig
 
 FINALIZE_TRACE_ATOL = 1e-9
@@ -101,12 +105,6 @@ def _constants(correls: Correlations, f) -> tuple:
     return tuple(np.reshape(v, shape) for v in zip(*map(f, correls.cfg)))
 
 
-def _columns(correls: Correlations, pairs) -> list[np.ndarray]:
-    """Values then standard errors, as (..., d, d) arrays, of each requested pair."""
-    cols = [correls.column(pair) for pair in pairs]
-    return [v for v, _ in cols] + [e for _, e in cols]
-
-
 def _result(raw, re_err=None, im_err=None) -> ReconstructionResult:
     """The result of a raw estimate; without errors (tomography) they are all nan."""
     if re_err is None:
@@ -116,15 +114,35 @@ def _result(raw, re_err=None, im_err=None) -> ReconstructionResult:
     return ReconstructionResult(raw, finalize(raw), errors)
 
 
-def _pauli_terms(correls: Correlations, n):
-    """The weak combination of the four Pauli pairs, with its error variances.
+def _linear(correls: Correlations, method: str) -> tuple:
+    """The raw estimate of a direct method with the errors of its real and imaginary parts.
 
-    Returns the real and imaginary parts n_ab (<XX> - <YY>) and
-    n_ab (<XY> + <YX>), and the variance sums behind their errors (before
-    the factor n_ab).
+    Each part is a list of (scale, {pair: weight}) terms, grouped as the
+    formulas are written: the part is the sum over terms of scale times the
+    weighted sum of the pairs' correlations, so a pair's flat coefficient is
+    scale * weight. Every correlation's standard error enters in quadrature
+    through that coefficient, as independent of the others'.
     """
-    xx, yy, yx, xy, e_xx, e_yy, e_yx, e_xy = _columns(correls, PAIRS_WEAK)
-    return n * (xx - yy), n * (xy + yx), e_xx**2 + e_yy**2, e_yx**2 + e_xy**2
+    n, t_a, t_b = _constants(correls, lambda c: (c.n_ab, c.t_a, c.t_b))
+    xx, yy, yx, xy, xp, px, yp, pp = PAIRS_EXACT_I
+    weak = ([(n, {xx: 1, yy: -1})], [(n, {xy: 1, yx: 1})])
+    re_terms, im_terms = {
+        "W": weak,
+        "I": (
+            weak[0] + [(2 * n, {xp: t_b, px: t_a, pp: 2 * t_a * t_b})],
+            weak[1] + [(2 * n * t_b, {yp: 1})],
+        ),
+        "II": ([(-2 * n, {yy: 1})], [(2 * n, {xy: 1})]),
+    }[method]
+    _sum = functools.partial(functools.reduce, add)  # from the first term: 0 + -0.0 is 0.0
+    parts = []
+    for terms in (re_terms, im_terms):
+        cols = {pair: correls.column(pair) for _, weights in terms for pair in weights}
+        value = _sum(s * _sum(w * cols[p][0] for p, w in ws.items()) for s, ws in terms)
+        var = _sum((s * w * cols[p][1]) ** 2 for s, ws in terms for p, w in ws.items())
+        parts += [value, np.sqrt(var)]
+    re, re_err, im, im_err = parts
+    return re + 1j * im, re_err, im_err
 
 
 def reconstruct_weak(correls: Correlations) -> ReconstructionResult:
@@ -133,10 +151,7 @@ def reconstruct_weak(correls: Correlations) -> ReconstructionResult:
     Element (j, k) is n_ab * (<XX> - <YY>) + i n_ab * (<YX> + <XY>). The
     result approximates the state only for small coupling strength.
     """
-    (n,) = _constants(correls, lambda c: (c.n_ab,))
-    re, im, re_var, im_var = _pauli_terms(correls, n)
-    raw = re + 1j * im
-    return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
+    return _result(*_linear(correls, "W"))
 
 
 def reconstruct_exact_i(correls: Correlations) -> ReconstructionResult:
@@ -145,22 +160,7 @@ def reconstruct_exact_i(correls: Correlations) -> ReconstructionResult:
     From exact correlations this reproduces the state at any coupling
     strength; the correction terms vanish as the strength goes to zero.
     """
-    n, t_a, t_b, t_a2, t_b2 = _constants(
-        correls, lambda c: (c.n_ab, c.t_a, c.t_b, c.t_a**2, c.t_b**2)
-    )
-    re, im, re_var, im_var = _pauli_terms(correls, n)
-    xp, px, yp, pp, e_xp, e_px, e_yp, e_pp = _columns(correls, PAIRS_EXACT_I[4:])
-    re = re + 2 * n * (t_b * xp + t_a * px + 2 * t_a * t_b * pp)
-    im = im + 2 * n * t_b * yp
-    re_var = (
-        re_var
-        + 4 * t_b2 * e_xp**2
-        + 4 * t_a2 * e_px**2
-        + 16 * t_a2 * t_b2 * e_pp**2
-    )
-    im_var = im_var + 4 * t_b2 * e_yp**2
-    raw = re + 1j * im
-    return _result(raw, n * np.sqrt(re_var), n * np.sqrt(im_var))
+    return _result(*_linear(correls, "I"))
 
 
 def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
@@ -168,24 +168,21 @@ def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
 
     Diagonal entry j is 16 n_ab^2 times the double-flip correlation
     <Pi1 Pi1> averaged over the final system outcome k, for exact and
-    sampled data alike; its standard error is zero for exact data.
+    sampled data alike: the one entry outside the linear terms, with its
+    own standard error, zero for exact data.
     """
     d = correls.dim
     (n,) = _constants(correls, lambda c: (c.n_ab,))
-    pp, yy, xy, _, e_yy, e_xy = _columns(correls, PAIRS_EXACT_II)
+    raw, re_err, im_err = _linear(correls, "II")
     # the diagonal estimates as (..., d, 1) columns, which broadcast against n
-    est = pp.mean(axis=-1, keepdims=True)
+    est = correls.column(("Pi1", "Pi1"))[0].mean(axis=-1, keepdims=True)
     if correls.n_events:
         se = np.sqrt(np.maximum(est / d - est * est, 0.0) / correls.n_events)
     else:
         se = np.zeros_like(est)
-    raw = -2 * n * yy + 2j * n * xy
-    re_err = 2 * n * e_yy
-    im_err = 2 * n * e_xy
     i = np.arange(d)
     raw[..., i, i] = (16 * n * n * est)[..., 0]
     re_err[..., i, i] = (16 * n * n * se)[..., 0]
-    im_err[..., i, i] = 0.0
     return _result(raw, re_err, im_err)
 
 

@@ -138,7 +138,7 @@ def _correlation_sets(d, seed):
     )
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vectorised_estimators_match_loops(d, seed):
     cfg, sets = _correlation_sets(d, 1000 * d + seed)
