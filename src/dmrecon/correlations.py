@@ -121,9 +121,9 @@ class Correlations:
                 raise ValueError(f"correlations are for d={self.dim}, config has d={c.dim}")
         if per_slice and (len(shape) < 4 or len(self.cfg) != shape[0]):
             raise ValueError(f"{len(self.cfg)} configs for correlations shaped {shape}")
-        if np.any(self.std_error < 0.0):
+        if not np.all(self.std_error >= 0.0):  # also rejects nan
             raise ValueError("standard error must be nonnegative")
-        if self.n_events == 0 and np.any(self.std_error > 0.0):
+        if self.n_events == 0 and not np.all(self.std_error == 0.0):
             raise ValueError("only sampled correlations carry a standard error")
 
     @property
@@ -146,6 +146,8 @@ def stack_sets(sets) -> Correlations:
 
     The stack keeps the one config the sets share, or else holds one per set.
     """
+    if not sets:
+        raise ValueError("a stack needs at least one correlation set")
     first = sets[0]
     if any(c.pairs != first.pairs or c.n_events != first.n_events for c in sets):
         raise ValueError("stacked correlation sets must share pairs and n_events")

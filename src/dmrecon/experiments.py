@@ -188,6 +188,7 @@ def build_tables(
     An efficiency other than 1 scales the designated projector's probability
     rows of a copy, then renormalizes each (j, pair) table.
     """
+    check_bias(epsilon, efficiency)
     tables = correlations.build_tables(rho, cfg, pairs, epsilon)
     if efficiency == 1.0:
         return tables
@@ -239,47 +240,23 @@ def run_point(
         p = None if born is None else np.clip(born, 0.0, 1.0)
         method_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_method else None
         ref_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_ref else None
-        point = _fields(scn, theta, purity_p)
-        rows = _stack_rows(scn, rho.matrix, point, scn.seeds, correls, method_probs, ref_probs)
+        rows = _stack_rows(
+            scn, rho.matrix, theta, purity_p, scn.seeds, correls, method_probs, ref_probs
+        )
     return rows, exact, born
 
 
-def _fields(scn: Scenario, theta, purity_p) -> dict:
-    """Every row field but the seed and the two errors, broadcast over (method, stack).
-
-    theta and purity_p are one value or one per stack slice. `bound` is each
-    method's `metrics.error_lower_bound` at each theta, nan where the method
-    has no floor.
-    """
-    thetas = np.atleast_1d(theta).tolist()
-    bound = [
-        [metrics.error_lower_bound(m, scn.d, th, scn.n_events) for th in thetas]
-        for m in scn.methods
-    ]
-    return {
-        "scenario_id": scn.scenario_id,
-        "kind": scn.kind,
-        "method": np.array(scn.methods, dtype=object)[:, None],
-        "d": scn.d,
-        "theta_a": theta,
-        "theta_b": theta,
-        "purity_p": purity_p,
-        "n_events": scn.n_events,
-        "bound": bound,
-        "bias_epsilon": scn.bias_epsilon,
-        "bias_efficiency": scn.bias_efficiency,
-    }
-
-
-def _stack_rows(scn, truth, point, seeds, correls, method_probs, ref_probs) -> np.ndarray:
+def _stack_rows(scn, truth, theta, purity_p, seeds, correls, method_probs, ref_probs) -> np.ndarray:
     """Rows of one stack, method-major: each method estimated once over the stack.
 
     A stack is either one grid point's sampled seeds or the seed -1 rows of
     every grid point of a scenario, the grid stack. The inputs are the stack's
-    correlations, the true states (one matrix, or one per slice) and the QST
-    method and reference Born vectors, one row per slice (None where nothing
-    reads them); `point` holds the other row fields (`_fields`). One
-    `finalize` per method and one `metrics.compare` call cover every row.
+    coordinates (theta, purity_p and seeds, each one value or one per slice),
+    its correlations, the true states (one matrix, or one per slice) and the
+    QST method and reference Born vectors, one row per slice (None where
+    nothing reads them). One `finalize` per method and one `metrics.compare`
+    call cover every row. `bound` is each method's `metrics.error_lower_bound`
+    at each theta, nan where the method has no floor.
     A slice with near-zero trace (zero signal, e.g. zero double-flip counts
     at small theta) has no state estimate: `finalize` leaves it nan, and
     `compare` gives its row trace_distance nan and delta_rho inf. A nan QST
@@ -297,12 +274,30 @@ def _stack_rows(scn, truth, point, seeds, correls, method_probs, ref_probs) -> n
     t_dist, delta_rho = metrics.compare(
         finalized, np.array([r.element_errors for r in results]), reference
     )
+    thetas = np.atleast_1d(theta).tolist()
+    bound = [
+        [metrics.error_lower_bound(m, scn.d, th, scn.n_events) for th in thetas]
+        for m in scn.methods
+    ]
+    fields = {
+        "scenario_id": scn.scenario_id,
+        "kind": scn.kind,
+        "method": np.array(scn.methods, dtype=object)[:, None],
+        "d": scn.d,
+        "theta_a": theta,
+        "theta_b": theta,
+        "purity_p": purity_p,
+        "n_events": scn.n_events,
+        "seed": seeds,
+        "trace_distance": t_dist,
+        "delta_rho": delta_rho,
+        "bound": bound,
+        "bias_epsilon": scn.bias_epsilon,
+        "bias_efficiency": scn.bias_efficiency,
+    }
     rows = np.zeros(t_dist.shape, ROW_DTYPE)
-    for name, value in point.items():
+    for name, value in fields.items():
         rows[name] = value
-    rows["seed"] = seeds
-    rows["trace_distance"] = t_dist
-    rows["delta_rho"] = delta_rho
     return rows.ravel()
 
 
@@ -330,11 +325,12 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     sampled, exact, born = zip(*(
         run_point(scn, rho, theta, p, root_seed, key) for rho, theta, p, key in grid
     ))
-    point = _fields(scn, np.array(thetas), np.array(purities))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
     born = None if born[0] is None else np.array(born)
     truth = np.array([rho.matrix for rho in rhos])
-    rows = _stack_rows(scn, truth, point, EXPECTATION_SEED, correls, born, born)
+    rows = _stack_rows(
+        scn, truth, np.array(thetas), np.array(purities), EXPECTATION_SEED, correls, born, born
+    )
     if scn.source == "sampled":
         rows = np.concatenate([rows, *sampled])
     return sort_rows(rows)

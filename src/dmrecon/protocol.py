@@ -253,6 +253,8 @@ def outcome_probabilities(
 
 def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
     """Real outcome tables [..., alpha, beta, k], each checked to be a distribution."""
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("outcome probabilities are not finite")
     imag_max = float(np.max(np.abs(probs.imag)))
     if imag_max > PROB_CORRUPT:
         raise ValueError(f"outcome probabilities have imaginary part {imag_max:.3e}")

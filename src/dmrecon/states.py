@@ -156,9 +156,14 @@ def parse_state_spec(spec: str, d: int) -> DensityMatrix:
             if key in params:
                 raise ValueError(f"family parameter '{key}' given twice in '{spec}'")
             params[key] = val
+        needs = f"family spec needs p=<float>,psi=<label>: '{spec}'"
         if len(params) < 2:
-            raise ValueError(f"family spec needs p=<float>,psi=<label>: '{spec}'")
-        return purity_family(float(params["p"]), named_ket(params["psi"], d))
+            raise ValueError(needs)
+        try:
+            p = float(params["p"])
+        except ValueError:
+            raise ValueError(needs) from None
+        return purity_family(p, named_ket(params["psi"], d))
     if text.startswith("random:"):
         return random_density(d, _random_seed(text))
     raise ValueError(f"unrecognized state spec '{spec}'")
@@ -179,9 +184,13 @@ def check_state_spec(spec: str, d: int) -> None:
 
 def _random_seed(text: str) -> int:
     key, _, val = text[len("random:"):].partition("=")
+    needs = f"random spec needs seed=<int>: '{text}'"
     if key != "seed":
-        raise ValueError(f"random spec needs seed=<int>: '{text}'")
-    seed = int(val)
+        raise ValueError(needs)
+    try:
+        seed = int(val)
+    except ValueError:
+        raise ValueError(needs) from None
     if seed < 0:
         raise ValueError(f"random spec needs a nonnegative seed: '{text}'")
     return seed

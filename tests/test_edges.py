@@ -80,6 +80,10 @@ class TestStatesRejections:
             states.parse_state_spec("family:p=0.5", 2)
         with pytest.raises(ValueError, match="random spec needs"):
             states.parse_state_spec("random:42", 2)
+        with pytest.raises(ValueError, match=r"random spec needs seed=<int>: 'random:seed=x'"):
+            states.parse_state_spec("random:seed=x", 2)
+        with pytest.raises(ValueError, match=r"family spec needs .*'family:p=abc,psi=D'"):
+            states.parse_state_spec("family:p=abc,psi=D", 2)
 
 
 class TestProtocolRejections:
@@ -102,6 +106,9 @@ class TestProtocolRejections:
             protocol._checked_probabilities(bad)
         with pytest.raises(ValueError, match="imaginary part"):
             protocol._checked_probabilities(probs + 1e-3j)
+        # a nan tilt makes every table nan
+        with pytest.raises(ValueError, match="not finite"):
+            correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), (("X", "Z"),), np.nan)
 
     def test_outcome_probabilities_flags_non_positive_state(self):
         # a Hermitian unit-trace matrix with a negative eigenvalue is no state:
@@ -133,6 +140,8 @@ class TestCorrelationRejections:
         negative[2, 1, 0, 1] = -1e-3
         with pytest.raises(ValueError, match="nonnegative"):
             Correlations(cfg, pairs, values, negative, n_events=10)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Correlations(cfg, pairs, values, np.full(values.shape, np.nan), n_events=0)
 
     def test_stack_needs_matching_sets(self):
         rho = states.maximally_mixed(2)
@@ -141,6 +150,8 @@ class TestCorrelationRejections:
         b = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
         with pytest.raises(ValueError, match="share pairs and n_events"):
             correlations.stack_sets([a, b])
+        with pytest.raises(ValueError, match="at least one"):
+            correlations.stack_sets([])
         stack = correlations.stack_sets([a, a])
         assert stack.dim == 2 and stack.values.shape == (2, *a.values.shape)
 

@@ -69,11 +69,17 @@ class TestBiasModel:
             (dict(bias_epsilon=0.5), rotation),
             (dict(bias_epsilon=float("nan")), rotation),
             (dict(bias_efficiency=1.5), efficiency),
+            (dict(bias_efficiency=float("nan")), efficiency),
         ):
             with pytest.raises(ValueError, match=message):
                 check_bias(bias.get("bias_epsilon", 0.0), bias.get("bias_efficiency", 1.0))
             with pytest.raises(ValueError, match=message):
                 Scenario(scenario_id="v", kind="single", **bias)
+            with pytest.raises(ValueError, match=message):
+                build_tables(
+                    states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_I,
+                    bias.get("bias_epsilon", 0.0), bias.get("bias_efficiency", 1.0),
+                )
 
 
 class TestBiasDirectionalEffects:
