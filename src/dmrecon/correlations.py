@@ -287,15 +287,22 @@ def sampled_records_from_counts(
     `counts` holds the outcome-class counts of `sample_counts`, indexed
     [..., j-1, p, c], with any leading axes, which the result keeps. With
     c+ and c- the weight +1 and -1 counts at k, the estimate is
-    (c+ - c-) / n and the second moment (c+ + c-) / n.
+    (c+ - c-) / n and the second moment (c+ + c-) / n. The counts enter as
+    floats, exact below 2**53, and the variance is built in place in the
+    second moment's array, which becomes the standard error; the one
+    transient the size of an output is the square of the estimate.
     """
     d = tables.cfg.dim
     counts = np.swapaxes(counts, -1, -2)
     plus, minus = counts[..., :d, :], counts[..., d : 2 * d, :]
-    est = (plus - minus) / n
-    second = (plus + minus) / n
-    var = np.maximum(second - est * est, 0.0) / n
-    return est, np.sqrt(var)
+    est = np.subtract(plus, minus, dtype=float)
+    est /= n
+    var = np.add(plus, minus, dtype=float)
+    var /= n
+    var -= est * est
+    np.maximum(var, 0.0, out=var)
+    var /= n
+    return est, np.sqrt(var, out=var)
 
 
 def correlation_set_from_tables(

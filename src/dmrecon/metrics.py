@@ -52,7 +52,10 @@ def compare(finalized, element_errors, reference) -> tuple[np.ndarray, np.ndarra
     results are arrays of the leading shape, 0-d for one matrix. A degenerate
     estimate (all nan) reads distance nan and delta_rho inf; a nan reference
     reads distance nan. One `trace_distance` and one `mean_square_error` call
-    cover every matrix.
+    cover every matrix. When every slice has an estimate and a reference,
+    `trace_distance` reads the inputs as they are, and its own transients
+    (two arrays the size of `finalized`) are the peak; otherwise it reads
+    copies of the slices that have both.
     """
     finalized = np.asarray(finalized)
     reference = np.asarray(reference)
@@ -61,8 +64,11 @@ def compare(finalized, element_errors, reference) -> tuple[np.ndarray, np.ndarra
     reference = np.broadcast_to(reference, finalized.shape)
     degenerate = np.isnan(finalized[..., 0, 0])
     ok = ~(degenerate | np.isnan(reference[..., 0, 0]))
-    t_dist = np.full(ok.shape, np.nan)
-    t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
+    if ok.all():
+        t_dist = np.asarray(qmath.trace_distance(finalized, reference))
+    else:
+        t_dist = np.full(ok.shape, np.nan)
+        t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
     delta_rho = np.where(degenerate, np.inf, mean_square_error(element_errors))
     return t_dist, delta_rho
 

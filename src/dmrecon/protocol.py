@@ -120,14 +120,16 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.
     projector onto eigenvalue i's eigenvector, and the two sum to the
     identity. For Pi1 = |1><1| the order is (1, |1><1|), (0, |0><0|). A
     nonzero `tilt` rotates every projector by that angle about the pointer
-    Y axis: a misaligned pointer measurement. Built once per
-    (observable, tilt); both arrays are read-only because every caller
-    shares them.
+    Y axis: a misaligned pointer measurement; an infinite or nan tilt is
+    rejected. Built once per (observable, tilt); both arrays are read-only
+    because every caller shares them.
     """
     if observable not in _POINTER_EIGENSTATES:
         raise ValueError(
             f"unknown observable '{observable}', expected one of {OBSERVABLE_NAMES}"
         )
+    if not math.isfinite(tilt):
+        raise ValueError(f"pointer tilt {tilt!r} is not finite")
     eigenvalues, labels = zip(*_POINTER_EIGENSTATES[observable])
     kets = [states.named_ket(label, 2) for label in labels]
     projectors = [np.outer(v, v.conj()) for v in kets]

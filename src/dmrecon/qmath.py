@@ -36,12 +36,29 @@ def allclose(a, b, atol: float = DEFAULT_ATOL) -> bool:
     return bool(np.max(np.abs(a - b), initial=0.0) <= atol)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """a^dagger, slice by slice, in a new C-ordered array the size of a.
+
+    The transposed view is copied and then conjugated in place: a ufunc that
+    read the transposed view directly would also allocate an iteration buffer.
+    """
+    h = a.swapaxes(-1, -2).copy()
+    np.conjugate(h, out=h)
+    return h
+
+
 def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
-    """Whether m, or every slice of a stack, equals its adjoint within atol (nan never does)."""
+    """Whether m, or every slice of a stack, equals its adjoint within atol (nan never does).
+
+    The deviation m - m^dagger is formed in the adjoint's array, so the
+    transients are that array and the deviation's modulus.
+    """
     a = as_complex_matrix(m)
     if a.shape[-2] != a.shape[-1]:
         return False
-    return bool(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0) <= atol)
+    dev = _adjoint(a)
+    np.subtract(a, dev, out=dev)
+    return bool(np.max(np.abs(dev), initial=0.0) <= atol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -50,11 +67,18 @@ def tensor(a, b) -> np.ndarray:
 
 
 def hermitian_part(m) -> np.ndarray:
-    """Return (m + m^dagger)/2, slice by slice for a stack."""
+    """Return (m + m^dagger)/2, slice by slice for a stack.
+
+    The sum and the halving run in place in the one new array, m^dagger, so
+    the result is the only array the size of m that it allocates.
+    """
     a = as_complex_matrix(m)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"hermitian_part requires a square matrix, got {a.shape}")
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    h = _adjoint(a)
+    h += a
+    h /= 2
+    return h
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +113,8 @@ def trace_distance(r1, r2):
 
     Two matrices give a float. Two stacks of the same shape (..., d, d)
     give one distance per pair of slices, from one batched `eigvalsh`.
-    Every slice must be Hermitian.
+    Every slice must be Hermitian. Its transients peak at two arrays the
+    size of the inputs: r1 - r2 and its Hermitian part.
     """
     a = as_complex_matrix(r1)
     b = as_complex_matrix(r2)

@@ -66,13 +66,15 @@ def finalize(raw: np.ndarray) -> np.ndarray:
     Takes one (d, d) matrix or a stack (..., d, d) and returns the array of
     the same shape; a matrix whose Hermitian part has near-zero trace
     (|trace| <= FINALIZE_TRACE_ATOL) has no state estimate and is all nan.
+    The Hermitian part is normalized in place, so the one array the size of
+    raw that it allocates is the result.
     """
     h = qmath.hermitian_part(raw)
     tr = np.trace(h, axis1=-2, axis2=-1).real
     degenerate = np.abs(tr) <= FINALIZE_TRACE_ATOL
-    out = h / np.where(degenerate, 1.0, tr)[..., None, None]
-    out[degenerate] = np.nan
-    return out
+    h /= np.where(degenerate, 1.0, tr)[..., None, None]
+    h[degenerate] = np.nan
+    return h
 
 
 def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:

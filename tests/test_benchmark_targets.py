@@ -3,13 +3,16 @@
 The tracer reports a vanished target as absent rather than failing, so only
 the benchmark's own smoke test, outside these testpaths, would notice a
 rename. benchmarks/tracer.py is loaded from its source without writing
-bytecode next to it.
+bytecode next to it. The stack path must also keep calling the traced names
+it goes through: `metrics.compare` calls `qmath.trace_distance` once, and
+every method reaches `reconstruct.finalize`.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -30,3 +33,55 @@ def tracer():
 def test_every_target_is_a_callable(tracer):
     missing = [t for t in tracer.TARGETS if not callable(getattr(*tracer._resolve(t), None))]
     assert not missing, f"traced names missing from dmrecon: {missing}"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name made through any reference a dmrecon module holds.
+
+    Like the tracer, swap a counting wrapper in for every module attribute
+    that is the function, so a shortcut past the traced name shows as a
+    missing call here and not only in the benchmark's coverage check.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "dmrecon" or mod_name.startswith("dmrecon."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("broken", ["none", "degenerate", "all"])
+def test_compare_calls_trace_distance_once(monkeypatch, broken):
+    from dmrecon import metrics, qmath
+
+    calls = _count_calls(monkeypatch, qmath, "trace_distance")
+    finalized = np.broadcast_to(np.eye(3) / 3, (2, 4, 3, 3)).astype(complex)
+    if broken == "degenerate":
+        finalized[1, 2] = np.nan
+    elif broken == "all":
+        finalized[:] = np.nan
+    metrics.compare(finalized, np.zeros(finalized.shape), np.diag([1.0, 0.0, 0.0]))
+    assert len(calls) == 1
+
+
+def test_every_method_reaches_finalize(monkeypatch):
+    from dmrecon import correlations, experiments, reconstruct, states
+    from dmrecon.protocol import CouplingConfig
+
+    calls = _count_calls(monkeypatch, reconstruct, "finalize")
+    rho = states.random_density(3, 1)
+    cfg = CouplingConfig(3, 0.5, 0.5)
+    for method, (estimate, pairs) in experiments._RECONSTRUCTORS.items():
+        before = len(calls)
+        estimate(correlations.correlation_set(rho, cfg, pairs, 0))
+        assert len(calls) == before + 1, method
+    born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(3))
+    reconstruct.qst_linear_inversion(born, 3)
+    assert len(calls) == len(experiments._RECONSTRUCTORS) + 1

@@ -106,7 +106,7 @@ class TestProtocolRejections:
             protocol._checked_probabilities(bad)
         with pytest.raises(ValueError, match="imaginary part"):
             protocol._checked_probabilities(probs + 1e-3j)
-        # a nan tilt makes every table nan
+        # a nan tilt is rejected where it enters, in protocol.pointer_setting
         with pytest.raises(ValueError, match="not finite"):
             correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), (("X", "Z"),), np.nan)
 
@@ -118,6 +118,23 @@ class TestProtocolRejections:
         rho = SimpleNamespace(matrix=m, dim=2)
         with pytest.raises(ValueError, match="below -1e-9"):
             protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"),))
+
+    @pytest.mark.parametrize("tilt", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tilt_is_named(self, tilt):
+        rho = states.maximally_mixed(2)
+        with pytest.raises(ValueError, match=r"pointer tilt .* is not finite"):
+            correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), (("X", "Z"),), tilt)
+        with pytest.raises(ValueError, match="pointer tilt"):
+            protocol.pointer_setting("X", tilt)
+
+    def test_non_finite_tables_are_rejected(self):
+        # a non-finite tilt no longer reaches the tables, so corrupt one directly
+        probs = protocol.outcome_probabilities(
+            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "Z"),)
+        ).astype(complex)
+        probs[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            protocol._checked_probabilities(probs)
 
 
 class TestCorrelationRejections:

@@ -1,0 +1,142 @@
+"""Transient memory of the stack path, and bit-equality of its in-place forms.
+
+`qmath.hermitian_part`, `reconstruct.finalize`, `metrics.compare` and
+`correlations.sampled_records_from_counts` work in buffers they own. The peak
+tests bound what each allocates while it runs, read with `tracemalloc` (numpy
+reports its array buffers to it), as a multiple of the bytes of its input
+stack or of its outputs. The equality tests pin each in-place form to the
+plain expression it replaced, byte for byte.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dmrecon import correlations, metrics, qmath, reconstruct, states
+from dmrecon.correlations import PAIRS_EXACT_I
+from dmrecon.protocol import CouplingConfig
+
+
+def _peak_bytes(fn, *args):
+    """(bytes allocated at the peak while fn(*args) runs, its result)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, result
+
+
+def _hermitian_stack(shape, d, seed):
+    """Random Hermitian unit-trace matrices (not positive), shaped shape + (d, d)."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    h = m + m.conj().swapaxes(-1, -2)
+    return h / np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _raw_stack(shape, d, seed):
+    """Random non-Hermitian raw estimates; slice [0] has zero trace, so it is degenerate."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    raw += 2 * np.eye(d)
+    raw[0] -= np.eye(d) * np.trace(raw[0]).real / d
+    return raw
+
+
+STACK = (4, 50)
+D = 32
+
+
+class TestPeaks:
+    def test_compare_holds_two_stacks(self):
+        finalized = _hermitian_stack(STACK, D, 1)
+        errors = np.abs(finalized)
+        reference = _hermitian_stack((), D, 2)
+        peak, (t_dist, _) = _peak_bytes(metrics.compare, finalized, errors, reference)
+        assert np.isfinite(t_dist).all()
+        assert peak <= 2.5 * finalized.nbytes, peak / finalized.nbytes
+
+    def test_finalize_holds_its_result(self):
+        raw = _raw_stack(STACK, D, 3)
+        peak, out = _peak_bytes(reconstruct.finalize, raw)
+        assert out.shape == raw.shape
+        assert peak <= 1.25 * raw.nbytes, peak / raw.nbytes
+
+    def test_sampled_records_hold_one_extra_output(self):
+        d = 16
+        tables = correlations.build_tables(
+            states.random_density(d, 4), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
+        )
+        counts = correlations.sample_counts(tables, 1000, list(range(50)))
+        peak, (est, std_error) = _peak_bytes(
+            correlations.sampled_records_from_counts, tables, counts, 1000
+        )
+        outputs = est.nbytes + std_error.nbytes
+        assert peak <= 1.6 * outputs, peak / outputs
+
+
+class TestInPlaceFormsAreBitIdentical:
+    def test_hermitian_part(self):
+        a = _raw_stack((3, 5), 4, 5)
+        a[1, 2, 0, 1] = np.nan
+        old = (a + a.conj().swapaxes(-1, -2)) / 2
+        new = qmath.hermitian_part(a)
+        assert new.flags.c_contiguous
+        assert new.tobytes() == old.tobytes()
+
+    def test_finalize(self):
+        raw = _raw_stack((6,), 4, 6)
+        h = (raw + raw.conj().swapaxes(-1, -2)) / 2
+        tr = np.trace(h, axis1=-2, axis2=-1).real
+        degenerate = np.abs(tr) <= reconstruct.FINALIZE_TRACE_ATOL
+        assert degenerate.tolist() == [True] + [False] * 5
+        old = h / np.where(degenerate, 1.0, tr)[..., None, None]
+        old[degenerate] = np.nan
+        assert reconstruct.finalize(raw).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("broken", ["none", "degenerate", "nan_reference"])
+    def test_compare_matches_the_masked_distances(self, broken):
+        finalized = _hermitian_stack((3, 4), 4, 7)
+        reference = _hermitian_stack((4,), 4, 8)
+        if broken == "degenerate":
+            finalized[1, 2] = np.nan
+        elif broken == "nan_reference":
+            reference[3] = np.nan
+        errors = np.abs(finalized)
+        t_dist, delta_rho = metrics.compare(finalized, errors, reference)
+        full = np.broadcast_to(reference, finalized.shape)
+        ok = ~(np.isnan(finalized[..., 0, 0]) | np.isnan(full[..., 0, 0]))
+        old = np.full(ok.shape, np.nan)
+        old[ok] = qmath.trace_distance(finalized[ok], full[ok])
+        assert t_dist.tobytes() == old.tobytes()
+        assert (np.isnan(t_dist) == ~ok).all()
+        assert delta_rho.tobytes() == np.where(
+            np.isnan(finalized[..., 0, 0]), np.inf, metrics.mean_square_error(errors)
+        ).tobytes()
+
+    def test_compare_of_one_matrix(self):
+        a, b = _hermitian_stack((2,), 3, 9)
+        t_dist, delta_rho = metrics.compare(a, np.zeros((3, 3)), b)
+        assert t_dist.shape == () and delta_rho.shape == ()
+        assert float(t_dist) == qmath.trace_distance(a[None], b[None])[0]
+
+    def test_sampled_records(self):
+        d, n = 4, 50
+        tables = correlations.build_tables(
+            states.random_density(d, 10), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
+        )
+        counts = correlations.sample_counts(tables, n, list(range(6)))
+        swapped = np.swapaxes(counts, -1, -2)
+        plus, minus = swapped[..., :d, :], swapped[..., d : 2 * d, :]
+        est = (plus - minus) / n
+        second = (plus + minus) / n
+        var = np.maximum(second - est * est, 0.0) / n
+        assert (var == 0).any() and (var > 0).any()
+        new_est, new_std = correlations.sampled_records_from_counts(tables, counts, n)
+        assert new_est.tobytes() == est.tobytes()
+        assert new_std.tobytes() == np.sqrt(var).tobytes()
