@@ -142,15 +142,20 @@ class Correlations:
 
 
 def stack_sets(sets) -> Correlations:
-    """One `Correlations` with a leading axis over several sets of the same pairs and n_events.
+    """One `Correlations` with a leading axis over sets of the same pairs, n_events and d.
 
     The stack keeps the one config the sets share, or else holds one per set.
     """
     if not sets:
         raise ValueError("a stack needs at least one correlation set")
     first = sets[0]
-    if any(c.pairs != first.pairs or c.n_events != first.n_events for c in sets):
-        raise ValueError("stacked correlation sets must share pairs and n_events")
+    key = (first.pairs, first.n_events, first.values.shape)
+    for c in sets:
+        if (c.pairs, c.n_events, c.values.shape) != key:
+            raise ValueError(
+                "stacked correlation sets must share pairs and n_events, and values of "
+                f"one shape; got {first.values.shape} and {c.values.shape}"
+            )
     cfgs = tuple(c.cfg for c in sets)  # a set with one config per slice nests, and is rejected
     return Correlations(
         first.cfg if len(set(cfgs)) == 1 and isinstance(first.cfg, CouplingConfig) else cfgs,

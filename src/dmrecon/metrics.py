@@ -15,7 +15,7 @@ def mean_square_error(element_errors: np.ndarray):
     One (d, d) matrix gives a float; a stack (..., d, d) gives one value per slice.
     """
     e = np.asarray(element_errors, dtype=float)
-    if e.size and e.min() < 0:
+    if np.any(e < 0):
         raise ValueError("element errors must be nonnegative")
     err = np.sqrt(np.sum(e * e, axis=(-2, -1)))
     return float(err) if err.ndim == 0 else err
@@ -51,25 +51,17 @@ def compare(finalized, element_errors, reference) -> tuple[np.ndarray, np.ndarra
     arrays, over any leading axes; `reference` broadcasts against them. Both
     results are arrays of the leading shape, 0-d for one matrix. A degenerate
     estimate (all nan) reads distance nan and delta_rho inf; a nan reference
-    reads distance nan. One `trace_distance` and one `mean_square_error` call
-    cover every matrix. When every slice has an estimate and a reference,
-    `trace_distance` reads the inputs as they are, and its own transients
-    (two arrays the size of `finalized`) are the peak; otherwise it reads
-    copies of the slices that have both.
+    reads distance nan. One `trace_distance` call over the whole stack, which
+    reads a pair with a nan as nan, and one `mean_square_error` call cover
+    every matrix, so the transients peak at `trace_distance`'s own (two
+    arrays the size of `finalized`) whether or not a slice is degenerate.
     """
     finalized = np.asarray(finalized)
     reference = np.asarray(reference)
     if reference.shape[-2:] != finalized.shape[-2:]:
         raise ValueError(f"dimension mismatch: {finalized.shape} vs {reference.shape}")
-    reference = np.broadcast_to(reference, finalized.shape)
-    degenerate = np.isnan(finalized[..., 0, 0])
-    ok = ~(degenerate | np.isnan(reference[..., 0, 0]))
-    if ok.all():
-        t_dist = np.asarray(qmath.trace_distance(finalized, reference))
-    else:
-        t_dist = np.full(ok.shape, np.nan)
-        t_dist[ok] = qmath.trace_distance(finalized[ok], reference[ok])
-    delta_rho = np.where(degenerate, np.inf, mean_square_error(element_errors))
+    t_dist = np.asarray(qmath.trace_distance(finalized, np.broadcast_to(reference, finalized.shape)))
+    delta_rho = np.where(np.isnan(finalized[..., 0, 0]), np.inf, mean_square_error(element_errors))
     return t_dist, delta_rho
 
 

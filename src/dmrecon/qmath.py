@@ -47,18 +47,21 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return h
 
 
+def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
+    """max |a - a^dagger| per slice: nan where a slice holds a nan, inf if a is not square."""
+    if a.shape[-2] != a.shape[-1]:
+        return np.full(a.shape[:-2], np.inf)
+    dev = _adjoint(a)
+    np.subtract(a, dev, out=dev)
+    return np.max(np.abs(dev), axis=(-2, -1))
+
+
 def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
     """Whether m, or every slice of a stack, equals its adjoint within atol (nan never does).
 
-    The deviation m - m^dagger is formed in the adjoint's array, so the
-    transients are that array and the deviation's modulus.
+    The transients are one array the size of m, where m - m^dagger is formed, and its modulus.
     """
-    a = as_complex_matrix(m)
-    if a.shape[-2] != a.shape[-1]:
-        return False
-    dev = _adjoint(a)
-    np.subtract(a, dev, out=dev)
-    return bool(np.max(np.abs(dev), initial=0.0) <= atol)
+    return bool(np.all(_hermitian_deviation(as_complex_matrix(m)) <= atol))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -82,15 +85,15 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of `np.linalg.eigh`, rejecting non-Hermitian input.
+    """(w, v) of `np.linalg.eigh`, rejecting non-Hermitian or nan input.
 
     w holds the eigenvalues ascending, v the orthonormal eigenvectors as columns.
     """
     a = as_complex_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigendecomposition requires a square matrix, got {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if dev > DEFAULT_ATOL:
+    dev = float(_hermitian_deviation(a))
+    if not dev <= DEFAULT_ATOL:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {DEFAULT_ATOL:.1e}"
         )
@@ -113,15 +116,22 @@ def trace_distance(r1, r2):
 
     Two matrices give a float. Two stacks of the same shape (..., d, d)
     give one distance per pair of slices, from one batched `eigvalsh`.
-    Every slice must be Hermitian. Its transients peak at two arrays the
-    size of the inputs: r1 - r2 and its Hermitian part.
+    A pair in which either slice holds a nan reads nan; every other slice
+    must be Hermitian. The nan pairs are zeroed in r1 - r2 before the
+    eigensolver, which treats each slice on its own, so they move no other
+    distance. Its transients peak at two arrays the size of the inputs:
+    r1 - r2 and its Hermitian part.
     """
     a = as_complex_matrix(r1)
     b = as_complex_matrix(r2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if not is_hermitian(a) or not is_hermitian(b):
+    dev = np.maximum(_hermitian_deviation(a), _hermitian_deviation(b))
+    if np.any(dev > DEFAULT_ATOL):
         raise ValueError("trace_distance requires Hermitian inputs")
-    w = np.linalg.eigvalsh(hermitian_part(a - b))
-    dist = 0.5 * np.sum(np.abs(w), axis=-1)
+    nan = np.isnan(dev)
+    diff = a - b
+    diff[nan] = 0
+    w = np.linalg.eigvalsh(hermitian_part(diff))
+    dist = np.where(nan, np.nan, 0.5 * np.sum(np.abs(w), axis=-1))
     return float(dist) if dist.ndim == 0 else dist

@@ -57,17 +57,20 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("broken", ["none", "degenerate", "all"])
+@pytest.mark.parametrize("broken", ["none", "degenerate", "all", "nan_reference"])
 def test_compare_calls_trace_distance_once(monkeypatch, broken):
     from dmrecon import metrics, qmath
 
     calls = _count_calls(monkeypatch, qmath, "trace_distance")
     finalized = np.broadcast_to(np.eye(3) / 3, (2, 4, 3, 3)).astype(complex)
+    reference = np.broadcast_to(np.diag([1.0, 0.0, 0.0]), (4, 3, 3)).copy()
     if broken == "degenerate":
         finalized[1, 2] = np.nan
     elif broken == "all":
         finalized[:] = np.nan
-    metrics.compare(finalized, np.zeros(finalized.shape), np.diag([1.0, 0.0, 0.0]))
+    elif broken == "nan_reference":
+        reference[3] = np.nan
+    metrics.compare(finalized, np.zeros(finalized.shape), reference)
     assert len(calls) == 1
 
 

@@ -26,6 +26,12 @@ class TestQmathRejections:
         with pytest.raises(ValueError, match="square"):
             qmath.hermitian_eigensystem(np.zeros((2, 3)))
 
+    def test_eigensystem_rejects_nan(self):
+        nan_matrix = np.array([[np.nan, 0], [0, 1]])
+        for fn in (qmath.hermitian_eigensystem, lambda m: qmath.matrix_exponential(m, 0.5)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                fn(nan_matrix)
+
     def test_trace_distance_requires_hermitian(self):
         skew = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
@@ -167,6 +173,11 @@ class TestCorrelationRejections:
         b = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
         with pytest.raises(ValueError, match="share pairs and n_events"):
             correlations.stack_sets([a, b])
+        c = correlations.correlation_set(
+            states.maximally_mixed(3), CouplingConfig(3, 0.5, 0.5), PAIRS_WEAK, 100, root_seed=1
+        )
+        with pytest.raises(ValueError, match=r"share pairs and n_events.*\(2, 2, 4\) and \(3, 3, 4\)"):
+            correlations.stack_sets([a, c])
         with pytest.raises(ValueError, match="at least one"):
             correlations.stack_sets([])
         stack = correlations.stack_sets([a, a])

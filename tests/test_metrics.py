@@ -30,6 +30,8 @@ class TestMeanSquareError:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             mean_square_error(np.array([[-0.1]]))
+        with pytest.raises(ValueError):
+            mean_square_error(np.array([[-1.0, np.nan], [0.0, 0.0]]))
 
 
 # alpha(d) of error_lower_bound's docstring in closed form, nan where no floor exists

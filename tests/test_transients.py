@@ -53,12 +53,17 @@ D = 32
 
 
 class TestPeaks:
-    def test_compare_holds_two_stacks(self):
+    @pytest.mark.parametrize("broken", ["none", "degenerate", "nan_reference"])
+    def test_compare_holds_two_stacks(self, broken):
         finalized = _hermitian_stack(STACK, D, 1)
+        reference = np.broadcast_to(_hermitian_stack((), D, 2), STACK[1:] + (D, D)).copy()
+        if broken == "degenerate":
+            finalized[2, 7] = np.nan
+        elif broken == "nan_reference":
+            reference[11] = np.nan
         errors = np.abs(finalized)
-        reference = _hermitian_stack((), D, 2)
         peak, (t_dist, _) = _peak_bytes(metrics.compare, finalized, errors, reference)
-        assert np.isfinite(t_dist).all()
+        assert np.isnan(t_dist).sum() == {"none": 0, "degenerate": 1, "nan_reference": 4}[broken]
         assert peak <= 2.5 * finalized.nbytes, peak / finalized.nbytes
 
     def test_finalize_holds_its_result(self):
@@ -118,6 +123,28 @@ class TestInPlaceFormsAreBitIdentical:
         assert delta_rho.tobytes() == np.where(
             np.isnan(finalized[..., 0, 0]), np.inf, metrics.mean_square_error(errors)
         ).tobytes()
+
+    def test_trace_distance_reads_nan_pairs_as_nan(self):
+        a = _hermitian_stack((5, 3), 4, 10)
+        b = _hermitian_stack((5, 3), 4, 11)
+        a[1, 0] = np.nan
+        b[2, 2] = np.nan
+        a[4] = np.nan
+        b[4] = np.nan
+        nan = np.zeros((5, 3), dtype=bool)
+        nan[1, 0] = nan[2, 2] = True
+        nan[4] = True
+        t_dist = qmath.trace_distance(a, b)
+        assert (np.isnan(t_dist) == nan).all()
+        assert t_dist[~nan].tobytes() == qmath.trace_distance(a[~nan], b[~nan]).tobytes()
+        for i in zip(*np.nonzero(~nan)):
+            assert np.float64(qmath.trace_distance(a[i], b[i])).tobytes() == t_dist[i].tobytes()
+        assert np.isnan(qmath.trace_distance(np.full_like(a, np.nan), b)).all()
+        one = qmath.trace_distance(a[1, 0], b[1, 0])
+        assert isinstance(one, float) and np.isnan(one)
+        a[3, 1, 0, 1] += 0.5
+        with pytest.raises(ValueError, match="Hermitian"):
+            qmath.trace_distance(a, b)
 
     def test_compare_of_one_matrix(self):
         a, b = _hermitian_stack((2,), 3, 9)
