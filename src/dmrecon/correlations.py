@@ -149,9 +149,10 @@ def stack_sets(sets) -> Correlations:
     if not sets:
         raise ValueError("a stack needs at least one correlation set")
     first = sets[0]
-    key = (first.pairs, first.n_events, first.values.shape)
     for c in sets:
-        if (c.pairs, c.n_events, c.values.shape) != key:
+        if c.pairs != first.pairs or c.n_events != first.n_events:
+            raise ValueError("stacked correlation sets must share pairs and n_events")
+        if c.values.shape != first.values.shape:
             raise ValueError(
                 "stacked correlation sets must share pairs and n_events, and values of "
                 f"one shape; got {first.values.shape} and {c.values.shape}"

@@ -70,7 +70,7 @@ def test_criterion_1_exactness_at_arbitrary_strength():
                 correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
                 for rebuild in (reconstruct_exact_i, reconstruct_exact_ii):
                     dist = qmath.trace_distance(rebuild(correls).finalized, rho.matrix)
-                    worst = max(worst, dist)
+                    worst = float(np.maximum(worst, dist))  # keeps a nan distance
     elapsed = time.time() - t0
     report(
         1,
@@ -350,7 +350,7 @@ def test_criterion_10_qst_reference():
             0.5 - float(m[0, 1].imag),
         ]
         result = qst_linear_inversion(probs, 2)
-        worst_d2 = max(worst_d2, qmath.trace_distance(result.finalized, rho.matrix))
+        worst_d2 = float(np.maximum(worst_d2, qmath.trace_distance(result.finalized, rho.matrix)))
 
     worst_d4 = 0.0
     family = standard_projector_family(4)
@@ -358,7 +358,7 @@ def test_criterion_10_qst_reference():
         rho = states.random_density(4, 100 + seed)
         probs = born_probabilities(rho, family)
         for result in (qst_linear_inversion(probs, 4), qst_least_squares(family, probs)):
-            worst_d4 = max(worst_d4, qmath.trace_distance(result.finalized, rho.matrix))
+            worst_d4 = float(np.maximum(worst_d4, qmath.trace_distance(result.finalized, rho.matrix)))
 
     report(
         10,

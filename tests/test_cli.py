@@ -1,9 +1,11 @@
 """End-to-end command-line runs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from dmrecon import experiments, io, protocol
+from dmrecon import experiments, io, protocol, reconstruct
 from dmrecon.cli import main
 
 CONFIG = """
@@ -148,6 +150,19 @@ def test_validate_subcommand_passes(capsys):
     assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
     assert "[ok] outcome classes carry the tables' moments (max dev" in out
+
+
+def test_validate_fails_on_a_nan_estimate(capsys, monkeypatch):
+    # a degenerate (all-nan) exact estimate has nan distance, which must not read as 0
+    def degenerate(correls):
+        return SimpleNamespace(finalized=np.full((correls.dim, correls.dim), np.nan))
+
+    monkeypatch.setattr(reconstruct, "reconstruct_exact_ii", degenerate)
+    rc = main(["validate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] exact estimators reproduce the state (max distance nan)" in out
+    assert "validation failed" in out
 
 
 def _one_line_error(capsys, rc):

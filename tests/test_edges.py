@@ -171,7 +171,7 @@ class TestCorrelationRejections:
         cfg = CouplingConfig(2, 0.5, 0.5)
         a = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 100, root_seed=1)
         b = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
-        with pytest.raises(ValueError, match="share pairs and n_events"):
+        with pytest.raises(ValueError, match="share pairs and n_events$"):
             correlations.stack_sets([a, b])
         c = correlations.correlation_set(
             states.maximally_mixed(3), CouplingConfig(3, 0.5, 0.5), PAIRS_WEAK, 100, root_seed=1
