@@ -113,15 +113,16 @@ def _cmd_validate(args) -> int:
         u = qmath.matrix_exponential(qmath.tensor(np.outer(vec, vec.conj()), y), theta)
         return u.reshape(vec.size, 2, vec.size, 2)[:, :, :, 0]
 
+    # at both ends of the strength range too, either pointer weak and the other strong
     worst = 0.0
     for d in range(1, protocol.MAX_DIM + 1):
-        cfg = CouplingConfig(d, 0.4, 1.3)
-        kraus = protocol.kraus_operators(cfg)
-        m_b = column0(states.b0_state(d), cfg.theta_b)
-        for j in range(1, d + 1):
-            m_a = column0(states.basis_state(d, j), cfg.theta_a)
-            oracle = np.einsum("kbm,mai->abki", m_b, m_a)
-            worst = max(worst, float(np.max(np.abs(kraus[j - 1] - oracle))))
+        for theta_a, theta_b in ((0.4, 1.3), (1e-8, math.pi / 2), (math.pi / 2, 1e-8)):
+            kraus = protocol.kraus_operators(CouplingConfig(d, theta_a, theta_b))
+            m_b = column0(states.b0_state(d), theta_b)
+            for j in range(1, d + 1):
+                m_a = column0(states.basis_state(d, j), theta_a)
+                oracle = np.einsum("kbm,mai->abki", m_b, m_a)
+                worst = max(worst, float(np.max(np.abs(kraus[j - 1] - oracle))))
     check("Kraus operators match matrix-exponential columns", worst < 1e-12, f"max dev {worst:.2e}")
 
     # Trace-based vs closed-form correlations, randomized over everything.

@@ -203,16 +203,18 @@ def run_point(
     rho: states.DensityMatrix,
     theta: float,
     purity_p: float,
+    born: np.ndarray | None,
     root_seed: int,
     point_key: tuple,
-) -> tuple[np.ndarray | None, correlations.Correlations | None, np.ndarray | None]:
-    """One (state, theta) grid point: its sampled rows and its exact inputs.
+) -> tuple[np.ndarray | None, correlations.Correlations | None]:
+    """One (state, theta) grid point: its sampled rows and its exact correlations.
 
-    Returns (rows, correls, born). The outcome tables and the exact Born
-    vector are built once. `correls` is the point's exact correlation set,
-    indexed [j-1, k-1, p] (None without a direct method), and `born` its
-    exact d^2 Born vector (None without QST); `run_scenario` estimates seed -1
-    (EXPECTATION_SEED) of every grid point from them as one grid stack.
+    `born` is the point's exact d^2 Born vector of the standard family, which
+    `run_scenario` builds (None without QST). Returns (rows, correls). The
+    outcome tables are built once. `correls` is the point's exact correlation
+    set, indexed [j-1, k-1, p] (None without a direct method); `run_scenario`
+    estimates seed -1 (EXPECTATION_SEED) of every grid point from the
+    correlations and Born vectors as one grid stack.
     `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
     exact source. The seeds are one stack, and each seed has one generator,
     `Philox(derive_seed(root_seed, *point_key, seed))`. It draws the seed's
@@ -227,9 +229,6 @@ def run_point(
     tables = build_tables(rho, cfg, pairs, scn.bias_epsilon, scn.bias_efficiency) if pairs else None
     qst_method = "QST" in scn.methods
     qst_ref = scn.reference == "qst"
-    born = None
-    if qst_method or qst_ref:
-        born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(scn.d))
     exact = correlations.correlation_set_from_tables(tables) if pairs else None
     rows = None
     if scn.source == "sampled":
@@ -243,7 +242,7 @@ def run_point(
         rows = _stack_rows(
             scn, rho.matrix, theta, purity_p, scn.seeds, correls, method_probs, ref_probs
         )
-    return rows, exact, born
+    return rows, exact
 
 
 def _stack_rows(scn, truth, theta, purity_p, seeds, correls, method_probs, ref_probs) -> np.ndarray:
@@ -255,25 +254,29 @@ def _stack_rows(scn, truth, theta, purity_p, seeds, correls, method_probs, ref_p
     its correlations, the true states (one matrix, or one per slice) and the
     QST method and reference Born vectors, one row per slice (None where
     nothing reads them). One `finalize` per method and one `metrics.compare`
-    call cover every row. `bound` is each method's `metrics.error_lower_bound`
-    at each theta, nan where the method has no floor.
+    call cover every row. When `compare` runs, the methods' stacked finalized
+    matrices and element errors are all that is left of their estimates: each
+    raw estimate is dropped as soon as its method's result is read, and the
+    per-method arrays once they are stacked. `bound` is each method's
+    `metrics.error_lower_bound` at each theta, nan where the method has no
+    floor.
     A slice with near-zero trace (zero signal, e.g. zero double-flip counts
     at small theta) has no state estimate: `finalize` leaves it nan, and
     `compare` gives its row trace_distance nan and delta_rho inf. A nan QST
     reference slice leaves trace_distance nan.
     """
-    results = [
+    results = (
         reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
         else _RECONSTRUCTORS[m][0](correls)
         for m in scn.methods
-    ]
-    finalized = np.array([r.finalized for r in results])
+    )
+    estimates = [(r.finalized, r.element_errors) for r in results]  # one result alive at a time
+    finalized, errors = map(np.array, zip(*estimates))
+    del estimates  # the per-method arrays, before compare's transients
     reference = truth
     if scn.reference == "qst":
         reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
-    t_dist, delta_rho = metrics.compare(
-        finalized, np.array([r.element_errors for r in results]), reference
-    )
+    t_dist, delta_rho = metrics.compare(finalized, errors, reference)
     thetas = np.atleast_1d(theta).tolist()
     bound = [
         [metrics.error_lower_bound(m, scn.d, th, scn.n_events) for th in thetas]
@@ -309,6 +312,9 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     point's sampled rows come from `run_point`; the seed -1 rows of all
     points are one grid stack of their exact correlations (`stack_sets`, one
     config per point) and Born vectors, estimated with one call per method.
+    With QST as a method or the reference, the standard projector family is
+    built once here, gives every point's exact Born vector, and is dropped
+    before the first point samples.
     """
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
@@ -322,11 +328,15 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
         p = states.purity(rho)
         grid = [(rho, theta, p, (scn.scenario_id, "th", theta)) for theta in scn.theta_list]
     rhos, thetas, purities, _ = zip(*grid)
-    sampled, exact, born = zip(*(
-        run_point(scn, rho, theta, p, root_seed, key) for rho, theta, p, key in grid
+    qst = "QST" in scn.methods or scn.reference == "qst"
+    family = reconstruct.standard_projector_family(scn.d) if qst else None
+    born = np.array([reconstruct.born_probabilities(rho, family) for rho in rhos]) if qst else None
+    del family  # d^4 entries, not needed while the points sample
+    sampled, exact = zip(*(
+        run_point(scn, rho, theta, p, born[i] if qst else None, root_seed, key)
+        for i, (rho, theta, p, key) in enumerate(grid)
     ))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
-    born = None if born[0] is None else np.array(born)
     truth = np.array([rho.matrix for rho in rhos])
     rows = _stack_rows(
         scn, truth, np.array(thetas), np.array(purities), EXPECTATION_SEED, correls, born, born

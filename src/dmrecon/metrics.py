@@ -33,8 +33,10 @@ def error_lower_bound(method: str, d: int, theta: float, n: int) -> float:
     """
     if method not in ("W", "I", "II", "QST"):
         raise ValueError(f"unknown method '{method}', expected W, I, II or QST")
-    if theta <= 0 or n < 1:
-        raise ValueError("need theta > 0 and n >= 1")
+    if not 0 < theta < math.inf or n < 1:
+        raise ValueError(f"need a finite theta > 0 and n >= 1, got theta={theta!r}, n={n!r}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d!r}")
     if method in ("W", "I"):
         alpha = (d - 1) * math.sqrt(d) / (2 * math.sqrt(2))
     elif method == "II" and d >= 5:

@@ -11,9 +11,10 @@ pointer (`coupling_unitary`: the convention, and the oracle of the Kraus
 operators). Both pointers start in |0>, so each coupling acts on the system
 through M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector
 form. Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
-applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, built
-once per `CouplingConfig`). `evolve` applies them to the state, keeping the
-pointers' joint state at each diagonal system entry. A pointer setting is
+applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, one
+broadcast product, since M^A_{j alpha} is diagonal, built on every call and
+cached nowhere). `evolve` applies them to the state, keeping the pointers'
+joint state at each diagonal system entry. A pointer setting is
 an observable's two-outcome spectral decomposition held as two cached
 read-only arrays, eigenvalues (2,) and projectors (2, 2, 2)
 (`pointer_setting`). `pointer_measurement` stacks the settings of a tuple of
@@ -199,20 +200,23 @@ def pointer_measurement(
     return weights, matrix
 
 
-@functools.lru_cache(maxsize=16)
 def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
     """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
 
     Real, from the projectors |a_j><a_j| (A) and |b_0><b_0| = J/d (B, J all ones); for
     every j the four d x d operators are complete, sum_{alpha beta} K^dagger K = 1.
-    Built once per config; the array is read-only because every caller shares it.
+    M^A_{j alpha} is diagonal, with the entries of `_kraus` (1 - (1 - cos theta_a) or
+    sin theta_a at i = j), so K[j-1, alpha, beta, k, i] = M^B_beta[k, i] M^A_{j alpha}[i, i]
+    is one broadcast product. Built on every call and owned by the caller: a
+    (d, 2, 2, d, d) stack, 4 d^3 floats.
     """
     d = cfg.dim
-    kraus_a = _kraus(np.eye(d)[:, :, None] * np.eye(d), cfg.theta_a)
+    eye = np.eye(d)
+    diag_a = np.stack(
+        [1.0 - (1.0 - math.cos(cfg.theta_a)) * eye, math.sin(cfg.theta_a) * eye], axis=1
+    )
     kraus_b = _kraus(np.full((d, d), 1.0 / d), cfg.theta_b)
-    kraus = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
-    kraus.flags.writeable = False
-    return kraus
+    return kraus_b * diag_a[:, :, None, None, :]
 
 
 def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:
@@ -228,7 +232,8 @@ def evolve(rho: states.DensityMatrix, cfg: CouplingConfig) -> np.ndarray:
     if rho.dim != cfg.dim:
         raise ValueError(f"state dimension {rho.dim} does not match config d={cfg.dim}")
     kraus = kraus_operators(cfg)  # real, so K^dagger is its transpose
-    return np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus)
+    k_rho = (kraus.reshape(-1, cfg.dim) @ rho.matrix).reshape(kraus.shape)
+    return np.einsum("jabki,jcdki->jabcdk", k_rho, kraus)
 
 
 def outcome_probabilities(

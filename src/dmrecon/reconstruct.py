@@ -8,9 +8,9 @@ and reproduce the state at any coupling strength. Each is a table of
 propagates the errors through; the diagonal of method II is the exception.
 Linear-inversion tomography serves as the reference method:
 `qst_linear_inversion` inverts the Born vector of the standard
-d^2-projector family (one (d^2, d, d) stack, `standard_projector_family`)
-in closed form at any d, and `qst_least_squares` solves any other
-informationally complete projector set.
+d^2-projector family (one (d^2, d, d) stack, `standard_projector_family`,
+built on every call and cached nowhere) in closed form at any d, and
+`qst_least_squares` solves any other informationally complete projector set.
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import qmath, states
 from .correlations import PAIRS_EXACT_I, Correlations
-from .protocol import MAX_DIM, CouplingConfig
+from .protocol import CouplingConfig
 
 FINALIZE_TRACE_ATOL = 1e-9
 
@@ -191,27 +191,31 @@ def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
 # -- Reference tomography -----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
 def standard_projector_family(d: int) -> np.ndarray:
     """The d^2 projectors of the standard tomography family, as a (d^2, d, d) stack.
 
     In order: |a_j>, then (|a_j>+|a_k>)/sqrt2, then (|a_j>+i|a_k>)/sqrt2, each
-    with j < k in row-major order. Built once per d; the stack is read-only
-    because every caller shares it.
+    with j < k in row-major order. Built on every call and owned by the
+    caller: d^4 complex entries, 1 MiB at d = 16, so a caller that needs
+    several Born vectors builds it once and drops it when they are done.
     """
     eye = np.eye(d, dtype=complex)
     j, k = np.triu_indices(d, 1)
     kets = np.concatenate(
         [eye, (eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
     )
-    family = np.einsum("pa,pb->pab", kets, kets.conj())
-    family.flags.writeable = False
-    return family
+    return np.einsum("pa,pb->pab", kets, kets.conj())
 
 
 def born_probabilities(rho: states.DensityMatrix, projectors) -> np.ndarray:
-    """Tr(P rho) for each projector of a (n, d, d) stack."""
-    return np.einsum("pab,ba->p", np.asarray(projectors), rho.matrix).real
+    """Tr(P rho) for each projector of a (n, d, d) stack, d the state's dimension."""
+    projs = np.asarray(projectors)
+    if projs.ndim != 3 or projs.shape[1:] != rho.matrix.shape:
+        raise ValueError(
+            f"projectors of shape {projs.shape} are not an (n, d, d) stack"
+            f" for a state of shape {rho.matrix.shape}"
+        )
+    return np.einsum("pab,ba->p", projs, rho.matrix).real
 
 
 def qst_linear_inversion(probs, d: int) -> ReconstructionResult:

@@ -88,3 +88,20 @@ def test_every_method_reaches_finalize(monkeypatch):
     born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(3))
     reconstruct.qst_linear_inversion(born, 3)
     assert len(calls) == len(experiments._RECONSTRUCTORS) + 1
+
+
+def test_run_scenario_builds_one_projector_family(monkeypatch):
+    # one family per scenario, not one per grid point; every point still
+    # gets its Born vector from it
+    from dmrecon import experiments, reconstruct
+
+    family = _count_calls(monkeypatch, reconstruct, "standard_projector_family")
+    born = _count_calls(monkeypatch, reconstruct, "born_probabilities")
+    scn = experiments.Scenario(
+        scenario_id="family", kind="strength_sweep", input_state="random:seed=4", d=3,
+        theta_list=(0.2, 0.6, 1.1), n_events=100, seeds=(0,), methods=("W", "QST"),
+        reference="qst",
+    )
+    experiments.run_scenario(scn)
+    assert len(family) == 1
+    assert len(born) == len(scn.theta_list)

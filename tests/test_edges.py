@@ -1,6 +1,7 @@
 """Error contracts and degenerate inputs across the package."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +221,19 @@ class TestReconstructRejections:
         family = reconstruct.standard_projector_family(3)[:5]
         with pytest.raises(ValueError, match="at least 9"):
             reconstruct.qst_least_squares(family, np.full(5, 0.1))
+
+    @pytest.mark.parametrize(
+        "projectors, shape",
+        [
+            (reconstruct.standard_projector_family(2), "(4, 2, 2)"),
+            (np.eye(3), "(3, 3)"),
+            (np.zeros((9, 3, 4)), "(9, 3, 4)"),
+        ],
+    )
+    def test_born_needs_a_projector_stack_of_the_state_dimension(self, projectors, shape):
+        want = f"projectors of shape {shape} are not an (n, d, d) stack for a state of shape (3, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            reconstruct.born_probabilities(states.maximally_mixed(3), projectors)
 
 
 class TestDegenerateRunnerPoints:

@@ -1,5 +1,8 @@
 """Error aggregation, the theoretical floor, and comparisons against a reference."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,18 @@ class TestErrorLowerBound:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'X'"):
             error_lower_bound("X", 2, 0.3, 100)
+
+    @pytest.mark.parametrize("method", ["W", "II", "QST"])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_theta_that_is_not_finite_and_positive(self, method, theta):
+        with pytest.raises(ValueError, match=re.escape(f"got theta={theta!r}, n=100")):
+            error_lower_bound(method, 4, theta, 100)
+
+    @pytest.mark.parametrize("method", ["W", "II", "QST"])
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_rejects_dimension_below_one(self, method, d):
+        with pytest.raises(ValueError, match=re.escape(f"need d >= 1, got d={d}")):
+            error_lower_bound(method, d, 0.3, 100)
 
 
 class TestCompare:

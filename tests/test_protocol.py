@@ -136,6 +136,28 @@ class TestCoupledEvolution:
         np.testing.assert_allclose(kraus[:, 1], 0.0, atol=1e-15)
         np.testing.assert_allclose(kraus[:, :, 1], 0.0, atol=1e-15)
 
+    def test_kraus_is_the_product_of_the_factors(self):
+        # the broadcast product over M^A's diagonal equals the full product of
+        # the two pointers' Kraus stacks, M^B_beta M^A_{j alpha}, entry for entry
+        for d in range(1, protocol.MAX_DIM + 1):
+            for theta_a, theta_b in ((1e-8, np.pi / 2), (np.pi / 2, 1e-8), (0.4, 1.3)):
+                kraus_a = protocol._kraus(np.eye(d)[:, :, None] * np.eye(d), theta_a)
+                kraus_b = protocol._kraus(np.full((d, d), 1.0 / d), theta_b)
+                want = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
+                got = protocol.kraus_operators(CouplingConfig(d, theta_a, theta_b))
+                assert np.array_equal(got, want), (d, theta_a, theta_b)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_evolve_matches_the_batched_product(self, d):
+        # K rho as one (4 d^2, d) x (d, d) product is bit-identical to the
+        # batched product over every (j, alpha, beta)
+        rho = states.random_density(d, 700 + d)
+        for theta_a, theta_b in ((1e-8, np.pi / 2), (0.7, 0.05)):
+            cfg = CouplingConfig(d, theta_a, theta_b)
+            kraus = protocol.kraus_operators(cfg)
+            want = np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus)
+            np.testing.assert_array_equal(protocol.evolve(rho, cfg), want)
+
     def test_unitarity_random_strengths(self):
         # U_B U_A restricted to the pointers' |00> input is an isometry:
         # its Kraus operators are complete, sum_{alpha beta} K^dagger K = 1
@@ -261,10 +283,7 @@ class TestPointerMeasurement:
         weights, matrix = protocol.pointer_measurement(self.PAIRS, 0.02)
         assert weights.shape == (4, 2, 2) and matrix.shape == (16, 16)
         assert protocol.pointer_measurement(self.PAIRS, 0.02)[1] is matrix
-        cfg = CouplingConfig(3, 0.4, 0.9)
-        kraus = protocol.kraus_operators(cfg)
-        assert protocol.kraus_operators(CouplingConfig(3, 0.4, 0.9)) is kraus
-        for arr in (weights, matrix, kraus):
+        for arr in (weights, matrix):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
 

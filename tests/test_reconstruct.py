@@ -350,13 +350,6 @@ class TestStandardFamilyClosedForm:
         want = np.stack([np.outer(v, v.conj()) for v in kets])
         np.testing.assert_array_equal(standard_projector_family(d), want)
 
-    def test_family_cached_and_read_only(self):
-        family = standard_projector_family(4)
-        assert standard_projector_family(4) is family
-        assert isinstance(family, np.ndarray)
-        with pytest.raises(ValueError, match="read-only"):
-            family[0, 0, 0] = 2.0
-
     def test_missing_and_unknown_labels_named(self):
         # too few, too many or wrongly shaped probabilities: the error names
         # the d^2 the family needs and the shape it got

@@ -4,16 +4,19 @@
 `correlations.sampled_records_from_counts` work in buffers they own. The peak
 tests bound what each allocates while it runs, read with `tracemalloc` (numpy
 reports its array buffers to it), as a multiple of the bytes of its input
-stack or of its outputs. The equality tests pin each in-place form to the
-plain expression it replaced, byte for byte.
+stack or of its outputs. A scenario run must leave none of its large arrays
+(Kraus stacks, the tomography family) allocated once it returns. The
+equality tests pin each in-place form to the plain expression it replaced,
+byte for byte.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dmrecon import correlations, metrics, qmath, reconstruct, states
+from dmrecon import correlations, experiments, metrics, qmath, reconstruct, states
 from dmrecon.correlations import PAIRS_EXACT_I
 from dmrecon.protocol import CouplingConfig
 
@@ -83,6 +86,28 @@ class TestPeaks:
         )
         outputs = est.nbytes + std_error.nbytes
         assert peak <= 1.6 * outputs, peak / outputs
+
+
+class TestRunPathKeepsNoArrays:
+    def test_scenario_leaves_less_than_one_kraus_stack_allocated(self):
+        # strengths that no other test uses, so that no earlier call has built
+        # this run's Kraus stacks; the QST method and reference need the family
+        d = 16
+        scn = experiments.Scenario(
+            scenario_id="held", kind="strength_sweep", input_state="random:seed=11", d=d,
+            theta_list=(0.3141, 1.2718), n_events=1000, seeds=(0, 1),
+            methods=("W", "QST"), reference="qst",
+        )
+        kraus_stack = 4 * d**3 * np.dtype(float).itemsize  # (d, 2, 2, d, d) floats
+        experiments.run_scenario(replace(scn, d=2))  # loads what the run imports lazily
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            assert len(experiments.run_scenario(scn)) > 0  # the rows are freed here
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - base < kraus_stack
 
 
 class TestInPlaceFormsAreBitIdentical:
