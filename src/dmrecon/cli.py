@@ -152,6 +152,17 @@ def _cmd_validate(args) -> int:
                 worst = float(np.maximum(worst, qmath.trace_distance(result.finalized, rho.matrix)))
     check("exact estimators reproduce the state", worst < 1e-9, f"max distance {worst:.2e}")
 
+    # Born probabilities from the family's kets vs Tr(|v><v| rho) with each
+    # projector formed; the tomography check below feeds one vector to both sides.
+    worst = 0.0
+    for d in range(1, protocol.MAX_DIM + 1):
+        kets = reconstruct.standard_projector_family(d)
+        rho = states.random_density(d, 300 + d)
+        oracle = [np.trace(np.outer(v, v.conj()) @ rho.matrix).real for v in kets]
+        dev = np.max(np.abs(reconstruct.born_probabilities(rho, kets) - oracle))
+        worst = float(np.maximum(worst, dev))  # keeps a nan, so the check fails
+    check("Born probabilities match Tr(P rho)", worst <= 1e-15, f"max dev {worst:.2e}")
+
     # Closed-form standard-family tomography vs least squares on the same vectors.
     worst = 0.0
     for d in range(1, 7):

@@ -269,6 +269,7 @@ def sample_counts(
     a (d, P, 2d + 1) array; a sequence of S an (S, d, P, 2d + 1) stack whose
     slice s is the counts of root_seed[s] alone, whatever the others are.
     """
+    protocol.check_integer("n", n)
     if n < 1:
         raise ValueError("need at least one event")
     single = isinstance(root_seed, (numbers.Integral, np.random.Generator))

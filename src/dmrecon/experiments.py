@@ -31,7 +31,7 @@ import numpy as np
 
 from . import correlations, metrics, reconstruct, states
 from .correlations import OutcomeTables, derive_seed
-from .protocol import CouplingConfig, check_dim, check_theta
+from .protocol import CouplingConfig, check_dim, check_integer, check_theta
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")
@@ -125,6 +125,9 @@ class Scenario:
         check_bias(self.bias_epsilon, self.bias_efficiency)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            check_integer("seed", seed)
+        check_integer("n_events", self.n_events)
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be nonnegative ({EXPECTATION_SEED} marks expectation rows)")
         if max(self.seeds) > np.iinfo(np.int64).max:
@@ -331,7 +334,7 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     qst = "QST" in scn.methods or scn.reference == "qst"
     family = reconstruct.standard_projector_family(scn.d) if qst else None
     born = np.array([reconstruct.born_probabilities(rho, family) for rho in rhos]) if qst else None
-    del family  # d^4 entries, not needed while the points sample
+    del family  # d^3 entries (its kets), not needed while the points sample
     sampled, exact = zip(*(
         run_point(scn, rho, theta, p, born[i] if qst else None, root_seed, key)
         for i, (rho, theta, p, key) in enumerate(grid)

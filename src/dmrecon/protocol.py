@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,15 @@ _POINTER_EIGENSTATES = {
 OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a size or seed that is not an integer; numpy integers are integers."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value} is not an integer")
+
+
 def check_dim(d: int) -> None:
-    """Reject a system dimension outside the supported range 1..MAX_DIM."""
+    """Reject a non-integer system dimension, or one outside the supported range 1..MAX_DIM."""
+    check_integer("dimension d", d)
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension d={d} outside supported range 1..{MAX_DIM}")
 

@@ -8,9 +8,11 @@ and reproduce the state at any coupling strength. Each is a table of
 propagates the errors through; the diagonal of method II is the exception.
 Linear-inversion tomography serves as the reference method:
 `qst_linear_inversion` inverts the Born vector of the standard
-d^2-projector family (one (d^2, d, d) stack, `standard_projector_family`,
-built on every call and cached nowhere) in closed form at any d, and
-`qst_least_squares` solves any other informationally complete projector set.
+d^2-projector family in closed form at any d, and `qst_least_squares` solves
+any other informationally complete set of rank-1 projectors. A family is
+held as its kets, one (n, d) array whose row v stands for the projector
+|v><v|, so the standard one takes d^3 entries, never the d^4 of its
+projector stack.
 
 Raw matrices are finalized by taking the Hermitian part and normalizing the
 trace; no positivity projection or maximum-likelihood step is applied, so
@@ -64,14 +66,14 @@ def finalize(raw: np.ndarray) -> np.ndarray:
     """Hermitian part, then trace normalization. Positivity is not enforced.
 
     Takes one (d, d) matrix or a stack (..., d, d) and returns the array of
-    the same shape; a matrix whose Hermitian part has near-zero trace
-    (|trace| <= FINALIZE_TRACE_ATOL) has no state estimate and is all nan.
+    the same shape; a matrix whose Hermitian part has near-zero or nan trace
+    (not |trace| > FINALIZE_TRACE_ATOL) has no state estimate and is all nan.
     The Hermitian part is normalized in place, so the one array the size of
     raw that it allocates is the result.
     """
     h = qmath.hermitian_part(raw)
     tr = np.trace(h, axis1=-2, axis2=-1).real
-    degenerate = np.abs(tr) <= FINALIZE_TRACE_ATOL
+    degenerate = ~(np.abs(tr) > FINALIZE_TRACE_ATOL)
     h /= np.where(degenerate, 1.0, tr)[..., None, None]
     h[degenerate] = np.nan
     return h
@@ -192,30 +194,39 @@ def reconstruct_exact_ii(correls: Correlations) -> ReconstructionResult:
 
 
 def standard_projector_family(d: int) -> np.ndarray:
-    """The d^2 projectors of the standard tomography family, as a (d^2, d, d) stack.
+    """The kets of the standard tomography family's d^2 projectors, as one (d^2, d) array.
 
     In order: |a_j>, then (|a_j>+|a_k>)/sqrt2, then (|a_j>+i|a_k>)/sqrt2, each
-    with j < k in row-major order. Built on every call and owned by the
-    caller: d^4 complex entries, 1 MiB at d = 16, so a caller that needs
-    several Born vectors builds it once and drops it when they are done.
+    with j < k in row-major order; projector p is |v_p><v_p|. Built on every
+    call and owned by the caller: d^3 complex entries, 64 KiB at d = 16.
     """
     eye = np.eye(d, dtype=complex)
     j, k = np.triu_indices(d, 1)
-    kets = np.concatenate(
+    return np.concatenate(
         [eye, (eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
     )
-    return np.einsum("pa,pb->pab", kets, kets.conj())
 
 
-def born_probabilities(rho: states.DensityMatrix, projectors) -> np.ndarray:
-    """Tr(P rho) for each projector of a (n, d, d) stack, d the state's dimension."""
-    projs = np.asarray(projectors)
-    if projs.ndim != 3 or projs.shape[1:] != rho.matrix.shape:
+def born_probabilities(rho: states.DensityMatrix, kets) -> np.ndarray:
+    """<v|rho|v> = Tr(|v><v| rho) for each ket of an (n, d) array, d the state's dimension.
+
+    The value is ((v.conj() @ rho) * v).sum(-1).real, with v.conj() @ rho
+    formed as the conjugate of v @ rho.conj() (negation is exact) and
+    multiplied by v in place: the one (n, d) buffer it allocates is the whole
+    transient, with no (n, d, d) projector and no conjugate copy of the kets.
+    It equals that expression bit for bit, except that numpy may round a
+    one-element in-place product differently.
+    """
+    v = np.asarray(kets)
+    if v.ndim != 2 or v.shape[1] != rho.dim:
         raise ValueError(
-            f"projectors of shape {projs.shape} are not an (n, d, d) stack"
+            f"kets of shape {v.shape} are not an (n, d) array"
             f" for a state of shape {rho.matrix.shape}"
         )
-    return np.einsum("pab,ba->p", projs, rho.matrix).real
+    w = v @ rho.matrix.conj()
+    np.conjugate(w, out=w)
+    w *= v
+    return w.sum(-1).real
 
 
 def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
@@ -244,19 +255,22 @@ def qst_linear_inversion(probs, d: int) -> ReconstructionResult:
     return _result(raw)
 
 
-def qst_least_squares(projectors, probs) -> ReconstructionResult:
-    """Tomography of any informationally complete projector set by least squares.
+def qst_least_squares(kets, probs) -> ReconstructionResult:
+    """Tomography of any informationally complete set of rank-1 projectors by least squares.
 
-    `projectors` is a (n, d, d) stack with n >= d^2 whose vectorized
-    projectors are linearly independent; `probs` holds their n Born
-    probabilities. The closed form `qst_linear_inversion` is checked
-    against this.
+    `kets` is an (n, d) array with n >= d^2 whose projectors |v><v|, as
+    vectors, are linearly independent; `probs` holds their n Born
+    probabilities. Row p of the (n, d^2) design matrix holds conj(v_pa) v_pb
+    at a d + b, so that it times the flattened rho is Tr(|v_p><v_p| rho).
+    The closed form `qst_linear_inversion` is checked against this.
     """
-    projs = np.asarray(projectors, dtype=complex)
-    n, d, _ = projs.shape
+    v = np.asarray(kets, dtype=complex)
+    if v.ndim != 2:
+        raise ValueError(f"kets of shape {v.shape} are not an (n, d) array")
+    n, d = v.shape
     if n < d * d:
         raise ValueError(f"need at least {d * d} projectors for d={d}, got {n}")
-    a = projs.transpose(0, 2, 1).reshape(n, d * d)
+    a = (v.conj()[:, :, None] * v[:, None, :]).reshape(n, d * d)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[-1] < 1e-10 * sv[0]:
         raise ValueError("projector set is rank-deficient: not informationally complete")

@@ -146,8 +146,9 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 6
+    assert out.count("[ok]") == 7
     assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
+    assert "[ok] Born probabilities match Tr(P rho) (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
     assert "[ok] outcome classes carry the tables' moments (max dev" in out
 
@@ -163,6 +164,20 @@ def test_validate_fails_on_a_nan_estimate(capsys, monkeypatch):
     assert rc == 1
     assert "[FAIL] exact estimators reproduce the state (max distance nan)" in out
     assert "validation failed" in out
+
+
+@pytest.mark.parametrize("shift", [1e-14, np.nan])
+def test_validate_fails_on_a_wrong_born_vector(capsys, monkeypatch, shift):
+    # the tomography check feeds one Born vector to both of its sides, so only
+    # the Born check sees a wrong (or nan) one
+    born = reconstruct.born_probabilities
+    monkeypatch.setattr(reconstruct, "born_probabilities", lambda rho, kets: born(rho, kets) + shift)
+    rc = main(["validate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] Born probabilities match Tr(P rho) (max dev" in out
+    if shift == 1e-14:
+        assert "[ok] standard-family QST closed form matches least squares" in out
 
 
 def _one_line_error(capsys, rc):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -198,6 +199,50 @@ class TestCorrelationRejections:
             sample_counts(tables, 0, 1)
 
 
+class TestNonIntegerSizes:
+    """Sizes and seeds must be integers; numpy integers are."""
+
+    @staticmethod
+    def _scenario(**kw):
+        fields = dict(
+            scenario_id="int", kind="single", input_state="mixed", theta_list=(0.5,),
+            n_events=100, seeds=(0, 1),
+        )
+        return experiments.Scenario(**{**fields, **kw})
+
+    @pytest.mark.parametrize(
+        "field, value, want",
+        [
+            ("n_events", 10.5, "n_events=10.5 is not an integer"),
+            ("seeds", (0.5,), "seed=0.5 is not an integer"),
+            ("seeds", (0, 2.0), "seed=2.0 is not an integer"),
+            ("d", 2.0, "dimension d=2.0 is not an integer"),
+        ],
+    )
+    def test_scenario_rejects(self, field, value, want):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            self._scenario(**{field: value})
+
+    def test_coupling_config_rejects_a_float_dimension(self):
+        with pytest.raises(ValueError, match=re.escape("dimension d=2.0 is not an integer")):
+            CouplingConfig(2.0, 0.5, 0.5)
+
+    def test_sample_counts_rejects_a_float_n(self):
+        tables = correlations.build_tables(
+            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+        )
+        with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
+            sample_counts(tables, 10.5, 1)
+        assert sample_counts(tables, np.int64(10), 1).tobytes() == sample_counts(tables, 10, 1).tobytes()
+
+    def test_numpy_integers_run_as_ints(self):
+        plain = experiments.run_scenario(self._scenario(d=3))
+        numpy_ints = experiments.run_scenario(
+            self._scenario(d=np.int64(3), n_events=np.int32(100), seeds=(np.int64(0), np.uint8(1)))
+        )
+        assert numpy_ints.tobytes() == plain.tobytes()
+
+
 class TestMetricsRejections:
     def test_bound_input_validation(self):
         # checked for every method, those whose floor is nan too
@@ -218,22 +263,47 @@ class TestReconstructRejections:
             reconstruct.qst_linear_inversion(qubit, 3)
 
     def test_too_few_projectors(self):
-        family = reconstruct.standard_projector_family(3)[:5]
+        kets = reconstruct.standard_projector_family(3)[:5]
+        assert kets.shape == (5, 3)
         with pytest.raises(ValueError, match="at least 9"):
-            reconstruct.qst_least_squares(family, np.full(5, 0.1))
+            reconstruct.qst_least_squares(kets, np.full(5, 0.1))
+
+    def test_least_squares_takes_kets_only(self):
+        # a projector stack is not a ket array, even of the right size
+        projs = np.zeros((9, 3, 3))
+        with pytest.raises(ValueError, match=re.escape("kets of shape (9, 3, 3) are not an (n, d) array")):
+            reconstruct.qst_least_squares(projs, np.full(9, 0.1))
 
     @pytest.mark.parametrize(
-        "projectors, shape",
+        "kets, shape",
         [
-            (reconstruct.standard_projector_family(2), "(4, 2, 2)"),
-            (np.eye(3), "(3, 3)"),
-            (np.zeros((9, 3, 4)), "(9, 3, 4)"),
+            (reconstruct.standard_projector_family(2), "(4, 2)"),
+            (np.ones(3), "(3,)"),
+            (np.zeros((9, 4)), "(9, 4)"),
+            # a (n, d, d) projector stack of the state's d is not a ket array
+            (np.zeros((9, 3, 3)), "(9, 3, 3)"),
         ],
     )
-    def test_born_needs_a_projector_stack_of_the_state_dimension(self, projectors, shape):
-        want = f"projectors of shape {shape} are not an (n, d, d) stack for a state of shape (3, 3)"
+    def test_born_needs_a_projector_stack_of_the_state_dimension(self, kets, shape):
+        want = f"kets of shape {shape} are not an (n, d) array for a state of shape (3, 3)"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            reconstruct.born_probabilities(states.maximally_mixed(3), projectors)
+            reconstruct.born_probabilities(states.maximally_mixed(3), kets)
+
+    def test_finalize_reads_a_nan_trace_as_degenerate(self):
+        # an all-nan slice and one with a single nan on its diagonal have a
+        # nan trace: each is all nan, with no warning, and the other slices
+        # are those of the stack without them, bit for bit
+        rng = np.random.default_rng(21)
+        raw = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)) + 2 * np.eye(3)
+        raw[1] = np.nan
+        raw[3, 2, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = reconstruct.finalize(raw)
+            qst = reconstruct.qst_linear_inversion([np.nan] * 4, 2)
+        assert np.isnan(out[[1, 3]]).all()
+        assert out[[0, 2, 4]].tobytes() == reconstruct.finalize(raw[[0, 2, 4]]).tobytes()
+        assert np.isnan(qst.finalized).all()
 
 
 class TestDegenerateRunnerPoints:

@@ -278,15 +278,19 @@ class TestQstLinearInversion:
             assert distance_to(qst_least_squares(family, probs), rho) < 1e-10
 
     def test_family_size_and_rank(self):
+        # d^2 unit kets whose projectors |v><v| are linearly independent
         for d in (2, 3, 5):
-            family = standard_projector_family(d)
-            assert family.shape == (d * d, d, d)
-            assert np.linalg.matrix_rank(family.reshape(d * d, -1)) == d * d
+            kets = standard_projector_family(d)
+            assert kets.shape == (d * d, d)
+            np.testing.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, rtol=0, atol=1e-15)
+            projs = np.einsum("pa,pb->pab", kets, kets.conj())
+            assert np.linalg.matrix_rank(projs.reshape(d * d, -1)) == d * d
 
     def test_rank_deficient_rejected(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
+        # four copies of |a_1>: enough kets, one projector
+        a1 = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(ValueError, match="rank-deficient"):
-            qst_least_squares([p0] * 4, [1.0] * 4)
+            qst_least_squares([a1] * 4, [1.0] * 4)
 
     def test_missing_qubit_label_rejected(self):
         # dropping one of H, V, D, L leaves a vector the closed form cannot read
@@ -333,12 +337,12 @@ class TestStandardFamilyClosedForm:
         rng = np.random.Generator(np.random.Philox(17))
         for d in range(1, 9):
             rho = states.random_density(d, 40 + d)
-            kets = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
-            kets /= np.linalg.norm(kets, axis=1, keepdims=True)
-            projs = list(standard_projector_family(d))
-            projs += [np.outer(v, v.conj()) for v in kets]
+            extra = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+            extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+            kets = np.concatenate([standard_projector_family(d), extra])
+            projs = [np.outer(v, v.conj()) for v in kets]
             loop = np.array([float(np.trace(p @ rho.matrix).real) for p in projs])
-            np.testing.assert_allclose(born_probabilities(rho, projs), loop, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(born_probabilities(rho, kets), loop, rtol=0, atol=1e-15)
 
     def test_family_order_matches_documented_kets(self):
         d = 4
@@ -347,8 +351,7 @@ class TestStandardFamilyClosedForm:
         kets = list(eye)
         kets += [(eye[j] + eye[k]) / np.sqrt(2) for j, k in upper]
         kets += [(eye[j] + 1j * eye[k]) / np.sqrt(2) for j, k in upper]
-        want = np.stack([np.outer(v, v.conj()) for v in kets])
-        np.testing.assert_array_equal(standard_projector_family(d), want)
+        np.testing.assert_array_equal(standard_projector_family(d), np.stack(kets))
 
     def test_missing_and_unknown_labels_named(self):
         # too few, too many or wrongly shaped probabilities: the error names

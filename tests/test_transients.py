@@ -1,7 +1,8 @@
 """Transient memory of the stack path, and bit-equality of its in-place forms.
 
-`qmath.hermitian_part`, `reconstruct.finalize`, `metrics.compare` and
-`correlations.sampled_records_from_counts` work in buffers they own. The peak
+`qmath.hermitian_part`, `reconstruct.finalize`, `reconstruct.born_probabilities`,
+`metrics.compare` and `correlations.sampled_records_from_counts` work in
+buffers they own. The peak
 tests bound what each allocates while it runs, read with `tracemalloc` (numpy
 reports its array buffers to it), as a multiple of the bytes of its input
 stack or of its outputs. A scenario run must leave none of its large arrays
@@ -87,6 +88,18 @@ class TestPeaks:
         outputs = est.nbytes + std_error.nbytes
         assert peak <= 1.6 * outputs, peak / outputs
 
+    def test_family_and_born_hold_three_kets(self):
+        # the standard family is its d^2 kets, and the Born vector forms no
+        # (n, d, d) projector stack and no conjugate copy of them
+        d = 16
+        rho = states.random_density(d, 12)
+        kets_nbytes = d * d * d * np.dtype(complex).itemsize
+        peak, probs = _peak_bytes(
+            lambda: reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(d))
+        )
+        assert probs.shape == (d * d,)
+        assert peak <= 3 * kets_nbytes, peak / kets_nbytes
+
 
 class TestRunPathKeepsNoArrays:
     def test_scenario_leaves_less_than_one_kraus_stack_allocated(self):
@@ -118,6 +131,16 @@ class TestInPlaceFormsAreBitIdentical:
         new = qmath.hermitian_part(a)
         assert new.flags.c_contiguous
         assert new.tobytes() == old.tobytes()
+
+    def test_born_probabilities(self):
+        # the family at each d, and drawn kets of two elements or more
+        rng = np.random.default_rng(13)
+        for d in range(1, 17):
+            rho = states.random_density(d, 50 + d)
+            drawn = rng.normal(size=(3 * d + 2, d)) + 1j * rng.normal(size=(3 * d + 2, d))
+            for kets in (reconstruct.standard_projector_family(d), drawn, drawn[1::3]):
+                old = ((kets.conj() @ rho.matrix) * kets).sum(-1).real
+                assert reconstruct.born_probabilities(rho, kets).tobytes() == old.tobytes()
 
     def test_finalize(self):
         raw = _raw_stack((6,), 4, 6)
