@@ -171,7 +171,9 @@ def test_validate_fails_on_a_wrong_born_vector(capsys, monkeypatch, shift):
     # the tomography check feeds one Born vector to both of its sides, so only
     # the Born check sees a wrong (or nan) one
     born = reconstruct.born_probabilities
-    monkeypatch.setattr(reconstruct, "born_probabilities", lambda rho, kets: born(rho, kets) + shift)
+    monkeypatch.setattr(
+        reconstruct, "born_probabilities", lambda rho, kets: born(rho, kets) + shift
+    )
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -233,7 +233,7 @@ class TestNonIntegerSizes:
         )
         with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
             sample_counts(tables, 10.5, 1)
-        assert sample_counts(tables, np.int64(10), 1).tobytes() == sample_counts(tables, 10, 1).tobytes()
+        assert (sample_counts(tables, np.int64(10), 1) == sample_counts(tables, 10, 1)).all()
 
     def test_numpy_integers_run_as_ints(self):
         plain = experiments.run_scenario(self._scenario(d=3))
@@ -270,9 +270,9 @@ class TestReconstructRejections:
 
     def test_least_squares_takes_kets_only(self):
         # a projector stack is not a ket array, even of the right size
-        projs = np.zeros((9, 3, 3))
-        with pytest.raises(ValueError, match=re.escape("kets of shape (9, 3, 3) are not an (n, d) array")):
-            reconstruct.qst_least_squares(projs, np.full(9, 0.1))
+        want = "kets of shape (9, 3, 3) are not an (n, d) array"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            reconstruct.qst_least_squares(np.zeros((9, 3, 3)), np.full(9, 0.1))
 
     @pytest.mark.parametrize(
         "kets, shape",
