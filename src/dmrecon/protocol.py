@@ -51,8 +51,8 @@ OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
 
 
 def check_integer(name: str, value) -> None:
-    """Reject a size or seed that is not an integer; numpy integers are integers."""
-    if not isinstance(value, numbers.Integral):
+    """Reject a size or seed that is not an integer; numpy integers are, bools are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value} is not an integer")
 
 

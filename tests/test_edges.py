@@ -217,6 +217,7 @@ class TestNonIntegerSizes:
             ("seeds", (0.5,), "seed=0.5 is not an integer"),
             ("seeds", (0, 2.0), "seed=2.0 is not an integer"),
             ("d", 2.0, "dimension d=2.0 is not an integer"),
+            ("d", True, "dimension d=True is not an integer"),
         ],
     )
     def test_scenario_rejects(self, field, value, want):
