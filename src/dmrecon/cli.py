@@ -95,6 +95,9 @@ def _cmd_validate(args) -> int:
     rng = np.random.Generator(np.random.Philox(20260808))
     y = np.array([[0, -1j], [1j, 0]])
 
+    # Every check folds its deviations with np.maximum, which keeps a nan, so
+    # a nan fails the check; Python's max(worst, nan) would drop it.
+
     # Closed-form coupling unitary vs eigendecomposition exponential.
     worst = 0.0
     for _ in range(50):
@@ -105,7 +108,7 @@ def _cmd_validate(args) -> int:
         theta = float(rng.uniform(0.01, math.pi / 2))
         closed = protocol.coupling_unitary(proj, theta)
         oracle = qmath.matrix_exponential(qmath.tensor(proj, y), theta)
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        worst = float(np.maximum(worst, np.max(np.abs(closed - oracle))))
     check("coupling unitary matches matrix exponential", worst < 1e-12, f"max dev {worst:.2e}")
 
     # Projector-form Kraus operators vs the |0> columns of both exponentials, U_B U_A.
@@ -122,7 +125,7 @@ def _cmd_validate(args) -> int:
             for j in range(1, d + 1):
                 m_a = column0(states.basis_state(d, j), theta_a)
                 oracle = np.einsum("kbm,mai->abki", m_b, m_a)
-                worst = max(worst, float(np.max(np.abs(kraus[j - 1] - oracle))))
+                worst = float(np.maximum(worst, np.max(np.abs(kraus[j - 1] - oracle))))
     check("Kraus operators match matrix-exponential columns", worst < 1e-12, f"max dev {worst:.2e}")
 
     # Trace-based vs closed-form correlations, randomized over everything.
@@ -136,7 +139,7 @@ def _cmd_validate(args) -> int:
         correls = correlations.correlation_set(rho, cfg, correlations.SUPPORTED_PAIRS)
         for pair, exact in zip(correls.pairs, correls.values[j - 1, k - 1]):
             closed = correlations.analytic_correlation(rho, j, k, pair[0], pair[1], cfg)
-            worst = max(worst, abs(exact - closed))
+            worst = float(np.maximum(worst, abs(exact - closed)))
     check("trace correlations match closed forms", worst < 1e-10, f"max dev {worst:.2e}")
 
     # Exactness of both strong-coupling estimators.
@@ -148,7 +151,6 @@ def _cmd_validate(args) -> int:
             correls = correlations.correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
             for rebuild in (reconstruct.reconstruct_exact_i, reconstruct.reconstruct_exact_ii):
                 result = rebuild(correls)
-                # np.maximum keeps a nan distance (a degenerate estimate), so the check fails
                 worst = float(np.maximum(worst, qmath.trace_distance(result.finalized, rho.matrix)))
     check("exact estimators reproduce the state", worst < 1e-9, f"max distance {worst:.2e}")
 
@@ -160,7 +162,7 @@ def _cmd_validate(args) -> int:
         rho = states.random_density(d, 300 + d)
         oracle = [np.trace(np.outer(v, v.conj()) @ rho.matrix).real for v in kets]
         dev = np.max(np.abs(reconstruct.born_probabilities(rho, kets) - oracle))
-        worst = float(np.maximum(worst, dev))  # keeps a nan, so the check fails
+        worst = float(np.maximum(worst, dev))
     check("Born probabilities match Tr(P rho)", worst <= 1e-15, f"max dev {worst:.2e}")
 
     # Closed-form standard-family tomography vs least squares on the same vectors.
@@ -173,7 +175,7 @@ def _cmd_validate(args) -> int:
             probs = np.clip(probs + rng.normal(scale=0.02, size=probs.size), 0.0, 1.0)
             closed = reconstruct.qst_linear_inversion(probs, d)
             oracle = reconstruct.qst_least_squares(family, probs)
-            worst = max(worst, float(np.max(np.abs(closed.raw - oracle.raw))))
+            worst = float(np.maximum(worst, np.max(np.abs(closed.raw - oracle.raw))))
     check(
         "standard-family QST closed form matches least squares",
         worst < 1e-12,
@@ -196,8 +198,23 @@ def _cmd_validate(args) -> int:
             (plus + minus, np.einsum("pxy,jpxyk->jpk", w * w, tables.probs)),
             (classes.sum(axis=-1), 1.0),
         ):
-            worst = max(worst, float(np.max(np.abs(got - want))))
+            worst = float(np.maximum(worst, np.max(np.abs(got - want))))
     check("outcome classes carry the tables' moments", worst < 1e-14, f"max dev {worst:.2e}")
+
+    # Vectorised Philox keys vs numpy's own seeding of each root: the sampler
+    # re-keys one Philox with them, at counter 0, for the stream of Philox(root).
+    roots = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+    roots += rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True).tolist()
+    worst = 0
+    for root, key in zip(roots, correlations.philox_keys(roots)):
+        fresh = np.random.Philox(root).state["state"]
+        differ = np.count_nonzero(key != fresh["key"]) + np.count_nonzero(fresh["counter"])
+        worst = int(np.maximum(worst, differ))
+    check(
+        "vectorised Philox keys match numpy's seeding",
+        worst == 0,
+        f"max words differing {worst} over {len(roots)} roots",
+    )
 
     print("validation " + ("failed" if failures else "passed"))
     return 1 if failures else 0

@@ -7,7 +7,7 @@ Three evaluation paths are provided:
   exact     numerical outcome probabilities from the couplings' Kraus operators
   analytic  closed-form expressions in the entries of rho
   sampled   finite-N multinomial draw over each table's outcome classes,
-            one generator per (grid point, seed) for all of its tables
+            one random stream per (grid point, seed) for all of its tables
 
 The exact and sampled paths are one constructor, `correlation_set` (or
 `correlation_set_from_tables` on tables already built), whose event count n
@@ -24,16 +24,18 @@ exact distribution. Tables and sets carry the `CouplingConfig` they were built
 at. Given a list of root seeds, the sampled path draws every seed of a grid
 point in one call and returns one `Correlations` with a leading seed axis,
 [seed, j-1, k-1, pair]; seed s's slice is the set of root_seed[s] alone, bit
-for bit. `stack_sets` joins separately drawn sets the same way. The exact
-and analytic paths are independent, so their agreement cross-validates both
-the Kraus contraction and the closed forms.
+for bit. `stack_sets` joins separately drawn sets the same way. Seed s's
+stream is that of `Philox(root_seed[s])`: `philox_keys` turns all roots
+into Philox keys in one vectorised pass, and `sample_counts` re-keys one
+Philox per seed instead of building a generator for each. The exact and
+analytic paths are independent, so their agreement cross-validates both the
+Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,6 +63,80 @@ def derive_seed(root: int, *parts) -> int:
     """Stable 64-bit seed from a root seed and arbitrary coordinates."""
     payload = "::".join([str(root), *map(str, parts)]).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the pool's
+# hash constants and the mixing multipliers, all taken mod 2**32.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_SIZE = 4
+
+
+def _signed32(c: int) -> int:
+    """c mod 2**32 in -2**31..2**31-1, so that its product with a 32-bit word fits an int64."""
+    c &= _MASK32
+    return c - 2**32 if c >= 2**31 else c
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of each of `count` hash steps; the hash constant advances by
+    `mult` at each step, whatever the data."""
+    steps, const = [], init
+    for _ in range(count):
+        nxt = const * mult & _MASK32
+        steps.append((const, _signed32(nxt)))
+        const = nxt
+    return tuple(steps)
+
+
+# 4 pool words hashed in, then each word hashed into each of the 3 others
+_POOL_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)  # two uint64 key words, as four uint32
+
+
+def _hash32(words, step):
+    """One SeedSequence hash step on 32-bit words held in int64 (or a Python int)."""
+    xor, mult = step
+    words = (words ^ xor) * mult & _MASK32
+    return words ^ (words >> 16)
+
+
+def philox_keys(roots: Sequence[int]) -> np.ndarray:
+    """The key `np.random.Philox(root)` takes for each root, as an (S, 2) uint64 array.
+
+    Philox keys itself with `SeedSequence(root).generate_state(2, np.uint64)`,
+    a hash of a pool of four 32-bit words: the root's low and high words and
+    two zeros (a root below 2**32 is one word, and the hash reads a missing
+    word as 0). Its constants do not depend on the data, so one pass of
+    array operations hashes every root. The words are held in int64, each
+    product masked to 32 bits; every multiplier lies in -2**31..2**31-1, so
+    no product overflows. (Each family of uint32 or uint64 loops tried here
+    paged in about 64 KB of code that the rest of a run leaves untouched.)
+    The arrays are 1-d, one root or many, and never fall back to numpy
+    scalar arithmetic. A root must be an integer in 0..2**64-1, the range a
+    key is derived from.
+    """
+    for root in roots:
+        protocol.check_integer("root seed", root)
+        if not 0 <= root <= 2**64 - 1:
+            raise ValueError(f"root seed={root} outside 0..2**64-1")
+    roots = np.array(roots, dtype=np.uint64).view(np.int64)  # the same bits
+    pool_steps = iter(_POOL_STEPS)
+    pool = [
+        _hash32(word, next(pool_steps))
+        for word in (roots & _MASK32, roots >> 32 & _MASK32, 0, 0)
+    ]
+    mult_l, mult_r = _signed32(_MIX_MULT_L), _signed32(_MIX_MULT_R)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed = _hash32(pool[src], next(pool_steps))
+                mixed = ((mult_l * pool[dst] & _MASK32) - (mult_r * hashed & _MASK32)) & _MASK32
+                pool[dst] = mixed ^ (mixed >> 16)
+    words = np.stack([_hash32(word, step) for word, step in zip(pool, _STATE_STEPS)], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -254,36 +330,76 @@ def outcome_classes(tables: OutcomeTables) -> np.ndarray:
 
 
 def sample_counts(
-    tables: OutcomeTables, n: int, root_seed: int | np.random.Generator | Sequence
-) -> np.ndarray:
+    tables: OutcomeTables | None,
+    n: int,
+    root_seed: int | Sequence[int] | np.ndarray,
+    born: Sequence[np.ndarray] | None = None,
+) -> np.ndarray | tuple[np.ndarray | None, np.ndarray]:
     """Draw n events from every (j, pair) table; integer outcome-class counts [..., j-1, p, c].
 
     The classes are those of `outcome_classes`: c = k-1 counts the weight +1
     outcomes at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
     zero-weight outcome; each (j, pair) row sums to n. Each slice is one
-    multinomial draw over the (d, P, 2d + 1) class stack, from a Generator
-    as given (which the caller may draw from next) or from a fresh
-    counter-based `Philox(root)` for an int root: reproducible across runs
-    and workers, with cost independent of n. A table's counts depend on its
-    generator and on every table drawn with it. One root or Generator gives
-    a (d, P, 2d + 1) array; a sequence of S an (S, d, P, 2d + 1) stack whose
-    slice s is the counts of root_seed[s] alone, whatever the others are.
+    multinomial draw over the (d, P, 2d + 1) class stack, from the
+    counter-based stream of `Philox(root)`: reproducible across runs and
+    workers, with cost independent of n. One Philox, re-keyed for each root
+    from `philox_keys` (or from the (S, 2) uint64 key array given in place of
+    the roots), walks the roots; a re-keyed Philox gives the stream of a
+    fresh `Philox(root)`, bit for bit. A table's counts depend on its root
+    and on every table drawn with it. One root gives a (d, P, 2d + 1) array;
+    a sequence of S an (S, d, P, 2d + 1) stack whose slice s is the counts
+    of root_seed[s] alone, whatever the others are.
+
+    Each Born vector of `born` then draws n events per projector from the
+    same stream, in order, after the classes; tables = None draws no classes.
+    With `born` given, even empty, the result is (class counts or None, Born
+    counts), the Born counts indexed [..., b, projector].
     """
     protocol.check_integer("n", n)
     if n < 1:
         raise ValueError("need at least one event")
-    single = isinstance(root_seed, (numbers.Integral, np.random.Generator))
-    roots = [root_seed] if single else list(root_seed)
-    if not roots:
+    if isinstance(root_seed, np.ndarray) and root_seed.ndim == 2:
+        if root_seed.dtype != np.uint64 or root_seed.shape[1] != 2:
+            raise ValueError(f"Philox keys must be an (S, 2) uint64 array, got {root_seed.dtype} "
+                             f"shaped {root_seed.shape}")
+        keys, single = root_seed, False
+    else:
+        single = np.ndim(root_seed) == 0
+        keys = philox_keys([root_seed] if single else root_seed)
+    if not len(keys):
         raise ValueError("need at least one root seed")
-    classes = outcome_classes(tables)
-    pvals = classes / classes.sum(axis=-1, keepdims=True)
-    counts = np.empty((len(roots), *pvals.shape), dtype=np.int64)
-    for out, root in zip(counts, roots):
-        if not isinstance(root, np.random.Generator):
-            root = np.random.Generator(np.random.Philox(root))
-        out[...] = root.multinomial(n, pvals)
-    return counts[0] if single else counts
+    draws = () if born is None else born
+    if tables is None and not len(draws):
+        raise ValueError("nothing to draw: no outcome tables and no Born vector")
+    counts = pvals = None
+    if tables is not None:
+        classes = outcome_classes(tables)
+        pvals = classes / classes.sum(axis=-1, keepdims=True)
+        counts = np.empty((len(keys), *pvals.shape), dtype=np.int64)
+    projectors = len(draws[0]) if len(draws) else 0
+    born_counts = np.empty((len(keys), len(draws), projectors), dtype=np.int64)
+    bit_generator = np.random.Philox(0)
+    rng = np.random.Generator(bit_generator)
+    # a fresh Philox's state, counter 0 and an empty buffer, keyed per root below
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for s, key in enumerate(keys):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        if counts is not None:
+            counts[s] = rng.multinomial(n, pvals)
+        for b, p in enumerate(draws):
+            born_counts[s, b] = rng.binomial(n, p)
+    if single:
+        counts = None if counts is None else counts[0]
+        born_counts = born_counts[0]
+    return counts if born is None else (counts, born_counts)
 
 
 def sampled_records_from_counts(
@@ -315,16 +431,16 @@ def sampled_records_from_counts(
 def correlation_set_from_tables(
     tables: OutcomeTables,
     n: int = 0,
-    root_seed: int | np.random.Generator | Sequence[int | np.random.Generator] | None = None,
+    root_seed: int | Sequence[int] | None = None,
 ) -> Correlations:
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
     n = 0 gives the exact set, and then no root seed may be given. n >= 1
-    draws n events from each (j, pair) table, all of them from one generator,
-    which is then required: a Generator or a root seed (`sample_counts`), one
-    per (grid point, seed). A sequence of S draws S sets in one call and
-    returns them as one `Correlations` indexed [s, j-1, k-1, p]; slice s
-    equals the set of root_seed[s] alone, bit for bit.
+    draws n events from each (j, pair) table, all of them from the stream of
+    one root seed (`sample_counts`), which is then required, one per (grid
+    point, seed). A sequence of S roots draws S sets in one call and returns
+    them as one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the
+    set of root_seed[s] alone, bit for bit.
     """
     if n == 0:
         if root_seed is not None:
@@ -361,7 +477,7 @@ def correlation_set(
     cfg: CouplingConfig,
     pairs: tuple[ObsPair, ...],
     n: int = 0,
-    root_seed: int | np.random.Generator | Sequence[int | np.random.Generator] | None = None,
+    root_seed: int | Sequence[int] | None = None,
 ) -> Correlations:
     """All (j, k) unbiased correlations of the requested pairs.
 

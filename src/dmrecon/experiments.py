@@ -1,10 +1,12 @@
 """Scenario runner: purity, strength and statistical-error sweeps.
 
 Every run is deterministic: each (grid point, seed) draws all of its counts
-from one generator, keyed by a seed derived from the root seed and its
-coordinates, and rows are sorted before they are written, so repeated runs
-(or parallel ones) produce identical output. Rows are held as one
-structured array of `ROW_DTYPE`, whose fields are the CSV columns.
+from one stream, that of `Philox(root)` for a root derived from the root seed
+and its coordinates, and rows are sorted before they are written, so
+repeated runs (or parallel ones) produce identical output. A scenario turns
+all of its roots into Philox keys in one pass, and each grid point walks its
+seeds with one re-keyed Philox. Rows are held as one structured array of
+`ROW_DTYPE`, whose fields are the CSV columns.
 
 Each grid point builds its outcome tables once and turns its sampled seeds
 into rows as one stack (`run_point`). The expectation rows (seed -1, from
@@ -207,8 +209,7 @@ def run_point(
     theta: float,
     purity_p: float,
     born: np.ndarray | None,
-    root_seed: int,
-    point_key: tuple,
+    keys: np.ndarray | None,
 ) -> tuple[np.ndarray | None, correlations.Correlations | None]:
     """One (state, theta) grid point: its sampled rows and its exact correlations.
 
@@ -219,10 +220,13 @@ def run_point(
     estimates seed -1 (EXPECTATION_SEED) of every grid point from the
     correlations and Born vectors as one grid stack.
     `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
-    exact source. The seeds are one stack, and each seed has one generator,
-    `Philox(derive_seed(root_seed, *point_key, seed))`. It draws the seed's
-    outcome classes, then the QST method's Born counts, then the QST
-    reference's, each only where it is read.
+    exact source. `keys` holds the Philox key of each sampled seed's root,
+    one row per seed, which `run_scenario` derives for all points at once
+    (None for an exact source).
+    The seeds are one stack, drawn by one `sample_counts` call: each seed's
+    stream is that of `Philox(root)`, and draws the seed's outcome classes,
+    then the QST method's Born counts, then the QST reference's, each only
+    where it is read. The counts are dropped before the rows are built.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -236,12 +240,15 @@ def run_point(
     rows = None
     if scn.source == "sampled":
         n = scn.n_events
-        roots = (derive_seed(root_seed, *point_key, seed) for seed in scn.seeds)
-        rngs = [np.random.Generator(np.random.Philox(root)) for root in roots]
-        correls = correlations.correlation_set_from_tables(tables, n, rngs) if pairs else None
-        p = None if born is None else np.clip(born, 0.0, 1.0)
-        method_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_method else None
-        ref_probs = np.array([rng.binomial(n, p) / n for rng in rngs]) if qst_ref else None
+        draws = () if born is None else (np.clip(born, 0.0, 1.0),) * (qst_method + qst_ref)
+        counts, born_counts = correlations.sample_counts(tables, n, keys, draws)
+        correls = None
+        if pairs:
+            values, std_error = correlations.sampled_records_from_counts(tables, counts, n)
+            correls = correlations.Correlations(cfg, pairs, values, std_error, n)
+        method_probs = born_counts[:, 0] / n if qst_method else None
+        ref_probs = born_counts[:, -1] / n if qst_ref else None
+        del counts, born_counts  # the count stacks, before the rows' transients
         rows = _stack_rows(
             scn, rho.matrix, theta, purity_p, scn.seeds, correls, method_probs, ref_probs
         )
@@ -317,7 +324,10 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     config per point) and Born vectors, estimated with one call per method.
     With QST as a method or the reference, the standard projector family is
     built once here, gives every point's exact Born vector, and is dropped
-    before the first point samples.
+    before the first point samples. A sampled scenario derives the root of
+    every (grid point, seed) here, `derive_seed(root_seed, scenario_id, "th",
+    theta, seed)` ("p", purity in a purity sweep), and turns them all into
+    Philox keys with one `philox_keys` call.
     """
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
@@ -335,9 +345,13 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     family = reconstruct.standard_projector_family(scn.d) if qst else None
     born = np.array([reconstruct.born_probabilities(rho, family) for rho in rhos]) if qst else None
     del family  # d^3 entries (its kets), not needed while the points sample
+    keys = [None] * len(grid)
+    if scn.source == "sampled":
+        roots = [derive_seed(root_seed, *key, seed) for *_, key in grid for seed in scn.seeds]
+        keys = correlations.philox_keys(roots).reshape(len(grid), len(scn.seeds), 2)
     sampled, exact = zip(*(
-        run_point(scn, rho, theta, p, born[i] if qst else None, root_seed, key)
-        for i, (rho, theta, p, key) in enumerate(grid)
+        run_point(scn, rho, theta, p, born[i] if qst else None, keys[i])
+        for i, (rho, theta, p, _) in enumerate(grid)
     ))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
     truth = np.array([rho.matrix for rho in rhos])

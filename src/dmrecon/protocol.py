@@ -52,6 +52,8 @@ OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
 
 def check_integer(name: str, value) -> None:
     """Reject a size or seed that is not an integer; numpy integers are, bools are not."""
+    if type(value) is int:  # before the abstract-class test, about 1 us a call, paid per root seed
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value} is not an integer")
 

@@ -95,7 +95,7 @@ def test_criterion_2_oracle_equivalence():
         cs = correlation_set(rho, cfg, PAIRS_EXACT_I)
         for (oa, ob), trace_val in zip(cs.pairs, cs.values[j - 1, k - 1]):
             gap = abs(trace_val - analytic_correlation(rho, j, k, oa, ob, cfg))
-            worst = max(worst, gap)
+            worst = float(np.maximum(worst, gap))
     elapsed = time.time() - t0
     report(
         2,
@@ -117,7 +117,7 @@ def test_criterion_3_coupling_unitary_identity():
         theta = float(rng.uniform(0.0, math.pi / 2))
         closed = coupling_unitary(proj, theta)
         oracle = qmath.matrix_exponential(qmath.tensor(proj, Y_POINTER), theta)
-        worst = max(worst, float(np.max(np.abs(closed - oracle))))
+        worst = float(np.maximum(worst, np.max(np.abs(closed - oracle))))
     elapsed = time.time() - t0
     report(
         3,

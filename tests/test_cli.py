@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dmrecon import experiments, io, protocol, reconstruct
+from dmrecon import correlations, experiments, io, protocol, reconstruct
 from dmrecon.cli import main
 
 CONFIG = """
@@ -146,11 +146,12 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 7
+    assert out.count("[ok]") == 8
     assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
     assert "[ok] Born probabilities match Tr(P rho) (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
     assert "[ok] outcome classes carry the tables' moments (max dev" in out
+    assert "[ok] vectorised Philox keys match numpy's seeding (max words differing 0 over" in out
 
 
 def test_validate_fails_on_a_nan_estimate(capsys, monkeypatch):
@@ -180,6 +181,34 @@ def test_validate_fails_on_a_wrong_born_vector(capsys, monkeypatch, shift):
     assert "[FAIL] Born probabilities match Tr(P rho) (max dev" in out
     if shift == 1e-14:
         assert "[ok] standard-family QST closed form matches least squares" in out
+
+
+@pytest.mark.parametrize(
+    "module, name, check",
+    [
+        (correlations, "analytic_correlation", "trace correlations match closed forms"),
+        (protocol, "coupling_unitary", "coupling unitary matches matrix exponential"),
+    ],
+    ids=["trace-correlations", "coupling-unitary"],
+)
+def test_validate_fails_on_a_nan_in_a_check(capsys, monkeypatch, module, name, check):
+    # each check folds its deviations with np.maximum, so one nan fails it
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: np.full_like(real(*args), np.nan))
+    rc = main(["validate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"[FAIL] {check} (max dev nan)" in out
+    assert "validation failed" in out
+
+
+def test_validate_fails_on_a_wrong_philox_key(capsys, monkeypatch):
+    keys = correlations.philox_keys
+    monkeypatch.setattr(correlations, "philox_keys", lambda roots: keys(roots) ^ np.uint64(1))
+    rc = main(["validate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] vectorised Philox keys match numpy's seeding (max words differing 2 over" in out
 
 
 def _one_line_error(capsys, rc):

@@ -105,23 +105,58 @@ class TestOutcomeTables:
         # Pi1-Pi1 has no weight -1 outcome: its padded classes draw nothing
         assert np.all(counts[:, PAIRS_EXACT_II.index(("Pi1", "Pi1")), 3:6] == 0)
 
-    def test_a_generator_slice_takes_one_multinomial(self):
-        # a Generator in place of a root seed makes exactly one multinomial
-        # draw, the one a fresh Philox(root) makes, and the caller draws on
-        # from where it stopped: one stream per (grid point, seed)
-        rho = states.random_density(3, 41)
-        tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
+    @pytest.mark.parametrize("draws", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_each_root_draws_its_classes_then_its_born_counts(self, d, draws):
+        # pins the stream of every slice of a seed stack: a fresh Philox(root)
+        # draws the class multinomial, then one binomial per Born vector, in order
+        tables = stacked_tables(d, True)
         classes = correlations.outcome_classes(tables)
         pvals = classes / classes.sum(axis=-1, keepdims=True)
-        roots, n = (12345, 678), 777
-        rngs = [np.random.Generator(np.random.Philox(root)) for root in roots]
-        stack = sample_counts(tables, n, rngs)
-        single = np.random.Generator(np.random.Philox(roots[0]))
-        np.testing.assert_array_equal(sample_counts(tables, n, single), stack[0])
-        for rng, counts, root in zip([*rngs, single], [*stack, stack[0]], [*roots, roots[0]]):
-            mirror = np.random.Generator(np.random.Philox(root))
-            np.testing.assert_array_equal(counts, mirror.multinomial(n, pvals))
-            np.testing.assert_array_equal(rng.random(4), mirror.random(4))
+        roots = [derive_seed(3, "pin", d, s) for s in range(50)]
+        born = np.random.default_rng(d).uniform(size=(2, d * d))[:draws]
+        n = 500
+        counts, born_counts = sample_counts(tables, n, roots, born)
+        assert counts.shape == (50, d, len(SUPPORTED_PAIRS), 2 * d + 1)
+        assert born_counts.shape == (50, draws, d * d if draws else 0)
+        for root, slice_counts, slice_born in zip(roots, counts, born_counts):
+            fresh = np.random.Generator(np.random.Philox(root))
+            np.testing.assert_array_equal(slice_counts, fresh.multinomial(n, pvals))
+            for got, p in zip(slice_born, born):
+                np.testing.assert_array_equal(got, fresh.binomial(n, p))
+        # the roots' Philox keys in place of the roots draw the same stack
+        by_key = sample_counts(tables, n, correlations.philox_keys(roots), born)
+        np.testing.assert_array_equal(by_key[0], counts)
+        np.testing.assert_array_equal(by_key[1], born_counts)
+        if not draws:
+            np.testing.assert_array_equal(sample_counts(tables, n, roots), counts)
+
+    def test_born_counts_alone_follow_the_stream(self):
+        # with no tables, the Born vectors are the first draws of each stream
+        born = np.random.default_rng(8).uniform(size=(2, 9))
+        counts, born_counts = sample_counts(None, 300, 77, born)
+        assert counts is None and born_counts.shape == (2, 9)
+        fresh = np.random.Generator(np.random.Philox(77))
+        for got, p in zip(born_counts, born):
+            np.testing.assert_array_equal(got, fresh.binomial(300, p))
+
+
+class TestPhiloxKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(roots=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_keys_equal_numpy_seeding(self, roots):
+        keys = correlations.philox_keys(roots)
+        assert keys.dtype == np.uint64 and keys.shape == (len(roots), 2)
+        for root, key in zip(roots, keys):
+            np.testing.assert_array_equal(key, np.random.Philox(root).state["state"]["key"])
+
+    def test_word_boundaries_and_numpy_integers(self):
+        roots = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+        want = np.array([np.random.Philox(r).state["state"]["key"] for r in roots])
+        np.testing.assert_array_equal(correlations.philox_keys(roots), want)
+        as_numpy = np.array(roots, dtype=np.uint64)
+        np.testing.assert_array_equal(correlations.philox_keys(as_numpy), want)
+        assert correlations.philox_keys([]).shape == (0, 2)
 
 
 class TestExactCorrelation:

@@ -236,6 +236,38 @@ class TestNonIntegerSizes:
             sample_counts(tables, 10.5, 1)
         assert (sample_counts(tables, np.int64(10), 1) == sample_counts(tables, 10, 1)).all()
 
+    @pytest.mark.parametrize(
+        "root, want",
+        [
+            (True, "root seed=True is not an integer"),
+            (1.5, "root seed=1.5 is not an integer"),
+            (-1, "root seed=-1 outside 0..2**64-1"),
+            (2**64, f"root seed={2**64} outside 0..2**64-1"),
+        ],
+        ids=["bool", "float", "negative", "2**64"],
+    )
+    def test_sample_counts_rejects_a_root(self, root, want):
+        tables = correlations.build_tables(
+            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+        )
+        for roots in (root, [0, root]):
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                sample_counts(tables, 10, roots)
+        top = np.random.Generator(np.random.Philox(2**64 - 1))
+        classes = correlations.outcome_classes(tables)
+        want_counts = top.multinomial(10, classes / classes.sum(axis=-1, keepdims=True))
+        assert (sample_counts(tables, 10, 2**64 - 1) == want_counts).all()
+        assert (sample_counts(tables, 10, np.uint64(2**64 - 1)) == want_counts).all()
+
+    def test_sample_counts_rejects_bad_keys_and_an_empty_draw(self):
+        tables = correlations.build_tables(
+            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+        )
+        with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got int64"):
+            sample_counts(tables, 10, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="nothing to draw"):
+            sample_counts(None, 10, 1)
+
     def test_numpy_integers_run_as_ints(self):
         plain = experiments.run_scenario(self._scenario(d=3))
         numpy_ints = experiments.run_scenario(

@@ -122,6 +122,36 @@ class TestRunPathKeepsNoArrays:
             tracemalloc.stop()
         assert held - base < kraus_stack
 
+    def test_sampled_point_drops_its_counts_before_the_rows(self, monkeypatch):
+        # while a d = 16 point's sampled seeds become rows, what the point has
+        # allocated is its correlations and Born frequencies, not its class counts
+        d, seeds = 16, 50
+        scn = experiments.Scenario(
+            scenario_id="drop", kind="single", input_state="random:seed=6", d=d,
+            theta_list=(0.7,), n_events=1000, seeds=tuple(range(seeds)),
+            methods=experiments.METHODS, reference="qst",
+        )
+        class_counts = seeds * d * len(PAIRS_EXACT_I) * (2 * d + 1) * np.dtype(np.int64).itemsize
+        stack_rows, seen = experiments._stack_rows, {}
+
+        def spy(*args):
+            _, _, _, _, seed_col, correls, method_probs, ref_probs = args
+            if np.ndim(seed_col) and "base" in seen:  # the traced run's sampled stack
+                inputs = correls.values.nbytes + correls.std_error.nbytes
+                inputs += method_probs.nbytes + ref_probs.nbytes
+                seen["extra"] = tracemalloc.get_traced_memory()[0] - seen["base"] - inputs
+            return stack_rows(*args)
+
+        monkeypatch.setattr(experiments, "_stack_rows", spy)
+        experiments.run_scenario(replace(scn, seeds=(0,)))  # fills the run's caches
+        tracemalloc.start()
+        try:
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            experiments.run_scenario(scn)
+        finally:
+            tracemalloc.stop()
+        assert seen["extra"] < class_counts / 4, seen["extra"] / class_counts
+
 
 class TestInPlaceFormsAreBitIdentical:
     def test_hermitian_part(self):
