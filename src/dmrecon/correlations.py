@@ -24,12 +24,14 @@ exact distribution. Tables and sets carry the `CouplingConfig` they were built
 at. Given a list of root seeds, the sampled path draws every seed of a grid
 point in one call and returns one `Correlations` with a leading seed axis,
 [seed, j-1, k-1, pair]; seed s's slice is the set of root_seed[s] alone, bit
-for bit. `stack_sets` joins separately drawn sets the same way. Seed s's
-stream is that of `Philox(root_seed[s])`: `philox_keys` turns all roots
-into Philox keys in one vectorised pass, and `sample_counts` re-keys one
-Philox per seed instead of building a generator for each. The exact and
-analytic paths are independent, so their agreement cross-validates both the
-Kraus contraction and the closed forms.
+for bit. `stack_sets` joins separately drawn sets the same way. A root seed
+is a 128-bit Philox key, and seed s's stream is that of
+`Philox(key=root_seed[s])`: `key_words` splits the keys into one (S, 2)
+uint64 array, and `sample_counts` re-keys one Philox per seed instead of
+building a generator for each. A scenario's keys come from `derive_seed`,
+the first 16 bytes of a sha256 digest. The exact and analytic paths are
+independent, so their agreement cross-validates both the Kraus contraction
+and the closed forms.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,83 +62,31 @@ SUPPORTED_PAIRS: tuple[ObsPair, ...] = PAIRS_EXACT_I
 
 
 def derive_seed(root: int, *parts) -> int:
-    """Stable 64-bit seed from a root seed and arbitrary coordinates."""
-    payload = "::".join([str(root), *map(str, parts)]).encode()
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    """Stable 128-bit Philox key from a root seed and arbitrary coordinates.
 
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): the pool's
-# hash constants and the mixing multipliers, all taken mod 2**32.
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-_POOL_SIZE = 4
-
-
-def _signed32(c: int) -> int:
-    """c mod 2**32 in -2**31..2**31-1, so that its product with a 32-bit word fits an int64."""
-    c &= _MASK32
-    return c - 2**32 if c >= 2**31 else c
-
-
-def _hash_steps(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
-    """(xor, multiplier) of each of `count` hash steps; the hash constant advances by
-    `mult` at each step, whatever the data."""
-    steps, const = [], init
-    for _ in range(count):
-        nxt = const * mult & _MASK32
-        steps.append((const, _signed32(nxt)))
-        const = nxt
-    return tuple(steps)
-
-
-# 4 pool words hashed in, then each word hashed into each of the 3 others
-_POOL_STEPS = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 4)  # two uint64 key words, as four uint32
-
-
-def _hash32(words, step):
-    """One SeedSequence hash step on 32-bit words held in int64 (or a Python int)."""
-    xor, mult = step
-    words = (words ^ xor) * mult & _MASK32
-    return words ^ (words >> 16)
-
-
-def philox_keys(roots: Sequence[int]) -> np.ndarray:
-    """The key `np.random.Philox(root)` takes for each root, as an (S, 2) uint64 array.
-
-    Philox keys itself with `SeedSequence(root).generate_state(2, np.uint64)`,
-    a hash of a pool of four 32-bit words: the root's low and high words and
-    two zeros (a root below 2**32 is one word, and the hash reads a missing
-    word as 0). Its constants do not depend on the data, so one pass of
-    array operations hashes every root. The words are held in int64, each
-    product masked to 32 bits; every multiplier lies in -2**31..2**31-1, so
-    no product overflows. (Each family of uint32 or uint64 loops tried here
-    paged in about 64 KB of code that the rest of a run leaves untouched.)
-    The arrays are 1-d, one root or many, and never fall back to numpy
-    scalar arithmetic. A root must be an integer in 0..2**64-1, the range a
-    key is derived from.
+    The root and the coordinates, as text joined by "::", are hashed with
+    sha256, and the key is the digest's first 16 bytes, read little-endian.
+    Any 128-bit value is a valid Philox key (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC 2011), so the key seeds
+    `Philox(key=derive_seed(...))` directly, with no further hashing.
     """
-    for root in roots:
-        protocol.check_integer("root seed", root)
-        if not 0 <= root <= 2**64 - 1:
-            raise ValueError(f"root seed={root} outside 0..2**64-1")
-    roots = np.array(roots, dtype=np.uint64).view(np.int64)  # the same bits
-    pool_steps = iter(_POOL_STEPS)
-    pool = [
-        _hash32(word, next(pool_steps))
-        for word in (roots & _MASK32, roots >> 32 & _MASK32, 0, 0)
-    ]
-    mult_l, mult_r = _signed32(_MIX_MULT_L), _signed32(_MIX_MULT_R)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed = _hash32(pool[src], next(pool_steps))
-                mixed = ((mult_l * pool[dst] & _MASK32) - (mult_r * hashed & _MASK32)) & _MASK32
-                pool[dst] = mixed ^ (mixed >> 16)
-    words = np.stack([_hash32(word, step) for word, step in zip(pool, _STATE_STEPS)], axis=-1)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
+    payload = "::".join([str(root), *map(str, parts)]).encode()
+    return int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
+
+
+def key_words(keys: Sequence[int]) -> np.ndarray:
+    """128-bit Philox keys as the (S, 2) uint64 array `sample_counts` takes.
+
+    Each key is an integer in 0..2**128-1, a numpy integer included and a
+    bool not, split as `np.random.Philox(key=k)` splits it: the low 64 bits,
+    then the high 64 bits.
+    """
+    for key in keys:
+        protocol.check_integer("Philox key", key)
+        if not 0 <= key <= 2**128 - 1:
+            raise ValueError(f"Philox key={key} outside 0..2**128-1")
+    words = [(key & (2**64 - 1), key >> 64) for key in map(int, keys)]
+    return np.array(words, dtype=np.uint64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -332,55 +282,47 @@ def outcome_classes(tables: OutcomeTables) -> np.ndarray:
 def sample_counts(
     tables: OutcomeTables | None,
     n: int,
-    root_seed: int | Sequence[int] | np.ndarray,
-    born: Sequence[np.ndarray] | None = None,
-) -> np.ndarray | tuple[np.ndarray | None, np.ndarray]:
-    """Draw n events from every (j, pair) table; integer outcome-class counts [..., j-1, p, c].
+    keys: np.ndarray,
+    born: Sequence[np.ndarray] = (),
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Draw n events from every (j, pair) table and Born vector, for each Philox key.
 
-    The classes are those of `outcome_classes`: c = k-1 counts the weight +1
-    outcomes at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
-    zero-weight outcome; each (j, pair) row sums to n. Each slice is one
-    multinomial draw over the (d, P, 2d + 1) class stack, from the
-    counter-based stream of `Philox(root)`: reproducible across runs and
-    workers, with cost independent of n. One Philox, re-keyed for each root
-    from `philox_keys` (or from the (S, 2) uint64 key array given in place of
-    the roots), walks the roots; a re-keyed Philox gives the stream of a
-    fresh `Philox(root)`, bit for bit. A table's counts depend on its root
-    and on every table drawn with it. One root gives a (d, P, 2d + 1) array;
-    a sequence of S an (S, d, P, 2d + 1) stack whose slice s is the counts
-    of root_seed[s] alone, whatever the others are.
+    `keys` is an (S, 2) uint64 array, one 128-bit key per slice (`key_words`).
+    Slice s draws from the counter-based stream of `Philox(key=keys[s])`:
+    reproducible across runs and workers, with cost independent of n. One
+    Philox, re-keyed for each slice at counter 0 with an empty buffer, walks
+    the keys; it gives the stream of a fresh `Philox(key=k)`, bit for bit.
+    Each stream first draws one multinomial over the (d, P, 2d + 1) outcome
+    class stack of `outcome_classes` (c = k-1 counts the weight +1 outcomes
+    at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
+    zero-weight outcome; each (j, pair) row sums to n), then n events per
+    projector of each Born vector of `born`, in order. tables = None draws
+    no classes. A slice depends on its key alone, whatever the others are.
 
-    Each Born vector of `born` then draws n events per projector from the
-    same stream, in order, after the classes; tables = None draws no classes.
-    With `born` given, even empty, the result is (class counts or None, Born
-    counts), the Born counts indexed [..., b, projector].
+    Returns (class counts indexed [s, j-1, p, c], or None without tables,
+    Born counts indexed [s, b, projector]).
     """
     protocol.check_integer("n", n)
     if n < 1:
         raise ValueError("need at least one event")
-    if isinstance(root_seed, np.ndarray) and root_seed.ndim == 2:
-        if root_seed.dtype != np.uint64 or root_seed.shape[1] != 2:
-            raise ValueError(f"Philox keys must be an (S, 2) uint64 array, got {root_seed.dtype} "
-                             f"shaped {root_seed.shape}")
-        keys, single = root_seed, False
-    else:
-        single = np.ndim(root_seed) == 0
-        keys = philox_keys([root_seed] if single else root_seed)
-    if not len(keys):
-        raise ValueError("need at least one root seed")
-    draws = () if born is None else born
-    if tables is None and not len(draws):
+    if tables is None and not len(born):
         raise ValueError("nothing to draw: no outcome tables and no Born vector")
+    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.ndim == 2
+            and keys.shape[1] == 2):
+        got = f"{keys.dtype} shaped {keys.shape}" if isinstance(keys, np.ndarray) else repr(keys)
+        raise ValueError(f"Philox keys must be an (S, 2) uint64 array, got {got}")
+    if not len(keys):
+        raise ValueError("need at least one Philox key")
     counts = pvals = None
     if tables is not None:
         classes = outcome_classes(tables)
         pvals = classes / classes.sum(axis=-1, keepdims=True)
         counts = np.empty((len(keys), *pvals.shape), dtype=np.int64)
-    projectors = len(draws[0]) if len(draws) else 0
-    born_counts = np.empty((len(keys), len(draws), projectors), dtype=np.int64)
+    projectors = len(born[0]) if len(born) else 0
+    born_counts = np.empty((len(keys), len(born), projectors), dtype=np.int64)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    # a fresh Philox's state, counter 0 and an empty buffer, keyed per root below
+    # a fresh Philox's state, counter 0 and an empty buffer, keyed per slice below
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
@@ -394,12 +336,9 @@ def sample_counts(
         bit_generator.state = state
         if counts is not None:
             counts[s] = rng.multinomial(n, pvals)
-        for b, p in enumerate(draws):
+        for b, p in enumerate(born):
             born_counts[s, b] = rng.binomial(n, p)
-    if single:
-        counts = None if counts is None else counts[0]
-        born_counts = born_counts[0]
-    return counts if born is None else (counts, born_counts)
+    return counts, born_counts
 
 
 def sampled_records_from_counts(
@@ -428,6 +367,25 @@ def sampled_records_from_counts(
     return est, np.sqrt(var, out=var)
 
 
+def sampled_set(
+    tables: OutcomeTables | None,
+    n: int,
+    keys: np.ndarray,
+    born: Sequence[np.ndarray] = (),
+) -> tuple[Correlations | None, np.ndarray]:
+    """A seed stack of sampled correlations and Born counts, one slice per Philox key.
+
+    The counts come from one `sample_counts` call and are dropped once read.
+    Returns (the correlations indexed [s, j-1, k-1, p], or None without
+    tables, the Born counts indexed [s, b, projector]).
+    """
+    counts, born_counts = sample_counts(tables, n, keys, born)
+    if tables is None:
+        return None, born_counts
+    values, std_error = sampled_records_from_counts(tables, counts, n)
+    return Correlations(tables.cfg, tables.pairs, values, std_error, n), born_counts
+
+
 def correlation_set_from_tables(
     tables: OutcomeTables,
     n: int = 0,
@@ -436,11 +394,11 @@ def correlation_set_from_tables(
     """Correlations for every (j, k, pair) from the outcome tables of one grid point.
 
     n = 0 gives the exact set, and then no root seed may be given. n >= 1
-    draws n events from each (j, pair) table, all of them from the stream of
-    one root seed (`sample_counts`), which is then required, one per (grid
-    point, seed). A sequence of S roots draws S sets in one call and returns
-    them as one `Correlations` indexed [s, j-1, k-1, p]; slice s equals the
-    set of root_seed[s] alone, bit for bit.
+    draws n events from each (j, pair) table (`sampled_set`), and then a
+    root seed is required: it is the 128-bit Philox key itself, one per
+    (grid point, seed). A sequence of S roots draws S sets in one call and
+    returns them as one `Correlations` indexed [s, j-1, k-1, p]; slice s
+    equals the set of root_seed[s] alone, bit for bit.
     """
     if n == 0:
         if root_seed is not None:
@@ -449,9 +407,11 @@ def correlation_set_from_tables(
         return Correlations(tables.cfg, tables.pairs, values, np.zeros_like(values))
     if root_seed is None:
         raise ValueError(f"drawing n={n} events needs a root seed")
-    counts = sample_counts(tables, n, root_seed)
-    values, std_error = sampled_records_from_counts(tables, counts, n)
-    return Correlations(tables.cfg, tables.pairs, values, std_error, n)
+    single = np.ndim(root_seed) == 0
+    correls, _ = sampled_set(tables, n, key_words([root_seed] if single else root_seed))
+    if single:
+        return replace(correls, values=correls.values[0], std_error=correls.std_error[0])
+    return correls
 
 
 def build_tables(

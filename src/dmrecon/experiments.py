@@ -1,12 +1,12 @@
 """Scenario runner: purity, strength and statistical-error sweeps.
 
 Every run is deterministic: each (grid point, seed) draws all of its counts
-from one stream, that of `Philox(root)` for a root derived from the root seed
-and its coordinates, and rows are sorted before they are written, so
-repeated runs (or parallel ones) produce identical output. A scenario turns
-all of its roots into Philox keys in one pass, and each grid point walks its
-seeds with one re-keyed Philox. Rows are held as one structured array of
-`ROW_DTYPE`, whose fields are the CSV columns.
+from one stream, that of `Philox(key=k)` for a 128-bit key k that
+`derive_seed` hashes from the root seed and the point's coordinates, and
+rows are sorted before they are written, so repeated runs (or parallel ones)
+produce identical output. Each grid point walks its seeds with one re-keyed
+Philox. Rows are held as one structured array of `ROW_DTYPE`, whose fields
+are the CSV columns.
 
 Each grid point builds its outcome tables once and turns its sampled seeds
 into rows as one stack (`run_point`). The expectation rows (seed -1, from
@@ -220,13 +220,14 @@ def run_point(
     estimates seed -1 (EXPECTATION_SEED) of every grid point from the
     correlations and Born vectors as one grid stack.
     `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
-    exact source. `keys` holds the Philox key of each sampled seed's root,
-    one row per seed, which `run_scenario` derives for all points at once
-    (None for an exact source).
-    The seeds are one stack, drawn by one `sample_counts` call: each seed's
-    stream is that of `Philox(root)`, and draws the seed's outcome classes,
-    then the QST method's Born counts, then the QST reference's, each only
-    where it is read. The counts are dropped before the rows are built.
+    exact source. `keys` holds each sampled seed's Philox key as an (S, 2)
+    uint64 array, which `run_scenario` derives for all points at once (None
+    for an exact source).
+    The seeds are one stack, drawn by one `correlations.sampled_set` call:
+    each seed's stream is that of `Philox(key=k)` for its key k, and draws
+    the seed's outcome classes, then the QST method's Born counts, then the
+    QST reference's, each only where it is read. The counts are dropped
+    before the rows are built.
     """
     cfg = CouplingConfig(scn.d, theta, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -241,14 +242,10 @@ def run_point(
     if scn.source == "sampled":
         n = scn.n_events
         draws = () if born is None else (np.clip(born, 0.0, 1.0),) * (qst_method + qst_ref)
-        counts, born_counts = correlations.sample_counts(tables, n, keys, draws)
-        correls = None
-        if pairs:
-            values, std_error = correlations.sampled_records_from_counts(tables, counts, n)
-            correls = correlations.Correlations(cfg, pairs, values, std_error, n)
+        correls, born_counts = correlations.sampled_set(tables, n, keys, draws)
         method_probs = born_counts[:, 0] / n if qst_method else None
         ref_probs = born_counts[:, -1] / n if qst_ref else None
-        del counts, born_counts  # the count stacks, before the rows' transients
+        del born_counts  # the count stack, before the rows' transients
         rows = _stack_rows(
             scn, rho.matrix, theta, purity_p, scn.seeds, correls, method_probs, ref_probs
         )
@@ -323,35 +320,37 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     points are one grid stack of their exact correlations (`stack_sets`, one
     config per point) and Born vectors, estimated with one call per method.
     With QST as a method or the reference, the standard projector family is
-    built once here, gives every point's exact Born vector, and is dropped
-    before the first point samples. A sampled scenario derives the root of
-    every (grid point, seed) here, `derive_seed(root_seed, scenario_id, "th",
-    theta, seed)` ("p", purity in a purity sweep), and turns them all into
-    Philox keys with one `philox_keys` call.
+    built once here, gives the exact Born vector of each distinct state (the
+    points of a strength sweep share one), and is dropped before the first
+    point samples. A sampled scenario derives the Philox key of every (grid
+    point, seed) here, `derive_seed(root_seed, scenario_id, "th", theta,
+    seed)` ("p", purity in a purity sweep), and splits them all into key
+    words with one `key_words` call.
     """
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
+        distinct = [states.purity_family(p, psi) for p in scn.purity_grid]
         theta = scn.theta_list[0]
-        grid = [
-            (states.purity_family(p, psi), theta, p, (scn.scenario_id, "p", p))
-            for p in scn.purity_grid
-        ]
+        grid = [(i, theta, p, (scn.scenario_id, "p", p)) for i, p in enumerate(scn.purity_grid)]
     else:
-        rho = states.parse_state_spec(scn.input_state, scn.d)
-        p = states.purity(rho)
-        grid = [(rho, theta, p, (scn.scenario_id, "th", theta)) for theta in scn.theta_list]
-    rhos, thetas, purities, _ = zip(*grid)
-    qst = "QST" in scn.methods or scn.reference == "qst"
-    family = reconstruct.standard_projector_family(scn.d) if qst else None
-    born = np.array([reconstruct.born_probabilities(rho, family) for rho in rhos]) if qst else None
-    del family  # d^3 entries (its kets), not needed while the points sample
+        distinct = [states.parse_state_spec(scn.input_state, scn.d)]
+        p = states.purity(distinct[0])
+        grid = [(0, theta, p, (scn.scenario_id, "th", theta)) for theta in scn.theta_list]
+    state_of, thetas, purities, coords = zip(*grid)
+    rhos = [distinct[i] for i in state_of]
+    born = None
+    if "QST" in scn.methods or scn.reference == "qst":
+        family = reconstruct.standard_projector_family(scn.d)
+        born = np.array([reconstruct.born_probabilities(rho, family) for rho in distinct])
+        born = born[list(state_of)]  # one row per grid point
+        del family  # d^3 entries (its kets), not needed while the points sample
     keys = [None] * len(grid)
     if scn.source == "sampled":
-        roots = [derive_seed(root_seed, *key, seed) for *_, key in grid for seed in scn.seeds]
-        keys = correlations.philox_keys(roots).reshape(len(grid), len(scn.seeds), 2)
+        roots = [derive_seed(root_seed, *c, seed) for c in coords for seed in scn.seeds]
+        keys = correlations.key_words(roots).reshape(len(grid), len(scn.seeds), 2)
     sampled, exact = zip(*(
-        run_point(scn, rho, theta, p, born[i] if qst else None, keys[i])
-        for i, (rho, theta, p, _) in enumerate(grid)
+        run_point(scn, rho, theta, p, None if born is None else born[i], keys[i])
+        for i, (rho, theta, p) in enumerate(zip(rhos, thetas, purities))
     ))
     correls = None if exact[0] is None else correlations.stack_sets(exact)
     truth = np.array([rho.matrix for rho in rhos])

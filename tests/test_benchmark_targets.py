@@ -91,8 +91,9 @@ def test_every_method_reaches_finalize(monkeypatch):
 
 
 def test_run_scenario_builds_one_projector_family(monkeypatch):
-    # one family per scenario, not one per grid point; every point still
-    # gets its Born vector from it
+    # one family per scenario, not one per grid point, and one Born vector per
+    # distinct state: the points of a strength sweep share one, each point of
+    # a purity sweep has its own
     from dmrecon import experiments, reconstruct
 
     family = _count_calls(monkeypatch, reconstruct, "standard_projector_family")
@@ -104,4 +105,11 @@ def test_run_scenario_builds_one_projector_family(monkeypatch):
     )
     experiments.run_scenario(scn)
     assert len(family) == 1
-    assert len(born) == len(scn.theta_list)
+    assert len(born) == 1
+    purity = experiments.Scenario(
+        scenario_id="family", kind="purity_sweep", input_state="pure:b0", d=3,
+        purity_grid=(0.0, 0.5, 1.0), n_events=100, seeds=(0,), methods=("W", "QST"),
+    )
+    experiments.run_scenario(purity)
+    assert len(family) == 2
+    assert len(born) == 1 + len(purity.purity_grid)

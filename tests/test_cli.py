@@ -146,12 +146,11 @@ def test_validate_subcommand_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 8
+    assert out.count("[ok]") == 7
     assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
     assert "[ok] Born probabilities match Tr(P rho) (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
     assert "[ok] outcome classes carry the tables' moments (max dev" in out
-    assert "[ok] vectorised Philox keys match numpy's seeding (max words differing 0 over" in out
 
 
 def test_validate_fails_on_a_nan_estimate(capsys, monkeypatch):
@@ -200,15 +199,6 @@ def test_validate_fails_on_a_nan_in_a_check(capsys, monkeypatch, module, name, c
     assert rc == 1
     assert f"[FAIL] {check} (max dev nan)" in out
     assert "validation failed" in out
-
-
-def test_validate_fails_on_a_wrong_philox_key(capsys, monkeypatch):
-    keys = correlations.philox_keys
-    monkeypatch.setattr(correlations, "philox_keys", lambda roots: keys(roots) ^ np.uint64(1))
-    rc = main(["validate"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "[FAIL] vectorised Philox keys match numpy's seeding (max words differing 2 over" in out
 
 
 def _one_line_error(capsys, rc):

@@ -16,6 +16,7 @@ from dmrecon.correlations import (
     Correlations,
     analytic_correlation,
     derive_seed,
+    key_words,
     sample_counts,
     sampled_records_from_counts,
     stack_sets,
@@ -53,7 +54,7 @@ def classes_by_loop(weights, cells):
 
 def sample(tables, j, n, root_seed):
     """Class counts, per-k estimates and per-k standard errors of setting (j, pairs[0])."""
-    counts = sample_counts(tables, n, root_seed)
+    (counts,), _ = sample_counts(tables, n, key_words([root_seed]))
     est, se = sampled_records_from_counts(tables, counts, n)
     return counts[j - 1, 0], est[j - 1, :, 0], se[j - 1, :, 0]
 
@@ -89,15 +90,15 @@ class TestOutcomeTables:
             assert np.max(np.abs(tables.probs[j - 1] - expected)) <= 1e-14
 
     def test_counts_follow_one_philox_stream(self):
-        # pins the sampling stream: one Philox generator keyed by the root
-        # seed, one multinomial draw over the (d, P, 2d + 1) outcome classes
+        # pins the sampling stream: one Philox generator keyed by the key,
+        # one multinomial draw over the (d, P, 2d + 1) outcome classes
         rho = states.random_density(3, 41)
         tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
-        root, n = 12345, 777
-        counts = sample_counts(tables, n, root)
+        key, n = 12345, 777
+        (counts,), _ = sample_counts(tables, n, key_words([key]))
         classes = classes_by_loop(tables.weights, tables.probs)
         np.testing.assert_allclose(correlations.outcome_classes(tables), classes, rtol=0, atol=1e-15)
-        rng = np.random.Generator(np.random.Philox(root))
+        rng = np.random.Generator(np.random.Philox(key=key))
         expected = rng.multinomial(n, classes / classes.sum(axis=-1, keepdims=True))
         assert counts.shape == (3, len(PAIRS_EXACT_II), 7)
         np.testing.assert_array_equal(counts, expected)
@@ -108,55 +109,76 @@ class TestOutcomeTables:
     @pytest.mark.parametrize("draws", [0, 1, 2])
     @pytest.mark.parametrize("d", [1, 4, 16])
     def test_each_root_draws_its_classes_then_its_born_counts(self, d, draws):
-        # pins the stream of every slice of a seed stack: a fresh Philox(root)
+        # pins the stream of every slice of a seed stack: a fresh Philox(key=k)
         # draws the class multinomial, then one binomial per Born vector, in order
         tables = stacked_tables(d, True)
         classes = correlations.outcome_classes(tables)
         pvals = classes / classes.sum(axis=-1, keepdims=True)
-        roots = [derive_seed(3, "pin", d, s) for s in range(50)]
+        keys = [derive_seed(3, "pin", d, s) for s in range(50)]
         born = np.random.default_rng(d).uniform(size=(2, d * d))[:draws]
         n = 500
-        counts, born_counts = sample_counts(tables, n, roots, born)
+        counts, born_counts = sample_counts(tables, n, key_words(keys), born)
         assert counts.shape == (50, d, len(SUPPORTED_PAIRS), 2 * d + 1)
         assert born_counts.shape == (50, draws, d * d if draws else 0)
-        for root, slice_counts, slice_born in zip(roots, counts, born_counts):
-            fresh = np.random.Generator(np.random.Philox(root))
+        for key, slice_counts, slice_born in zip(keys, counts, born_counts):
+            fresh = np.random.Generator(np.random.Philox(key=key))
             np.testing.assert_array_equal(slice_counts, fresh.multinomial(n, pvals))
             for got, p in zip(slice_born, born):
                 np.testing.assert_array_equal(got, fresh.binomial(n, p))
-        # the roots' Philox keys in place of the roots draw the same stack
-        by_key = sample_counts(tables, n, correlations.philox_keys(roots), born)
-        np.testing.assert_array_equal(by_key[0], counts)
-        np.testing.assert_array_equal(by_key[1], born_counts)
-        if not draws:
-            np.testing.assert_array_equal(sample_counts(tables, n, roots), counts)
 
     def test_born_counts_alone_follow_the_stream(self):
         # with no tables, the Born vectors are the first draws of each stream
         born = np.random.default_rng(8).uniform(size=(2, 9))
-        counts, born_counts = sample_counts(None, 300, 77, born)
-        assert counts is None and born_counts.shape == (2, 9)
-        fresh = np.random.Generator(np.random.Philox(77))
-        for got, p in zip(born_counts, born):
+        counts, born_counts = sample_counts(None, 300, key_words([77]), born)
+        assert counts is None and born_counts.shape == (1, 2, 9)
+        fresh = np.random.Generator(np.random.Philox(key=77))
+        for got, p in zip(born_counts[0], born):
             np.testing.assert_array_equal(got, fresh.binomial(300, p))
 
 
-class TestPhiloxKeys:
-    @settings(max_examples=200, deadline=None)
-    @given(roots=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
-    def test_keys_equal_numpy_seeding(self, roots):
-        keys = correlations.philox_keys(roots)
-        assert keys.dtype == np.uint64 and keys.shape == (len(roots), 2)
-        for root, key in zip(roots, keys):
-            np.testing.assert_array_equal(key, np.random.Philox(root).state["state"]["key"])
+# the text of a scenario id may hold the payload's separator and its tags
+SCENARIO_IDS = st.one_of(
+    st.text(min_size=1, max_size=12),
+    st.lists(st.sampled_from(["::", "th", "p", "0.5", "7", "é", "鍵", "\x00"]), min_size=1,
+             max_size=6).map("".join),
+)
+# (root, scenario id, tag, theta or purity, seed): one sampled seed of a config
+COORDINATES = st.tuples(
+    st.integers(0, 2**64 - 1),
+    SCENARIO_IDS,
+    st.one_of(
+        st.tuples(st.just("th"), st.floats(3.5e-77, np.pi / 2)),
+        st.tuples(st.just("p"), st.floats(0.0, 1.0)),
+    ),
+    st.integers(0, 2**63 - 1),
+).map(lambda c: (c[0], c[1], *c[2], c[3]))
 
-    def test_word_boundaries_and_numpy_integers(self):
-        roots = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
-        want = np.array([np.random.Philox(r).state["state"]["key"] for r in roots])
-        np.testing.assert_array_equal(correlations.philox_keys(roots), want)
-        as_numpy = np.array(roots, dtype=np.uint64)
-        np.testing.assert_array_equal(correlations.philox_keys(as_numpy), want)
-        assert correlations.philox_keys([]).shape == (0, 2)
+
+class TestKeys:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(coords=st.lists(COORDINATES, min_size=2, max_size=6), pick=st.data())
+    def test_distinct_coordinates_give_distinct_keys(self, coords, pick):
+        # a key per seed of any config: equal coordinates, rebuilt from their
+        # text, give equal keys, distinct ones distinct keys, all within 128 bits
+        twin = pick.draw(st.sampled_from(coords))
+        coords.append((int(str(twin[0])), "".join(twin[1]), twin[2], float(repr(twin[3])), twin[4]))
+        keys = {}
+        for c in coords:
+            key = derive_seed(*c)
+            assert type(key) is int and 0 <= key <= 2**128 - 1
+            assert keys.setdefault(c, key) == key
+        assert len(set(keys.values())) == len(keys)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(keys=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=8))
+    def test_key_words_are_numpys_split(self, keys):
+        words = key_words(keys)
+        assert words.dtype == np.uint64 and words.shape == (len(keys), 2)
+        for key, got in zip(keys, words):
+            np.testing.assert_array_equal(got, np.random.Philox(key=key).state["state"]["key"])
+        np.testing.assert_array_equal(key_words([np.uint64(k % 2**64) for k in keys]),
+                                      key_words([k % 2**64 for k in keys]))
+        assert key_words([]).shape == (0, 2)
 
 
 class TestExactCorrelation:
@@ -269,7 +291,7 @@ class TestSampling:
         rho = states.random_density(3, 4)
         cfg = CouplingConfig(3, 0.9, 0.9)
         tables = tables_for(rho, ("Y", "Y"), cfg)
-        counts = sample_counts(tables, 1234, 5)
+        (counts,), _ = sample_counts(tables, 1234, key_words([5]))
         assert counts.shape == (3, 1, 7)
         np.testing.assert_array_equal(counts.sum(axis=-1), 1234)
         est, se = sampled_records_from_counts(tables, counts, 1234)
@@ -360,10 +382,10 @@ class TestSeedStack:
     def test_stack_equals_per_root_calls(self, d, biased):
         tables = stacked_tables(d, biased)
         n = 3000
-        counts = sample_counts(tables, n, ROOTS)
+        counts, _ = sample_counts(tables, n, key_words(ROOTS))
         assert counts.shape == (len(ROOTS), d, len(SUPPORTED_PAIRS), 2 * d + 1)
         for root, slice_ in zip(ROOTS, counts):
-            np.testing.assert_array_equal(slice_, sample_counts(tables, n, root))
+            np.testing.assert_array_equal(slice_, sample_counts(tables, n, key_words([root]))[0][0])
         stack = correlations.correlation_set_from_tables(tables, n=n, root_seed=ROOTS)
         oracle = stack_sets([
             correlations.correlation_set_from_tables(tables, n=n, root_seed=root)
@@ -386,18 +408,24 @@ class TestSeedStack:
             np.testing.assert_array_equal(part.std_error[s], full.std_error[2])
 
     def test_one_element_list_keeps_the_seed_axis(self):
+        # one root seed gives a set without the seed axis, a one-element list keeps it
         tables = stacked_tables(2, False)
-        counts = sample_counts(tables, 100, ROOTS[:1])
-        assert counts.shape == (1, 2, len(SUPPORTED_PAIRS), 5)
-        np.testing.assert_array_equal(counts[0], sample_counts(tables, 100, ROOTS[0]))
+        stack = correlations.correlation_set_from_tables(tables, 100, ROOTS[:1])
+        alone = correlations.correlation_set_from_tables(tables, 100, ROOTS[0])
+        assert stack.values.shape == (1, 2, 2, len(SUPPORTED_PAIRS))
+        assert alone.values.shape == (2, 2, len(SUPPORTED_PAIRS))
+        np.testing.assert_array_equal(stack.values[0], alone.values)
+        np.testing.assert_array_equal(stack.std_error[0], alone.std_error)
 
     def test_rejects_empty_roots_and_no_events(self):
         tables = stacked_tables(2, False)
-        with pytest.raises(ValueError, match="at least one root seed"):
-            sample_counts(tables, 100, [])
+        with pytest.raises(ValueError, match="at least one Philox key"):
+            sample_counts(tables, 100, key_words([]))
+        with pytest.raises(ValueError, match="at least one Philox key"):
+            correlations.correlation_set_from_tables(tables, n=100, root_seed=[])
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least one event"):
-                sample_counts(tables, n, ROOTS)
+                sample_counts(tables, n, key_words(ROOTS))
         with pytest.raises(ValueError, match="at least one event"):
             correlations.correlation_set_from_tables(tables, n=-1, root_seed=7)
 
@@ -431,7 +459,9 @@ class TestOutcomeClasses:
         n = 3000
         flat = tables.probs.reshape(d, len(SUPPORTED_PAIRS), 4 * d)
         fine = np.array([
-            np.random.Generator(np.random.Philox(root)).multinomial(n, flat / flat.sum(-1, keepdims=True))
+            np.random.Generator(np.random.Philox(key=root)).multinomial(
+                n, flat / flat.sum(-1, keepdims=True)
+            )
             for root in ROOTS
         ]).reshape(len(ROOTS), *tables.probs.shape)
         w, freq = tables.weights, fine / n
@@ -447,7 +477,7 @@ class TestOutcomeClasses:
         # a table built by hand may carry any weights; the classes hold only -1, 0 and 1
         tables = replace(stacked_tables(2, False), weights=np.full((len(SUPPORTED_PAIRS), 2, 2), 0.5))
         with pytest.raises(ValueError, match=r"weight in \{-1, 0, 1\}"):
-            sample_counts(tables, 100, 7)
+            sample_counts(tables, 100, key_words([7]))
 
     def test_class_draws_follow_the_exact_distribution(self):
         # 2000 seeds at d = 3 with tilt and efficiency: every mean within 5
@@ -459,7 +489,8 @@ class TestOutcomeClasses:
         tables = stacked_tables(3, True)
         seeds, n = 2000, 2000
         roots = [derive_seed(11, "ensemble", s) for s in range(seeds)]
-        est, se = sampled_records_from_counts(tables, sample_counts(tables, n, roots), n)
+        counts, _ = sample_counts(tables, n, key_words(roots))
+        est, se = sampled_records_from_counts(tables, counts, n)
         spread = est.std(axis=0)
         z = (est.mean(axis=0) - correlations.records_from_table(tables)) / (spread / np.sqrt(seeds))
         assert np.max(np.abs(z)) < 5.0

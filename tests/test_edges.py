@@ -196,7 +196,7 @@ class TestCorrelationRejections:
         cfg = CouplingConfig(2, 0.5, 0.5)
         tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         with pytest.raises(ValueError, match="one event"):
-            sample_counts(tables, 0, 1)
+            sample_counts(tables, 0, correlations.key_words([1]))
 
 
 class TestNonIntegerSizes:
@@ -232,32 +232,41 @@ class TestNonIntegerSizes:
         tables = correlations.build_tables(
             states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
         )
+        keys = correlations.key_words([1])
         with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
-            sample_counts(tables, 10.5, 1)
-        assert (sample_counts(tables, np.int64(10), 1) == sample_counts(tables, 10, 1)).all()
+            sample_counts(tables, 10.5, keys)
+        assert (sample_counts(tables, np.int64(10), keys)[0] == sample_counts(tables, 10, keys)[0]).all()
 
     @pytest.mark.parametrize(
         "root, want",
         [
-            (True, "root seed=True is not an integer"),
-            (1.5, "root seed=1.5 is not an integer"),
-            (-1, "root seed=-1 outside 0..2**64-1"),
-            (2**64, f"root seed={2**64} outside 0..2**64-1"),
+            (True, "Philox key=True is not an integer"),
+            (1.5, "Philox key=1.5 is not an integer"),
+            (-1, "Philox key=-1 outside 0..2**128-1"),
+            (2**128, f"Philox key={2**128} outside 0..2**128-1"),
         ],
-        ids=["bool", "float", "negative", "2**64"],
+        ids=["bool", "float", "negative", "2**128"],
     )
     def test_sample_counts_rejects_a_root(self, root, want):
-        tables = correlations.build_tables(
-            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
-        )
+        # a library root seed is the 128-bit Philox key itself: `correlation_set`
+        # rejects one that is not, and `sample_counts` takes only key words
+        rho, cfg = states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5)
+        tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         for roots in (root, [0, root]):
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                correlations.correlation_set(rho, cfg, (("X", "X"),), 10, roots)
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                correlations.key_words(roots if isinstance(roots, list) else [roots])
+            with pytest.raises(ValueError, match=re.escape(f"uint64 array, got {roots!r}")):
                 sample_counts(tables, 10, roots)
-        top = np.random.Generator(np.random.Philox(2**64 - 1))
+        top = np.random.Generator(np.random.Philox(key=2**128 - 1))
         classes = correlations.outcome_classes(tables)
         want_counts = top.multinomial(10, classes / classes.sum(axis=-1, keepdims=True))
-        assert (sample_counts(tables, 10, 2**64 - 1) == want_counts).all()
-        assert (sample_counts(tables, 10, np.uint64(2**64 - 1)) == want_counts).all()
+        (counts,), _ = sample_counts(tables, 10, correlations.key_words([2**128 - 1]))
+        assert (counts == want_counts).all()
+        top_set = correlations.correlation_set(rho, cfg, (("X", "X"),), 10, 2**128 - 1)
+        want_values, _ = correlations.sampled_records_from_counts(tables, want_counts, 10)
+        assert (top_set.values == want_values).all()
 
     def test_sample_counts_rejects_bad_keys_and_an_empty_draw(self):
         tables = correlations.build_tables(
@@ -265,8 +274,10 @@ class TestNonIntegerSizes:
         )
         with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got int64"):
             sample_counts(tables, 10, np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got uint64 shaped \(2,\)"):
+            sample_counts(tables, 10, np.zeros(2, dtype=np.uint64))
         with pytest.raises(ValueError, match="nothing to draw"):
-            sample_counts(None, 10, 1)
+            sample_counts(None, 10, correlations.key_words([1]))
 
     def test_numpy_integers_run_as_ints(self):
         plain = experiments.run_scenario(self._scenario(d=3))

@@ -2,9 +2,12 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrecon import correlations, experiments, qmath, reconstruct, states
 from dmrecon.correlations import PAIRS_EXACT_I, PAIRS_EXACT_II, correlation_set_from_tables
@@ -328,7 +331,7 @@ class TestRunners:
         root_seed, theta, seed, n, d = 5, 1.1, 1, scn.n_events, scn.d
         rows = rows_by(run_scenario(scn, root_seed), theta_a=theta, seed=seed)
         rng = np.random.Generator(np.random.Philox(
-            correlations.derive_seed(root_seed, scn.scenario_id, "th", theta, seed)
+            key=correlations.derive_seed(root_seed, scn.scenario_id, "th", theta, seed)
         ))
         rho = states.parse_state_spec(scn.input_state, d)
         cfg = CouplingConfig(d, theta, theta)
@@ -409,3 +412,82 @@ def test_grid_stack_matches_one_point_scenarios(scn):
     # holding that point alone
     split = np.concatenate([run_scenario(one, root_seed=13) for one in one_point_scenarios(scn)])
     assert results_csv(run_scenario(scn, root_seed=13)) == results_csv(experiments.sort_rows(split))
+
+
+# The large-n limit, across the config space. At n = 10**12 the median of a
+# method's sampled estimates must equal its seed -1 estimate, biased or not.
+# The tolerance comes from the seeds' own spread: 4 x IQR / sqrt(9), with
+# the elementwise IQR and the difference each taken in the Frobenius norm of
+# the real and imaginary parts. A stream that draws the wrong table moves
+# the median; one that reuses a key collapses the spread to zero. Where the
+# estimates still scatter (small theta, or a trace normalisation near zero)
+# n = 10**12 is not yet the limit, so a method is checked only where all of
+# its seeds are finite and their spread is at most LIMIT_SPREAD: there the
+# normalisation's nonlinearity moves the median by about 1% of the tolerance.
+LIMIT_N, LIMIT_SEEDS, LIMIT_SPREAD = 10**12, 9, 0.01
+
+
+def limit_failures(scn, root_seed):
+    """Methods whose median over the seeds misses the seed -1 estimate, and how.
+
+    The finalized estimates are read from `metrics.compare`, which the rows'
+    builder calls once for the point's seed stack and once for its seed -1 row.
+    Returns (failures, number of methods checked).
+    """
+    compared = []
+    compare = experiments.metrics.compare
+
+    def spy(finalized, errors, reference):
+        compared.append(finalized)
+        return compare(finalized, errors, reference)
+
+    with mock.patch.object(experiments.metrics, "compare", spy):
+        run_scenario(scn, root_seed)
+    sampled, expected = compared
+    assert sampled.shape[:2] == (len(scn.methods), LIMIT_SEEDS)
+    failures, checked = [], 0
+    for method, seeds, limit in zip(scn.methods, sampled, expected[:, 0]):
+        parts = np.stack([seeds.real, seeds.imag], axis=1)
+        q1, median, q3 = np.percentile(parts, [25, 50, 75], axis=0)
+        spread = np.linalg.norm(q3 - q1)
+        if not (np.isfinite(parts).all() and spread <= LIMIT_SPREAD):
+            continue
+        checked += 1
+        if scn.d == 1:  # every estimate is [[1]], whatever the counts: no spread to read
+            if not np.allclose([*seeds.ravel(), limit.item()], 1.0, rtol=0, atol=4e-16):
+                failures.append(f"{method}: a 1 x 1 estimate is not 1")
+            continue
+        miss = np.linalg.norm(median - np.stack([limit.real, limit.imag]))
+        if not miss <= 4 * spread / math.sqrt(LIMIT_SEEDS):
+            failures.append(f"{method}: median misses by {miss:.3e}, spread {spread:.3e}")
+    return failures, checked
+
+
+@st.composite
+def limit_scenarios(draw):
+    d = draw(st.integers(1, 6))
+    labels = ["b0", *(f"a{j}" for j in range(1, d + 1))] + (["H", "D", "R"] if d == 2 else [])
+    state = draw(st.one_of(
+        st.integers(0, 2**31 - 1).map(lambda s: f"random:seed={s}"),
+        st.sampled_from(labels).map(lambda label: f"pure:{label}"),
+        st.just("mixed"),
+    ))
+    log_theta = draw(st.floats(math.log(1e-3), math.log(math.pi / 2)))
+    epsilon, efficiency = draw(st.one_of(
+        st.just((0.0, 1.0)), st.tuples(st.floats(-0.1, 0.1), st.floats(0.9, 1.1))
+    ))
+    return Scenario(
+        scenario_id="limit", kind="single", input_state=state, d=d,
+        theta_list=(min(math.exp(log_theta), math.pi / 2),), n_events=LIMIT_N,
+        seeds=tuple(range(LIMIT_SEEDS)),
+        methods=tuple(draw(st.lists(st.sampled_from(experiments.METHODS), min_size=1,
+                                    unique=True))),
+        bias_epsilon=epsilon, bias_efficiency=efficiency,
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(scn=limit_scenarios(), root_seed=st.integers(0, 2**64 - 1))
+def test_median_of_sampled_rows_is_the_expectation(scn, root_seed):
+    failures, _ = limit_failures(scn, root_seed)
+    assert not failures, failures
