@@ -235,7 +235,8 @@ class TestNonIntegerSizes:
         keys = correlations.key_words([1])
         with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
             sample_counts(tables, 10.5, keys)
-        assert (sample_counts(tables, np.int64(10), keys)[0] == sample_counts(tables, 10, keys)[0]).all()
+        by_numpy_int, _ = sample_counts(tables, np.int64(10), keys)
+        assert (by_numpy_int == sample_counts(tables, 10, keys)[0]).all()
 
     @pytest.mark.parametrize(
         "root, want",
@@ -274,7 +275,7 @@ class TestNonIntegerSizes:
         )
         with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got int64"):
             sample_counts(tables, 10, np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got uint64 shaped \(2,\)"):
+        with pytest.raises(ValueError, match=r"uint64 array, got uint64 shaped \(2,\)"):
             sample_counts(tables, 10, np.zeros(2, dtype=np.uint64))
         with pytest.raises(ValueError, match="nothing to draw"):
             sample_counts(None, 10, correlations.key_words([1]))
