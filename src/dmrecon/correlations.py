@@ -25,13 +25,10 @@ at. Given a list of root seeds, the sampled path draws every seed of a grid
 point in one call and returns one `Correlations` with a leading seed axis,
 [seed, j-1, k-1, pair]; seed s's slice is the set of root_seed[s] alone, bit
 for bit. `stack_sets` joins separately drawn sets the same way. A root seed
-is a 128-bit Philox key, and seed s's stream is that of
-`Philox(key=root_seed[s])`: `key_words` splits the keys into one (S, 2)
-uint64 array, and `sample_counts` re-keys one Philox per seed instead of
-building a generator for each. A scenario's keys come from `derive_seed`,
-the first 16 bytes of a sha256 digest. The exact and analytic paths are
-independent, so their agreement cross-validates both the Kraus contraction
-and the closed forms.
+is a 128-bit Philox key, such as `derive_seed` returns, and `sample_counts`
+draws each one's stream by the README's "Sampled streams" rule. The exact
+and analytic paths are independent, so their agreement cross-validates both
+the Kraus contraction and the closed forms.
 """
 
 from __future__ import annotations
@@ -72,21 +69,6 @@ def derive_seed(root: int, *parts) -> int:
     """
     payload = "::".join([str(root), *map(str, parts)]).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:16], "little")
-
-
-def key_words(keys: Sequence[int]) -> np.ndarray:
-    """128-bit Philox keys as the (S, 2) uint64 array `sample_counts` takes.
-
-    Each key is an integer in 0..2**128-1, a numpy integer included and a
-    bool not, split as `np.random.Philox(key=k)` splits it: the low 64 bits,
-    then the high 64 bits.
-    """
-    for key in keys:
-        protocol.check_integer("Philox key", key)
-        if not 0 <= key <= 2**128 - 1:
-            raise ValueError(f"Philox key={key} outside 0..2**128-1")
-    words = [(key & (2**64 - 1), key >> 64) for key in map(int, keys)]
-    return np.array(words, dtype=np.uint64).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -282,35 +264,29 @@ def outcome_classes(tables: OutcomeTables) -> np.ndarray:
 def sample_counts(
     tables: OutcomeTables | None,
     n: int,
-    keys: np.ndarray,
+    keys: Sequence[int],
     born: Sequence[np.ndarray] = (),
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Draw n events from every (j, pair) table and Born vector, for each Philox key.
 
-    `keys` is an (S, 2) uint64 array, one 128-bit key per slice (`key_words`).
-    Slice s draws from the counter-based stream of `Philox(key=keys[s])`:
-    reproducible across runs and workers, with cost independent of n. One
-    Philox, re-keyed for each slice at counter 0 with an empty buffer, walks
-    the keys; it gives the stream of a fresh `Philox(key=k)`, bit for bit.
-    Each stream first draws one multinomial over the (d, P, 2d + 1) outcome
-    class stack of `outcome_classes` (c = k-1 counts the weight +1 outcomes
-    at k, c = d + k-1 the weight -1 outcomes at k, and c = 2d every
-    zero-weight outcome; each (j, pair) row sums to n), then n events per
-    projector of each Born vector of `born`, in order. tables = None draws
-    no classes. A slice depends on its key alone, whatever the others are.
+    `keys` holds one 128-bit Philox key per slice, as `derive_seed` returns
+    them: an integer in 0..2**128-1, a numpy integer included and a bool
+    not. Slice s draws from the stream of `Philox(key=keys[s])`, by the
+    README's "Sampled streams" rule: one multinomial over the (d, P, 2d + 1)
+    outcome class stack of `outcome_classes` (each (j, pair) row sums to n),
+    then n events per projector of each Born vector of `born`, in order.
+    tables = None draws no classes. A slice depends on its key alone.
 
     Returns (class counts indexed [s, j-1, p, c], or None without tables,
     Born counts indexed [s, b, projector]).
     """
     protocol.check_integer("n", n)
-    if n < 1:
-        raise ValueError("need at least one event")
+    if not 1 <= n <= 2**63 - 1:
+        raise ValueError(
+            f"need at least one event and at most 2**63-1 (the sampler's range), got n={n}"
+        )
     if tables is None and not len(born):
         raise ValueError("nothing to draw: no outcome tables and no Born vector")
-    if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.ndim == 2
-            and keys.shape[1] == 2):
-        got = f"{keys.dtype} shaped {keys.shape}" if isinstance(keys, np.ndarray) else repr(keys)
-        raise ValueError(f"Philox keys must be an (S, 2) uint64 array, got {got}")
     if not len(keys):
         raise ValueError("need at least one Philox key")
     counts = pvals = None
@@ -322,17 +298,13 @@ def sample_counts(
     born_counts = np.empty((len(keys), len(born), projectors), dtype=np.int64)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
-    # a fresh Philox's state, counter 0 and an empty buffer, keyed per slice below
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = bit_generator.state  # a fresh Philox's: counter 0, an empty buffer
     for s, key in enumerate(keys):
-        state["state"]["key"] = key
+        protocol.check_integer("Philox key", key)
+        key = int(key)
+        if not 0 <= key <= 2**128 - 1:
+            raise ValueError(f"Philox key={key} outside 0..2**128-1")
+        state["state"]["key"] = (key & (2**64 - 1), key >> 64)  # Philox's low and high words
         bit_generator.state = state
         if counts is not None:
             counts[s] = rng.multinomial(n, pvals)
@@ -341,20 +313,18 @@ def sample_counts(
     return counts, born_counts
 
 
-def sampled_records_from_counts(
-    tables: OutcomeTables, counts: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
+def sampled_records_from_counts(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Correlation estimates and plug-in standard errors, each indexed [..., j-1, k-1, p].
 
     `counts` holds the outcome-class counts of `sample_counts`, indexed
-    [..., j-1, p, c], with any leading axes, which the result keeps. With
-    c+ and c- the weight +1 and -1 counts at k, the estimate is
-    (c+ - c-) / n and the second moment (c+ + c-) / n. The counts enter as
-    floats, exact below 2**53, and the variance is built in place in the
-    second moment's array, which becomes the standard error; the one
-    transient the size of an output is the square of the estimate.
+    [..., j-1, p, c], with any leading axes, which the result keeps; d is
+    the length of its j axis. With c+ and c- the weight +1 and -1 counts at
+    k, the estimate is (c+ - c-) / n and the second moment (c+ + c-) / n.
+    The counts enter as floats, exact below 2**53, and the variance is built
+    in place in the second moment's array, which becomes the standard error;
+    the one transient the size of an output is the square of the estimate.
     """
-    d = tables.cfg.dim
+    d = counts.shape[-3]
     counts = np.swapaxes(counts, -1, -2)
     plus, minus = counts[..., :d, :], counts[..., d : 2 * d, :]
     est = np.subtract(plus, minus, dtype=float)
@@ -370,7 +340,7 @@ def sampled_records_from_counts(
 def sampled_set(
     tables: OutcomeTables | None,
     n: int,
-    keys: np.ndarray,
+    keys: Sequence[int],
     born: Sequence[np.ndarray] = (),
 ) -> tuple[Correlations | None, np.ndarray]:
     """A seed stack of sampled correlations and Born counts, one slice per Philox key.
@@ -382,7 +352,7 @@ def sampled_set(
     counts, born_counts = sample_counts(tables, n, keys, born)
     if tables is None:
         return None, born_counts
-    values, std_error = sampled_records_from_counts(tables, counts, n)
+    values, std_error = sampled_records_from_counts(counts, n)
     return Correlations(tables.cfg, tables.pairs, values, std_error, n), born_counts
 
 
@@ -408,7 +378,7 @@ def correlation_set_from_tables(
     if root_seed is None:
         raise ValueError(f"drawing n={n} events needs a root seed")
     single = np.ndim(root_seed) == 0
-    correls, _ = sampled_set(tables, n, key_words([root_seed] if single else root_seed))
+    correls, _ = sampled_set(tables, n, [root_seed] if single else root_seed)
     if single:
         return replace(correls, values=correls.values[0], std_error=correls.std_error[0])
     return correls
@@ -426,7 +396,10 @@ def build_tables(
     `protocol.pointer_measurement`, built once per (pairs, tilt), and one
     `outcome_probabilities` call, one matrix product, covers every j. A
     nonzero `tilt` rotates every pointer projector (pointer-rotation bias).
+    `pairs` is a nonempty tuple of (obs_a, obs_b) tuples, the cache's key.
     """
+    if not (isinstance(pairs, tuple) and pairs and all(type(p) is tuple for p in pairs)):
+        raise ValueError(f"pairs must be a nonempty tuple of (obs_a, obs_b) tuples, got {pairs!r}")
     weights, _ = protocol.pointer_measurement(pairs, tilt)
     probs = protocol.outcome_probabilities(rho, cfg, pairs, tilt)
     return OutcomeTables(cfg, pairs, weights, probs)

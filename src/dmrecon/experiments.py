@@ -1,12 +1,10 @@
 """Scenario runner: purity, strength and statistical-error sweeps.
 
 Every run is deterministic: each (grid point, seed) draws all of its counts
-from one stream, that of `Philox(key=k)` for a 128-bit key k that
-`derive_seed` hashes from the root seed and the point's coordinates, and
-rows are sorted before they are written, so repeated runs (or parallel ones)
-produce identical output. Each grid point walks its seeds with one re-keyed
-Philox. Rows are held as one structured array of `ROW_DTYPE`, whose fields
-are the CSV columns.
+from its own stream, by the README's "Sampled streams" rule, and rows are
+sorted before they are written, so repeated runs (or parallel ones) produce
+identical output. Rows are held as one structured array of `ROW_DTYPE`,
+whose fields are the CSV columns.
 
 Each grid point builds its outcome tables once and turns its sampled seeds
 into rows as one stack (`run_point`). The expectation rows (seed -1, from
@@ -209,7 +207,7 @@ def run_point(
     theta: float,
     purity_p: float,
     born: np.ndarray | None,
-    keys: np.ndarray | None,
+    keys: list[int] | None,
 ) -> tuple[np.ndarray | None, correlations.Correlations | None]:
     """One (state, theta) grid point: its sampled rows and its exact correlations.
 
@@ -220,12 +218,10 @@ def run_point(
     estimates seed -1 (EXPECTATION_SEED) of every grid point from the
     correlations and Born vectors as one grid stack.
     `rows` holds the sampled seeds' rows, `ROW_DTYPE`, and is None for an
-    exact source. `keys` holds each sampled seed's Philox key as an (S, 2)
-    uint64 array, which `run_scenario` derives for all points at once (None
-    for an exact source).
+    exact source. `keys` holds each sampled seed's Philox key, which
+    `run_scenario` derives (None for an exact source).
     The seeds are one stack, drawn by one `correlations.sampled_set` call:
-    each seed's stream is that of `Philox(key=k)` for its key k, and draws
-    the seed's outcome classes, then the QST method's Born counts, then the
+    each seed's outcome classes, then the QST method's Born counts, then the
     QST reference's, each only where it is read. The counts are dropped
     before the rows are built.
     """
@@ -323,9 +319,7 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     built once here, gives the exact Born vector of each distinct state (the
     points of a strength sweep share one), and is dropped before the first
     point samples. A sampled scenario derives the Philox key of every (grid
-    point, seed) here, `derive_seed(root_seed, scenario_id, "th", theta,
-    seed)` ("p", purity in a purity sweep), and splits them all into key
-    words with one `key_words` call.
+    point, seed) here, by the README's "Sampled streams" rule.
     """
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
@@ -346,8 +340,7 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
         del family  # d^3 entries (its kets), not needed while the points sample
     keys = [None] * len(grid)
     if scn.source == "sampled":
-        roots = [derive_seed(root_seed, *c, seed) for c in coords for seed in scn.seeds]
-        keys = correlations.key_words(roots).reshape(len(grid), len(scn.seeds), 2)
+        keys = [[derive_seed(root_seed, *c, seed) for seed in scn.seeds] for c in coords]
     sampled, exact = zip(*(
         run_point(scn, rho, theta, p, None if born is None else born[i], keys[i])
         for i, (rho, theta, p) in enumerate(zip(rhos, thetas, purities))

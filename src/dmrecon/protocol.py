@@ -180,7 +180,8 @@ def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
     """M[..., alpha, :, :] = <alpha| exp(-i theta P (x) Y) |0> for a projector P, or a stack.
 
     In projector form M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P: the |0>
-    column of `coupling_unitary`, which is their oracle, not a pipeline step.
+    column of `coupling_unitary`, which is their oracle. `kraus_operators`
+    builds pointer B's operators with it.
     """
     m0 = np.eye(proj.shape[-1]) - (1.0 - math.cos(theta)) * proj
     return np.stack([m0, math.sin(theta) * proj], axis=-3)

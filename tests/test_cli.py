@@ -1,12 +1,22 @@
 """End-to-end command-line runs."""
 
+import functools
+import re
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrecon import correlations, experiments, io, protocol, reconstruct
 from dmrecon.cli import main
+
+GOLDEN_CFG = (Path(__file__).resolve().parent / "data" / "golden.cfg").read_text(encoding="utf-8")
+# the text before the first scenario, then one block per [scenario] section
+GOLDEN_BLOCKS = re.split(r"(?m)^(?=\[scenario )", GOLDEN_CFG)
 
 CONFIG = """
 [global]
@@ -106,6 +116,29 @@ source = exact
     rows = np.concatenate([experiments.run_scenario(scn, doc.root_seed) for scn in doc.scenarios])
     want = io.results_csv(experiments.sort_rows(rows)).encode()
     assert (tmp_path / "results.csv").read_bytes() == want
+
+
+@functools.cache
+def _run_bytes(text: str) -> bytes:
+    """results.csv of `dmrecon run` on config text, without a DMRECON_SEED override."""
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.delenv("DMRECON_SEED", raising=False)
+        cfg = Path(out) / "cfg.txt"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", out]) == 0
+        return (Path(out) / "results.csv").read_bytes()
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(order=st.permutations(range(1, len(GOLDEN_BLOCKS))))
+def test_golden_run_ignores_scenario_and_seed_order(order):
+    # the golden config with its [scenario] sections permuted and every seeds
+    # list reversed writes the same bytes; the unpermuted run is the one
+    # tests/test_golden.py pins. Method order is left alone: it picks the pairs drawn.
+    text = GOLDEN_BLOCKS[0] + "".join(GOLDEN_BLOCKS[i] for i in order)
+    text = re.sub(r"(?m)^seeds = (.*)$", lambda m: "seeds = " + " ".join(m[1].split()[::-1]), text)
+    assert text != GOLDEN_CFG
+    assert _run_bytes(text) == _run_bytes(GOLDEN_CFG)
 
 
 def test_env_seed_override_changes_output(tmp_path, monkeypatch):

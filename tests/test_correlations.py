@@ -16,7 +16,6 @@ from dmrecon.correlations import (
     Correlations,
     analytic_correlation,
     derive_seed,
-    key_words,
     sample_counts,
     sampled_records_from_counts,
     stack_sets,
@@ -54,8 +53,8 @@ def classes_by_loop(weights, cells):
 
 def sample(tables, j, n, root_seed):
     """Class counts, per-k estimates and per-k standard errors of setting (j, pairs[0])."""
-    (counts,), _ = sample_counts(tables, n, key_words([root_seed]))
-    est, se = sampled_records_from_counts(tables, counts, n)
+    (counts,), _ = sample_counts(tables, n, [root_seed])
+    est, se = sampled_records_from_counts(counts, n)
     return counts[j - 1, 0], est[j - 1, :, 0], se[j - 1, :, 0]
 
 
@@ -95,7 +94,7 @@ class TestOutcomeTables:
         rho = states.random_density(3, 41)
         tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
         key, n = 12345, 777
-        (counts,), _ = sample_counts(tables, n, key_words([key]))
+        (counts,), _ = sample_counts(tables, n, [key])
         classes = classes_by_loop(tables.weights, tables.probs)
         np.testing.assert_allclose(correlations.outcome_classes(tables), classes, rtol=0, atol=1e-15)
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -117,7 +116,7 @@ class TestOutcomeTables:
         keys = [derive_seed(3, "pin", d, s) for s in range(50)]
         born = np.random.default_rng(d).uniform(size=(2, d * d))[:draws]
         n = 500
-        counts, born_counts = sample_counts(tables, n, key_words(keys), born)
+        counts, born_counts = sample_counts(tables, n, keys, born)
         assert counts.shape == (50, d, len(SUPPORTED_PAIRS), 2 * d + 1)
         assert born_counts.shape == (50, draws, d * d if draws else 0)
         for key, slice_counts, slice_born in zip(keys, counts, born_counts):
@@ -127,13 +126,16 @@ class TestOutcomeTables:
                 np.testing.assert_array_equal(got, fresh.binomial(n, p))
 
     def test_born_counts_alone_follow_the_stream(self):
-        # with no tables, the Born vectors are the first draws of each stream
+        # with no tables, the Born vectors are the first draws of each stream;
+        # numpy integers key the stream their int value keys
         born = np.random.default_rng(8).uniform(size=(2, 9))
-        counts, born_counts = sample_counts(None, 300, key_words([77]), born)
-        assert counts is None and born_counts.shape == (1, 2, 9)
-        fresh = np.random.Generator(np.random.Philox(key=77))
-        for got, p in zip(born_counts[0], born):
-            np.testing.assert_array_equal(got, fresh.binomial(300, p))
+        keys = [77, np.uint64(2**64 - 1), np.int32(77)]
+        counts, born_counts = sample_counts(None, 300, keys, born)
+        assert counts is None and born_counts.shape == (3, 2, 9)
+        for key, slice_born in zip(keys, born_counts):
+            fresh = np.random.Generator(np.random.Philox(key=int(key)))
+            for got, p in zip(slice_born, born):
+                np.testing.assert_array_equal(got, fresh.binomial(300, p))
 
 
 # the text of a scenario id may hold the payload's separator and its tags
@@ -168,17 +170,6 @@ class TestKeys:
             assert type(key) is int and 0 <= key <= 2**128 - 1
             assert keys.setdefault(c, key) == key
         assert len(set(keys.values())) == len(keys)
-
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(keys=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=8))
-    def test_key_words_are_numpys_split(self, keys):
-        words = key_words(keys)
-        assert words.dtype == np.uint64 and words.shape == (len(keys), 2)
-        for key, got in zip(keys, words):
-            np.testing.assert_array_equal(got, np.random.Philox(key=key).state["state"]["key"])
-        np.testing.assert_array_equal(key_words([np.uint64(k % 2**64) for k in keys]),
-                                      key_words([k % 2**64 for k in keys]))
-        assert key_words([]).shape == (0, 2)
 
 
 class TestExactCorrelation:
@@ -291,10 +282,10 @@ class TestSampling:
         rho = states.random_density(3, 4)
         cfg = CouplingConfig(3, 0.9, 0.9)
         tables = tables_for(rho, ("Y", "Y"), cfg)
-        (counts,), _ = sample_counts(tables, 1234, key_words([5]))
+        (counts,), _ = sample_counts(tables, 1234, [5])
         assert counts.shape == (3, 1, 7)
         np.testing.assert_array_equal(counts.sum(axis=-1), 1234)
-        est, se = sampled_records_from_counts(tables, counts, 1234)
+        est, se = sampled_records_from_counts(counts, 1234)
         assert est.shape == se.shape == (3, 3, 1)
         cs = correlations.correlation_set(rho, cfg, (("Y", "Y"),), 1234, root_seed=5)
         assert cs.n_events == 1234
@@ -382,10 +373,10 @@ class TestSeedStack:
     def test_stack_equals_per_root_calls(self, d, biased):
         tables = stacked_tables(d, biased)
         n = 3000
-        counts, _ = sample_counts(tables, n, key_words(ROOTS))
+        counts, _ = sample_counts(tables, n, ROOTS)
         assert counts.shape == (len(ROOTS), d, len(SUPPORTED_PAIRS), 2 * d + 1)
         for root, slice_ in zip(ROOTS, counts):
-            np.testing.assert_array_equal(slice_, sample_counts(tables, n, key_words([root]))[0][0])
+            np.testing.assert_array_equal(slice_, sample_counts(tables, n, [root])[0][0])
         stack = correlations.correlation_set_from_tables(tables, n=n, root_seed=ROOTS)
         oracle = stack_sets([
             correlations.correlation_set_from_tables(tables, n=n, root_seed=root)
@@ -420,12 +411,12 @@ class TestSeedStack:
     def test_rejects_empty_roots_and_no_events(self):
         tables = stacked_tables(2, False)
         with pytest.raises(ValueError, match="at least one Philox key"):
-            sample_counts(tables, 100, key_words([]))
+            sample_counts(tables, 100, [])
         with pytest.raises(ValueError, match="at least one Philox key"):
             correlations.correlation_set_from_tables(tables, n=100, root_seed=[])
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least one event"):
-                sample_counts(tables, n, key_words(ROOTS))
+                sample_counts(tables, n, ROOTS)
         with pytest.raises(ValueError, match="at least one event"):
             correlations.correlation_set_from_tables(tables, n=-1, root_seed=7)
 
@@ -468,7 +459,7 @@ class TestOutcomeClasses:
         est_cells = np.einsum("pxy,...jpxyk->...jkp", w, freq)
         second_cells = np.einsum("pxy,...jpxyk->...jkp", w * w, freq)
         var_cells = np.maximum(second_cells - est_cells * est_cells, 0.0)
-        est, se = sampled_records_from_counts(tables, classes_by_loop(w, fine), n)
+        est, se = sampled_records_from_counts(classes_by_loop(w, fine), n)
         assert est.shape == se.shape == (len(ROOTS), d, d, len(SUPPORTED_PAIRS))
         np.testing.assert_allclose(est, est_cells, rtol=0, atol=1e-15)
         np.testing.assert_allclose(n * se * se, var_cells, rtol=0, atol=1e-14)
@@ -477,7 +468,7 @@ class TestOutcomeClasses:
         # a table built by hand may carry any weights; the classes hold only -1, 0 and 1
         tables = replace(stacked_tables(2, False), weights=np.full((len(SUPPORTED_PAIRS), 2, 2), 0.5))
         with pytest.raises(ValueError, match=r"weight in \{-1, 0, 1\}"):
-            sample_counts(tables, 100, key_words([7]))
+            sample_counts(tables, 100, [7])
 
     def test_class_draws_follow_the_exact_distribution(self):
         # 2000 seeds at d = 3 with tilt and efficiency: every mean within 5
@@ -489,8 +480,8 @@ class TestOutcomeClasses:
         tables = stacked_tables(3, True)
         seeds, n = 2000, 2000
         roots = [derive_seed(11, "ensemble", s) for s in range(seeds)]
-        counts, _ = sample_counts(tables, n, key_words(roots))
-        est, se = sampled_records_from_counts(tables, counts, n)
+        counts, _ = sample_counts(tables, n, roots)
+        est, se = sampled_records_from_counts(counts, n)
         spread = est.std(axis=0)
         z = (est.mean(axis=0) - correlations.records_from_table(tables)) / (spread / np.sqrt(seeds))
         assert np.max(np.abs(z)) < 5.0

@@ -192,11 +192,32 @@ class TestCorrelationRejections:
             correlations.analytic_correlation(rho, 3, 1, "X", "X", cfg)
 
     def test_sample_counts_needs_events(self):
+        # and no more than the sampler's int64 event count holds
         rho = states.maximally_mixed(2)
         cfg = CouplingConfig(2, 0.5, 0.5)
         tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         with pytest.raises(ValueError, match="one event"):
-            sample_counts(tables, 0, correlations.key_words([1]))
+            sample_counts(tables, 0, [1])
+        too_many = re.escape(f"at most 2**63-1 (the sampler's range), got n={2**63}")
+        with pytest.raises(ValueError, match=too_many):
+            sample_counts(tables, 2**63, [1])
+        with pytest.raises(ValueError, match=too_many):
+            correlations.correlation_set(rho, cfg, (("X", "X"),), n=2**63, root_seed=1)
+        (counts,), _ = sample_counts(tables, 2**63 - 1, [1])
+        assert (counts.sum(axis=-1) == 2**63 - 1).all()
+
+    @pytest.mark.parametrize("pairs", [(), [("X", "X")], (["X", "X"],)],
+                             ids=["empty", "list", "list-pair"])
+    def test_build_tables_rejects_bad_pairs(self, monkeypatch, pairs):
+        # by name, before anything is evolved: not inside numpy's stack or
+        # the pointer-measurement cache's hash
+        def not_evolved(*args):
+            raise AssertionError("evolved before pairs were checked")
+
+        monkeypatch.setattr(protocol, "evolve", not_evolved)
+        want = re.escape(f"pairs must be a nonempty tuple of (obs_a, obs_b) tuples, got {pairs!r}")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            correlations.correlation_set(states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), pairs)
 
 
 class TestNonIntegerSizes:
@@ -232,7 +253,7 @@ class TestNonIntegerSizes:
         tables = correlations.build_tables(
             states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
         )
-        keys = correlations.key_words([1])
+        keys = [1]
         with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
             sample_counts(tables, 10.5, keys)
         by_numpy_int, _ = sample_counts(tables, np.int64(10), keys)
@@ -249,36 +270,36 @@ class TestNonIntegerSizes:
         ids=["bool", "float", "negative", "2**128"],
     )
     def test_sample_counts_rejects_a_root(self, root, want):
-        # a library root seed is the 128-bit Philox key itself: `correlation_set`
-        # rejects one that is not, and `sample_counts` takes only key words
+        # a library root seed is the 128-bit Philox key itself, and
+        # `correlation_set` and `sample_counts` reject one that is not
         rho, cfg = states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5)
         tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         for roots in (root, [0, root]):
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 correlations.correlation_set(rho, cfg, (("X", "X"),), 10, roots)
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-                correlations.key_words(roots if isinstance(roots, list) else [roots])
-            with pytest.raises(ValueError, match=re.escape(f"uint64 array, got {roots!r}")):
-                sample_counts(tables, 10, roots)
+                sample_counts(tables, 10, roots if isinstance(roots, list) else [roots])
         top = np.random.Generator(np.random.Philox(key=2**128 - 1))
         classes = correlations.outcome_classes(tables)
         want_counts = top.multinomial(10, classes / classes.sum(axis=-1, keepdims=True))
-        (counts,), _ = sample_counts(tables, 10, correlations.key_words([2**128 - 1]))
+        (counts,), _ = sample_counts(tables, 10, [2**128 - 1])
         assert (counts == want_counts).all()
         top_set = correlations.correlation_set(rho, cfg, (("X", "X"),), 10, 2**128 - 1)
-        want_values, _ = correlations.sampled_records_from_counts(tables, want_counts, 10)
+        want_values, _ = correlations.sampled_records_from_counts(want_counts, 10)
         assert (top_set.values == want_values).all()
 
     def test_sample_counts_rejects_bad_keys_and_an_empty_draw(self):
         tables = correlations.build_tables(
             states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
         )
-        with pytest.raises(ValueError, match=r"must be an \(S, 2\) uint64 array, got int64"):
-            sample_counts(tables, 10, np.zeros((2, 2), dtype=np.int64))
-        with pytest.raises(ValueError, match=r"uint64 array, got uint64 shaped \(2,\)"):
-            sample_counts(tables, 10, np.zeros(2, dtype=np.uint64))
+        # an (S, 2) array of key words is not a list of keys: its rows are no integers
+        for dtype in (np.uint64, np.int64):
+            with pytest.raises(ValueError, match=re.escape("Philox key=[0 0] is not an integer")):
+                sample_counts(tables, 10, np.zeros((2, 2), dtype=dtype))
+        by_array, _ = sample_counts(tables, 10, np.zeros(2, dtype=np.uint64))
+        assert (by_array == sample_counts(tables, 10, [0, 0])[0]).all()
         with pytest.raises(ValueError, match="nothing to draw"):
-            sample_counts(None, 10, correlations.key_words([1]))
+            sample_counts(None, 10, [1])
 
     def test_numpy_integers_run_as_ints(self):
         plain = experiments.run_scenario(self._scenario(d=3))

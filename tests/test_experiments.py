@@ -340,7 +340,7 @@ class TestRunners:
             tables = build_tables(rho, cfg, correlations.PAIRS_WEAK, 0.01, 0.97)
             classes = correlations.outcome_classes(tables)
             counts = rng.multinomial(n, classes / classes.sum(axis=-1, keepdims=True))
-            values, std_error = correlations.sampled_records_from_counts(tables, counts, n)
+            values, std_error = correlations.sampled_records_from_counts(counts, n)
             correls = correlations.Correlations(cfg, tables.pairs, values, std_error, n)
             estimates["W"] = reconstruct.reconstruct_weak(correls).finalized
         born = reconstruct.born_probabilities(rho, reconstruct.standard_projector_family(d))

@@ -81,9 +81,9 @@ class TestPeaks:
         tables = correlations.build_tables(
             states.random_density(d, 4), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
         )
-        counts, _ = correlations.sample_counts(tables, 1000, correlations.key_words(range(50)))
+        counts, _ = correlations.sample_counts(tables, 1000, list(range(50)))
         peak, (est, std_error) = _peak_bytes(
-            correlations.sampled_records_from_counts, tables, counts, 1000
+            correlations.sampled_records_from_counts, counts, 1000
         )
         outputs = est.nbytes + std_error.nbytes
         assert peak <= 1.6 * outputs, peak / outputs
@@ -235,13 +235,13 @@ class TestInPlaceFormsAreBitIdentical:
         tables = correlations.build_tables(
             states.random_density(d, 10), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
         )
-        counts, _ = correlations.sample_counts(tables, n, correlations.key_words(range(6)))
+        counts, _ = correlations.sample_counts(tables, n, list(range(6)))
         swapped = np.swapaxes(counts, -1, -2)
         plus, minus = swapped[..., :d, :], swapped[..., d : 2 * d, :]
         est = (plus - minus) / n
         second = (plus + minus) / n
         var = np.maximum(second - est * est, 0.0) / n
         assert (var == 0).any() and (var > 0).any()
-        new_est, new_std = correlations.sampled_records_from_counts(tables, counts, n)
+        new_est, new_std = correlations.sampled_records_from_counts(counts, n)
         assert new_est.tobytes() == est.tobytes()
         assert new_std.tobytes() == np.sqrt(var).tobytes()
