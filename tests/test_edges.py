@@ -292,7 +292,7 @@ class TestNonIntegerSizes:
         tables = correlations.build_tables(
             states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
         )
-        # an (S, 2) array of key words is not a list of keys: its rows are no integers
+        # an (S, 2) array of key words is not a list of keys: its rows are not integers
         for dtype in (np.uint64, np.int64):
             with pytest.raises(ValueError, match=re.escape("Philox key=[0 0] is not an integer")):
                 sample_counts(tables, 10, np.zeros((2, 2), dtype=dtype))

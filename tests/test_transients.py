@@ -81,7 +81,7 @@ class TestPeaks:
         tables = correlations.build_tables(
             states.random_density(d, 4), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
         )
-        counts, _ = correlations.sample_counts(tables, 1000, list(range(50)))
+        counts, _ = correlations.sample_counts(tables, 1000, range(50))
         peak, (est, std_error) = _peak_bytes(
             correlations.sampled_records_from_counts, counts, 1000
         )
@@ -235,7 +235,7 @@ class TestInPlaceFormsAreBitIdentical:
         tables = correlations.build_tables(
             states.random_density(d, 10), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
         )
-        counts, _ = correlations.sample_counts(tables, n, list(range(6)))
+        counts, _ = correlations.sample_counts(tables, n, range(6))
         swapped = np.swapaxes(counts, -1, -2)
         plus, minus = swapped[..., :d, :], swapped[..., d : 2 * d, :]
         est = (plus - minus) / n
