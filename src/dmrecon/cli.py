@@ -66,8 +66,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_exact(args) -> int:
     try:
-        cfg = CouplingConfig(args.d, args.theta, args.theta)
-        protocol.check_theta(args.theta)
+        cfg = CouplingConfig(args.d, args.theta)
         rho = states.parse_state_spec(args.state, args.d)
     except ValueError as exc:
         return _input_error("exact", str(exc))
@@ -116,14 +115,14 @@ def _cmd_validate(args) -> int:
         u = qmath.matrix_exponential(qmath.tensor(np.outer(vec, vec.conj()), y), theta)
         return u.reshape(vec.size, 2, vec.size, 2)[:, :, :, 0]
 
-    # at both ends of the strength range too, either pointer weak and the other strong
+    # at both ends of the strength range too
     worst = 0.0
     for d in range(1, protocol.MAX_DIM + 1):
-        for theta_a, theta_b in ((0.4, 1.3), (1e-8, math.pi / 2), (math.pi / 2, 1e-8)):
-            kraus = protocol.kraus_operators(CouplingConfig(d, theta_a, theta_b))
-            m_b = column0(states.b0_state(d), theta_b)
+        for theta in (1e-8, 0.4, 1.3, math.pi / 2):
+            kraus = protocol.kraus_operators(CouplingConfig(d, theta))
+            m_b = column0(states.b0_state(d), theta)
             for j in range(1, d + 1):
-                m_a = column0(states.basis_state(d, j), theta_a)
+                m_a = column0(states.basis_state(d, j), theta)
                 oracle = np.einsum("kbm,mai->abki", m_b, m_a)
                 worst = float(np.maximum(worst, np.max(np.abs(kraus[j - 1] - oracle))))
     check("Kraus operators match matrix-exponential columns", worst < 1e-12, f"max dev {worst:.2e}")
@@ -133,7 +132,7 @@ def _cmd_validate(args) -> int:
     for i in range(200):
         d = int(rng.integers(2, 6))
         rho = states.random_density(d, int(rng.integers(0, 2**31)))
-        cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)), float(rng.uniform(0.05, math.pi / 2)))
+        cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)))
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
         correls = correlations.correlation_set(rho, cfg, correlations.SUPPORTED_PAIRS)
@@ -147,7 +146,7 @@ def _cmd_validate(args) -> int:
     for d in (2, 3, 4):
         rho = states.random_density(d, 97 + d)
         for theta in (0.2, math.pi / 2):
-            cfg = CouplingConfig(d, theta, theta)
+            cfg = CouplingConfig(d, theta)
             correls = correlations.correlation_set(rho, cfg, correlations.PAIRS_EXACT_I)
             for rebuild in (reconstruct.reconstruct_exact_i, reconstruct.reconstruct_exact_ii):
                 result = rebuild(correls)
@@ -186,8 +185,7 @@ def _cmd_validate(args) -> int:
     worst = 0.0
     for d in range(1, protocol.MAX_DIM + 1):
         rho = states.random_density(d, int(rng.integers(0, 2**31)))
-        theta_a, theta_b = rng.uniform(0.05, math.pi / 2, size=2)
-        cfg = CouplingConfig(d, float(theta_a), float(theta_b))
+        cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)))
         epsilon, efficiency = float(rng.uniform(-0.1, 0.1)), float(rng.uniform(0.9, 1.1))
         tables = experiments.build_tables(rho, cfg, correlations.SUPPORTED_PAIRS, epsilon, efficiency)
         classes = correlations.outcome_classes(tables)

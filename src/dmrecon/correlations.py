@@ -191,8 +191,8 @@ def analytic_correlation(
     """Correlation from the closed-form expression in the entries of rho.
 
     Supported observable pairs: XX, XY, YX, YY, Pi1-X, X-Pi1, Y-Pi1, Pi1-Pi1.
-    With s = sin(theta), c = cos(theta) per pointer and n = d/(4 s_A s_B),
-    each pair reduces to a short combination of row sums of rho.
+    With s = sin(theta), c = cos(theta) and n = d/(4 s^2), each pair
+    reduces to a short combination of row sums of rho.
     """
     pair = (obs_a, obs_b)
     if pair not in SUPPORTED_PAIRS:
@@ -207,8 +207,7 @@ def analytic_correlation(
         raise ValueError(f"indices (j={j}, k={k}) out of range 1..{d}")
     m = rho.matrix
     n = cfg.n_ab
-    s_a, c_a = math.sin(cfg.theta_a), math.cos(cfg.theta_a)
-    s_b, c_b = math.sin(cfg.theta_b), math.cos(cfg.theta_b)
+    s, c = math.sin(cfg.theta), math.cos(cfg.theta)
     delta = 1.0 if j == k else 0.0
     row = m[j - 1, :]
     sum_re = float(row.real.sum())
@@ -220,23 +219,21 @@ def analytic_correlation(
     im_jk = float(m[j - 1, k - 1].imag)
 
     if pair == ("X", "X"):
-        value = ((1.0 - delta) * re_jk + delta * sum_re_off + 2.0 * c_a * delta * re_jk) / (
+        value = ((1.0 - delta) * re_jk + delta * sum_re_off + 2.0 * c * delta * re_jk) / (
             2.0 * n
-        ) + (c_b - 1.0) * (sum_re_off + c_a * p_jj) / (d * n)
+        ) + (c - 1.0) * (sum_re_off + c * p_jj) / (d * n)
     elif pair == ("X", "Y"):
         value = (im_jk - delta * sum_im_off) / (2.0 * n)
     elif pair == ("Y", "X"):
-        value = (
-            im_jk + delta * sum_im_off + 2.0 * (c_b - 1.0) * sum_im / d
-        ) / (2.0 * n)
+        value = (im_jk + delta * sum_im_off + 2.0 * (c - 1.0) * sum_im / d) / (2.0 * n)
     elif pair == ("Y", "Y"):
         value = (-re_jk + delta * sum_re) / (2.0 * n)
     elif pair == ("Pi1", "X"):
-        value = delta * s_a * re_jk / (2.0 * n) + s_a * (c_b - 1.0) * p_jj / (2.0 * d * n)
+        value = delta * s * re_jk / (2.0 * n) + s * (c - 1.0) * p_jj / (2.0 * d * n)
     elif pair == ("X", "Pi1"):
-        value = s_b * sum_re / (2.0 * d * n) + s_b * (c_a - 1.0) * p_jj / (2.0 * d * n)
+        value = s * sum_re / (2.0 * d * n) + s * (c - 1.0) * p_jj / (2.0 * d * n)
     elif pair == ("Y", "Pi1"):
-        value = s_b * sum_im / (2.0 * d * n)
+        value = s * sum_im / (2.0 * d * n)
     else:  # ("Pi1", "Pi1"), independent of k
         value = p_jj / (16.0 * n * n)
     return value
@@ -287,6 +284,8 @@ def sample_counts(
         )
     if tables is None and not len(born):
         raise ValueError("nothing to draw: no outcome tables and no Born vector")
+    if not hasattr(keys, "__len__") or getattr(keys, "ndim", 1) == 0:
+        raise ValueError(f"keys={keys!r} is not a sequence of Philox keys; one key is [key]")
     if not len(keys):
         raise ValueError("need at least one Philox key")
     counts = pvals = None
@@ -370,6 +369,7 @@ def correlation_set_from_tables(
     returns them as one `Correlations` indexed [s, j-1, k-1, p]; slice s
     equals the set of root_seed[s] alone, bit for bit.
     """
+    protocol.check_integer("n", n)
     if n == 0:
         if root_seed is not None:
             raise ValueError("exact correlations (n = 0) take no root seed")

@@ -225,7 +225,7 @@ def run_point(
     QST reference's, each only where it is read. The counts are dropped
     before the rows are built.
     """
-    cfg = CouplingConfig(scn.d, theta, theta)
+    cfg = CouplingConfig(scn.d, theta)
     # the observable pairs the direct methods read, in first-seen order
     pairs = tuple(dict.fromkeys(
         pair for m in scn.methods if m in _RECONSTRUCTORS for pair in _RECONSTRUCTORS[m][1]

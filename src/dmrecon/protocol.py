@@ -72,9 +72,7 @@ def check_theta(theta: float) -> None:
     16 n_ab^2 with n_ab = d / (4 sin^2 theta), overflows at d = MAX_DIM.
     """
     if theta == 0.0:
-        raise ValueError(
-            "theta = 0 makes the normalization d/(4 sin(theta_a) sin(theta_b)) singular"
-        )
+        raise ValueError("theta = 0 makes the normalization d/(4 sin^2 theta) singular")
     if not 0.0 < theta <= math.pi / 2 + 1e-12:
         raise ValueError(f"theta={theta} outside (0, pi/2]")
     s = math.sin(theta) ** 2
@@ -85,42 +83,26 @@ def check_theta(theta: float) -> None:
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Dimension and coupling strengths, with derived constants.
+    """Dimension and the one coupling strength of both pointers, with derived constants.
 
     Derived quantities are recomputed on access so they can never go stale.
-    theta = 0 is accepted (evolution is then the identity) but `n_ab` is
-    undefined there and raises: the estimator formulas divide by sin(theta).
-    Every nonzero theta must pass `check_theta`.
+    theta must pass `check_theta`.
     """
 
     dim: int
-    theta_a: float
-    theta_b: float
+    theta: float
 
     def __post_init__(self):
         check_dim(self.dim)
-        for name, th in (("theta_a", self.theta_a), ("theta_b", self.theta_b)):
-            if not 0.0 <= th <= math.pi / 2 + 1e-12:
-                raise ValueError(f"{name}={th} outside [0, pi/2]")
-            if th:
-                check_theta(th)
+        check_theta(self.theta)
 
     @property
-    def t_a(self) -> float:
-        return math.tan(self.theta_a / 2)
-
-    @property
-    def t_b(self) -> float:
-        return math.tan(self.theta_b / 2)
+    def t(self) -> float:
+        return math.tan(self.theta / 2)
 
     @property
     def n_ab(self) -> float:
-        s = math.sin(self.theta_a) * math.sin(self.theta_b)
-        if s == 0.0:
-            raise ValueError(
-                "normalization d/(4 sin(theta_a) sin(theta_b)) is singular at theta=0"
-            )
-        return self.dim / (4.0 * s)
+        return self.dim / (4.0 * (math.sin(self.theta) * math.sin(self.theta)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -216,17 +198,15 @@ def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
 
     Real, from the projectors |a_j><a_j| (A) and |b_0><b_0| = J/d (B, J all ones); for
     every j the four d x d operators are complete, sum_{alpha beta} K^dagger K = 1.
-    M^A_{j alpha} is diagonal, with the entries of `_kraus` (1 - (1 - cos theta_a) or
-    sin theta_a at i = j), so K[j-1, alpha, beta, k, i] = M^B_beta[k, i] M^A_{j alpha}[i, i]
+    M^A_{j alpha} is diagonal, with the entries of `_kraus` (1 - (1 - cos theta) or
+    sin theta at i = j), so K[j-1, alpha, beta, k, i] = M^B_beta[k, i] M^A_{j alpha}[i, i]
     is one broadcast product. Built on every call and owned by the caller: a
     (d, 2, 2, d, d) stack, 4 d^3 floats.
     """
-    d = cfg.dim
+    d, theta = cfg.dim, cfg.theta
     eye = np.eye(d)
-    diag_a = np.stack(
-        [1.0 - (1.0 - math.cos(cfg.theta_a)) * eye, math.sin(cfg.theta_a) * eye], axis=1
-    )
-    kraus_b = _kraus(np.full((d, d), 1.0 / d), cfg.theta_b)
+    diag_a = np.stack([1.0 - (1.0 - math.cos(theta)) * eye, math.sin(theta) * eye], axis=1)
+    kraus_b = _kraus(np.full((d, d), 1.0 / d), theta)
     return kraus_b * diag_a[:, :, None, None, :]
 
 

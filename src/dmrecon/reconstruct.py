@@ -127,14 +127,14 @@ def _linear(correls: Correlations, method: str) -> tuple:
     scale * weight. Every correlation's standard error enters in quadrature
     through that coefficient, as independent of the others'.
     """
-    n, t_a, t_b = _constants(correls, lambda c: (c.n_ab, c.t_a, c.t_b))
+    n, t = _constants(correls, lambda c: (c.n_ab, c.t))
     xx, yy, yx, xy, xp, px, yp, pp = PAIRS_EXACT_I
     weak = ([(n, {xx: 1, yy: -1})], [(n, {xy: 1, yx: 1})])
     re_terms, im_terms = {
         "W": weak,
         "I": (
-            weak[0] + [(2 * n, {xp: t_b, px: t_a, pp: 2 * t_a * t_b})],
-            weak[1] + [(2 * n * t_b, {yp: 1})],
+            weak[0] + [(2 * n, {xp: t, px: t, pp: 2 * t * t})],
+            weak[1] + [(2 * n * t, {yp: 1})],
         ),
         "II": ([(-2 * n, {yy: 1})], [(2 * n, {xy: 1})]),
     }[method]

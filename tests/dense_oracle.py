@@ -19,13 +19,13 @@ def _projector(v):
 
 
 def couplings(j, cfg):
-    """(U_A, U_B): exp(-i theta_A P_j (x) Y (x) 1) and exp(-i theta_B P_b0 (x) 1 (x) Y)."""
+    """(U_A, U_B): exp(-i theta P_j (x) Y (x) 1) and exp(-i theta P_b0 (x) 1 (x) Y)."""
     d = cfg.dim
     u_a = qmath.matrix_exponential(
-        qmath.tensor(_projector(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta_a
+        qmath.tensor(_projector(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta
     )
     u_b = qmath.matrix_exponential(
-        qmath.tensor(_projector(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta_b
+        qmath.tensor(_projector(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta
     )
     return u_a, u_b
 

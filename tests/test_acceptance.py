@@ -49,7 +49,7 @@ def report(num: int, description: str, ok: bool, detail: str = ""):
 
 
 def sampled_delta_rhos(rho, theta, n, pairs, rebuild, seeds):
-    cfg = CouplingConfig(2, theta, theta)
+    cfg = CouplingConfig(2, theta)
     tables = correlations.build_tables(rho, cfg, pairs)
     out = []
     for seed in seeds:
@@ -64,7 +64,7 @@ def test_criterion_1_exactness_at_arbitrary_strength():
     worst = 0.0
     for d in (2, 3, 4, 5):
         for theta in (0.1, 0.5, 1.0, math.pi / 2):
-            cfg = CouplingConfig(d, theta, theta)
+            cfg = CouplingConfig(d, theta)
             for seed in range(20):
                 rho = states.random_density(d, 1000 * d + seed)
                 correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
@@ -84,12 +84,10 @@ def test_criterion_2_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(20260808)
     worst = 0.0
-    for trial in range(200):
+    for _ in range(200):
         d = int(rng.integers(2, 6))
         rho = states.random_density(d, int(rng.integers(0, 2**31)))
-        theta_a = float(rng.uniform(0.05, math.pi / 2))
-        theta_b = theta_a if trial % 2 == 0 else float(rng.uniform(0.05, math.pi / 2))
-        cfg = CouplingConfig(d, theta_a, theta_b)
+        cfg = CouplingConfig(d, float(rng.uniform(0.05, math.pi / 2)))
         j = int(rng.integers(1, d + 1))
         k = int(rng.integers(1, d + 1))
         cs = correlation_set(rho, cfg, PAIRS_EXACT_I)
@@ -129,12 +127,12 @@ def test_criterion_3_coupling_unitary_identity():
 
 def test_criterion_4_weak_estimator_bias():
     rho = states.pure_state(states.b0_state(2))
-    cfg_strong = CouplingConfig(2, math.pi / 2, math.pi / 2)
+    cfg_strong = CouplingConfig(2, math.pi / 2)
     correls = correlation_set(rho, cfg_strong, PAIRS_EXACT_I)
     t_weak = qmath.trace_distance(reconstruct_weak(correls).finalized, rho.matrix)
     t_i = qmath.trace_distance(reconstruct_exact_i(correls).finalized, rho.matrix)
     t_ii = qmath.trace_distance(reconstruct_exact_ii(correls).finalized, rho.matrix)
-    cfg_weak = CouplingConfig(2, 0.01, 0.01)
+    cfg_weak = CouplingConfig(2, 0.01)
     correls_weak = correlation_set(rho, cfg_weak, PAIRS_WEAK)
     t_small = qmath.trace_distance(
         reconstruct_weak(correls_weak).finalized, rho.matrix
@@ -212,7 +210,7 @@ def test_criterion_6_strong_regime_advantage():
 
 def test_criterion_7_double_flip_k_independence():
     rho = states.random_density(4, 777)
-    cfg = CouplingConfig(4, 0.8, 1.3)
+    cfg = CouplingConfig(4, 0.8)
     pp = correlation_set(rho, cfg, (("Pi1", "Pi1"),)).column(("Pi1", "Pi1"))[0]
     worst = float(np.max(pp.max(axis=1) - pp.min(axis=1)))
     report(

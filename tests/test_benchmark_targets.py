@@ -80,7 +80,7 @@ def test_every_method_reaches_finalize(monkeypatch):
 
     calls = _count_calls(monkeypatch, reconstruct, "finalize")
     rho = states.random_density(3, 1)
-    cfg = CouplingConfig(3, 0.5, 0.5)
+    cfg = CouplingConfig(3, 0.5)
     for method, (estimate, pairs) in experiments._RECONSTRUCTORS.items():
         before = len(calls)
         estimate(correlations.correlation_set(rho, cfg, pairs, 0))

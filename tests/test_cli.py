@@ -289,7 +289,8 @@ def test_run_reports_unwritable_results(tmp_path, capsys, monkeypatch):
     "argv, message",
     [
         (["--state", "bogus", "--theta", "1"], "unrecognized state spec"),
-        (["--state", "mixed", "--theta", "3"], "outside [0, pi/2]"),
+        (["--state", "mixed", "--theta", "3"], "theta=3.0 outside (0, pi/2]"),
+        (["--state", "mixed", "--theta", "-0.1"], "theta=-0.1 outside (0, pi/2]"),
         (["--state", "mixed", "--theta", "0"], "singular"),
         (["--state", "mixed", "--theta", "1", "--d", "40"], "outside supported range"),
         (["--state", "mixed", "--theta", "1", "--d", "0"], "outside supported range"),

@@ -63,16 +63,15 @@ class TestOutcomeTables:
     @given(
         d=st.integers(1, 5),
         seed=st.integers(0, 2**31 - 1),
-        theta_a=st.floats(0.05, np.pi / 2),
-        theta_b=st.floats(0.05, np.pi / 2),
+        theta=st.floats(0.05, np.pi / 2),
         tilt=st.floats(-0.1, 0.1),
     )
-    def test_probs_match_elementwise_trace(self, d, seed, theta_a, theta_b, tilt):
+    def test_probs_match_elementwise_trace(self, d, seed, theta, tilt):
         # every probs[j, p, alpha, beta, k] against Tr[(Pi_k (x) P_alpha (x) Q_beta) sigma_j],
         # with sigma_j = U_B U_A (rho (x) |00><00|) (U_B U_A)^dagger evolved densely
-        assume(abs(theta_a - theta_b) > 1e-3 and abs(tilt) > 1e-4)
+        assume(abs(tilt) > 1e-4)
         rho = states.random_density(d, seed)
-        cfg = CouplingConfig(d, theta_a, theta_b)
+        cfg = CouplingConfig(d, theta)
         tables = correlations.build_tables(rho, cfg, SUPPORTED_PAIRS, tilt)
         assert tables.probs.shape == (d, len(SUPPORTED_PAIRS), 2, 2, d)
         setting_pairs = [
@@ -92,7 +91,7 @@ class TestOutcomeTables:
         # pins the sampling stream: one Philox generator keyed by the key,
         # one multinomial draw over the (d, P, 2d + 1) outcome classes
         rho = states.random_density(3, 41)
-        tables = build_tables(rho, CouplingConfig(3, 0.4, 1.2), PAIRS_EXACT_II, 0.02, 0.95)
+        tables = build_tables(rho, CouplingConfig(3, 0.4), PAIRS_EXACT_II, 0.02, 0.95)
         key, n = 12345, 777
         (counts,), _ = sample_counts(tables, n, [key])
         classes = classes_by_loop(tables.weights, tables.probs)
@@ -175,7 +174,7 @@ class TestKeys:
 class TestExactCorrelation:
     def test_real_state_has_zero_xy(self):
         rho = states.pure_state(states.basis_state(2, 1))
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         cs = correlations.correlation_set(rho, cfg, (("X", "Y"),))
         assert cs.values[0, 1, 0] == pytest.approx(0.0, abs=1e-12)
         assert cs.n_events == 0
@@ -184,17 +183,17 @@ class TestExactCorrelation:
     def test_diagonal_state_yy_value(self):
         # <Y_A Y_B> = -Re rho_12 / (2 n_ab) off the diagonal
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         assert exact_values(rho, ("Y", "Y"), cfg)[0, 1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_double_flip_value_and_k_independence(self):
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         np.testing.assert_allclose(exact_values(rho, ("Pi1", "Pi1"), cfg)[0], 0.125, atol=1e-12)
 
     def test_double_flip_k_independent_random_state(self):
         rho = states.random_density(4, 77)
-        cfg = CouplingConfig(4, 0.6, 1.1)
+        cfg = CouplingConfig(4, 0.6)
         pp = exact_values(rho, ("Pi1", "Pi1"), cfg)
         assert np.max(pp.max(axis=1) - pp.min(axis=1)) < 1e-12
 
@@ -207,11 +206,7 @@ class TestAnalyticCorrelation:
         for _ in range(200):
             d = int(rng.integers(2, 6))
             rho = states.random_density(d, int(rng.integers(0, 2**31)))
-            cfg = CouplingConfig(
-                d,
-                float(rng.uniform(0.05, np.pi / 2)),
-                float(rng.uniform(0.05, np.pi / 2)),
-            )
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
             j = int(rng.integers(1, d + 1))
             k = int(rng.integers(1, d + 1))
             cs = correlations.correlation_set(rho, cfg, SUPPORTED_PAIRS)
@@ -223,7 +218,7 @@ class TestAnalyticCorrelation:
     def test_real_state_kills_ya_terms(self):
         # <Y_A X_B> is built from imaginary parts only
         rho = states.purity_family(0.7, states.named_ket("D", 2))
-        cfg = CouplingConfig(2, 0.4, 0.9)
+        cfg = CouplingConfig(2, 0.4)
         for j in (1, 2):
             for k in (1, 2):
                 assert analytic_correlation(rho, j, k, "Y", "X", cfg) == pytest.approx(
@@ -231,15 +226,12 @@ class TestAnalyticCorrelation:
                 )
 
     def test_x_pi1_at_full_a_strength(self):
-        # c_A = 0 reduces the closed form to s_B (row sum - rho_jj) / (2 d n_ab)
+        # c = 0 and s = 1 reduce the closed form to (row sum - rho_jj) / (2 d n_ab)
         rho = states.random_density(3, 8)
-        cfg = CouplingConfig(3, np.pi / 2, 0.7)
+        cfg = CouplingConfig(3, np.pi / 2)
         j = 2
-        expected = (
-            np.sin(0.7)
-            * (rho.matrix[j - 1].real.sum() - rho.matrix[j - 1, j - 1].real)
-            / (2 * 3 * cfg.n_ab)
-        )
+        row_off = rho.matrix[j - 1].real.sum() - rho.matrix[j - 1, j - 1].real
+        expected = row_off / (2 * 3 * cfg.n_ab)
         assert analytic_correlation(rho, j, 1, "X", "Pi1", cfg) == pytest.approx(
             expected, abs=1e-14
         )
@@ -248,13 +240,13 @@ class TestAnalyticCorrelation:
         rng = np.random.default_rng(9)
         for _ in range(20):
             rho = states.random_density(3, int(rng.integers(0, 1000)))
-            cfg = CouplingConfig(3, 0.9, 0.9)
+            cfg = CouplingConfig(3, 0.9)
             for oa, ob in SUPPORTED_PAIRS:
                 assert abs(analytic_correlation(rho, 1, 2, oa, ob, cfg)) <= 1 + 1e-9
 
     def test_rejects_unsupported_pair(self):
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         with pytest.raises(ValueError, match="supported pairs"):
             analytic_correlation(rho, 1, 1, "Z", "Z", cfg)
 
@@ -262,7 +254,7 @@ class TestAnalyticCorrelation:
     def test_rejects_state_of_another_dimension(self, d_state, d_cfg, j):
         # j = 3 lies inside the config's range but outside the d = 2 state
         rho = states.random_density(d_state, 1)
-        cfg = CouplingConfig(d_cfg, 0.5, 0.5)
+        cfg = CouplingConfig(d_cfg, 0.5)
         message = f"state dimension {d_state} does not match config d={d_cfg}"
         with pytest.raises(ValueError, match=message):
             analytic_correlation(rho, j, j, "X", "X", cfg)
@@ -271,7 +263,7 @@ class TestAnalyticCorrelation:
 class TestSampling:
     def test_same_seed_identical_counts(self):
         rho = states.random_density(2, 4)
-        cfg = CouplingConfig(2, 1.0, 1.0)
+        cfg = CouplingConfig(2, 1.0)
         tables = tables_for(rho, ("X", "Y"), cfg)
         counts_a, est_a, _ = sample(tables, 1, 5000, 99)
         counts_b, est_b, _ = sample(tables, 1, 5000, 99)
@@ -280,7 +272,7 @@ class TestSampling:
 
     def test_counts_total_and_record_shape(self):
         rho = states.random_density(3, 4)
-        cfg = CouplingConfig(3, 0.9, 0.9)
+        cfg = CouplingConfig(3, 0.9)
         tables = tables_for(rho, ("Y", "Y"), cfg)
         (counts,), _ = sample_counts(tables, 1234, [5])
         assert counts.shape == (3, 1, 7)
@@ -292,7 +284,7 @@ class TestSampling:
 
     def test_double_flip_estimate_is_relative_frequency(self):
         rho = states.random_density(2, 6)
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         counts, est, _ = sample(tables_for(rho, ("Pi1", "Pi1"), cfg), 1, 2000, 3)
         np.testing.assert_allclose(est, counts[:2] / 2000)
         np.testing.assert_array_equal(counts[2:4], 0)
@@ -304,7 +296,7 @@ class TestSampling:
         for trial in range(20):
             d = int(rng.integers(2, 4))
             rho = states.random_density(d, trial)
-            cfg = CouplingConfig(d, float(rng.uniform(0.2, np.pi / 2)), float(rng.uniform(0.2, np.pi / 2)))
+            cfg = CouplingConfig(d, float(rng.uniform(0.2, np.pi / 2)))
             j = int(rng.integers(1, d + 1))
             pair = SUPPORTED_PAIRS[int(rng.integers(0, len(SUPPORTED_PAIRS)))]
             _, est, se = sample(tables_for(rho, pair, cfg), j, 10**6, trial)
@@ -316,7 +308,7 @@ class TestSampling:
     def test_estimates_unbiased(self):
         # mean over 200 independent draws deviates < 4 sigma/sqrt(200)
         rho = states.random_density(2, 31)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         exact = exact_values(rho, ("X", "X"), cfg)[0, 1]
         tables = tables_for(rho, ("X", "X"), cfg)
         n = 10**4
@@ -331,7 +323,7 @@ class TestSampling:
 
     def test_std_error_tracks_spread(self):
         rho = states.random_density(2, 15)
-        cfg = CouplingConfig(2, 1.2, 1.2)
+        cfg = CouplingConfig(2, 1.2)
         tables = tables_for(rho, ("Y", "Y"), cfg)
         vals, errs = [], []
         for seed in range(150):
@@ -350,7 +342,7 @@ def stacked_tables(d, biased):
     """Outcome tables of every pair at one point, with tilt and efficiency bias or none."""
     rho = states.random_density(d, 50 + d)
     bias = (0.04, 0.93) if biased else (0.0, 1.0)
-    return build_tables(rho, CouplingConfig(d, 0.3, 1.4), SUPPORTED_PAIRS, *bias)
+    return build_tables(rho, CouplingConfig(d, 0.3), SUPPORTED_PAIRS, *bias)
 
 
 def set_from_tables(rho, cfg, pairs, n=0, root_seed=None):
@@ -426,14 +418,14 @@ class TestSeedStack:
         # n = 0 is the exact set: a root seed there would be silently unused
         rho = states.random_density(2, 52)
         with pytest.raises(ValueError, match="take no root seed"):
-            make(rho, CouplingConfig(2, 0.3, 1.4), SUPPORTED_PAIRS, n=0, root_seed=root_seed)
+            make(rho, CouplingConfig(2, 0.3), SUPPORTED_PAIRS, n=0, root_seed=root_seed)
 
     @SET_BUILDERS
     def test_draw_requires_a_root_seed(self, make):
         # n >= 1 draws: without a root seed it must not fall back to a default one
         rho = states.random_density(2, 52)
         with pytest.raises(ValueError, match="needs a root seed"):
-            make(rho, CouplingConfig(2, 0.3, 1.4), SUPPORTED_PAIRS, n=100)
+            make(rho, CouplingConfig(2, 0.3), SUPPORTED_PAIRS, n=100)
 
 
 class TestOutcomeClasses:
@@ -493,12 +485,12 @@ class TestOutcomeClasses:
 class TestCorrelationSet:
     def test_missing_entry_named(self):
         rho = states.maximally_mixed(2)
-        cs = correlations.correlation_set(rho, CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_II)
+        cs = correlations.correlation_set(rho, CouplingConfig(2, 0.5), PAIRS_EXACT_II)
         with pytest.raises(ValueError, match=r"missing correlation <X_A X_B>"):
             cs.column(("X", "X"))
 
     def test_roundtrip(self):
-        cfg = CouplingConfig(1, 0.5, 0.5)
+        cfg = CouplingConfig(1, 0.5)
         cs = Correlations(cfg, (("X", "X"),), np.full((1, 1, 1), 0.25), np.zeros((1, 1, 1)))
         values, errors = cs.column(("X", "X"))
         assert values[0, 0] == 0.25
@@ -507,22 +499,22 @@ class TestCorrelationSet:
 
     def test_exact_set_covers_all_indices(self):
         rho = states.random_density(3, 20)
-        cfg = CouplingConfig(3, 0.5, 0.5)
+        cfg = CouplingConfig(3, 0.5)
         cs = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I)
         assert len(cs) == 3 * 3 * len(PAIRS_EXACT_I)
         assert cs.values.shape == (3, 3, len(PAIRS_EXACT_I))
         assert cs.pairs == PAIRS_EXACT_I
 
     def test_record_validation(self):
-        cfg = CouplingConfig(1, 0.5, 0.5)
+        cfg = CouplingConfig(1, 0.5)
         with pytest.raises(ValueError, match="standard error"):
             Correlations(cfg, (("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
         with pytest.raises(ValueError, match="shaped"):
             Correlations(cfg, (("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
 
 
-CFG = CouplingConfig(2, 0.3, 1.4)
-CFG2 = CouplingConfig(2, 0.9, 0.9)
+CFG = CouplingConfig(2, 0.3)
+CFG2 = CouplingConfig(2, 0.9)
 
 
 def _set_at(cfg, n=0, root_seed=None):
@@ -540,11 +532,11 @@ def _grid_stack_with(cfg):
     (lambda: _set_at(CFG), CFG),
     (lambda: _set_at(CFG, 100, 7), CFG),
     (lambda: _set_at(CFG, 100, [7, 8]), CFG),
-    (lambda: stack_sets([_set_at(CFG), _set_at(CouplingConfig(2, 0.3, 1.4))]), CFG),
+    (lambda: stack_sets([_set_at(CFG), _set_at(CouplingConfig(2, 0.3))]), CFG),
     (lambda: stack_sets([_set_at(CFG), _set_at(CFG2)]), (CFG, CFG2)),
     (lambda: _grid_stack_with(((CFG, CFG2), (CFG, CFG2))), "a CouplingConfig or a tuple"),
     (lambda: _grid_stack_with((CFG, CFG2, CFG)), "3 configs for correlations shaped"),
-    (lambda: _grid_stack_with(CouplingConfig(3, 0.3, 1.4)), "for d=2, config has d=3"),
+    (lambda: _grid_stack_with(CouplingConfig(3, 0.3)), "for d=2, config has d=3"),
     (lambda: stack_sets([_grid_stack_with((CFG, CFG2))] * 2), "a CouplingConfig or a tuple"),
 ], ids=[
     "exact", "int-root", "root-list", "stack-one-config", "stack-two-configs",
@@ -569,7 +561,7 @@ class TestSeedDerivation:
 
     def test_sampled_sets_reproducible(self):
         rho = states.random_density(2, 12)
-        cfg = CouplingConfig(2, 0.9, 0.9)
+        cfg = CouplingConfig(2, 0.9)
         cs1 = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
         cs2 = correlations.correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=3)
         np.testing.assert_array_equal(cs1.values, cs2.values)

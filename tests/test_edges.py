@@ -103,7 +103,7 @@ class TestProtocolRejections:
 
     def test_outcome_probabilities_flags_corruption(self):
         rho = states.maximally_mixed(2)
-        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"), ("X", "Z")))
+        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5), (("Z", "Z"), ("X", "Z")))
         probs = probs.astype(complex)
         # tables scaled so they no longer sum to one
         with pytest.raises(ValueError, match="sum to"):
@@ -116,7 +116,7 @@ class TestProtocolRejections:
             protocol._checked_probabilities(probs + 1e-3j)
         # a nan tilt is rejected where it enters, in protocol.pointer_setting
         with pytest.raises(ValueError, match="not finite"):
-            correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), (("X", "Z"),), np.nan)
+            correlations.build_tables(rho, CouplingConfig(2, 0.5), (("X", "Z"),), np.nan)
 
     def test_outcome_probabilities_flags_non_positive_state(self):
         # a Hermitian unit-trace matrix with a negative eigenvalue is no state:
@@ -125,20 +125,20 @@ class TestProtocolRejections:
         m = np.diag([1.5, -0.5]).astype(complex)
         rho = SimpleNamespace(matrix=m, dim=2)
         with pytest.raises(ValueError, match="below -1e-9"):
-            protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5, 0.5), (("Z", "Z"),))
+            protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5), (("Z", "Z"),))
 
     @pytest.mark.parametrize("tilt", [math.inf, -math.inf, math.nan])
     def test_non_finite_tilt_is_named(self, tilt):
         rho = states.maximally_mixed(2)
         with pytest.raises(ValueError, match=r"pointer tilt .* is not finite"):
-            correlations.build_tables(rho, CouplingConfig(2, 0.5, 0.5), (("X", "Z"),), tilt)
+            correlations.build_tables(rho, CouplingConfig(2, 0.5), (("X", "Z"),), tilt)
         with pytest.raises(ValueError, match="pointer tilt"):
             protocol.pointer_setting("X", tilt)
 
     def test_non_finite_tables_are_rejected(self):
         # a non-finite tilt no longer reaches the tables, so corrupt one directly
         probs = protocol.outcome_probabilities(
-            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "Z"),)
+            states.maximally_mixed(2), CouplingConfig(2, 0.5), (("X", "Z"),)
         ).astype(complex)
         probs[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="not finite"):
@@ -149,12 +149,12 @@ class TestCorrelationRejections:
     def test_negative_std_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Correlations(
-                CouplingConfig(1, 0.5, 0.5), (("X", "X"),), np.zeros((1, 1, 1)),
+                CouplingConfig(1, 0.5), (("X", "X"),), np.zeros((1, 1, 1)),
                 np.full((1, 1, 1), -0.1), n_events=10,
             )
 
     def test_stacked_std_error_checked(self):
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         pairs = (("X", "X"), ("Y", "Y"))
         values = np.zeros((3, 2, 2, 2))
         Correlations(cfg, pairs, values, np.full(values.shape, 0.1), n_events=10)
@@ -170,13 +170,13 @@ class TestCorrelationRejections:
 
     def test_stack_needs_matching_sets(self):
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         a = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 100, root_seed=1)
         b = correlations.correlation_set(rho, cfg, PAIRS_WEAK, 200, root_seed=2)
         with pytest.raises(ValueError, match="share pairs and n_events$"):
             correlations.stack_sets([a, b])
         c = correlations.correlation_set(
-            states.maximally_mixed(3), CouplingConfig(3, 0.5, 0.5), PAIRS_WEAK, 100, root_seed=1
+            states.maximally_mixed(3), CouplingConfig(3, 0.5), PAIRS_WEAK, 100, root_seed=1
         )
         with pytest.raises(ValueError, match=r"share pairs and n_events.*\(2, 2, 4\) and \(3, 3, 4\)"):
             correlations.stack_sets([a, c])
@@ -187,14 +187,14 @@ class TestCorrelationRejections:
 
     def test_analytic_index_range(self):
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         with pytest.raises(ValueError, match="out of range"):
             correlations.analytic_correlation(rho, 3, 1, "X", "X", cfg)
 
     def test_sample_counts_needs_events(self):
         # and no more than the sampler's int64 event count holds
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         with pytest.raises(ValueError, match="one event"):
             sample_counts(tables, 0, [1])
@@ -217,7 +217,7 @@ class TestCorrelationRejections:
         monkeypatch.setattr(protocol, "evolve", not_evolved)
         want = re.escape(f"pairs must be a nonempty tuple of (obs_a, obs_b) tuples, got {pairs!r}")
         with pytest.raises(ValueError, match=f"^{want}$"):
-            correlations.correlation_set(states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), pairs)
+            correlations.correlation_set(states.maximally_mixed(2), CouplingConfig(2, 0.5), pairs)
 
 
 class TestNonIntegerSizes:
@@ -247,17 +247,29 @@ class TestNonIntegerSizes:
 
     def test_coupling_config_rejects_a_float_dimension(self):
         with pytest.raises(ValueError, match=re.escape("dimension d=2.0 is not an integer")):
-            CouplingConfig(2.0, 0.5, 0.5)
+            CouplingConfig(2.0, 0.5)
 
     def test_sample_counts_rejects_a_float_n(self):
         tables = correlations.build_tables(
-            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+            states.maximally_mixed(2), CouplingConfig(2, 0.5), (("X", "X"),)
         )
         keys = [1]
         with pytest.raises(ValueError, match=re.escape("n=10.5 is not an integer")):
             sample_counts(tables, 10.5, keys)
         by_numpy_int, _ = sample_counts(tables, np.int64(10), keys)
         assert (by_numpy_int == sample_counts(tables, 10, keys)[0]).all()
+
+    @pytest.mark.parametrize("n", [0.0, False])
+    def test_exact_set_rejects_a_float_or_bool_n(self, n):
+        # n = 0 picks the exact set, but only as an integer
+        rho, pairs = states.maximally_mixed(2), (("X", "X"),)
+        cfg = CouplingConfig(2, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"n={n} is not an integer")):
+            correlations.correlation_set(rho, cfg, pairs, n)
+        exact = correlations.correlation_set(rho, cfg, pairs)
+        by_numpy_int = correlations.correlation_set(rho, cfg, pairs, np.int64(0))
+        assert by_numpy_int.n_events == 0
+        assert (by_numpy_int.values == exact.values).all()
 
     @pytest.mark.parametrize(
         "root, want",
@@ -272,7 +284,7 @@ class TestNonIntegerSizes:
     def test_sample_counts_rejects_a_root(self, root, want):
         # a library root seed is the 128-bit Philox key itself, and
         # `correlation_set` and `sample_counts` reject one that is not
-        rho, cfg = states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5)
+        rho, cfg = states.maximally_mixed(2), CouplingConfig(2, 0.5)
         tables = correlations.build_tables(rho, cfg, (("X", "X"),))
         for roots in (root, [0, root]):
             with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
@@ -290,12 +302,16 @@ class TestNonIntegerSizes:
 
     def test_sample_counts_rejects_bad_keys_and_an_empty_draw(self):
         tables = correlations.build_tables(
-            states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+            states.maximally_mixed(2), CouplingConfig(2, 0.5), (("X", "X"),)
         )
         # an (S, 2) array of key words is not a list of keys: its rows are not integers
         for dtype in (np.uint64, np.int64):
             with pytest.raises(ValueError, match=re.escape("Philox key=[0 0] is not an integer")):
                 sample_counts(tables, 10, np.zeros((2, 2), dtype=dtype))
+        # one key, not in a list, is named as the keys argument
+        for key in (7, np.uint64(7), np.array(7)):
+            with pytest.raises(ValueError, match="keys=.* is not a sequence of Philox keys"):
+                sample_counts(tables, 10, key)
         by_array, _ = sample_counts(tables, 10, np.zeros(2, dtype=np.uint64))
         assert (by_array == sample_counts(tables, 10, [0, 0])[0]).all()
         with pytest.raises(ValueError, match="nothing to draw"):

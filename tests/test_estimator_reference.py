@@ -67,8 +67,7 @@ def loop_weak(cs, cfg):
 
 def loop_exact_i(cs, cfg):
     get = _reader(cs)
-    d, n = cfg.dim, cfg.n_ab
-    t_a, t_b = cfg.t_a, cfg.t_b
+    d, n, t = cfg.dim, cfg.n_ab, cfg.t
     raw = np.zeros((d, d), dtype=complex)
     re_err = np.zeros((d, d))
     im_err = np.zeros((d, d))
@@ -82,17 +81,17 @@ def loop_exact_i(cs, cfg):
             px, e_px = get(j, k, ("Pi1", "X"))
             yp, e_yp = get(j, k, ("Y", "Pi1"))
             pp, e_pp = get(j, k, ("Pi1", "Pi1"))
-            re = n * (xx - yy) + 2 * n * (t_b * xp + t_a * px + 2 * t_a * t_b * pp)
-            im = n * (xy + yx) + 2 * n * t_b * yp
+            re = n * (xx - yy) + 2 * n * (t * xp + t * px + 2 * t * t * pp)
+            im = n * (xy + yx) + 2 * n * t * yp
             raw[j - 1, k - 1] = re + 1j * im
             re_err[j - 1, k - 1] = n * math.sqrt(
                 e_xx**2
                 + e_yy**2
-                + 4 * t_b**2 * e_xp**2
-                + 4 * t_a**2 * e_px**2
-                + 16 * t_a**2 * t_b**2 * e_pp**2
+                + 4 * t**2 * e_xp**2
+                + 4 * t**2 * e_px**2
+                + 16 * t**4 * e_pp**2
             )
-            im_err[j - 1, k - 1] = n * math.sqrt(e_yx**2 + e_xy**2 + 4 * t_b**2 * e_yp**2)
+            im_err[j - 1, k - 1] = n * math.sqrt(e_yx**2 + e_xy**2 + 4 * t**2 * e_yp**2)
     return raw, re_err, im_err
 
 
@@ -128,10 +127,7 @@ ESTIMATORS = (
 def _correlation_sets(d, seed):
     rng = np.random.default_rng(seed)
     rho = states.random_density(d, seed)
-    theta_a = float(rng.uniform(0.05, np.pi / 2))
-    theta_b = float(rng.uniform(0.05, np.pi / 2))
-    assert theta_a != theta_b
-    cfg = CouplingConfig(d, theta_a, theta_b)
+    cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
     return cfg, (
         correlation_set(rho, cfg, PAIRS_EXACT_I),
         correlation_set(rho, cfg, PAIRS_EXACT_I, 50 * d, root_seed=seed),
@@ -159,7 +155,7 @@ def test_exact_set_reads_as_the_same_values_sampled(d):
     # pointer tilt and inefficiency <Pi1 Pi1> varies over k, and the exact
     # set must still give what the same values carried as a sampled set give
     rho = states.random_density(d, 13 * d)
-    cfg = CouplingConfig(d, 0.5, 0.5)
+    cfg = CouplingConfig(d, 0.5)
     tables = experiments.build_tables(rho, cfg, PAIRS_EXACT_I, epsilon=0.05, efficiency=0.95)
     exact = correlation_set_from_tables(tables)
     pp, _ = exact.column(("Pi1", "Pi1"))
@@ -204,7 +200,7 @@ STACK_CASES = [(0.05, 2), (0.3, 40), (math.pi / 2, 1), (math.pi / 2, 10_000)]
 @pytest.mark.parametrize("theta, n", STACK_CASES)
 def test_stacked_estimators_match_slices(d, theta, n):
     rho = states.random_density(d, 7 * d)
-    cfg = CouplingConfig(d, theta, theta)
+    cfg = CouplingConfig(d, theta)
     tables = build_tables(rho, cfg, PAIRS_EXACT_I)
     sets = [
         correlation_set_from_tables(tables, n=n, root_seed=seed)
@@ -225,7 +221,7 @@ def test_stacked_estimators_match_slices(d, theta, n):
 # One config per slice. tan(0.212 / 2)**2 and tan(0.6468 / 2)**2 in Python
 # floats differ in the last bit from numpy's square of the same tangents, so
 # these slices match only if the constants stay per-config Python floats.
-GRID_CONFIGS = [(0.212, 0.9), (0.6468, 0.3), (1.2, 1.2), (math.pi / 2, 0.05)]
+GRID_THETAS = [0.212, 0.6468, 0.05, math.pi / 2]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -234,7 +230,7 @@ def test_config_tuple_matches_per_config_calls(d, n):
     # a stack over grid points, which carries one config per slice, equals
     # one call per slice with its own config, bit for bit; n = 0 is exact data
     rho = states.random_density(d, 5 * d)
-    cfgs = tuple(CouplingConfig(d, t_a, t_b) for t_a, t_b in GRID_CONFIGS)
+    cfgs = tuple(CouplingConfig(d, theta) for theta in GRID_THETAS)
     sets = [
         correlation_set_from_tables(
             build_tables(rho, cfg, PAIRS_EXACT_I), n=n, root_seed=s if n else None

@@ -34,7 +34,7 @@ def rows_by(rows, **conditions):
 class TestBiasModel:
     def test_neutral_bias_is_noop(self):
         rho = states.random_density(2, 3)
-        cfg = CouplingConfig(2, 0.7, 0.7)
+        cfg = CouplingConfig(2, 0.7)
         plain = correlations.build_tables(rho, cfg, PAIRS_EXACT_I)
         neutral = build_tables(rho, cfg, PAIRS_EXACT_I, 0.0, 1.0)
         assert neutral.pairs == plain.pairs
@@ -55,7 +55,7 @@ class TestBiasModel:
 
     def test_efficiency_scaling_renormalizes(self):
         rho = states.random_density(2, 3)
-        cfg = CouplingConfig(2, 0.7, 0.7)
+        cfg = CouplingConfig(2, 0.7)
         pairs = (("X", "X"), ("Y", "Pi1"))
         tables = correlations.build_tables(rho, cfg, pairs)
         biased = build_tables(rho, cfg, pairs, efficiency=1.05)
@@ -80,7 +80,7 @@ class TestBiasModel:
                 Scenario(scenario_id="v", kind="single", **bias)
             with pytest.raises(ValueError, match=message):
                 build_tables(
-                    states.maximally_mixed(2), CouplingConfig(2, 0.5, 0.5), PAIRS_EXACT_I,
+                    states.maximally_mixed(2), CouplingConfig(2, 0.5), PAIRS_EXACT_I,
                     bias.get("bias_epsilon", 0.0), bias.get("bias_efficiency", 1.0),
                 )
 
@@ -92,7 +92,7 @@ class TestBiasDirectionalEffects:
         rho = states.pure_state(states.b0_state(2))
         dists = {}
         for theta in (0.1, math.pi / 2):
-            cfg = CouplingConfig(2, theta, theta)
+            cfg = CouplingConfig(2, theta)
             tables = build_tables(rho, cfg, PAIRS_EXACT_II, epsilon=0.02)
             result = reconstruct_exact_ii(correlation_set_from_tables(tables))
             dists[theta] = qmath.trace_distance(result.finalized, rho.matrix)
@@ -106,7 +106,7 @@ class TestBiasDirectionalEffects:
         ):
             changes = {}
             for theta in (0.05, math.pi / 2):
-                cfg = CouplingConfig(2, theta, theta)
+                cfg = CouplingConfig(2, theta)
                 biased = rebuild(
                     correlation_set_from_tables(build_tables(rho, cfg, pairs, epsilon=0.02))
                 )
@@ -334,7 +334,7 @@ class TestRunners:
             key=correlations.derive_seed(root_seed, scn.scenario_id, "th", theta, seed)
         ))
         rho = states.parse_state_spec(scn.input_state, d)
-        cfg = CouplingConfig(d, theta, theta)
+        cfg = CouplingConfig(d, theta)
         estimates = {}
         if "W" in methods:
             tables = build_tables(rho, cfg, correlations.PAIRS_WEAK, 0.01, 0.97)

@@ -154,7 +154,7 @@ ERROR_CASES = {
     "every bad theta on one line": (
         MINIMAL.replace("theta = 0.5", "theta = 0 3 1e-100 0.5"),
         [
-            "line 5: theta = 0 makes the normalization d/(4 sin(theta_a) sin(theta_b)) singular",
+            "line 5: theta = 0 makes the normalization d/(4 sin^2 theta) singular",
             "line 5: theta=3.0 outside (0, pi/2]",
             "line 5: theta=1e-100 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77",
         ],

@@ -81,7 +81,7 @@ class TestErrorLowerBound:
 class TestCompare:
     def test_exact_reconstruction_summary(self):
         rho = states.random_density(3, 40)
-        cfg = CouplingConfig(3, 0.8, 0.8)
+        cfg = CouplingConfig(3, 0.8)
         result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         t_dist, delta_rho = compare(result.finalized, result.element_errors, rho.matrix)
         assert isinstance(t_dist, np.ndarray) and t_dist.shape == ()
@@ -90,14 +90,14 @@ class TestCompare:
 
     def test_reference_against_itself(self):
         rho = states.random_density(2, 41)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         t_dist, _ = compare(result.finalized, result.element_errors, result.finalized)
         assert t_dist == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rho = states.random_density(2, 41)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         with pytest.raises(ValueError, match="mismatch"):
             compare(result.finalized, result.element_errors, np.eye(3) / 3)
@@ -105,7 +105,7 @@ class TestCompare:
     def test_stacked_result_per_slice(self):
         # a stack over two leading axes, against one reference or one per slice
         rho = states.random_density(2, 41)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         sets = [correlation_set(rho, cfg, PAIRS_EXACT_I, 500, root_seed=s) for s in range(6)]
         result = reconstruct_exact_i(stack_sets(sets))
         finalized = result.finalized.reshape(2, 3, 2, 2)
@@ -132,7 +132,7 @@ class TestCompare:
     def test_sampled_error_exceeds_floor_every_seed(self):
         # theta = 0.1, n = 1e4, d = 2: per-seed propagated error vs the floor
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, 0.1, 0.1)
+        cfg = CouplingConfig(2, 0.1)
         floor = error_lower_bound("W", 2, 0.1, 10**4)
         sets = [
             correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
@@ -151,7 +151,7 @@ def _delta_rho(result, rho):
 
 class TestStatisticalScaling:
     def _weak_delta_rhos(self, rho, theta, n, seeds):
-        cfg = CouplingConfig(2, theta, theta)
+        cfg = CouplingConfig(2, theta)
         out = []
         for seed in seeds:
             correls = correlation_set(rho, cfg, PAIRS_WEAK, n, root_seed=seed)
@@ -204,7 +204,7 @@ class TestStatisticalScaling:
         for method, pairs, rebuild in cases:
             meds = {}
             for theta in (0.1, np.pi / 2):
-                cfg = CouplingConfig(2, theta, theta)
+                cfg = CouplingConfig(2, theta)
                 vals = []
                 for seed in range(20):
                     correls = correlation_set(rho, cfg, pairs, 10**4, root_seed=seed)
@@ -216,7 +216,7 @@ class TestStatisticalScaling:
 class TestEnsembleCrossCheck:
     def test_propagation_matches_ensemble_spread(self):
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, 0.4, 0.4)
+        cfg = CouplingConfig(2, 0.4)
         sets = [
             correlation_set(rho, cfg, PAIRS_WEAK, 10**4, root_seed=seed)
             for seed in range(60)

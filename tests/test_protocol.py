@@ -1,5 +1,9 @@
 """Coupling unitaries, Kraus operators and outcome probabilities."""
 
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from dense_oracle import couplings, dense_tables, evolved
@@ -18,30 +22,28 @@ def random_projector(rng, d):
 
 class TestCouplingConfig:
     def test_derived_constants(self):
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         assert cfg.n_ab == pytest.approx(0.5)
-        assert cfg.t_a == pytest.approx(1.0)
-        assert cfg.t_b == pytest.approx(1.0)
+        assert cfg.t == pytest.approx(1.0)
+        cfg = CouplingConfig(3, 0.3)
+        assert cfg.n_ab == 3 / (4.0 * (math.sin(0.3) * math.sin(0.3)))
+        assert cfg.t == math.tan(0.15)
 
-    def test_asymmetric_strengths(self):
-        cfg = CouplingConfig(3, 0.3, 0.7)
-        assert cfg.n_ab == pytest.approx(3 / (4 * np.sin(0.3) * np.sin(0.7)))
-
-    def test_zero_theta_allowed_but_normalization_rejected(self):
-        cfg = CouplingConfig(2, 0.0, 0.5)
-        with pytest.raises(ValueError, match="singular"):
-            cfg.n_ab
+    def test_one_strength_for_both_pointers(self):
+        assert [f.name for f in dataclasses.fields(CouplingConfig)] == ["dim", "theta"]
+        with pytest.raises(TypeError):
+            CouplingConfig(2, 0.5, 0.5)
 
     def test_range_validation(self):
+        # zero, negative, above pi/2, and nonzero but so small that 16 n_ab^2
+        # overflows: each rejected with check_theta's own message
+        for theta in (0.0, -0.1, 2.0, 1e-100):
+            with pytest.raises(ValueError) as want:
+                protocol.check_theta(theta)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                CouplingConfig(2, theta)
         with pytest.raises(ValueError):
-            CouplingConfig(2, -0.1, 0.5)
-        with pytest.raises(ValueError):
-            CouplingConfig(2, 0.5, 2.0)
-        with pytest.raises(ValueError):
-            CouplingConfig(99, 0.5, 0.5)
-        # a nonzero theta so small that 16 n_ab^2 overflows, as check_theta says
-        with pytest.raises(ValueError, match="too small"):
-            CouplingConfig(2, 1e-100, 1e-100)
+            CouplingConfig(99, 0.5)
 
 
 # every pointer observable, untilted (id: its name) and tilted
@@ -130,7 +132,11 @@ def setting_pairs_of(*pairs, tilt=0.0):
 
 class TestCoupledEvolution:
     def test_zero_strength_identity(self):
-        kraus = protocol.kraus_operators(CouplingConfig(2, 0.0, 0.0))
+        # theta = 0 is no config, but the factors `_kraus` builds still take it:
+        # their product M^B_beta M^A_{j alpha} is the identity at (0, 0) and zero elsewhere
+        kraus_a = protocol._kraus(np.eye(2)[:, :, None] * np.eye(2), 0.0)
+        kraus_b = protocol._kraus(np.full((2, 2), 0.5), 0.0)
+        kraus = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
         assert kraus.shape == (2, 2, 2, 2, 2)
         np.testing.assert_allclose(kraus[:, 0, 0], np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-15)
         np.testing.assert_allclose(kraus[:, 1], 0.0, atol=1e-15)
@@ -140,20 +146,20 @@ class TestCoupledEvolution:
         # the broadcast product over M^A's diagonal equals the full product of
         # the two pointers' Kraus stacks, M^B_beta M^A_{j alpha}, entry for entry
         for d in range(1, protocol.MAX_DIM + 1):
-            for theta_a, theta_b in ((1e-8, np.pi / 2), (np.pi / 2, 1e-8), (0.4, 1.3)):
-                kraus_a = protocol._kraus(np.eye(d)[:, :, None] * np.eye(d), theta_a)
-                kraus_b = protocol._kraus(np.full((d, d), 1.0 / d), theta_b)
+            for theta in (1e-8, 0.4, 1.3, np.pi / 2):
+                kraus_a = protocol._kraus(np.eye(d)[:, :, None] * np.eye(d), theta)
+                kraus_b = protocol._kraus(np.full((d, d), 1.0 / d), theta)
                 want = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
-                got = protocol.kraus_operators(CouplingConfig(d, theta_a, theta_b))
-                assert np.array_equal(got, want), (d, theta_a, theta_b)
+                got = protocol.kraus_operators(CouplingConfig(d, theta))
+                assert np.array_equal(got, want), (d, theta)
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     def test_evolve_matches_the_batched_product(self, d):
         # K rho as one (4 d^2, d) x (d, d) product is bit-identical to the
         # batched product over every (j, alpha, beta)
         rho = states.random_density(d, 700 + d)
-        for theta_a, theta_b in ((1e-8, np.pi / 2), (0.7, 0.05)):
-            cfg = CouplingConfig(d, theta_a, theta_b)
+        for theta in (1e-8, 0.05, 0.7, np.pi / 2):
+            cfg = CouplingConfig(d, theta)
             kraus = protocol.kraus_operators(cfg)
             want = np.einsum("jabki,jcdki->jabcdk", kraus @ rho.matrix, kraus)
             np.testing.assert_array_equal(protocol.evolve(rho, cfg), want)
@@ -164,13 +170,13 @@ class TestCoupledEvolution:
         rng = np.random.default_rng(43)
         for _ in range(10):
             d = int(rng.integers(1, 6))
-            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
             kraus = protocol.kraus_operators(cfg)
             total = np.einsum("jabki,jabkl->jil", kraus.conj(), kraus)
             np.testing.assert_allclose(total, np.broadcast_to(np.eye(d), (d, d, d)), atol=1e-12)
 
     def test_couplings_do_not_commute(self):
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         u_a, u_b = couplings(1, cfg)
         assert np.linalg.norm(u_b @ u_a - u_a @ u_b, ord=2) > 0.1
         # the protocol's Kraus operators are those of U_B U_A, not of U_A U_B:
@@ -185,7 +191,7 @@ class TestCoupledEvolution:
         # the tables follow U_B U_A (pointer A first) and, on a generic state,
         # differ from those of the swapped order U_A U_B: the couplings do not commute
         rho = states.random_density(2, 2026)
-        cfg = CouplingConfig(2, 0.7, 0.7)
+        cfg = CouplingConfig(2, 0.7)
         pairs = (("X", "Y"), ("Y", "Y"), ("Pi1", "X"))
         setting_pairs = setting_pairs_of(*pairs)
         probs = protocol.outcome_probabilities(rho, cfg, pairs)
@@ -203,7 +209,7 @@ class TestEvolve:
         for seed in range(4):
             d = int(rng.integers(1, 5))
             rho = states.random_density(d, 200 + seed)
-            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
             blocks = protocol.evolve(rho, cfg)
             assert blocks.shape == (d, 2, 2, 2, 2, d)
             for j in range(1, d + 1):
@@ -213,9 +219,11 @@ class TestEvolve:
                 np.testing.assert_allclose(blocks[j - 1], dense, rtol=0.0, atol=1e-14)
 
     def test_zero_strength_returns_input(self):
-        # no coupling: the system keeps rho's populations and both pointers stay in |0>
+        # the zero-strength limit: at theta = 1e-8 cos(theta) rounds to 1, so
+        # the system keeps rho's populations and both pointers stay in |0>,
+        # up to flip probabilities of order theta^2 = 1e-16
         rho = states.random_density(3, 1)
-        cfg = CouplingConfig(3, 0.0, 0.0)
+        cfg = CouplingConfig(3, 1e-8)
         probs = protocol.outcome_probabilities(rho, cfg, (("Z", "Z"),))
         populations = np.diag(rho.matrix).real
         for j in range(3):
@@ -230,7 +238,7 @@ class TestEvolve:
         for seed in range(5):
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, seed)
-            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
             probs = protocol.outcome_probabilities(rho, cfg, pairs)
             assert probs.shape == (d, 3, 2, 2, d)
             assert probs.min() >= 0.0 and probs.max() <= 1.0
@@ -240,10 +248,10 @@ class TestEvolve:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            protocol.evolve(states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5))
+            protocol.evolve(states.maximally_mixed(3), CouplingConfig(2, 0.5))
         with pytest.raises(ValueError, match="dimension"):
             protocol.outcome_probabilities(
-                states.maximally_mixed(3), CouplingConfig(2, 0.5, 0.5), (("X", "X"),)
+                states.maximally_mixed(3), CouplingConfig(2, 0.5), (("X", "X"),)
             )
 
     def test_system_marginals_consistent(self):
@@ -251,7 +259,7 @@ class TestEvolve:
         # the dense evolved state against the system projector, whatever the
         # pointer settings
         rho = states.random_density(3, 9)
-        cfg = CouplingConfig(3, 0.8, 0.4)
+        cfg = CouplingConfig(3, 0.8)
         u_a, u_b = couplings(2, cfg)
         sigma = evolved(rho, u_b @ u_a)
         direct = []
@@ -274,7 +282,7 @@ class TestPointerMeasurement:
         # one matrix product against the cached pointer measurement gives the
         # tables of the dense 4d x 4d evolution, trace by trace
         rho = states.random_density(d, 300 + d)
-        cfg = CouplingConfig(d, theta, theta)
+        cfg = CouplingConfig(d, theta)
         probs = protocol.outcome_probabilities(rho, cfg, self.PAIRS, tilt)
         dense = dense_tables(rho, cfg, setting_pairs_of(*self.PAIRS, tilt=tilt))
         np.testing.assert_allclose(probs, dense, rtol=0.0, atol=1e-14)
@@ -294,7 +302,7 @@ class TestOutcomeProbabilities:
         for seed in range(5):
             d = int(rng.integers(2, 5))
             rho = states.random_density(d, 100 + seed)
-            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)), float(rng.uniform(0.05, np.pi / 2)))
+            cfg = CouplingConfig(d, float(rng.uniform(0.05, np.pi / 2)))
             probs = protocol.outcome_probabilities(rho, cfg, (("X", "Y"), ("Pi1", "Z")))
             np.testing.assert_allclose(probs.sum(axis=(2, 3, 4)), 1.0, atol=1e-10)
             assert probs.min() >= 0.0
@@ -302,14 +310,13 @@ class TestOutcomeProbabilities:
     def test_double_flip_probability_maximally_mixed(self):
         # full strength, d=2: prob of both pointers flipped is 1/8 for each j and k
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         probs = protocol.outcome_probabilities(rho, cfg, (("Pi1", "Pi1"),))
         np.testing.assert_allclose(probs[:, 0, 0, 0], 0.125, atol=1e-12)
 
     def test_pointers_stay_at_zero_strength(self):
+        # the zero-strength limit, theta = 1e-8, as in TestEvolve
         rho = states.random_density(2, 3)
-        probs = protocol.outcome_probabilities(
-            rho, CouplingConfig(2, 0.0, 0.0), (("Z", "Z"),)
-        )
+        probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 1e-8), (("Z", "Z"),))
         # all weight on the (+1, +1) Z outcomes, for every j
         np.testing.assert_allclose(probs[:, 0, 0, 0, :].sum(axis=-1), 1.0, atol=1e-12)

@@ -22,6 +22,13 @@ def test_python_quick_start_runs(capsys):
     assert out[3].startswith("(2, 3, 3) [")
 
 
+def test_output_csv_lists_the_columns_in_order():
+    # the column block under "Output CSV" is the writer's header
+    section = README.read_text(encoding="utf-8").split("\n## Output CSV\n")[1]
+    block = re.search(r"^```\n(.*?)^```", section, re.M | re.S).group(1)
+    assert re.split(r",\s*", block.strip()) == list(io.CSV_COLUMNS)
+
+
 def test_config_example_parses():
     (text,) = code_blocks("ini")
     doc = io.parse_config(text)

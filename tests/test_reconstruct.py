@@ -35,7 +35,7 @@ def distance_to(result, rho):
 class TestWeakEstimator:
     def test_accurate_in_weak_limit(self):
         rho = states.random_density(3, 21)
-        cfg = CouplingConfig(3, 0.01, 0.01)
+        cfg = CouplingConfig(3, 0.01)
         result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         assert distance_to(result, rho) < 1e-3
 
@@ -45,7 +45,7 @@ class TestWeakEstimator:
         rho = states.random_density(3, 17)
         dists = []
         for theta in (0.2, 0.1, 0.05):
-            cfg = CouplingConfig(3, theta, theta)
+            cfg = CouplingConfig(3, theta)
             result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
             dists.append(distance_to(result, rho))
         assert dists[1] <= 0.6 * dists[0]
@@ -55,7 +55,7 @@ class TestWeakEstimator:
         # |D><D| at theta = pi/2: raw weak matrix is 0.25 * [[-1, 1], [1, -1]],
         # which finalizes to the orthogonal state |A><A| at trace distance 1
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         np.testing.assert_allclose(
             result.raw, 0.25 * np.array([[-1, 1], [1, -1]]), atol=1e-12
@@ -67,7 +67,7 @@ class TestWeakEstimator:
         # closed forms give (c_B - 1) c_A rho_jj / d off the diagonal: nonzero
         # at intermediate strength, zero at full strength
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         expected = (np.cos(0.5) - 1) * np.cos(0.5) * 0.5 / 2
         assert result.raw[0, 1].real == pytest.approx(expected, abs=1e-12)
@@ -76,7 +76,7 @@ class TestWeakEstimator:
         # at theta = pi/2 every weak combination vanishes for 1/2: the raw
         # matrix is exactly zero and has no state estimate, so it finalizes all nan
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         correls = correlation_set(rho, cfg, PAIRS_WEAK)
         combo = cfg.n_ab * (correls.column(("X", "X"))[0] - correls.column(("Y", "Y"))[0])
         np.testing.assert_allclose(combo, 0.0, atol=1e-12)
@@ -84,7 +84,7 @@ class TestWeakEstimator:
 
     def test_missing_correlation_named(self):
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, 0.5, 0.5)
+        cfg = CouplingConfig(2, 0.5)
         with pytest.raises(ValueError, match="missing correlation <X_A X_B>"):
             reconstruct_weak(correlation_set(rho, cfg, PAIRS_EXACT_II))
 
@@ -94,40 +94,33 @@ class TestExactEstimators:
     @pytest.mark.parametrize("theta", [0.2, np.pi / 4, np.pi / 2])
     def test_method_i_exact_at_any_strength(self, d, theta):
         rho = states.random_density(d, 100 * d)
-        cfg = CouplingConfig(d, theta, theta)
+        cfg = CouplingConfig(d, theta)
         result = reconstruct_exact_i(correlation_set(rho, cfg, PAIRS_EXACT_I))
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_exact_d5(self):
         rho = states.random_density(5, 55)
-        cfg = CouplingConfig(5, np.pi / 4, np.pi / 4)
+        cfg = CouplingConfig(5, np.pi / 4)
         result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         assert distance_to(result, rho) < 1e-10
 
     def test_method_ii_diagonal_chain(self):
         # maximally mixed, full strength: 16 n_ab^2 <Pi1 Pi1> = 16 * 0.25 * 0.125
         rho = states.maximally_mixed(2)
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         assert result.raw[0, 0].real == pytest.approx(0.5, abs=1e-12)
 
     def test_method_ii_off_diagonals_vanish_for_diagonal_state(self):
         rho = states.DensityMatrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
-        cfg = CouplingConfig(3, 0.9, 0.9)
+        cfg = CouplingConfig(3, 0.9)
         result = reconstruct_exact_ii(correlation_set(rho, cfg, PAIRS_EXACT_II))
         off = result.raw - np.diag(np.diag(result.raw))
         assert np.max(np.abs(off)) < 1e-10
 
-    def test_asymmetric_strengths_still_exact(self):
-        rho = states.random_density(3, 71)
-        cfg = CouplingConfig(3, 0.3, 1.2)
-        correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
-        assert distance_to(reconstruct_exact_i(correls), rho) < 1e-10
-        assert distance_to(reconstruct_exact_ii(correls), rho) < 1e-10
-
     def test_estimators_agree_on_exact_correlations(self):
         rho = states.random_density(4, 91)
-        cfg = CouplingConfig(4, 0.7, 0.7)
+        cfg = CouplingConfig(4, 0.7)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         r_i = reconstruct_exact_i(correls)
         r_ii = reconstruct_exact_ii(correls)
@@ -139,7 +132,7 @@ class TestExactEstimators:
         rho = states.random_density(3, 17)
         prev = None
         for theta in (0.2, 0.1, 0.05):
-            cfg = CouplingConfig(3, theta, theta)
+            cfg = CouplingConfig(3, theta)
             correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
             gap = np.max(
                 np.abs(reconstruct_exact_i(correls).raw - reconstruct_weak(correls).raw)
@@ -152,7 +145,7 @@ class TestExactEstimators:
     def test_sampled_full_strength_accuracy(self):
         # Monte Carlo regression: T < 0.05 in at least 95 of 100 seeds
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         good = 0
         for seed in range(100):
             correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 10**4, root_seed=seed)
@@ -165,7 +158,7 @@ class TestExactEstimators:
         # the double-flip value is outcome-independent, so the sampled
         # diagonal averages the per-k estimates instead of picking one
         rho = states.random_density(3, 14)
-        cfg = CouplingConfig(3, 1.0, 1.0)
+        cfg = CouplingConfig(3, 1.0)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_II, 5000, root_seed=7)
         result = reconstruct_exact_ii(correls)
         n = cfg.n_ab
@@ -175,20 +168,20 @@ class TestExactEstimators:
     def test_dimension_mismatch_rejected(self):
         # a set cannot carry a config of another d, so no estimator reads one
         rho = states.random_density(2, 5)
-        correls = correlation_set(rho, CouplingConfig(2, 0.8, 0.8), PAIRS_EXACT_I)
+        correls = correlation_set(rho, CouplingConfig(2, 0.8), PAIRS_EXACT_I)
         with pytest.raises(ValueError, match="correlations are for d=2, config has d=3"):
-            replace(correls, cfg=CouplingConfig(3, 0.8, 0.8))
+            replace(correls, cfg=CouplingConfig(3, 0.8))
 
     def test_element_errors_zero_for_exact_sources(self):
         rho = states.random_density(2, 5)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I)
         for rebuild in (reconstruct_weak, reconstruct_exact_i, reconstruct_exact_ii):
             assert np.all(rebuild(correls).element_errors == 0.0)
 
     def test_element_errors_positive_for_sampled(self):
         rho = states.random_density(2, 5)
-        cfg = CouplingConfig(2, 0.8, 0.8)
+        cfg = CouplingConfig(2, 0.8)
         correls = correlation_set(rho, cfg, PAIRS_EXACT_I, 2000, root_seed=1)
         result = reconstruct_exact_i(correls)
         assert np.all(result.element_errors >= 0.0)
@@ -218,7 +211,7 @@ class TestFinalize:
 
     def test_bias_survives_finalization(self):
         rho = states.pure_state(states.b0_state(2))
-        cfg = CouplingConfig(2, np.pi / 2, np.pi / 2)
+        cfg = CouplingConfig(2, np.pi / 2)
         result = reconstruct_weak(correlation_set(rho, cfg, PAIRS_WEAK))
         assert qmath.trace_distance(result.finalized, rho.matrix) > 0.05
 
@@ -232,7 +225,7 @@ class TestFinalize:
 
     def test_hermitian_part_of_sampled_raw(self):
         rho = states.random_density(2, 8)
-        cfg = CouplingConfig(2, 0.6, 0.6)
+        cfg = CouplingConfig(2, 0.6)
         correls = correlation_set(rho, cfg, PAIRS_WEAK, 500, root_seed=4)
         final = reconstruct_weak(correls).finalized
         assert np.max(np.abs(final - final.conj().T)) < 1e-15

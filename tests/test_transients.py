@@ -79,7 +79,7 @@ class TestPeaks:
     def test_sampled_records_hold_one_extra_output(self):
         d = 16
         tables = correlations.build_tables(
-            states.random_density(d, 4), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
+            states.random_density(d, 4), CouplingConfig(d, 0.5), PAIRS_EXACT_I
         )
         counts, _ = correlations.sample_counts(tables, 1000, range(50))
         peak, (est, std_error) = _peak_bytes(
@@ -233,7 +233,7 @@ class TestInPlaceFormsAreBitIdentical:
     def test_sampled_records(self):
         d, n = 4, 50
         tables = correlations.build_tables(
-            states.random_density(d, 10), CouplingConfig(d, 0.5, 0.5), PAIRS_EXACT_I
+            states.random_density(d, 10), CouplingConfig(d, 0.5), PAIRS_EXACT_I
         )
         counts, _ = correlations.sample_counts(tables, n, range(6))
         swapped = np.swapaxes(counts, -1, -2)
