@@ -97,19 +97,6 @@ def _cmd_validate(args) -> int:
     # Every check folds its deviations with np.maximum, which keeps a nan, so
     # a nan fails the check; Python's max(worst, nan) would drop it.
 
-    # Closed-form coupling unitary vs eigendecomposition exponential.
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(2, 7))
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        proj = np.outer(v, v.conj())
-        theta = float(rng.uniform(0.01, math.pi / 2))
-        closed = protocol.coupling_unitary(proj, theta)
-        oracle = qmath.matrix_exponential(qmath.tensor(proj, y), theta)
-        worst = float(np.maximum(worst, np.max(np.abs(closed - oracle))))
-    check("coupling unitary matches matrix exponential", worst < 1e-12, f"max dev {worst:.2e}")
-
     # Projector-form Kraus operators vs the |0> columns of both exponentials, U_B U_A.
     def column0(vec: np.ndarray, theta: float) -> np.ndarray:
         u = qmath.matrix_exponential(qmath.tensor(np.outer(vec, vec.conj()), y), theta)

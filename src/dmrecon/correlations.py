@@ -111,6 +111,9 @@ class Correlations:
     n_events: int = 0
 
     def __post_init__(self):
+        protocol.check_integer("n_events", self.n_events)
+        if self.n_events < 0:
+            raise ValueError(f"n_events={self.n_events} is negative")
         shape = self.values.shape
         if (
             len(shape) < 3

@@ -1,4 +1,4 @@
-"""Two-pointer coupling protocol: unitaries, Kraus operators, outcome probabilities.
+"""Two-pointer coupling protocol: Kraus operators, outcome probabilities.
 
 The system (dimension d) is coupled in sequence to two qubit pointers A and B,
 both prepared in |0>. The first coupling rotates pointer A conditioned on the
@@ -6,11 +6,12 @@ basis projector |a_j><a_j|, the second rotates pointer B conditioned on the
 projector onto the uniform superposition |b_0>. The order matters: the two
 couplings do not commute.
 
-Each coupling is exp(-i theta P (x) Y) with P a projector, on system (x)
-pointer (`coupling_unitary`: the convention, and the oracle of the Kraus
-operators). Both pointers start in |0>, so each coupling acts on the system
-through M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector
-form. Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
+The paper's coupling is exp(-i theta P (x) Y), P a projector, on system (x)
+pointer. Both pointers start in |0>, so each coupling acts on the system
+through the |0> columns of that unitary, M_alpha = <alpha| exp(-i theta P (x) Y) |0>:
+M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, built in projector form
+and checked against `qmath.matrix_exponential`, the independent oracle.
+Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
 applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, one
 broadcast product, since M^A_{j alpha} is diagonal, built on every call and
 cached nowhere). `evolve` applies them to the state, keeping the pointers'
@@ -33,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmath, states
+from . import states
 
-PROJECTOR_ATOL = 1e-10
 PROB_CORRUPT = 1e-9
 MAX_DIM = 16
 
@@ -141,34 +141,6 @@ def pointer_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def coupling_unitary(proj: np.ndarray, theta: float) -> np.ndarray:
-    """Closed-form exp(-i theta proj (x) Y) on system (x) pointer.
-
-    Because proj is a projector this equals
-    (1 - proj) (x) 1 + proj (x) exp(-i theta Y) exactly, for any theta.
-    """
-    p = qmath.as_complex_matrix(proj)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("coupling projector must be square")
-    if not qmath.is_hermitian(p, PROJECTOR_ATOL):
-        raise ValueError("coupling operator must be a Hermitian projector")
-    if not qmath.allclose(p @ p, p, atol=PROJECTOR_ATOL):
-        raise ValueError("coupling operator must be idempotent (a projector)")
-    d = p.shape[0]
-    return qmath.tensor(np.eye(d) - p, np.eye(2)) + qmath.tensor(p, pointer_rotation(theta))
-
-
-def _kraus(proj: np.ndarray, theta: float) -> np.ndarray:
-    """M[..., alpha, :, :] = <alpha| exp(-i theta P (x) Y) |0> for a projector P, or a stack.
-
-    In projector form M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P: the |0>
-    column of `coupling_unitary`, which is their oracle. `kraus_operators`
-    builds pointer B's operators with it.
-    """
-    m0 = np.eye(proj.shape[-1]) - (1.0 - math.cos(theta)) * proj
-    return np.stack([m0, math.sin(theta) * proj], axis=-3)
-
-
 @functools.lru_cache(maxsize=64)
 def pointer_measurement(
     pairs: tuple[tuple[str, str], ...], tilt: float = 0.0
@@ -196,17 +168,20 @@ def pointer_measurement(
 def kraus_operators(cfg: CouplingConfig) -> np.ndarray:
     """K[j-1, alpha, beta] = M^B_beta M^A_{j alpha}: pointer A couples first.
 
-    Real, from the projectors |a_j><a_j| (A) and |b_0><b_0| = J/d (B, J all ones); for
-    every j the four d x d operators are complete, sum_{alpha beta} K^dagger K = 1.
-    M^A_{j alpha} is diagonal, with the entries of `_kraus` (1 - (1 - cos theta) or
-    sin theta at i = j), so K[j-1, alpha, beta, k, i] = M^B_beta[k, i] M^A_{j alpha}[i, i]
-    is one broadcast product. Built on every call and owned by the caller: a
-    (d, 2, 2, d, d) stack, 4 d^3 floats.
+    M_alpha = <alpha| exp(-i theta P (x) Y) |0>, the coupling's |0> columns in
+    projector form, M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P, checked
+    against `qmath.matrix_exponential`; P = |a_j><a_j| for A and |b_0><b_0| = J/d
+    for B (J all ones). Real; for every j the four d x d operators are complete,
+    sum_{alpha beta} K^dagger K = 1. M^A_{j alpha} is diagonal, so
+    K[j-1, alpha, beta, k, i] = M^B_beta[k, i] M^A_{j alpha}[i, i] is one broadcast
+    product. Built on every call and owned by the caller: a (d, 2, 2, d, d)
+    stack, 4 d^3 floats.
     """
     d, theta = cfg.dim, cfg.theta
     eye = np.eye(d)
     diag_a = np.stack([1.0 - (1.0 - math.cos(theta)) * eye, math.sin(theta) * eye], axis=1)
-    kraus_b = _kraus(np.full((d, d), 1.0 / d), theta)
+    proj_b = np.full((d, d), 1.0 / d)
+    kraus_b = np.stack([eye - (1.0 - math.cos(theta)) * proj_b, math.sin(theta) * proj_b])
     return kraus_b * diag_a[:, :, None, None, :]
 
 

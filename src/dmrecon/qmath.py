@@ -27,15 +27,6 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def allclose(a, b, atol: float = DEFAULT_ATOL) -> bool:
-    """Entrywise equality within an absolute tolerance (never exact float ==)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b), initial=0.0) <= atol)
-
-
 def _adjoint(a: np.ndarray) -> np.ndarray:
     """a^dagger, slice by slice, in a new C-ordered array the size of a.
 

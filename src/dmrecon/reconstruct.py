@@ -89,11 +89,14 @@ def _element_errors(re_err: np.ndarray, im_err: np.ndarray) -> np.ndarray:
     noise into every element and break the 1/theta^2 error scaling.
     """
     i = np.arange(re_err.shape[-1])
-    herm_re = 0.5 * np.sqrt(re_err**2 + re_err.swapaxes(-1, -2) ** 2)
-    herm_re[..., i, i] = re_err[..., i, i]
-    herm_im = 0.5 * np.sqrt(im_err**2 + im_err.swapaxes(-1, -2) ** 2)
-    herm_im[..., i, i] = 0.0
-    return np.sqrt(herm_re**2 + herm_im**2)
+    # an error whose square leaves float range (II's diagonal at a tiny theta)
+    # reads inf; np.hypot would keep it finite but moves ordinary errors' last bit
+    with np.errstate(over="ignore"):
+        herm_re = 0.5 * np.sqrt(re_err**2 + re_err.swapaxes(-1, -2) ** 2)
+        herm_re[..., i, i] = re_err[..., i, i]
+        herm_im = 0.5 * np.sqrt(im_err**2 + im_err.swapaxes(-1, -2) ** 2)
+        herm_im[..., i, i] = 0.0
+        return np.sqrt(herm_re**2 + herm_im**2)
 
 
 def _constants(correls: Correlations, f) -> tuple:

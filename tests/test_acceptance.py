@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import couplings
 
 from dmrecon import cli, correlations, metrics, qmath, states
 from dmrecon.correlations import (
@@ -27,7 +28,7 @@ from dmrecon.correlations import (
     correlation_set,
 )
 from dmrecon.experiments import Scenario, run_scenario
-from dmrecon.protocol import CouplingConfig, coupling_unitary
+from dmrecon.protocol import CouplingConfig, kraus_operators
 from dmrecon.reconstruct import (
     born_probabilities,
     qst_least_squares,
@@ -37,8 +38,6 @@ from dmrecon.reconstruct import (
     reconstruct_weak,
     standard_projector_family,
 )
-
-Y_POINTER = np.array([[0, -1j], [1j, 0]])
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):
@@ -103,23 +102,24 @@ def test_criterion_2_oracle_equivalence():
     )
 
 
-def test_criterion_3_coupling_unitary_identity():
+def test_criterion_3_kraus_operators_match_exponential():
+    # the Kraus operators the run applies are the |00> pointer columns of
+    # U_B U_A, both couplings exp(-i theta P (x) Y) built as matrix exponentials
     t0 = time.time()
-    rng = np.random.default_rng(333)
     worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(2, 7))
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v /= np.linalg.norm(v)
-        proj = np.outer(v, v.conj())
-        theta = float(rng.uniform(0.0, math.pi / 2))
-        closed = coupling_unitary(proj, theta)
-        oracle = qmath.matrix_exponential(qmath.tensor(proj, Y_POINTER), theta)
-        worst = float(np.maximum(worst, np.max(np.abs(closed - oracle))))
+    for d in (1, 2, 5, 16):
+        for theta in (1e-8, 0.4, 1.3, math.pi / 2):
+            cfg = CouplingConfig(d, theta)
+            kraus = kraus_operators(cfg)
+            for j in range(1, d + 1):
+                u_a, u_b = couplings(j, cfg)
+                oracle = (u_b @ u_a).reshape(d, 2, 2, d, 2, 2)[:, :, :, :, 0, 0]
+                dev = np.max(np.abs(kraus[j - 1] - oracle.transpose(1, 2, 0, 3)))
+                worst = float(np.maximum(worst, dev))
     elapsed = time.time() - t0
     report(
         3,
-        "closed-form coupling unitary matches the matrix exponential (1e-12)",
+        "projector-form Kraus operators match the matrix exponential (1e-12)",
         worst < 1e-12 and elapsed < 5,
         f"worst dev {worst:.2e}, {elapsed:.1f}s",
     )

@@ -3,6 +3,7 @@
 import functools
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmrecon import correlations, experiments, io, protocol, reconstruct
+from dmrecon import correlations, experiments, io, qmath, reconstruct
 from dmrecon.cli import main
 
 GOLDEN_CFG = (Path(__file__).resolve().parent / "data" / "golden.cfg").read_text(encoding="utf-8")
@@ -160,27 +161,16 @@ def test_run_reports_config_errors(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err
 
 
-def test_run_never_builds_a_coupling_unitary(tmp_path, monkeypatch):
-    # the run reads its Kraus operators from the projector form;
-    # coupling_unitary is their oracle, not a pipeline step
-    def forbidden(*args):
-        raise AssertionError("coupling_unitary called while running a scenario")
-
-    monkeypatch.setattr(protocol, "coupling_unitary", forbidden)
-    monkeypatch.delenv("DMRECON_SEED", raising=False)
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(CONFIG)
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "results.csv").exists()
-
-
 def test_validate_subcommand_passes(capsys):
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "validation passed" in out
-    assert out.count("[ok]") == 7
-    assert "[ok] Kraus operators match matrix-exponential columns (max dev" in out
+    # the README states how many checks run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (n_checks,) = re.findall(r"`dmrecon validate` runs (\d+) checks", readme)
+    assert out.count("[ok]") == int(n_checks)
+    assert out.startswith("[ok] Kraus operators match matrix-exponential columns (max dev")
     assert "[ok] Born probabilities match Tr(P rho) (max dev" in out
     assert "[ok] standard-family QST closed form matches least squares (max dev" in out
     assert "[ok] outcome classes carry the tables' moments (max dev" in out
@@ -215,18 +205,30 @@ def test_validate_fails_on_a_wrong_born_vector(capsys, monkeypatch, shift):
         assert "[ok] standard-family QST closed form matches least squares" in out
 
 
+def _all_nan(out):
+    return np.full_like(out, np.nan)
+
+
 @pytest.mark.parametrize(
-    "module, name, check",
+    "module, name, check, corrupt",
     [
-        (correlations, "analytic_correlation", "trace correlations match closed forms"),
-        (protocol, "coupling_unitary", "coupling unitary matches matrix exponential"),
+        (correlations, "analytic_correlation", "trace correlations match closed forms", _all_nan),
+        # the Kraus check's oracle: the coupling unitary, exponentiated
+        (qmath, "matrix_exponential", "Kraus operators match matrix-exponential columns", _all_nan),
+        (correlations, "outcome_classes", "outcome classes carry the tables' moments", _all_nan),
+        (
+            reconstruct,
+            "qst_least_squares",
+            "standard-family QST closed form matches least squares",
+            lambda result: replace(result, raw=_all_nan(result.raw)),
+        ),
     ],
-    ids=["trace-correlations", "coupling-unitary"],
+    ids=["trace-correlations", "coupling-unitary", "outcome-classes", "qst-least-squares"],
 )
-def test_validate_fails_on_a_nan_in_a_check(capsys, monkeypatch, module, name, check):
+def test_validate_fails_on_a_nan_in_a_check(capsys, monkeypatch, module, name, check, corrupt):
     # each check folds its deviations with np.maximum, so one nan fails it
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: np.full_like(real(*args), np.nan))
+    monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args)))
     rc = main(["validate"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -8,7 +8,7 @@ from dense_oracle import couplings, evolved, trace_tables
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dmrecon import correlations, protocol, states
+from dmrecon import correlations, protocol, reconstruct, states
 from dmrecon.correlations import (
     PAIRS_EXACT_I,
     PAIRS_EXACT_II,
@@ -511,6 +511,26 @@ class TestCorrelationSet:
             Correlations(cfg, (("X", "X"),), np.zeros((1, 1, 1)), np.full((1, 1, 1), 0.1))
         with pytest.raises(ValueError, match="shaped"):
             Correlations(cfg, (("X", "X"),), np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("n_events, error", [
+        (-5, "n_events=-5 is negative"),
+        (1.5, "n_events=1.5 is not an integer"),
+        (True, "n_events=True is not an integer"),
+        (np.int64(100), None),
+    ], ids=["negative", "float", "bool", "numpy-int"])
+    def test_n_events_is_a_nonnegative_integer(self, n_events, error):
+        # the estimators divide by n_events: a negative one gave a nan error
+        # and a float or bool a silently wrong one
+        drawn = correlations.correlation_set(
+            states.random_density(2, 1), CouplingConfig(2, 0.5), PAIRS_EXACT_II, 100, 3
+        )
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                replace(drawn, n_events=n_events)
+            return
+        rebuilt = reconstruct.reconstruct_exact_ii(replace(drawn, n_events=n_events))
+        want = reconstruct.reconstruct_exact_ii(drawn)
+        np.testing.assert_array_equal(rebuilt.element_errors, want.element_errors)
 
 
 CFG = CouplingConfig(2, 0.3)

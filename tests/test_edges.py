@@ -18,9 +18,6 @@ class TestQmathRejections:
         with pytest.raises(ValueError, match="ndim"):
             qmath.as_complex_matrix(np.zeros(3))
 
-    def test_allclose_shape_mismatch_is_unequal(self):
-        assert not qmath.allclose(np.eye(2), np.eye(3))
-
     def test_is_hermitian_requires_square(self):
         assert not qmath.is_hermitian(np.zeros((2, 3)))
 
@@ -95,12 +92,6 @@ class TestStatesRejections:
 
 
 class TestProtocolRejections:
-    def test_coupling_unitary_input_checks(self):
-        with pytest.raises(ValueError, match="square"):
-            protocol.coupling_unitary(np.zeros((2, 3)), 0.5)
-        with pytest.raises(ValueError, match="Hermitian"):
-            protocol.coupling_unitary(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
-
     def test_outcome_probabilities_flags_corruption(self):
         rho = states.maximally_mixed(2)
         probs = protocol.outcome_probabilities(rho, CouplingConfig(2, 0.5), (("Z", "Z"), ("X", "Z")))
@@ -405,6 +396,24 @@ class TestDegenerateRunnerPoints:
         assert len(rows) == 1
         assert math.isnan(rows[0]["trace_distance"])
         assert math.isinf(rows[0]["delta_rho"])
+
+    def test_tiny_theta_error_overflows_to_inf_without_a_warning(self):
+        # epsilon's pointer tilt keeps II's Pi1 Pi1 counts nonzero at a legal tiny
+        # theta: its diagonal error 16 n_ab^2 se is finite, but its square is not
+        scn = experiments.Scenario(
+            scenario_id="tiny",
+            kind="single",
+            input_state="random:seed=7",
+            theta_list=(1e-40,),
+            n_events=10000,
+            seeds=(0, 1),
+            methods=("II",),
+            bias_epsilon=0.1,
+        )
+        rows = experiments.run_scenario(scn, root_seed=0)
+        sampled = rows[rows["seed"] >= 0]
+        assert len(sampled) == 2
+        assert np.all(sampled["delta_rho"] == np.inf)
 
     @pytest.mark.parametrize("on_sampled", [False, True])
     def test_estimator_value_error_propagates(self, monkeypatch, on_sampled):

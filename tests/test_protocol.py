@@ -1,4 +1,4 @@
-"""Coupling unitaries, Kraus operators and outcome probabilities."""
+"""Coupling configs, Kraus operators and outcome probabilities."""
 
 import dataclasses
 import math
@@ -12,12 +12,6 @@ from dmrecon import protocol, qmath, states
 from dmrecon.protocol import CouplingConfig
 
 Y = np.array([[0, -1j], [1j, 0]])
-
-
-def random_projector(rng, d):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 class TestCouplingConfig:
@@ -91,64 +85,23 @@ class TestPointerSettings:
                 arr[0] = 0.0
 
 
-class TestCouplingUnitary:
-    def test_zero_strength_is_identity(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(protocol.coupling_unitary(proj, 0.0), np.eye(4), atol=1e-15)
-
-    def test_full_strength_flips_pointer(self):
-        # theta = pi/2 on the coupled component: |a1>|0> -> |a1>|1>
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        u = protocol.coupling_unitary(proj, np.pi / 2)
-        vec_in = np.kron([1, 0], [1, 0]).astype(complex)
-        vec_out = u @ vec_in
-        np.testing.assert_allclose(vec_out, np.kron([1, 0], [0, 1]), atol=1e-12)
-
-    def test_matches_exponential_oracle(self):
-        rng = np.random.default_rng(41)
-        proj = random_projector(rng, 2)
-        u = protocol.coupling_unitary(proj, 0.3)
-        oracle = qmath.matrix_exponential(qmath.tensor(proj, Y), 0.3)
-        assert np.max(np.abs(u - oracle)) < 1e-12
-
-    def test_exponential_identity_many_random_pairs(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            d = int(rng.integers(2, 6))
-            proj = random_projector(rng, d)
-            theta = float(rng.uniform(0.0, np.pi / 2))
-            u = protocol.coupling_unitary(proj, theta)
-            oracle = qmath.matrix_exponential(qmath.tensor(proj, Y), theta)
-            assert np.max(np.abs(u - oracle)) < 1e-12
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(ValueError, match="projector"):
-            protocol.coupling_unitary(np.diag([2.0, 0.0]).astype(complex), 0.5)
-
-
 def setting_pairs_of(*pairs, tilt=0.0):
     return tuple((protocol.pointer_setting(a, tilt), protocol.pointer_setting(b, tilt)) for a, b in pairs)
 
 
 class TestCoupledEvolution:
-    def test_zero_strength_identity(self):
-        # theta = 0 is no config, but the factors `_kraus` builds still take it:
-        # their product M^B_beta M^A_{j alpha} is the identity at (0, 0) and zero elsewhere
-        kraus_a = protocol._kraus(np.eye(2)[:, :, None] * np.eye(2), 0.0)
-        kraus_b = protocol._kraus(np.full((2, 2), 0.5), 0.0)
-        kraus = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
-        assert kraus.shape == (2, 2, 2, 2, 2)
-        np.testing.assert_allclose(kraus[:, 0, 0], np.broadcast_to(np.eye(2), (2, 2, 2)), atol=1e-15)
-        np.testing.assert_allclose(kraus[:, 1], 0.0, atol=1e-15)
-        np.testing.assert_allclose(kraus[:, :, 1], 0.0, atol=1e-15)
-
     def test_kraus_is_the_product_of_the_factors(self):
         # the broadcast product over M^A's diagonal equals the full product of
-        # the two pointers' Kraus stacks, M^B_beta M^A_{j alpha}, entry for entry
+        # the two pointers' Kraus stacks, M^B_beta M^A_{j alpha}, entry for entry,
+        # each pointer's M_0 = 1 - (1 - cos theta) P and M_1 = sin theta P
+        def factors(proj, theta):
+            m0 = np.eye(proj.shape[-1]) - (1.0 - math.cos(theta)) * proj
+            return np.stack([m0, math.sin(theta) * proj], axis=-3)
+
         for d in range(1, protocol.MAX_DIM + 1):
             for theta in (1e-8, 0.4, 1.3, np.pi / 2):
-                kraus_a = protocol._kraus(np.eye(d)[:, :, None] * np.eye(d), theta)
-                kraus_b = protocol._kraus(np.full((d, d), 1.0 / d), theta)
+                kraus_a = factors(np.eye(d)[:, :, None] * np.eye(d), theta)
+                kraus_b = factors(np.full((d, d), 1.0 / d), theta)
                 want = np.einsum("bkm,jami->jabki", kraus_b, kraus_a)
                 got = protocol.kraus_operators(CouplingConfig(d, theta))
                 assert np.array_equal(got, want), (d, theta)

@@ -152,8 +152,3 @@ class TestEigenSystem:
             np.testing.assert_allclose(v.conj().T @ v, np.eye(5), atol=1e-10)
             assert np.all(np.diff(w) >= -1e-12)
 
-
-def test_allclose_uses_absolute_tolerance():
-    assert qmath.allclose(np.eye(2), np.eye(2) + 5e-11)
-    assert not qmath.allclose(np.eye(2), np.eye(2) + 1e-9)
-    assert qmath.allclose(np.eye(2), np.eye(2) + 1e-9, atol=1e-8)
