@@ -56,14 +56,11 @@ _RECONSTRUCTORS = {
 
 def default_theta_grid() -> tuple[float, ...]:
     """Log-spaced coupling strengths from the weak regime up to pi/2."""
-    return tuple(
-        float(t)
-        for t in np.geomspace(THETA_MIN_DEFAULT, math.pi / 2, DEFAULT_THETA_POINTS)
-    )
+    return tuple(np.geomspace(THETA_MIN_DEFAULT, math.pi / 2, DEFAULT_THETA_POINTS))
 
 
 def default_purity_grid() -> tuple[float, ...]:
-    return tuple(float(p) for p in np.linspace(0.0, 1.0, DEFAULT_PURITY_POINTS))
+    return tuple(np.linspace(0.0, 1.0, DEFAULT_PURITY_POINTS))
 
 
 def check_bias(epsilon: float, efficiency: float) -> None:
@@ -107,7 +104,6 @@ class Scenario:
         thetas = self.theta_list
         if thetas is None:
             thetas = (math.pi / 2,) if purity_sweep else default_theta_grid()
-            object.__setattr__(self, "theta_list", thetas)
         if self.purity_grid is None and purity_sweep:
             object.__setattr__(self, "purity_grid", default_purity_grid())
         if self.purity_grid is not None and not purity_sweep:
@@ -155,6 +151,10 @@ class Scenario:
         ):
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat, got {' '.join(map(str, values))}")
+        # the Philox keys hash str(theta) and str(p): 1 and 1.0 must key alike
+        object.__setattr__(self, "theta_list", tuple(map(float, thetas)))
+        if self.purity_grid is not None:
+            object.__setattr__(self, "purity_grid", tuple(map(float, self.purity_grid)))
 
 
 # One result row per element, the fields in results.csv's column order.
@@ -319,8 +319,10 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     built once here, gives the exact Born vector of each distinct state (the
     points of a strength sweep share one), and is dropped before the first
     point samples. A sampled scenario derives the Philox key of every (grid
-    point, seed) here, by the README's "Sampled streams" rule.
+    point, seed) here, by the README's "Sampled streams" rule; the root seed
+    must be an integer, as its text enters every key.
     """
+    check_integer("root_seed", root_seed)
     if scn.kind == "purity_sweep":
         psi = states.named_ket(scn.input_state[len("pure:"):], scn.d)
         distinct = [states.purity_family(p, psi) for p in scn.purity_grid]

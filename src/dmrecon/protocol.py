@@ -15,14 +15,14 @@ Pointer A acts first, so outcome (alpha, beta) of the j-th measurement
 applies K_{j alpha beta} = M^B_beta M^A_{j alpha} (`kraus_operators`, one
 broadcast product, since M^A_{j alpha} is diagonal, built on every call and
 cached nowhere). `evolve` applies them to the state, keeping the pointers'
-joint state at each diagonal system entry. A pointer setting is
-an observable's two-outcome spectral decomposition held as two cached
-read-only arrays, eigenvalues (2,) and projectors (2, 2, 2)
-(`pointer_setting`). `pointer_measurement` stacks the settings of a tuple of
-observable pairs into one (4P, 16) matrix, built once per (pairs, tilt),
-and `outcome_probabilities` contracts the evolved blocks with it in one
-matrix product: the joint (pointer A, pointer B, system) outcome table of
-every j and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
+joint state at each diagonal system entry. A pointer setting is an
+observable's two-outcome spectral decomposition, eigenvalues (2,) and
+projectors (2, 2, 2) (`pointer_setting`). `pointer_measurement` stacks the
+settings of a tuple of observable pairs, one per distinct observable, into
+one cached read-only (4P, 16) matrix per (pairs, tilt), and
+`outcome_probabilities` contracts the evolved blocks with it in one matrix
+product: the joint (pointer A, pointer B, system) outcome table of every j
+and setting pair at once. No 2d x 2d or 4d x 4d operator is built.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ class CouplingConfig:
         return self.dim / (4.0 * (math.sin(self.theta) * math.sin(self.theta)))
 
 
-@functools.lru_cache(maxsize=64)
 def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, projectors) of a supported pointer observable's spectral decomposition.
 
@@ -114,8 +113,7 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.
     identity. For Pi1 = |1><1| the order is (1, |1><1|), (0, |0><0|). A
     nonzero `tilt` rotates every projector by that angle about the pointer
     Y axis: a misaligned pointer measurement; an infinite or nan tilt is
-    rejected. Built once per (observable, tilt); both arrays are read-only
-    because every caller shares them.
+    rejected. Built on every call and owned by the caller.
     """
     if observable not in _POINTER_EIGENSTATES:
         raise ValueError(
@@ -129,10 +127,7 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.
     if tilt != 0.0:
         r = pointer_rotation(tilt)
         projectors = [r @ p @ r.conj().T for p in projectors]
-    eigenvalues, projectors = np.array(eigenvalues), np.stack(projectors)
-    for arr in (eigenvalues, projectors):
-        arr.flags.writeable = False
-    return eigenvalues, projectors
+    return np.array(eigenvalues), np.stack(projectors)
 
 
 def pointer_rotation(theta: float) -> np.ndarray:
@@ -152,10 +147,12 @@ def pointer_measurement(
     of `pointer_setting(obs, tilt)` for the pair's two observables,
     matrix[(p, alpha, beta), (a, b, c, d)] = P_alpha[c, a] Q_beta[d, b], so that
     matrix @ block.ravel() = Tr[(P_alpha (x) Q_beta) block] for a two-pointer
-    block indexed [a, b, c, d]. Built once per (pairs, tilt); both arrays are
-    read-only because every caller shares them.
+    block indexed [a, b, c, d]. Built once per (pairs, tilt), from one
+    `pointer_setting` per distinct observable; both arrays are read-only
+    because every caller shares them.
     """
-    settings = [(pointer_setting(a, tilt), pointer_setting(b, tilt)) for a, b in pairs]
+    built = {obs: pointer_setting(obs, tilt) for obs in dict.fromkeys(sum(pairs, ()))}
+    settings = [(built[a], built[b]) for a, b in pairs]
     weights = np.stack([np.multiply.outer(eig_a, eig_b) for (eig_a, _), (eig_b, _) in settings])
     proj_a = np.stack([p for (_, p), _ in settings])
     proj_b = np.stack([p for _, (_, p) in settings])

@@ -2,8 +2,7 @@
 
 `as_complex_matrix`, `is_hermitian`, `hermitian_part` and `trace_distance`
 also take a stack of matrices over leading axes, shaped (..., d, d), and act
-on each slice; `hermitian_eigensystem` and `matrix_exponential` take one
-matrix.
+on each slice; `matrix_exponential` takes one matrix.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ def _hermitian_deviation(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(dev), axis=(-2, -1))
 
 
-def is_hermitian(m, atol: float = DEFAULT_ATOL) -> bool:
-    """Whether m, or every slice of a stack, equals its adjoint within atol (nan never does).
+def is_hermitian(m) -> bool:
+    """Whether m, or every slice of a stack, equals its adjoint within DEFAULT_ATOL (nan never does).
 
     The transients are one array the size of m, where m - m^dagger is formed, and its modulus.
     """
-    return bool(np.all(_hermitian_deviation(as_complex_matrix(m)) <= atol))
+    return bool(np.all(_hermitian_deviation(as_complex_matrix(m)) <= DEFAULT_ATOL))
 
 
 def tensor(a, b) -> np.ndarray:
@@ -75,12 +74,14 @@ def hermitian_part(m) -> np.ndarray:
     return h
 
 
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of `np.linalg.eigh`, rejecting non-Hermitian or nan input.
+def matrix_exponential(h, scale: float) -> np.ndarray:
+    """Unitary exp(-i * scale * h) for Hermitian h, via eigendecomposition.
 
-    w holds the eigenvalues ascending, v the orthonormal eigenvectors as columns.
+    Kept as an independent reference path: deliberately does not use any
+    closed-form shortcut, so it can cross-check faster constructions. A
+    non-square, non-Hermitian or nan h is rejected.
     """
-    a = as_complex_matrix(m)
+    a = as_complex_matrix(h)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eigendecomposition requires a square matrix, got {a.shape}")
     dev = float(_hermitian_deviation(a))
@@ -88,16 +89,7 @@ def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"matrix is not Hermitian: max |m - m^dagger| = {dev:.3e} exceeds {DEFAULT_ATOL:.1e}"
         )
-    return np.linalg.eigh(a)
-
-
-def matrix_exponential(h, scale: float) -> np.ndarray:
-    """Unitary exp(-i * scale * h) for Hermitian h, via eigendecomposition.
-
-    Kept as an independent reference path: deliberately does not use any
-    closed-form shortcut, so it can cross-check faster constructions.
-    """
-    w, v = hermitian_eigensystem(h)
+    w, v = np.linalg.eigh(a)
     phases = np.exp(-1j * scale * w)
     return (v * phases) @ v.conj().T
 

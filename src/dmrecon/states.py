@@ -13,7 +13,6 @@ import numpy as np
 
 from . import qmath
 
-HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
 
@@ -31,7 +30,7 @@ class DensityMatrix:
         m = qmath.as_complex_matrix(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
-        if not qmath.is_hermitian(m, HERMITICITY_ATOL):
+        if not qmath.is_hermitian(m):
             raise ValueError("density matrix must be Hermitian within 1e-10")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:

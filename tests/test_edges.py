@@ -7,9 +7,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmrecon import correlations, experiments, metrics, protocol, qmath, reconstruct, states
 from dmrecon.correlations import PAIRS_WEAK, Correlations, sample_counts
+from dmrecon.io import parse_config, results_csv
 from dmrecon.protocol import CouplingConfig
 
 
@@ -22,14 +25,15 @@ class TestQmathRejections:
         assert not qmath.is_hermitian(np.zeros((2, 3)))
 
     def test_eigensystem_requires_square(self):
-        with pytest.raises(ValueError, match="square"):
-            qmath.hermitian_eigensystem(np.zeros((2, 3)))
+        want = "eigendecomposition requires a square matrix, got (2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            qmath.matrix_exponential(np.zeros((2, 3)), 0.5)
 
     def test_eigensystem_rejects_nan(self):
         nan_matrix = np.array([[np.nan, 0], [0, 1]])
-        for fn in (qmath.hermitian_eigensystem, lambda m: qmath.matrix_exponential(m, 0.5)):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                fn(nan_matrix)
+        want = "matrix is not Hermitian: max |m - m^dagger| = nan exceeds 1.0e-10"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            qmath.matrix_exponential(nan_matrix, 0.5)
 
     def test_trace_distance_requires_hermitian(self):
         skew = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -211,6 +215,32 @@ class TestCorrelationRejections:
             correlations.correlation_set(states.maximally_mixed(2), CouplingConfig(2, 0.5), pairs)
 
 
+def _spelled(values, integral):
+    """Each value as an int, a float or a numpy scalar, as a library caller may write it."""
+    def spellings(v):
+        if integral:
+            return st.sampled_from([int(v), np.int64(v)])
+        both = [float(v), np.float64(v)]
+        return st.sampled_from(both + [int(v), np.int64(v)] if v == int(v) else both)
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True).flatmap(
+        lambda picked: st.tuples(*map(spellings, picked))
+    )
+
+
+@st.composite
+def library_scenarios(draw):
+    """(root seed, Scenario fields) of one small sampled scenario."""
+    purity = draw(st.booleans())
+    fields = dict(
+        kind="purity_sweep" if purity else "single",
+        d=draw(st.sampled_from([2, np.int64(2), 3, np.int64(3)])),
+        theta_list=draw(_spelled([1.0] if purity else [0.5, 1.0, 1.5], integral=False)),
+        seeds=draw(_spelled([0, 1, 2], integral=True)),
+        purity_grid=draw(_spelled([0.0, 0.5, 1.0], integral=False)) if purity else None,
+    )
+    return draw(st.sampled_from([3, np.int64(3)])), fields
+
+
 class TestNonIntegerSizes:
     """Sizes and seeds must be integers; numpy integers are."""
 
@@ -314,6 +344,39 @@ class TestNonIntegerSizes:
             self._scenario(d=np.int64(3), n_events=np.int32(100), seeds=(np.int64(0), np.uint8(1)))
         )
         assert numpy_ints.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("root", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_run_scenario_rejects_a_non_integer_root_seed(self, root):
+        # the root seed's text enters every Philox key: 1.0, True and "1" would
+        # each key a stream of their own, or 1's under another type
+        scn = self._scenario(seeds=(0,), methods=("I",))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'root_seed={root} is not an integer')}$"):
+            experiments.run_scenario(scn, root)
+        by_numpy_int = experiments.run_scenario(scn, np.int64(1))
+        assert by_numpy_int.tobytes() == experiments.run_scenario(scn, 1).tobytes()
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(case=library_scenarios())
+    def test_library_scenario_writes_its_config_bytes(self, case):
+        # thetas, purity points, seeds, d and the root seed spelled as ints,
+        # floats or numpy scalars run as the config text that spells them
+        root, fields = case
+        scn = experiments.Scenario(
+            scenario_id="lib", input_state="pure:b0", n_events=50, methods=("I",), **fields
+        )
+        keys = {
+            "kind": scn.kind, "state": "pure:b0", "d": fields["d"], "theta": fields["theta_list"],
+            "n_events": 50, "seeds": fields["seeds"], "methods": "I",
+            "purity_grid": fields["purity_grid"],
+        }
+        text = f"[global]\nroot_seed = {root}\n\n[scenario lib]\n" + "".join(
+            f"{key} = {' '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for key, v in keys.items()
+            if v is not None
+        )
+        doc = parse_config(text)
+        from_config = results_csv(experiments.run_scenario(doc.scenarios[0], doc.root_seed))
+        assert results_csv(experiments.run_scenario(scn, root)) == from_config
 
 
 class TestMetricsRejections:

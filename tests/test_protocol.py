@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from dense_oracle import couplings, dense_tables, evolved
 
 from dmrecon import protocol, qmath, states
+from dmrecon.correlations import PAIRS_EXACT_I
 from dmrecon.protocol import CouplingConfig
 
 Y = np.array([[0, -1j], [1j, 0]])
@@ -72,17 +74,6 @@ class TestPointerSettings:
     def test_unknown_observable(self):
         with pytest.raises(ValueError, match="unknown observable"):
             protocol.pointer_setting("W")
-
-    @pytest.mark.parametrize("tilt", [0.0, 0.03])
-    def test_cached_per_observable_and_tilt_and_read_only(self, tilt):
-        setting = protocol.pointer_setting("X", tilt)
-        assert protocol.pointer_setting("X", tilt) is setting
-        assert protocol.pointer_setting("Y", tilt) is not setting
-        assert protocol.pointer_setting("X", tilt + 0.01) is not setting
-        for arr in setting:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
 
 
 def setting_pairs_of(*pairs, tilt=0.0):
@@ -247,6 +238,16 @@ class TestPointerMeasurement:
         for arr in (weights, matrix):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.02])
+    def test_miss_builds_each_distinct_observable_once(self, tilt):
+        # method I's eight pairs name three observables, X, Y and Pi1
+        build = mock.Mock(wraps=protocol.pointer_setting)
+        with mock.patch.object(protocol, "pointer_setting", build):
+            protocol.pointer_measurement.__wrapped__(PAIRS_EXACT_I, tilt)
+        assert sorted(c.args for c in build.call_args_list) == [
+            ("Pi1", tilt), ("X", tilt), ("Y", tilt)
+        ]
 
 
 class TestOutcomeProbabilities:
