@@ -54,15 +54,6 @@ _RECONSTRUCTORS = {
 }
 
 
-def default_theta_grid() -> tuple[float, ...]:
-    """Log-spaced coupling strengths from the weak regime up to pi/2."""
-    return tuple(np.geomspace(THETA_MIN_DEFAULT, math.pi / 2, DEFAULT_THETA_POINTS))
-
-
-def default_purity_grid() -> tuple[float, ...]:
-    return tuple(np.linspace(0.0, 1.0, DEFAULT_PURITY_POINTS))
-
-
 def check_bias(epsilon: float, efficiency: float) -> None:
     """Reject a pointer tilt or a projector efficiency outside the modelled range.
 
@@ -75,6 +66,12 @@ def check_bias(epsilon: float, efficiency: float) -> None:
         raise ValueError("pointer rotation bias limited to |epsilon| <= 0.1 rad")
     if not 0.9 <= efficiency <= 1.1:
         raise ValueError("projector efficiency limited to [0.9, 1.1]")
+
+
+def check_purity_point(p: float) -> None:
+    """Reject a purity-family mixing weight outside [0, 1], nan included."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"purity point {p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,9 +100,13 @@ class Scenario:
         purity_sweep = self.kind == "purity_sweep"
         thetas = self.theta_list
         if thetas is None:
-            thetas = (math.pi / 2,) if purity_sweep else default_theta_grid()
+            if purity_sweep:
+                thetas = (math.pi / 2,)
+            else:  # log-spaced from the weak regime up to pi/2
+                thetas = tuple(np.geomspace(THETA_MIN_DEFAULT, math.pi / 2, DEFAULT_THETA_POINTS))
         if self.purity_grid is None and purity_sweep:
-            object.__setattr__(self, "purity_grid", default_purity_grid())
+            purity_grid = tuple(np.linspace(0.0, 1.0, DEFAULT_PURITY_POINTS))
+            object.__setattr__(self, "purity_grid", purity_grid)
         if self.purity_grid is not None and not purity_sweep:
             raise ValueError(f"purity_grid applies only to purity sweeps, not to {self.kind}")
         if not thetas:
@@ -142,8 +143,7 @@ class Scenario:
         if purity_sweep and not self.purity_grid:
             raise ValueError("purity_grid needs at least one point")
         for p in self.purity_grid or ():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"purity point {p} outside [0, 1]")
+            check_purity_point(p)
         # a repeated grid coordinate would only write duplicate rows
         for key, values in (
             ("seeds", self.seeds), ("theta", thetas), ("methods", self.methods),

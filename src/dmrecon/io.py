@@ -20,7 +20,8 @@ The config format is flat key-value text with one section per scenario:
 `_FIELDS` names the three scenario keys whose `Scenario` field differs
 (state, theta and n_seeds). One `_read_section` loop reads both kinds of
 section. Whole files validate before anything runs, and every problem is
-reported, not just the first one: a key's problems with its line number, a
+reported, not just the first one: a key's problems with its line number
+(every bad token of a theta or purity_grid list, in order), a
 whole-scenario check (kind, d, bias, seeds with n_seeds, purity_grid in a
 purity sweep only) with its `section [scenario <id>]`. A key may be set
 once per scenario, and once across all [global] sections.
@@ -35,28 +36,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .experiments import ROW_DTYPE, Scenario, check_bias
+from .experiments import ROW_DTYPE, Scenario, check_bias, check_purity_point
 from .protocol import check_theta
 
 CSV_COLUMNS = ROW_DTYPE.names
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in value.split())
-
-
-def _thetas(value: str) -> tuple[float, ...]:
-    """The listed strengths; raises one `ConfigError` naming every bad token, in order."""
-    thetas, problems = [], []
+def _floats(value: str, check) -> tuple[float, ...]:
+    """The listed numbers, each passed to `check`; one `ConfigError` names every bad token."""
+    floats, problems = [], []
     for tok in value.split():
         try:
-            thetas.append(float(tok))
-            check_theta(thetas[-1])
+            floats.append(float(tok))
+            check(floats[-1])
         except ValueError as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
-    return tuple(thetas)
+    return tuple(floats)
 
 
 # Each key of a section and the parser of its value text.
@@ -64,7 +61,7 @@ _SCENARIO_KEYS = {
     "kind": str,
     "state": str,
     "d": int,
-    "theta": _thetas,
+    "theta": lambda value: _floats(value, check_theta),
     "n_events": int,
     "seeds": lambda value: tuple(int(tok) for tok in value.split()),
     "n_seeds": lambda value: tuple(range(int(value))),
@@ -73,7 +70,7 @@ _SCENARIO_KEYS = {
     "reference": str,
     "bias_epsilon": float,
     "bias_efficiency": float,
-    "purity_grid": _floats,
+    "purity_grid": lambda value: _floats(value, check_purity_point),
 }
 _GLOBAL_KEYS = {"root_seed": int, "output_dir": str}
 # The scenario keys whose `Scenario` field has another name; the others share theirs.

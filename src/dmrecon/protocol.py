@@ -36,7 +36,6 @@ import numpy as np
 
 from . import states
 
-PROB_CORRUPT = 1e-9
 MAX_DIM = 16
 
 # Each pointer observable's (eigenvalue, eigenvector) pairs, the vectors as qubit
@@ -55,7 +54,8 @@ def check_integer(name: str, value) -> None:
     if type(value) is int:  # before the abstract-class test, about 1 us a call, paid per root seed
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}={value} is not an integer")
+        shown = repr(value) if isinstance(value, str) else value  # '1' must not read as 1
+        raise ValueError(f"{name}={shown} is not an integer")
 
 
 def check_dim(d: int) -> None:
@@ -124,16 +124,11 @@ def pointer_setting(observable: str, tilt: float = 0.0) -> tuple[np.ndarray, np.
     eigenvalues, labels = zip(*_POINTER_EIGENSTATES[observable])
     kets = [states.named_ket(label, 2) for label in labels]
     projectors = [np.outer(v, v.conj()) for v in kets]
-    if tilt != 0.0:
-        r = pointer_rotation(tilt)
+    if tilt != 0.0:  # exp(-i tilt Y) on the pointer: a real rotation
+        c, s = math.cos(tilt), math.sin(tilt)
+        r = np.array([[c, -s], [s, c]], dtype=complex)
         projectors = [r @ p @ r.conj().T for p in projectors]
     return np.array(eigenvalues), np.stack(projectors)
-
-
-def pointer_rotation(theta: float) -> np.ndarray:
-    """exp(-i theta Y) on one pointer: a real rotation by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 @functools.lru_cache(maxsize=64)
@@ -226,11 +221,11 @@ def _checked_probabilities(probs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(probs)):
         raise ValueError("outcome probabilities are not finite")
     imag_max = float(np.max(np.abs(probs.imag)))
-    if imag_max > PROB_CORRUPT:
+    if imag_max > states.POSITIVITY_ATOL:
         raise ValueError(f"outcome probabilities have imaginary part {imag_max:.3e}")
     probs = probs.real
     lo = float(probs.min())
-    if lo < -PROB_CORRUPT:
+    if lo < -states.POSITIVITY_ATOL:
         raise ValueError(f"outcome probability {lo:.3e} below -1e-9: numerical corruption")
     probs = np.where(probs < 0.0, 0.0, probs)
     totals = probs.sum(axis=(-3, -2, -1))

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import qmath
 
-TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-9
 
 
@@ -33,7 +32,7 @@ class DensityMatrix:
         if not qmath.is_hermitian(m):
             raise ValueError("density matrix must be Hermitian within 1e-10")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if abs(tr - 1.0) > qmath.DEFAULT_ATOL:
             raise ValueError(f"density matrix must have unit trace, got {tr:.12g}")
         lo = float(np.min(np.linalg.eigvalsh(qmath.hermitian_part(m))))
         if lo < -POSITIVITY_ATOL:

@@ -260,6 +260,7 @@ class TestNonIntegerSizes:
             ("seeds", (0, 2.0), "seed=2.0 is not an integer"),
             ("d", 2.0, "dimension d=2.0 is not an integer"),
             ("d", True, "dimension d=True is not an integer"),
+            ("d", "2", "dimension d='2' is not an integer"),
         ],
     )
     def test_scenario_rejects(self, field, value, want):
@@ -345,12 +346,14 @@ class TestNonIntegerSizes:
         )
         assert numpy_ints.tobytes() == plain.tobytes()
 
-    @pytest.mark.parametrize("root", [1.0, True, "1"], ids=["float", "bool", "str"])
-    def test_run_scenario_rejects_a_non_integer_root_seed(self, root):
+    @pytest.mark.parametrize(
+        "root, shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")], ids=["float", "bool", "str"]
+    )
+    def test_run_scenario_rejects_a_non_integer_root_seed(self, root, shown):
         # the root seed's text enters every Philox key: 1.0, True and "1" would
-        # each key a stream of their own, or 1's under another type
+        # each key a stream of their own, or 1's under another type; a string is quoted
         scn = self._scenario(seeds=(0,), methods=("I",))
-        with pytest.raises(ValueError, match=f"^{re.escape(f'root_seed={root} is not an integer')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'root_seed={shown} is not an integer')}$"):
             experiments.run_scenario(scn, root)
         by_numpy_int = experiments.run_scenario(scn, np.int64(1))
         assert by_numpy_int.tobytes() == experiments.run_scenario(scn, 1).tobytes()

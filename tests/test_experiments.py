@@ -137,6 +137,16 @@ class TestScenarioValidation:
             Scenario(scenario_id="s", kind="single", theta_list=(0.5,), methods=("Q",))
         with pytest.raises(ValueError):
             Scenario(scenario_id="s", kind="purity_sweep", theta_list=(0.1, 0.2))
+        single = dict(scenario_id="s", kind="single", theta_list=(0.5,))
+        with pytest.raises(ValueError, match="^need at least one method$"):
+            Scenario(**single, methods=())
+        with pytest.raises(ValueError, match=r"^source must be one of \('sampled', 'exact'\)$"):
+            Scenario(**single, source="simulated")
+        with pytest.raises(ValueError, match=r"^reference must be one of \('truth', 'qst'\)$"):
+            Scenario(**single, reference="oracle")
+        for p in (1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match=rf"^purity point {p} outside \[0, 1\]$"):
+                Scenario(scenario_id="s", kind="purity_sweep", purity_grid=(p,))
 
 
 class TestRunners:

@@ -159,6 +159,15 @@ ERROR_CASES = {
             "line 5: theta=1e-100 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77",
         ],
     ),
+    "every bad purity point on one line": (
+        "[scenario p]\nkind = purity_sweep\npurity_grid = 0 x 1.5 y nan\n",
+        [
+            "line 3: could not convert string to float: 'x'",
+            "line 3: purity point 1.5 outside [0, 1]",
+            "line 3: could not convert string to float: 'y'",
+            "line 3: purity point nan outside [0, 1]",
+        ],
+    ),
     "theta where sin^2 underflows": (
         MINIMAL.replace("theta = 0.5", "theta = 1e-300"),
         ["line 5: theta=1e-300 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],
