@@ -99,7 +99,7 @@ def _cmd_validate(args) -> int:
 
     # Projector-form Kraus operators vs the |0> columns of both exponentials, U_B U_A.
     def column0(vec: np.ndarray, theta: float) -> np.ndarray:
-        u = qmath.matrix_exponential(qmath.tensor(np.outer(vec, vec.conj()), y), theta)
+        u = qmath.matrix_exponential(np.kron(np.outer(vec, vec.conj()), y), theta)
         return u.reshape(vec.size, 2, vec.size, 2)[:, :, :, 0]
 
     # at both ends of the strength range too

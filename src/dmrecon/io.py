@@ -21,7 +21,7 @@ The config format is flat key-value text with one section per scenario:
 (state, theta and n_seeds). One `_read_section` loop reads both kinds of
 section. Whole files validate before anything runs, and every problem is
 reported, not just the first one: a key's problems with its line number
-(every bad token of a theta or purity_grid list, in order), a
+(every bad token of a theta, seeds or purity_grid list, in order), a
 whole-scenario check (kind, d, bias, seeds with n_seeds, purity_grid in a
 purity sweep only) with its `section [scenario <id>]`. A key may be set
 once per scenario, and once across all [global] sections.
@@ -42,18 +42,19 @@ from .protocol import check_theta
 CSV_COLUMNS = ROW_DTYPE.names
 
 
-def _floats(value: str, check) -> tuple[float, ...]:
-    """The listed numbers, each passed to `check`; one `ConfigError` names every bad token."""
-    floats, problems = [], []
+def _numbers(value: str, parse, check=None) -> tuple:
+    """Each token read by `parse`, `check`ed if given; one `ConfigError` names every bad one."""
+    numbers, problems = [], []
     for tok in value.split():
         try:
-            floats.append(float(tok))
-            check(floats[-1])
+            numbers.append(parse(tok))
+            if check is not None:
+                check(numbers[-1])
         except ValueError as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
-    return tuple(floats)
+    return tuple(numbers)
 
 
 # Each key of a section and the parser of its value text.
@@ -61,16 +62,16 @@ _SCENARIO_KEYS = {
     "kind": str,
     "state": str,
     "d": int,
-    "theta": lambda value: _floats(value, check_theta),
+    "theta": lambda value: _numbers(value, float, check_theta),
     "n_events": int,
-    "seeds": lambda value: tuple(int(tok) for tok in value.split()),
+    "seeds": lambda value: _numbers(value, int),
     "n_seeds": lambda value: tuple(range(int(value))),
     "methods": lambda value: tuple(value.split()),
     "source": str,
     "reference": str,
     "bias_epsilon": float,
     "bias_efficiency": float,
-    "purity_grid": lambda value: _floats(value, check_purity_point),
+    "purity_grid": lambda value: _numbers(value, float, check_purity_point),
 }
 _GLOBAL_KEYS = {"root_seed": int, "output_dir": str}
 # The scenario keys whose `Scenario` field has another name; the others share theirs.

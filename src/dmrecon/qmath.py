@@ -54,11 +54,6 @@ def is_hermitian(m) -> bool:
     return bool(np.all(_hermitian_deviation(as_complex_matrix(m)) <= DEFAULT_ATOL))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with a-index major, b-index minor block ordering."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def hermitian_part(m) -> np.ndarray:
     """Return (m + m^dagger)/2, slice by slice for a stack.
 

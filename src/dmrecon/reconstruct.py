@@ -274,8 +274,7 @@ def qst_least_squares(kets, probs) -> ReconstructionResult:
     if n < d * d:
         raise ValueError(f"need at least {d * d} projectors for d={d}, got {n}")
     a = (v.conj()[:, :, None] * v[:, None, :]).reshape(n, d * d)
-    sv = np.linalg.svd(a, compute_uv=False)
+    x, _, _, sv = np.linalg.lstsq(a, np.asarray(probs, dtype=float), rcond=None)
     if sv[-1] < 1e-10 * sv[0]:
         raise ValueError("projector set is rank-deficient: not informationally complete")
-    x, *_ = np.linalg.lstsq(a, np.asarray(probs, dtype=float), rcond=None)
     return _result(x.reshape(d, d))

@@ -63,12 +63,8 @@ def b0_state(d: int) -> np.ndarray:
 
 
 def pure_state(psi: np.ndarray) -> DensityMatrix:
-    """|psi><psi| for a unit-norm state vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"state vector must be unit norm, got |psi| = {nrm:.12g}")
-    return DensityMatrix(np.outer(v, v.conj()))
+    """|psi><psi| for a unit-norm state vector: the purity family at p = 1."""
+    return purity_family(1.0, psi)
 
 
 def maximally_mixed(d: int) -> DensityMatrix:

@@ -22,17 +22,17 @@ def couplings(j, cfg):
     """(U_A, U_B): exp(-i theta P_j (x) Y (x) 1) and exp(-i theta P_b0 (x) 1 (x) Y)."""
     d = cfg.dim
     u_a = qmath.matrix_exponential(
-        qmath.tensor(_projector(states.basis_state(d, j)), qmath.tensor(Y, I2)), cfg.theta
+        np.kron(_projector(states.basis_state(d, j)), np.kron(Y, I2)), cfg.theta
     )
     u_b = qmath.matrix_exponential(
-        qmath.tensor(_projector(states.b0_state(d)), qmath.tensor(I2, Y)), cfg.theta
+        np.kron(_projector(states.b0_state(d)), np.kron(I2, Y)), cfg.theta
     )
     return u_a, u_b
 
 
 def evolved(rho, u):
     """u (rho (x) |00><00|) u^dagger."""
-    sigma_in = qmath.tensor(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    sigma_in = np.kron(rho.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
     return u @ sigma_in @ u.conj().T
 
 
@@ -47,7 +47,7 @@ def trace_tables(sigma, setting_pairs):
     for p, ((_, projs_a), (_, projs_b)) in enumerate(setting_pairs):
         for alpha, proj_a in enumerate(projs_a):
             for beta, proj_b in enumerate(projs_b):
-                op = qmath.tensor(proj_a, proj_b)
+                op = np.kron(proj_a, proj_b)
                 for k in range(d):
                     block = sigma[4 * k : 4 * k + 4, 4 * k : 4 * k + 4]
                     probs[p, alpha, beta, k] = np.trace(op @ block).real

@@ -168,6 +168,14 @@ ERROR_CASES = {
             "line 3: purity point nan outside [0, 1]",
         ],
     ),
+    "every bad seed on one line": (
+        MINIMAL + "seeds = 1 x y 2.5\n",
+        [
+            "line 6: invalid literal for int() with base 10: 'x'",
+            "line 6: invalid literal for int() with base 10: 'y'",
+            "line 6: invalid literal for int() with base 10: '2.5'",
+        ],
+    ),
     "theta where sin^2 underflows": (
         MINIMAL.replace("theta = 0.5", "theta = 1e-300"),
         ["line 5: theta=1e-300 too small: 16 n_ab^2 overflows below theta ~ 3.4e-77"],

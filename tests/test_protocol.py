@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from dense_oracle import couplings, dense_tables, evolved
 
-from dmrecon import protocol, qmath, states
+from dmrecon import protocol, states
 from dmrecon.correlations import PAIRS_EXACT_I
 from dmrecon.protocol import CouplingConfig
 
@@ -209,7 +209,7 @@ class TestEvolve:
         direct = []
         for k in range(1, 4):
             pk = np.outer(states.basis_state(3, k), states.basis_state(3, k).conj())
-            direct.append(float(np.trace(qmath.tensor(pk, np.eye(4)) @ sigma).real))
+            direct.append(float(np.trace(np.kron(pk, np.eye(4)) @ sigma).real))
         probs = protocol.outcome_probabilities(rho, cfg, (("X", "X"), ("Y", "Pi1"), ("Z", "Z")))
         assert probs.shape == (3, 3, 2, 2, 3)
         for table in probs[1]:

@@ -8,40 +8,12 @@ import pytest
 from dmrecon import qmath
 
 I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]])
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_unit_vector(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)
-
-
-class TestTensor:
-    def test_identity_case(self):
-        np.testing.assert_allclose(qmath.tensor(I2, I2), np.eye(4), atol=1e-15)
-
-    def test_diagonal_case(self):
-        np.testing.assert_allclose(
-            qmath.tensor(Z, Z), np.diag([1, -1, -1, 1]), atol=1e-15
-        )
-
-    def test_xy_corner_entry(self):
-        # expand the 2x2 Kronecker product by hand: entry (0,3) = X[0,1] Y[0,1]
-        assert qmath.tensor(X, Y)[0, 3] == pytest.approx(-1j)
-
-    def test_associativity_up_to_reindexing(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-            left = qmath.tensor(qmath.tensor(a, b), c)
-            right = qmath.tensor(a, qmath.tensor(b, c))
-            assert np.max(np.abs(left - right)) < 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            qmath.tensor(np.zeros((0, 2)), I2)
 
 
 class TestMatrixExponential:
@@ -78,8 +50,8 @@ class TestMatrixExponential:
             [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
             dtype=complex,
         )
-        closed = qmath.tensor(np.eye(3) - proj, I2) + qmath.tensor(proj, rot)
-        oracle = qmath.matrix_exponential(qmath.tensor(proj, Y), theta)
+        closed = np.kron(np.eye(3) - proj, I2) + np.kron(proj, rot)
+        oracle = qmath.matrix_exponential(np.kron(proj, Y), theta)
         assert np.max(np.abs(closed - oracle)) < 1e-12
 
 

@@ -37,6 +37,19 @@ class TestB0State:
         assert np.linalg.norm(states.b0_state(7)) == pytest.approx(1.0)
 
 
+# every named_ket label at d = 2, and a<j> and b0 at every dimension up to MAX_DIM = 16
+PURE_KETS = [(label, 2) for label in ("H", "V", "D", "A", "R", "L")] + [
+    (label, d) for d in range(1, 17) for label in (*(f"a{j}" for j in range(1, d + 1)), "b0")
+]
+
+
+class TestPureState:
+    @pytest.mark.parametrize("label, d", PURE_KETS, ids=[f"{lab}-d{d}" for lab, d in PURE_KETS])
+    def test_is_the_outer_product(self, label, d):
+        v = states.named_ket(label, d)
+        assert np.array_equal(states.pure_state(v).matrix, np.outer(v, v.conj()))
+
+
 class TestPurityFamily:
     def test_pure_limit(self):
         psi = states.b0_state(2)
