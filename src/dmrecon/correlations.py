@@ -265,7 +265,7 @@ def sample_counts(
     tables: OutcomeTables | None,
     n: int,
     keys: Sequence[int],
-    born: Sequence[np.ndarray] = (),
+    born: np.ndarray | Sequence[np.ndarray] = (),
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Draw n events from every (j, pair) table and Born vector, for each Philox key.
 
@@ -274,7 +274,10 @@ def sample_counts(
     not. Slice s draws from the stream of `Philox(key=keys[s])`, by the
     README's "Sampled streams" rule: one multinomial over the (d, P, 2d + 1)
     outcome class stack of `outcome_classes` (each (j, pair) row sums to n),
-    then n events per projector of each Born vector of `born`, in order.
+    then n events per projector of each Born vector of `born`, a (B, P)
+    array, in order. The Born vectors are one binomial call over the whole
+    array, which draws its entries in that order, so the counts and the
+    stream equal a binomial call per vector.
     tables = None draws no classes. A slice depends on its key alone.
 
     Returns (class counts indexed [s, j-1, p, c], or None without tables,
@@ -285,6 +288,9 @@ def sample_counts(
         raise ValueError(
             f"need at least one event and at most 2**63-1 (the sampler's range), got n={n}"
         )
+    born = np.asarray(born, dtype=float)
+    if len(born) and born.ndim != 2:
+        raise ValueError(f"born must be a (B, P) array of Born vectors, got shape {born.shape}")
     if tables is None and not len(born):
         raise ValueError("nothing to draw: no outcome tables and no Born vector")
     if not hasattr(keys, "__len__") or getattr(keys, "ndim", 1) == 0:
@@ -296,7 +302,7 @@ def sample_counts(
         classes = outcome_classes(tables)
         pvals = classes / classes.sum(axis=-1, keepdims=True)
         counts = np.empty((len(keys), *pvals.shape), dtype=np.int64)
-    projectors = len(born[0]) if len(born) else 0
+    projectors = born.shape[-1] if len(born) else 0
     born_counts = np.empty((len(keys), len(born), projectors), dtype=np.int64)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
@@ -310,8 +316,8 @@ def sample_counts(
         bit_generator.state = state
         if counts is not None:
             counts[s] = rng.multinomial(n, pvals)
-        for b, p in enumerate(born):
-            born_counts[s, b] = rng.binomial(n, p)
+        if len(born):
+            born_counts[s] = rng.binomial(n, born)
     return counts, born_counts
 
 
@@ -343,7 +349,7 @@ def sampled_set(
     tables: OutcomeTables | None,
     n: int,
     keys: Sequence[int],
-    born: Sequence[np.ndarray] = (),
+    born: np.ndarray | Sequence[np.ndarray] = (),
 ) -> tuple[Correlations | None, np.ndarray]:
     """A seed stack of sampled correlations and Born counts, one slice per Philox key.
 

@@ -222,8 +222,10 @@ def run_point(
     `run_scenario` derives (None for an exact source).
     The seeds are one stack, drawn by one `correlations.sampled_set` call:
     each seed's outcome classes, then the QST method's Born counts, then the
-    QST reference's, each only where it is read. The counts are dropped
-    before the rows are built.
+    QST reference's, each only where it is read. The counts and the tables
+    are dropped before the rows are built, and the correlation stack and the
+    QST method's frequencies are handed to `_estimates`, so the point keeps
+    no reference to them: they are freed before `metrics.compare` runs.
     """
     cfg = CouplingConfig(scn.d, theta)
     # the observable pairs the direct methods read, in first-seen order
@@ -237,29 +239,50 @@ def run_point(
     rows = None
     if scn.source == "sampled":
         n = scn.n_events
-        draws = () if born is None else (np.clip(born, 0.0, 1.0),) * (qst_method + qst_ref)
-        correls, born_counts = correlations.sampled_set(tables, n, keys, draws)
-        method_probs = born_counts[:, 0] / n if qst_method else None
-        ref_probs = born_counts[:, -1] / n if qst_ref else None
-        del born_counts  # the count stack, before the rows' transients
-        rows = _stack_rows(
-            scn, rho.matrix, theta, purity_p, scn.seeds, correls, method_probs, ref_probs
+        draws = () if born is None else np.broadcast_to(
+            np.clip(born, 0.0, 1.0), (qst_method + qst_ref, born.size)
         )
+        correls, born_counts = correlations.sampled_set(tables, n, keys, draws)
+        estimates = _estimates(scn, correls, born_counts[:, 0] / n if qst_method else None)
+        ref_probs = born_counts[:, -1] / n if qst_ref else None
+        del tables, correls, born_counts  # the stack is the estimates' alone; the rest is read
+        rows = _stack_rows(scn, rho.matrix, theta, purity_p, scn.seeds, estimates, ref_probs)
     return rows, exact
 
 
-def _stack_rows(scn, truth, theta, purity_p, seeds, correls, method_probs, ref_probs) -> np.ndarray:
+def _estimates(scn, correls, method_probs):
+    """Each method's (finalized, element_errors) over one stack, in `scn.methods` order.
+
+    `correls` is the stack's correlations (None without a direct method) and
+    `method_probs` its QST method Born frequencies, one row per slice (None
+    without QST). Each raw estimate is dropped when the next method starts.
+    The generator's frame holds the only references the caller hands over,
+    so once the last method is read both inputs are freed.
+    """
+    for m in scn.methods:
+        if m == "QST":
+            result = reconstruct.qst_linear_inversion(method_probs, scn.d)
+        else:
+            result = _RECONSTRUCTORS[m][0](correls)
+        yield result.finalized, result.element_errors
+        del result
+
+
+def _stack_rows(scn, truth, theta, purity_p, seeds, estimates, ref_probs) -> np.ndarray:
     """Rows of one stack, method-major: each method estimated once over the stack.
 
     A stack is either one grid point's sampled seeds or the seed -1 rows of
     every grid point of a scenario, the grid stack. The inputs are the stack's
     coordinates (theta, purity_p and seeds, each one value or one per slice),
-    its correlations, the true states (one matrix, or one per slice) and the
-    QST method and reference Born vectors, one row per slice (None where
-    nothing reads them). One `finalize` per method and one `metrics.compare`
-    call cover every row. When `compare` runs, the methods' stacked finalized
-    matrices and element errors are all that is left of their estimates: each
-    raw estimate is dropped as soon as its method's result is read, and the
+    the true states (one matrix, or one per slice), the methods' estimates
+    (an iterator such as `_estimates` returns, read once) and the QST
+    reference Born vectors, one row per slice (None where nothing reads
+    them). One `finalize` per method and one `metrics.compare` call cover
+    every row. The estimates are read and stacked before the QST reference
+    is inverted, so when `compare` runs, what is left of the stack is the
+    methods' stacked finalized matrices and element errors, the reference
+    and the reference Born vectors: the correlations and the QST method's
+    frequencies are gone if the caller kept no reference to them, and the
     per-method arrays once they are stacked. `bound` is each method's
     `metrics.error_lower_bound` at each theta, nan where the method has no
     floor.
@@ -268,14 +291,7 @@ def _stack_rows(scn, truth, theta, purity_p, seeds, correls, method_probs, ref_p
     `compare` gives its row trace_distance nan and delta_rho inf. A nan QST
     reference slice leaves trace_distance nan.
     """
-    results = (
-        reconstruct.qst_linear_inversion(method_probs, scn.d) if m == "QST"
-        else _RECONSTRUCTORS[m][0](correls)
-        for m in scn.methods
-    )
-    estimates = [(r.finalized, r.element_errors) for r in results]  # one result alive at a time
     finalized, errors = map(np.array, zip(*estimates))
-    del estimates  # the per-method arrays, before compare's transients
     reference = truth
     if scn.reference == "qst":
         reference = reconstruct.qst_linear_inversion(ref_probs, scn.d).finalized
@@ -320,7 +336,11 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
     points of a strength sweep share one), and is dropped before the first
     point samples. A sampled scenario derives the Philox key of every (grid
     point, seed) here, by the README's "Sampled streams" rule; the root seed
-    must be an integer, as its text enters every key.
+    must be an integer, as its text enters every key. The grid stack is
+    handed to `_estimates` and the per-point exact sets are dropped once
+    `stack_sets` has joined them, so at the grid stack's `metrics.compare`
+    the exact correlations are freed; the Born vectors, the true states and
+    the sampled rows stay.
     """
     check_integer("root_seed", root_seed)
     if scn.kind == "purity_sweep":
@@ -347,10 +367,11 @@ def run_scenario(scn: Scenario, root_seed: int = 0) -> np.ndarray:
         run_point(scn, rho, theta, p, None if born is None else born[i], keys[i])
         for i, (rho, theta, p) in enumerate(zip(rhos, thetas, purities))
     ))
-    correls = None if exact[0] is None else correlations.stack_sets(exact)
+    estimates = _estimates(scn, None if exact[0] is None else correlations.stack_sets(exact), born)
+    del exact  # the per-point sets, joined into the grid stack that only `estimates` holds
     truth = np.array([rho.matrix for rho in rhos])
     rows = _stack_rows(
-        scn, truth, np.array(thetas), np.array(purities), EXPECTATION_SEED, correls, born, born
+        scn, truth, np.array(thetas), np.array(purities), EXPECTATION_SEED, estimates, born
     )
     if scn.source == "sampled":
         rows = np.concatenate([rows, *sampled])

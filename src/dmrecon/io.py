@@ -238,12 +238,16 @@ def _column_cells(col: np.ndarray) -> list[str]:
     each nan bit pattern one key, where float keys would merge the zeros and
     split every nan. Their text is what the csv module writes: repr for a
     float (nan, inf, -0.0, up to 17 significant digits) and str for an int.
+    Asking `np.unique` for the first indices as well makes it sort the keys
+    with the stable (merge) kernel, which `sort_rows`' `lexsort` has already
+    paged in, instead of loading the quicksort kernels at the end of a run;
+    the unique keys and the inverse are the same either way.
     """
     if col.dtype == object:
         cells = col.tolist()
         texts = {value: _text_cell(value) for value in dict.fromkeys(cells)}
         return [texts[value] for value in cells]
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    keys, _, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
     text = repr if col.dtype.kind == "f" else str
     texts = [text(value) for value in keys.view(col.dtype).tolist()]
     return [texts[i] for i in inverse.tolist()]

@@ -263,8 +263,9 @@ def qst_least_squares(kets, probs) -> ReconstructionResult:
 
     `kets` is an (n, d) array with n >= d^2 whose projectors |v><v|, as
     vectors, are linearly independent; `probs` holds their n Born
-    probabilities. Row p of the (n, d^2) design matrix holds conj(v_pa) v_pb
-    at a d + b, so that it times the flattened rho is Tr(|v_p><v_p| rho).
+    probabilities, one vector of shape (n,). Row p of the (n, d^2) design
+    matrix holds conj(v_pa) v_pb at a d + b, so that it times the flattened
+    rho is Tr(|v_p><v_p| rho).
     The closed form `qst_linear_inversion` is checked against this.
     """
     v = np.asarray(kets, dtype=complex)
@@ -273,8 +274,11 @@ def qst_least_squares(kets, probs) -> ReconstructionResult:
     n, d = v.shape
     if n < d * d:
         raise ValueError(f"need at least {d * d} projectors for d={d}, got {n}")
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (n,):
+        raise ValueError(f"kets of shape {v.shape} need probabilities of shape ({n},), got {p.shape}")
     a = (v.conj()[:, :, None] * v[:, None, :]).reshape(n, d * d)
-    x, _, _, sv = np.linalg.lstsq(a, np.asarray(probs, dtype=float), rcond=None)
+    x, _, _, sv = np.linalg.lstsq(a, p, rcond=None)
     if sv[-1] < 1e-10 * sv[0]:
         raise ValueError("projector set is rank-deficient: not informationally complete")
     return _result(x.reshape(d, d))

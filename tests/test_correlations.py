@@ -124,6 +124,22 @@ class TestOutcomeTables:
             for got, p in zip(slice_born, born):
                 np.testing.assert_array_equal(got, fresh.binomial(n, p))
 
+    def test_born_stack_draws_as_one_binomial_per_vector(self):
+        # the (B, P) Born stack is drawn by one binomial call: on each key it
+        # gives the counts of one binomial per vector from a fresh
+        # Philox(key=k), and leaves the stream at the same next draw
+        born = np.random.default_rng(9).uniform(size=(3, 16))
+        keys = [derive_seed(5, "born", s) for s in range(3)]
+        _, born_counts = sample_counts(None, 400, keys, born)
+        assert born_counts.shape == (3, 3, 16)
+        for key, slice_born in zip(keys, born_counts):
+            per_vector = np.random.Generator(np.random.Philox(key=key))
+            one_call = np.random.Generator(np.random.Philox(key=key))
+            expected = [per_vector.binomial(400, p) for p in born]
+            np.testing.assert_array_equal(slice_born, expected)
+            np.testing.assert_array_equal(one_call.binomial(400, born), expected)
+            assert one_call.random() == per_vector.random()
+
     def test_born_counts_alone_follow_the_stream(self):
         # with no tables, the Born vectors are the first draws of each stream;
         # numpy integers key the stream their int value keys

@@ -338,6 +338,9 @@ class TestNonIntegerSizes:
         assert (by_array == sample_counts(tables, 10, [0, 0])[0]).all()
         with pytest.raises(ValueError, match="nothing to draw"):
             sample_counts(None, 10, [1])
+        # one Born vector is a (1, P) stack, not P vectors of one projector
+        with pytest.raises(ValueError, match=re.escape("(B, P) array of Born vectors, got shape (4,)")):
+            sample_counts(None, 10, [1], np.full(4, 0.25))
 
     def test_numpy_integers_run_as_ints(self):
         plain = experiments.run_scenario(self._scenario(d=3))
@@ -406,6 +409,13 @@ class TestReconstructRejections:
         assert kets.shape == (5, 3)
         with pytest.raises(ValueError, match="at least 9"):
             reconstruct.qst_least_squares(kets, np.full(5, 0.1))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 4)])
+    def test_least_squares_needs_one_probability_per_ket(self, shape):
+        kets = reconstruct.standard_projector_family(2)
+        want = f"kets of shape (4, 2) need probabilities of shape (4,), got {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            reconstruct.qst_least_squares(kets, np.full(shape, 0.25))
 
     def test_least_squares_takes_kets_only(self):
         # a projector stack is not a ket array, even of the right size

@@ -323,6 +323,17 @@ class TestResultsCsv:
             "max,single,W,3,0.1,-0.0,1.0,9223372036854775807,9223372036854775807,"
             "0.6666666666666666,inf,0.12345678901234566,-inf,1e-300\n"
         )
+        # a column holding 0.0, -0.0, nan and inf, each twice and never next to
+        # itself: every cell reads its own text back through the dedupe's inverse
+        values = [0.0, -0.0, math.nan, math.inf, -0.0, math.inf, 0.0, math.nan]
+        rows = np.resize(self.special_rows("max")[1:2], len(values))
+        rows["delta_rho"] = values
+        column = io.CSV_COLUMNS.index("delta_rho")
+        lines = results_csv(rows).splitlines()[1:]
+        assert [line.split(",")[column] for line in lines] == [
+            "0.0", "-0.0", "nan", "inf", "-0.0", "inf", "0.0", "nan"
+        ]
+        assert results_csv(rows) == oracle_csv(rows)
 
     def test_scenario_id_keeps_trailing_nul(self):
         # a section header can end an id in NUL; a fixed-width unicode field

@@ -6,7 +6,8 @@ buffers they own. The peak
 tests bound what each allocates while it runs, read with `tracemalloc` (numpy
 reports its array buffers to it), as a multiple of the bytes of its input
 stack or of its outputs. A scenario run must leave none of its large arrays
-(Kraus stacks, the tomography family) allocated once it returns. The
+(Kraus stacks, the tomography family) allocated once it returns, and a
+sampled stack's correlations must be freed before its `compare`. The
 equality tests pin each in-place form to the plain expression it replaced,
 byte for byte.
 """
@@ -132,16 +133,21 @@ class TestRunPathKeepsNoArrays:
             methods=experiments.METHODS, reference="qst",
         )
         class_counts = seeds * d * len(PAIRS_EXACT_I) * (2 * d + 1) * np.dtype(np.int64).itemsize
-        stack_rows, seen = experiments._stack_rows, {}
+        estimates, stack_rows, seen = experiments._estimates, experiments._stack_rows, {}
+
+        def spy_estimates(scn, correls, method_probs):
+            # the bytes handed to the estimates; the spy keeps no reference to them
+            seen["inputs"] = correls.values.nbytes + correls.std_error.nbytes + method_probs.nbytes
+            return estimates(scn, correls, method_probs)
 
         def spy(*args):
-            _, _, _, _, seed_col, correls, method_probs, ref_probs = args
+            *_, seed_col, _, ref_probs = args
             if np.ndim(seed_col) and "base" in seen:  # the traced run's sampled stack
-                inputs = correls.values.nbytes + correls.std_error.nbytes
-                inputs += method_probs.nbytes + ref_probs.nbytes
+                inputs = seen["inputs"] + ref_probs.nbytes
                 seen["extra"] = tracemalloc.get_traced_memory()[0] - seen["base"] - inputs
             return stack_rows(*args)
 
+        monkeypatch.setattr(experiments, "_estimates", spy_estimates)
         monkeypatch.setattr(experiments, "_stack_rows", spy)
         experiments.run_scenario(replace(scn, seeds=(0,)))  # fills the run's caches
         tracemalloc.start()
@@ -151,6 +157,36 @@ class TestRunPathKeepsNoArrays:
         finally:
             tracemalloc.stop()
         assert seen["extra"] < class_counts / 4, seen["extra"] / class_counts
+
+    @pytest.mark.parametrize("reference", experiments.REFERENCES)
+    def test_sampled_stack_frees_its_correlations_before_compare(self, monkeypatch, reference):
+        # at a d = 16 sampled stack's `compare`, what the run has allocated
+        # besides compare's inputs is a small part of the correlation stack:
+        # the correlations and the QST frequencies are freed once estimated
+        d, seeds = 16, 20
+        scn = experiments.Scenario(
+            scenario_id="free", kind="single", input_state="random:seed=8", d=d,
+            theta_list=(0.9,), n_events=1000, seeds=tuple(range(seeds)),
+            methods=experiments.METHODS, reference=reference,
+        )
+        correls = 2 * seeds * d * d * len(PAIRS_EXACT_I) * np.dtype(float).itemsize
+        compare, seen = metrics.compare, {}
+
+        def spy(finalized, errors, reference):
+            if finalized.shape[1] == seeds and "base" in seen:  # the traced run's sampled stack
+                inputs = finalized.nbytes + errors.nbytes + reference.nbytes
+                seen["extra"] = tracemalloc.get_traced_memory()[0] - seen["base"] - inputs
+            return compare(finalized, errors, reference)
+
+        monkeypatch.setattr(metrics, "compare", spy)
+        experiments.run_scenario(replace(scn, seeds=(0,)))  # fills the run's caches
+        tracemalloc.start()
+        try:
+            seen["base"] = tracemalloc.get_traced_memory()[0]
+            experiments.run_scenario(scn)
+        finally:
+            tracemalloc.stop()
+        assert seen["extra"] < correls / 4, seen["extra"] / correls
 
 
 class TestInPlaceFormsAreBitIdentical:
