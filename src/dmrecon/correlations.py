@@ -111,7 +111,7 @@ class Correlations:
     n_events: int = 0
 
     def __post_init__(self):
-        protocol.check_integer("n_events", self.n_events)
+        states.check_integer("n_events", self.n_events)
         if self.n_events < 0:
             raise ValueError(f"n_events={self.n_events} is negative")
         shape = self.values.shape
@@ -283,7 +283,7 @@ def sample_counts(
     Returns (class counts indexed [s, j-1, p, c], or None without tables,
     Born counts indexed [s, b, projector]).
     """
-    protocol.check_integer("n", n)
+    states.check_integer("n", n)
     if not 1 <= n <= 2**63 - 1:
         raise ValueError(
             f"need at least one event and at most 2**63-1 (the sampler's range), got n={n}"
@@ -308,7 +308,7 @@ def sample_counts(
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state  # a fresh Philox's: counter 0, an empty buffer
     for s, key in enumerate(keys):
-        protocol.check_integer("Philox key", key)
+        states.check_integer("Philox key", key)
         key = int(key)
         if not 0 <= key <= 2**128 - 1:
             raise ValueError(f"Philox key={key} outside 0..2**128-1")
@@ -378,7 +378,7 @@ def correlation_set_from_tables(
     returns them as one `Correlations` indexed [s, j-1, k-1, p]; slice s
     equals the set of root_seed[s] alone, bit for bit.
     """
-    protocol.check_integer("n", n)
+    states.check_integer("n", n)
     if n == 0:
         if root_seed is not None:
             raise ValueError("exact correlations (n = 0) take no root seed")

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import correlations, metrics, reconstruct, states
 from .correlations import OutcomeTables, derive_seed
-from .protocol import CouplingConfig, check_dim, check_integer, check_theta
+from .protocol import CouplingConfig, check_dim, check_theta
+from .states import check_integer
 
 KINDS = ("purity_sweep", "strength_sweep", "error_sweep", "single")
 METHODS = ("W", "I", "II", "QST")

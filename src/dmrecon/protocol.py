@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,18 +48,9 @@ _POINTER_EIGENSTATES = {
 OBSERVABLE_NAMES = tuple(_POINTER_EIGENSTATES)
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a size or seed that is not an integer; numpy integers are, bools are not."""
-    if type(value) is int:  # before the abstract-class test, about 1 us a call, paid per root seed
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        shown = repr(value) if isinstance(value, str) else value  # '1' must not read as 1
-        raise ValueError(f"{name}={shown} is not an integer")
-
-
 def check_dim(d: int) -> None:
     """Reject a non-integer system dimension, or one outside the supported range 1..MAX_DIM."""
-    check_integer("dimension d", d)
+    states.check_integer("dimension d", d)
     if not 1 <= d <= MAX_DIM:
         raise ValueError(f"dimension d={d} outside supported range 1..{MAX_DIM}")
 

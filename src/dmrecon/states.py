@@ -7,6 +7,10 @@ indices in the public API are 1-based to match that labelling.
 
 from __future__ import annotations
 
+import cmath
+import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +18,15 @@ import numpy as np
 from . import qmath
 
 POSITIVITY_ATOL = 1e-9
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a size or seed that is not an integer; numpy integers are, bools are not."""
+    if type(value) is int:  # before the abstract-class test, about 1 us a call, paid per root seed
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        shown = repr(value) if isinstance(value, str) else value  # '1' must not read as 1
+        raise ValueError(f"{name}={shown} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -85,11 +98,31 @@ def purity_family(p: float, psi: np.ndarray) -> DensityMatrix:
 
 
 def random_density(d: int, seed: int) -> DensityMatrix:
-    """Seeded random mixed state G G^dagger / Tr(G G^dagger), G complex Ginibre."""
+    """Seeded random mixed state G G^dagger / Tr(G G^dagger), G complex Ginibre.
+
+    G's d^2 entries, row-major, come from the 16 d^2 bytes of
+    shake_256 over the ASCII text "random_density::<d>::<seed>", read as
+    little-endian 64-bit words w. Each word gives a 53-bit uniform
+    u = (w >> 11) 2^-53 in [0, 1), and each pair (u1, u2) one entry by
+    Box-Muller, sqrt(-2 ln(1 - u1)) exp(2 pi i u2). The logarithm, cosine
+    and sine are Python's math and cmath (the C library's), not numpy's
+    ufuncs, whose results depend on the CPU's SIMD dispatch; every other step
+    is exact or correctly rounded. So the state does not depend on the numpy
+    version, and nothing here imports numpy.random.
+    """
+    check_integer("dimension d", d)
+    check_integer("seed", seed)
     if d < 1:
-        raise ValueError("dimension must be positive")
-    rng = np.random.Generator(np.random.Philox(seed))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        raise ValueError(f"dimension d={d} must be positive")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be nonnegative")
+    n = d * d
+    text = f"random_density::{int(d)}::{int(seed)}"
+    words = np.frombuffer(hashlib.shake_256(text.encode("ascii")).digest(16 * n), "<u8")
+    u = (words >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float, n))
+    phase = ((2.0 * math.pi) * u[1::2]).tolist()
+    g = np.fromiter(map(cmath.rect, radius.tolist(), phase), complex, n).reshape(d, d)
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityMatrix(m)
@@ -166,8 +199,10 @@ def parse_state_spec(spec: str, d: int) -> DensityMatrix:
 def check_state_spec(spec: str, d: int) -> None:
     """Raise ValueError unless `parse_state_spec(spec, d)` builds a state.
 
-    A random spec is checked without drawing the state, which would import
-    numpy.random while a config is only being read.
+    A random spec is checked by its seed alone, without drawing the state:
+    for a valid seed and d >= 1, `random_density` always returns a state, so
+    drawing it (d^2 Box-Muller entries, a product and an eigenvalue check)
+    would repeat the run's own work and could find nothing wrong.
     """
     text = spec.strip()
     if text.startswith("random:"):

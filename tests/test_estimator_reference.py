@@ -154,7 +154,7 @@ def test_exact_set_reads_as_the_same_values_sampled(d):
     # an estimator reads the values it is given, exact or sampled: under
     # pointer tilt and inefficiency <Pi1 Pi1> varies over k, and the exact
     # set must still give what the same values carried as a sampled set give
-    rho = states.random_density(d, 13 * d)
+    rho = states.random_density(d, 14 * d)
     cfg = CouplingConfig(d, 0.5)
     tables = experiments.build_tables(rho, cfg, PAIRS_EXACT_I, epsilon=0.05, efficiency=0.95)
     exact = correlation_set_from_tables(tables)

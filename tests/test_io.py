@@ -425,19 +425,36 @@ def test_config_document_defaults():
 
 
 # Run in a fresh interpreter: prints "eager" when numpy itself imports
-# numpy.random (older numpy releases), else whether reading the config imported it.
-_READ_CONFIG_CHILD = """
+# numpy.random (older numpy releases), else whether the action imported it:
+# `parse <config>` reads a config, anything else is a `dmrecon` command line.
+_NUMPY_RANDOM_CHILD = """
 import sys
 import numpy
 if "numpy.random" in sys.modules:
     print("eager")
     sys.exit()
-import dmrecon.cli
-from dmrecon import io
-with open(sys.argv[1], encoding="utf-8") as f:
-    io.parse_config(f.read())
+from dmrecon import cli, io
+if sys.argv[1] == "parse":
+    with open(sys.argv[2], encoding="utf-8") as f:
+        io.parse_config(f.read())
+else:
+    assert cli.main(sys.argv[1:]) == 0
 print("numpy.random" in sys.modules)
 """
+
+
+def _imports_numpy_random(*args: str) -> bool:
+    """Whether the child's action imported numpy.random; skips on an eager numpy."""
+    src = str(Path(io.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_RANDOM_CHILD, *args],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip().splitlines()[-1]
+    if out == "eager":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert out in ("True", "False"), out
+    return out == "True"
 
 
 def test_reading_a_config_does_not_import_numpy_random():
@@ -445,12 +462,30 @@ def test_reading_a_config_does_not_import_numpy_random():
     # so start-up skips the numpy.random import (about a tenth of it)
     golden = Path(__file__).parent / "data" / "golden.cfg"
     assert "random:seed=" in golden.read_text(encoding="utf-8")
-    src = str(Path(io.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", _READ_CONFIG_CHILD, str(golden)],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    if out == "eager":
-        pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert out == "False"
+    assert not _imports_numpy_random("parse", str(golden))
+
+
+EXACT_RUN = """
+[scenario exact-random]
+kind = strength_sweep
+state = random:seed=3
+d = 4
+theta = 0.3 1.5707963267948966
+methods = W I II QST
+source = exact
+reference = qst
+bias_epsilon = 0.02
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "exact"])
+def test_exact_runs_do_not_import_numpy_random(tmp_path, command):
+    # `states.random_density` draws from a shake_256 stream, so a run that
+    # samples nothing never loads numpy.random (6-10 ms of start-up)
+    if command == "run":
+        cfg = tmp_path / "exact.cfg"
+        cfg.write_text(EXACT_RUN, encoding="utf-8")
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["exact", "--state", "random:seed=3", "--theta", "0.5", "--method", "II", "--d", "4"]
+    assert not _imports_numpy_random(*argv)

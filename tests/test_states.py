@@ -1,5 +1,7 @@
 """State construction, validation, and the state-spec grammar."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,10 @@ class TestPurityFamily:
             states.purity_family(-0.1, states.b0_state(2))
 
 
+# random states per dimension in the distribution test
+SEEDS = 2000
+
+
 class TestRandomDensity:
     def test_deterministic_given_seed(self):
         a = states.random_density(4, 123)
@@ -99,6 +105,34 @@ class TestRandomDensity:
         assert not np.allclose(
             states.random_density(2, 0).matrix, states.random_density(2, 1).matrix
         )
+
+    def test_numpy_integers_give_the_same_state(self):
+        # the seed's decimal text keys the stream, so np.int64(7) must read as 7
+        a = states.random_density(3, 7)
+        b = states.random_density(np.int64(3), np.int64(7))
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize(
+        "d, seed, message",
+        [(2, True, "seed=True is not an integer"), (2, 7.0, "seed=7.0 is not an integer"),
+         (2, "7", "seed='7' is not an integer"), (2, -1, "seed=-1 must be nonnegative"),
+         (2.0, 7, "dimension d=2.0 is not an integer"),
+         (True, 7, "dimension d=True is not an integer"),
+         ("2", 7, "dimension d='2' is not an integer"), (0, 7, "dimension d=0 must be positive")],
+        ids=["bool-seed", "float-seed", "str-seed", "negative-seed", "float-d", "bool-d",
+             "str-d", "zero-d"],
+    )
+    def test_rejects_a_bad_seed_or_dimension_by_name(self, d, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            states.random_density(d, seed)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_mean_purity_is_the_hilbert_schmidt_value(self, d):
+        # G G^dagger / Tr with G a square complex Ginibre matrix is
+        # Hilbert-Schmidt distributed, whose mean purity is 2d / (d^2 + 1)
+        purities = np.array([states.purity(states.random_density(d, s)) for s in range(SEEDS)])
+        z = (purities.mean() - 2 * d / (d * d + 1)) / (purities.std(ddof=1) / np.sqrt(SEEDS))
+        assert abs(z) < 5, f"mean purity {purities.mean():.5f} is {z:.2f} sigma off"
 
 
 class TestPurity:
