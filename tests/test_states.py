@@ -81,10 +81,6 @@ class TestPurityFamily:
             states.purity_family(-0.1, states.b0_state(2))
 
 
-# random states per dimension in the distribution test
-SEEDS = 2000
-
-
 class TestRandomDensity:
     def test_deterministic_given_seed(self):
         a = states.random_density(4, 123)
@@ -130,8 +126,9 @@ class TestRandomDensity:
     def test_mean_purity_is_the_hilbert_schmidt_value(self, d):
         # G G^dagger / Tr with G a square complex Ginibre matrix is
         # Hilbert-Schmidt distributed, whose mean purity is 2d / (d^2 + 1)
-        purities = np.array([states.purity(states.random_density(d, s)) for s in range(SEEDS)])
-        z = (purities.mean() - 2 * d / (d * d + 1)) / (purities.std(ddof=1) / np.sqrt(SEEDS))
+        seeds = 2000
+        purities = np.array([states.purity(states.random_density(d, s)) for s in range(seeds)])
+        z = (purities.mean() - 2 * d / (d * d + 1)) / (purities.std(ddof=1) / np.sqrt(seeds))
         assert abs(z) < 5, f"mean purity {purities.mean():.5f} is {z:.2f} sigma off"
 
 
